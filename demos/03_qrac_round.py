@@ -7,20 +7,21 @@ uniformly random on their own (they are masked by the PR-box coins), so
 they carry no information about her states: all the work is done by the
 shared entanglement and the boxes.
 """
-from qracbox import fidelity, make_pure_qubit, qrac_round
+from qracbox import fidelity, make_pure_qubit, run_qrac_protocol
 from qracbox.quantum import KET0, KET1
 
 psi = make_pure_qubit(theta=0.7, phi=1.1)       # an arbitrary qubit
 phi = make_pure_qubit(theta=2.2, phi=-0.4)      # another one
 
 print("== Bob asks for the first qubit (choice |0>) ==")
-rho, transcript = qrac_round(psi, phi, omega=KET0, seed=42)
+rho = run_qrac_protocol(psi, phi, omega=KET0, seed=42).output
 print(f"  fidelity with Alice's first input : {fidelity(rho, psi):.15f}")
 print(f"  fidelity with Alice's second input: {fidelity(rho, phi):.15f}")
 
 print()
 print("== Bob asks for the second qubit (choice |1>) ==")
-rho, transcript = qrac_round(psi, phi, omega=KET1, seed=42)
+result = run_qrac_protocol(psi, phi, omega=KET1, seed=42)
+rho, transcript = result.output, result.transcript
 print(f"  fidelity with Alice's first input : {fidelity(rho, psi):.15f}")
 print(f"  fidelity with Alice's second input: {fidelity(rho, phi):.15f}")
 

@@ -14,8 +14,7 @@ from qracbox import (
     dense_decode,
     dense_encode,
     fidelity,
-    qrac_round,
-    qrac_round_qubit_only,
+    run_qrac_protocol,
 )
 from qracbox.quantum import KET_PLUS, KET1, haar_random_qubit
 from qracbox.rng import make_rng
@@ -31,14 +30,14 @@ print("== the qubit-only round vs the standard round, same seed ==")
 rng = make_rng(9)
 psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
 for seed in range(3):
-    rho_std, tr_std = qrac_round(psi, phi, KET_PLUS, seed=seed)
-    rho_dc, tr_dc = qrac_round_qubit_only(psi, phi, KET_PLUS, seed=seed)
-    same = np.array_equal(rho_std.matrix, rho_dc.matrix)
+    std = run_qrac_protocol(psi, phi, KET_PLUS, seed=seed)
+    dc = run_qrac_protocol(psi, phi, KET_PLUS, seed=seed, dense=True)
+    same = np.array_equal(std.output.matrix, dc.output.matrix)
     print(f"  seed {seed}: outputs identical: {same}")
-    print(f"    standard transcript:   {tr_std.totals.as_dict()}")
-    print(f"    qubit-only transcript: {tr_dc.totals.as_dict()}")
+    print(f"    standard transcript:   {std.transcript.totals.as_dict()}")
+    print(f"    qubit-only transcript: {dc.transcript.totals.as_dict()}")
 
 print()
 print("== recovery still perfect ==")
-rho, _ = qrac_round_qubit_only(psi, phi, KET1, seed=77)
+rho = run_qrac_protocol(psi, phi, KET1, seed=77, dense=True).output
 print(f"  fidelity with the chosen (second) input: {fidelity(rho, phi):.15f}")

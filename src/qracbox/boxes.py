@@ -20,6 +20,11 @@ import numpy as np
 from .metering import ProtocolError
 
 
+def check(name: str, passed: bool, value: float | None, tolerance: float | None) -> dict:
+    """One report check entry: {name, pass, value, tolerance}."""
+    return {"name": name, "pass": bool(passed), "value": value, "tolerance": tolerance}
+
+
 def _check_bit(value: int, name: str) -> int:
     if value not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
@@ -189,30 +194,15 @@ def verify_rac_privacy(trials: int, seed: int) -> dict:
     sampled_tol = max(0.02, 6.0 / float(np.sqrt(trials)))
 
     checks = [
-        {
-            "name": "rac-privacy-bob-exact",
-            "pass": exact_bob_tv == 0.0,
-            "value": exact_bob_tv,
-            "tolerance": 0.0,
-        },
-        {
-            "name": "rac-privacy-alice-exact",
-            "pass": exact_alice_tv == 0.0,
-            "value": exact_alice_tv,
-            "tolerance": 0.0,
-        },
-        {
-            "name": "rac-privacy-bob-sampled",
-            "pass": sampled_bob_tv <= sampled_tol,
-            "value": sampled_bob_tv,
-            "tolerance": sampled_tol,
-        },
-        {
-            "name": "rac-privacy-alice-sampled",
-            "pass": sampled_alice_tv <= sampled_tol,
-            "value": sampled_alice_tv,
-            "tolerance": sampled_tol,
-        },
+        check("rac-privacy-bob-exact", exact_bob_tv == 0.0, exact_bob_tv, 0.0),
+        check("rac-privacy-alice-exact", exact_alice_tv == 0.0, exact_alice_tv, 0.0),
+        check("rac-privacy-bob-sampled", sampled_bob_tv <= sampled_tol, sampled_bob_tv, sampled_tol),
+        check(
+            "rac-privacy-alice-sampled",
+            sampled_alice_tv <= sampled_tol,
+            sampled_alice_tv,
+            sampled_tol,
+        ),
     ]
     return {
         "metrics": {

@@ -21,7 +21,7 @@ from math import sqrt
 
 import numpy as np
 
-from .boxes import tv_distance
+from .boxes import check, tv_distance
 from .qrac import alice_output_distribution, channel_branches, sample_alice_output, sample_channel
 from .quantum import (
     KET0,
@@ -58,6 +58,8 @@ class ChoiMatrix:
         dim = self.d_in * self.d_out
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} Choi matrix, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("Choi matrix has a non-finite entry")
         if np.max(np.abs(mat - mat.conj().T)) > self.atol:
             raise ValueError("Choi matrix is not Hermitian")
         if float(np.min(np.linalg.eigvalsh(mat))) < -self.atol:
@@ -146,7 +148,6 @@ def _accumulate_choi(branches) -> tuple[np.ndarray, dict[tuple[int, int], np.nda
 def tomography(
     mode: str = "branch-exact",
     *,
-    runner=None,
     trials: int | None = None,
     seed: int | None = None,
 ) -> ChoiMatrix:
@@ -159,25 +160,22 @@ def tomography(
     """
     probe = _entangled_probe()
     if mode == "branch-exact":
-        run = runner if runner is not None else channel_branches
-        total, _ = _accumulate_choi(run(probe, (3, 4, 5)))
+        total, _ = _accumulate_choi(channel_branches(probe, (3, 4, 5)))
         return ChoiMatrix(D_IN, D_OUT, total)
     if mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled tomography needs trials and seed")
-        run = runner if runner is not None else sample_channel
         total = np.zeros((D_IN * D_OUT, D_IN * D_OUT), dtype=complex)
         for trial in range(trials):
-            _, _, rho = run(probe, make_rng(seed, trial), (3, 4, 5))
+            _, _, rho = sample_channel(probe, make_rng(seed, trial), (3, 4, 5))
             total += D_IN * rho.matrix / trials
         return ChoiMatrix(D_IN, D_OUT, total, atol=max(1e-8, 64 / sqrt(trials)))
     raise ValueError(f"unknown tomography mode {mode!r}")
 
 
-def subchannels(runner=None) -> SubchannelSet:
+def subchannels() -> SubchannelSet:
     """Branch-exact reconstruction of the four conditioned subchannels."""
-    run = runner if runner is not None else channel_branches
-    total, parts = _accumulate_choi(run(_entangled_probe(), (3, 4, 5)))
+    total, parts = _accumulate_choi(channel_branches(_entangled_probe(), (3, 4, 5)))
     return SubchannelSet(
         total=ChoiMatrix(D_IN, D_OUT, total),
         parts={key: ChoiMatrix(D_IN, D_OUT, mat) for key, mat in parts.items()},
@@ -196,7 +194,6 @@ def mixture_check(
     beta: complex,
     psi: StateVector,
     phi: StateVector,
-    runner=None,
 ) -> dict:
     """Check that a superposed choice yields the classical mixture.
 
@@ -205,8 +202,7 @@ def mixture_check(
     the four subchannels must emit exactly one quarter of that mixture.
     """
     omega = _omega_from_amplitudes(alpha, beta)
-    run = runner if runner is not None else channel_branches
-    branches = run(tensor([psi, phi, omega]))
+    branches = channel_branches(tensor([psi, phi, omega]))
 
     expected = (
         abs(alpha) ** 2 * np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -224,18 +220,8 @@ def mixture_check(
         trace_distance(part, expected / 4) for part in parts.values()
     )
     checks = [
-        {
-            "name": "mixture-full-channel",
-            "pass": full_distance <= 1e-8,
-            "value": full_distance,
-            "tolerance": 1e-8,
-        },
-        {
-            "name": "mixture-subchannels",
-            "pass": sub_distance <= 1e-8,
-            "value": sub_distance,
-            "tolerance": 1e-8,
-        },
+        check("mixture-full-channel", full_distance <= 1e-8, full_distance, 1e-8),
+        check("mixture-subchannels", sub_distance <= 1e-8, sub_distance, 1e-8),
     ]
     return {
         "metrics": {
@@ -337,18 +323,8 @@ def environment_orthogonality_check(
     overlap = float(np.abs(np.vdot(residuals[0], residuals[1])))
     min_purity = min(purities)
     checks = [
-        {
-            "name": "residual-orthogonality",
-            "pass": overlap <= 1e-6,
-            "value": overlap,
-            "tolerance": 1e-6,
-        },
-        {
-            "name": "residual-purity",
-            "pass": min_purity >= 1 - 1e-6,
-            "value": min_purity,
-            "tolerance": 1e-6,
-        },
+        check("residual-orthogonality", overlap <= 1e-6, overlap, 1e-6),
+        check("residual-purity", min_purity >= 1 - 1e-6, min_purity, 1e-6),
     ]
     return {
         "metrics": {
@@ -400,18 +376,8 @@ def verify_nonsignaling(
             withheld_distance = max(withheld_distance, trace_distance(avg, _MIXED))
 
     checks = [
-        {
-            "name": "alice-distribution-exact",
-            "pass": exact_tv <= 1e-12,
-            "value": exact_tv,
-            "tolerance": 1e-12,
-        },
-        {
-            "name": "bob-withheld-marginal",
-            "pass": withheld_distance <= 1e-8,
-            "value": withheld_distance,
-            "tolerance": 1e-8,
-        },
+        check("alice-distribution-exact", exact_tv <= 1e-12, exact_tv, 1e-12),
+        check("bob-withheld-marginal", withheld_distance <= 1e-8, withheld_distance, 1e-8),
     ]
     metrics = {
         "exact_alice_tv": exact_tv,
@@ -425,14 +391,7 @@ def verify_nonsignaling(
             for _ in range(trials):
                 counts[w][sample_alice_output(psi, phi, w, rng).index] += 1
         sampled_tv = tv_distance(counts[0] / trials, counts[1] / trials)
-        checks.append(
-            {
-                "name": "alice-distribution-sampled",
-                "pass": sampled_tv <= 0.02,
-                "value": sampled_tv,
-                "tolerance": 0.02,
-            }
-        )
+        checks.append(check("alice-distribution-sampled", sampled_tv <= 0.02, sampled_tv, 0.02))
         metrics["sampled_alice_tv"] = sampled_tv
         metrics["sampled_trials"] = trials
 

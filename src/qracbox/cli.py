@@ -3,7 +3,8 @@
 Subcommands map onto experiments; ``run`` takes any experiment by name.
 Every invocation needs a seed (flag or config file), emits one JSON
 report to stdout or --out, and exits 0 when all checks pass, 2 on a
-failed check or protocol violation, 3 on a config problem.
+failed check or protocol violation, 3 on a config problem.  On exit 2
+stderr names each failed check with its value and tolerance.
 """
 from __future__ import annotations
 
@@ -129,7 +130,14 @@ def main(argv: list[str] | None = None) -> int:
             handle.write(text + "\n")
     else:
         print(text)
-    return 0 if all(check["pass"] for check in report["checks"]) else 2
+    failed = [check for check in report["checks"] if not check["pass"]]
+    for check in failed:
+        print(
+            f"failed check: {check['name']} value {check['value']!r} "
+            f"tolerance {check['tolerance']!r}",
+            file=sys.stderr,
+        )
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Two-party metered execution and the experiment front end.
 
-Rounds run as a pair of message-driven party state machines talking
-through a MeteredChannel: Alice only ever emits, Bob only ever consumes,
-and the channel log is the round's transcript.  Budgets are asserted as
-hard equalities; a violation is a protocol bug and aborts the run.
+A metered round is straight-line code: Bob measures his choice, Alice
+runs her side and sends her output through a MeteredChannel, Bob runs
+his side on what arrived.  Every message flows Alice to Bob, and the
+channel log is the round's transcript.  Budgets are asserted as hard
+equalities; a violation is a protocol bug and aborts the run.
 
 Experiments are described by a plain config (JSON-mirrored), always
 carry a seed, and produce a report with a fixed shape::
@@ -21,12 +22,13 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from math import isfinite
 from typing import Any
 
 import numpy as np
 
 from ._version import __version__
-from .boxes import PRBox, rac_all_cases, tv_distance, verify_rac_privacy
+from .boxes import check, rac_all_cases, rac_round, tv_distance, verify_rac_privacy
 from .channel import (
     build_dilation,
     environment_orthogonality_check,
@@ -36,7 +38,6 @@ from .channel import (
     verify_nonsignaling,
 )
 from .metering import (
-    Message,
     MeteredChannel,
     ProtocolError,
     QRAC_BUDGET,
@@ -100,6 +101,8 @@ def parse_state_spec(spec: str) -> StateVector:
         values = [float(v) for v in body.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad state spec {spec!r}: {exc}") from None
+    if not all(isfinite(v) for v in values):
+        raise ConfigError(f"state spec has a non-finite number: {spec!r}")
     if scheme == "bloch":
         if len(values) != 2:
             raise ConfigError(f"bloch spec needs two angles, got {spec!r}")
@@ -109,8 +112,8 @@ def parse_state_spec(spec: str) -> StateVector:
             raise ConfigError(f"amp spec needs four numbers, got {spec!r}")
         amps = np.array([values[0] + 1j * values[1], values[2] + 1j * values[3]])
         norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise ConfigError(f"amp spec is the zero vector: {spec!r}")
+        if norm == 0.0 or not isfinite(norm):
+            raise ConfigError(f"amp spec norm must be finite and non-zero: {spec!r}")
         if abs(norm - 1.0) > 1e-6:
             warnings.warn(f"state spec {spec!r} renormalized (norm was {norm!r})")
         return StateVector(1, amps / norm)
@@ -162,6 +165,8 @@ class ExperimentConfig:
         if self.alpha is not None and self.omega is not None:
             raise ConfigError("give either omega or (alpha, beta), not both")
         if self.alpha is not None:
+            if not all(isfinite(x) for x in (*self.alpha, *self.beta)):
+                raise ConfigError("alpha and beta must be finite")
             weight = abs(self._alpha_complex()) ** 2 + abs(self._beta_complex()) ** 2
             if abs(weight - 1.0) > 1e-10:
                 raise ConfigError("|alpha|^2 + |beta|^2 must be 1 within 1e-10")
@@ -214,7 +219,10 @@ class ExperimentConfig:
                 pair = kwargs[key]
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                     raise ConfigError(f"{key} must be a [re, im] pair")
-                kwargs[key] = (float(pair[0]), float(pair[1]))
+                try:
+                    kwargs[key] = (float(pair[0]), float(pair[1]))
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{key} must be a [re, im] pair of numbers") from None
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -233,164 +241,8 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# party state machines
+# metered rounds
 # ---------------------------------------------------------------------------
-
-class PartyStateMachine:
-    """Message-driven protocol actor; ``step`` consumes and emits messages."""
-
-    def __init__(self, role: str) -> None:
-        self.role = role
-        self.done = False
-
-    def step(self, inbox: list[Message]) -> list[Message]:
-        raise NotImplementedError
-
-
-class QracAliceParty(PartyStateMachine):
-    """Alice: measure, mask through the boxes, publish two bits (or one qubit)."""
-
-    def __init__(
-        self,
-        psi: StateVector,
-        phi: StateVector,
-        resources: QracResources,
-        dense: bool = False,
-    ) -> None:
-        super().__init__("alice")
-        self._psi = psi
-        self._phi = phi
-        self._res = resources
-        self._dense = dense
-        self.output: AliceClassicalOutput | None = None
-
-    def step(self, inbox: list[Message]) -> list[Message]:
-        if inbox:
-            raise ProtocolError("Alice never receives messages in a box round")
-        if self.done:
-            raise ProtocolError("Alice already finished this round")
-        self.output = qrac_alice(self._psi, self._phi, self._res)
-        self.done = True
-        if self._dense:
-            payload = dense_encode(self.output.a1, self.output.a0, DenseCodingPair())
-            return [Message("A->B", "qubit", "dense-coded-output", payload)]
-        return [
-            Message("A->B", "classical-bit", "a1", self.output.a1),
-            Message("A->B", "classical-bit", "a0", self.output.a0),
-        ]
-
-
-class QracBobParty(PartyStateMachine):
-    """Bob: measure the choice qubit, wait for Alice's bits, decode.
-
-    Never emits anything; messages toward Alice do not exist in this
-    protocol and would be a bug.
-    """
-
-    def __init__(
-        self,
-        omega: StateVector,
-        resources: QracResources,
-        rng: np.random.Generator,
-        dense: bool = False,
-    ) -> None:
-        super().__init__("bob")
-        self._omega = omega
-        self._res = resources
-        self._rng = rng
-        self._dense = dense
-        self._bits: dict[str, int] = {}
-        self.w: int | None = None
-        self.output: DensityMatrix | None = None
-
-    def _consume(self, inbox: list[Message]) -> None:
-        for msg in inbox:
-            if msg.direction != "A->B":
-                raise ProtocolError(f"Bob received a message from direction {msg.direction}")
-            if self._dense:
-                if msg.kind != "qubit" or self._bits:
-                    raise ProtocolError("qubit-only round expects exactly one qubit message")
-                decoded = dense_decode(msg.content, self._rng)
-                self._bits = {"a1": decoded.bit1, "a0": decoded.bit0}
-            else:
-                if msg.kind != "classical-bit":
-                    raise ProtocolError("standard round expects classical bits only")
-                expected = "a1" if not self._bits else "a0"
-                if msg.payload != expected:
-                    raise ProtocolError(f"message {msg.payload!r} out of protocol order")
-                self._bits[msg.payload] = msg.content
-
-    def step(self, inbox: list[Message]) -> list[Message]:
-        if self.done:
-            raise ProtocolError("Bob already finished this round")
-        if self.w is None:
-            self.w, _ = measure_computational(self._omega, 0, self._rng)
-        self._consume(inbox)
-        if "a1" in self._bits and "a0" in self._bits:
-            self.output = qrac_bob(self.w, (self._bits["a1"], self._bits["a0"]), self._res)
-            self.done = True
-        return []
-
-
-class RacAliceParty(PartyStateMachine):
-    """Alice's side of the classical RAC: one masked bit out."""
-
-    def __init__(self, a0: int, a1: int, box: PRBox) -> None:
-        super().__init__("alice")
-        self._a0 = a0
-        self._a1 = a1
-        self._box = box
-
-    def step(self, inbox: list[Message]) -> list[Message]:
-        if inbox:
-            raise ProtocolError("Alice never receives messages in a box round")
-        if self.done:
-            raise ProtocolError("Alice already finished this round")
-        mask = self._box.alice(self._a0 ^ self._a1)
-        self.done = True
-        return [Message("A->B", "classical-bit", "m", self._a0 ^ mask)]
-
-
-class RacBobParty(PartyStateMachine):
-    """Bob's side of the classical RAC: unmask with his box output."""
-
-    def __init__(self, w: int, box: PRBox) -> None:
-        super().__init__("bob")
-        self._w = w
-        self._box = box
-        self.output: int | None = None
-
-    def step(self, inbox: list[Message]) -> list[Message]:
-        if self.done:
-            raise ProtocolError("Bob already finished this round")
-        for msg in inbox:
-            if msg.direction != "A->B" or msg.kind != "classical-bit" or msg.payload != "m":
-                raise ProtocolError("RAC round expects exactly one bit message 'm'")
-            self.output = msg.content ^ self._box.bob(self._w)
-            self.done = True
-        return []
-
-
-def _run_protocol(
-    parties: list[PartyStateMachine], channel: MeteredChannel, max_steps: int = 16
-) -> None:
-    """Alternate party steps, routing every emission through the channel."""
-    inboxes: dict[str, list[Message]] = {p.role: [] for p in parties}
-    for _ in range(max_steps):
-        if all(p.done for p in parties):
-            return
-        for party in parties:
-            if party.done:
-                continue
-            outbox = party.step(inboxes[party.role])
-            inboxes[party.role] = []
-            for msg in outbox:
-                channel.send(msg.direction, msg.kind, msg.payload, msg.content)
-                destination = "bob" if msg.direction == "A->B" else "alice"
-                inboxes[destination].append(msg)
-    if not all(p.done for p in parties):
-        raise ProtocolError("protocol stalled: some party never finished")
-
 
 @dataclass(frozen=True)
 class RoundResult:
@@ -409,19 +261,30 @@ def run_qrac_protocol(
     trial: int = 0,
     dense: bool = False,
 ) -> RoundResult:
-    """One metered round executed through the party state machines.
+    """One metered round: Bob measures omega, Alice sends, Bob decodes.
 
-    Draws randomness in the same order as qrac_round, so the two
-    execution paths agree outcome for outcome at equal (seed, trial).
+    Alice's two bits cross the channel as two classical bits, or with
+    ``dense`` as one dense-coded qubit.  Randomness is drawn from the
+    (seed, trial) stream in the order box coins, omega, both Bell
+    measurements, dense decoding.
     """
     rng = make_rng(seed, trial)
-    resources = QracResources(rng)
-    bob = QracBobParty(omega, resources, rng, dense=dense)
-    alice = QracAliceParty(psi, phi, resources, dense=dense)
+    res = QracResources(rng)
+    w, _ = measure_computational(omega, 0, rng)
+    alice = qrac_alice(psi, phi, res)
     channel = MeteredChannel()
-    _run_protocol([bob, alice], channel)
-    assert bob.output is not None and alice.output is not None and bob.w is not None
-    return RoundResult(bob.output, channel.transcript(), bob.w, alice.output)
+    if dense:
+        payload = dense_encode(alice.a1, alice.a0, DenseCodingPair())
+        channel.send("A->B", "qubit", "dense-coded-output", payload)
+        received = dense_decode(payload, rng).bits
+        if received != alice.bits:
+            raise ProtocolError("dense decoding disagreed with Alice's output")
+    else:
+        channel.send("A->B", "classical-bit", "a1", alice.a1)
+        channel.send("A->B", "classical-bit", "a0", alice.a0)
+        received = alice.bits
+    output = qrac_bob(w, received, res)
+    return RoundResult(output, channel.transcript(), w, alice)
 
 
 @dataclass(frozen=True)
@@ -434,14 +297,11 @@ class RacRoundResult:
 
 
 def run_rac_protocol(a0: int, a1: int, w: int, rng: np.random.Generator) -> RacRoundResult:
-    """One metered classical RAC round through the party machines."""
-    box = PRBox(rng)
-    bob = RacBobParty(w, box)
-    alice = RacAliceParty(a0, a1, box)
+    """One metered classical RAC round: Alice's masked bit is the only message."""
+    played = rac_round(a0, a1, w, rng)
     channel = MeteredChannel()
-    _run_protocol([bob, alice], channel)
-    assert bob.output is not None
-    return RacRoundResult(bob.output, channel.transcript(), a0, a1, w)
+    channel.send("A->B", "classical-bit", "m", played.message)
+    return RacRoundResult(played.output, channel.transcript(), a0, a1, w)
 
 
 # ---------------------------------------------------------------------------
@@ -461,32 +321,20 @@ def meter_assert(transcript: RoundTranscript, budget: Tally) -> dict:
         for key in expected
         if expected[key] != actual[key]
     ]
-    return {
-        "name": "budget",
-        "pass": not diffs,
-        "value": float(len(diffs)),
-        "tolerance": 0.0,
-        "detail": "; ".join(diffs) if diffs else None,
-    }
+    entry = check("budget", not diffs, float(len(diffs)), 0.0)
+    entry["detail"] = "; ".join(diffs) if diffs else None
+    return entry
 
 
 def _assert_budget(transcript: RoundTranscript, budget: Tally, context: str) -> None:
-    check = meter_assert(transcript, budget)
-    if not check["pass"]:
+    entry = meter_assert(transcript, budget)
+    if not entry["pass"]:
         excerpt = ", ".join(
             f"{m.direction} {m.kind} {m.payload}" for m in transcript.messages[-8:]
         )
         raise ProtocolError(
-            f"budget violation in {context}: {check['detail']} (log: {excerpt})"
+            f"budget violation in {context}: {entry['detail']} (log: {excerpt})"
         )
-
-
-def _check(name: str, passed: bool, value: float | None, tolerance: float | None) -> dict:
-    return {"name": name, "pass": bool(passed), "value": value, "tolerance": tolerance}
-
-
-def _zero_tally() -> Tally:
-    return Tally()
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +347,7 @@ def _exp_qrac(config: ExperimentConfig, dense: bool) -> tuple[dict, list, Tally,
     rounds = max(config.trials, 1)
     label = "qrac-qubit-only" if dense else "qrac"
 
-    tallies = _zero_tally()
+    tallies = Tally()
     fidelities = []
     histogram = [0, 0, 0, 0]
     rows = []
@@ -515,8 +363,8 @@ def _exp_qrac(config: ExperimentConfig, dense: bool) -> tuple[dict, list, Tally,
 
     min_f = min(fidelities)
     checks = [
-        _check("budget-every-round", True, 0.0, 0.0),
-        _check("recovery-fidelity", min_f >= 1 - 1e-10, min_f, 1e-10),
+        check("budget-every-round", True, 0.0, 0.0),
+        check("recovery-fidelity", min_f >= 1 - 1e-10, min_f, 1e-10),
     ]
     metrics = {
         "rounds": rounds,
@@ -528,7 +376,7 @@ def _exp_qrac(config: ExperimentConfig, dense: bool) -> tuple[dict, list, Tally,
     metrics["alice_uniformity_tv"] = sampled_tv
     if rounds >= 10**4:
         # the 0.02 tolerance is calibrated for large samples
-        checks.append(_check("alice-uniformity-sampled", sampled_tv <= 0.02, sampled_tv, 0.02))
+        checks.append(check("alice-uniformity-sampled", sampled_tv <= 0.02, sampled_tv, 0.02))
     if config.mode == "branch-exact":
         branches = channel_branches(tensor([psi, phi, omega]))
         exact_min = min(
@@ -538,8 +386,8 @@ def _exp_qrac(config: ExperimentConfig, dense: bool) -> tuple[dict, list, Tally,
         for b in branches:
             dist[b.alice.index] += b.probability
         exact_tv = tv_distance(dist, [0.25] * 4)
-        checks.append(_check("recovery-fidelity-exact", exact_min >= 1 - 1e-10, exact_min, 1e-10))
-        checks.append(_check("alice-uniformity-exact", exact_tv <= 1e-12, exact_tv, 1e-12))
+        checks.append(check("recovery-fidelity-exact", exact_min >= 1 - 1e-10, exact_min, 1e-10))
+        checks.append(check("alice-uniformity-exact", exact_tv <= 1e-12, exact_tv, 1e-12))
         metrics["exact_min_fidelity"] = exact_min
         metrics["exact_alice_uniformity_tv"] = exact_tv
     header = ["trial", "w", "a1", "a0", "fidelity"]
@@ -552,7 +400,7 @@ def _exp_racbox(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list
     cases = rac_all_cases()
     correct = sum(r.output == (r.a0 if r.w == 0 else r.a1) for r in cases)
 
-    tallies = _zero_tally()
+    tallies = Tally()
     rows = []
     sampled_correct = 0
     for trial in range(config.trials):
@@ -568,9 +416,9 @@ def _exp_racbox(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list
 
     privacy = verify_rac_privacy(config.trials, config.seed)
     checks = [
-        _check("rac-exhaustive-correct", correct == 16, float(correct), None),
-        _check("rac-sampled-correct", sampled_correct == config.trials, float(sampled_correct), None),
-        _check("budget-every-round", True, 0.0, 0.0),
+        check("rac-exhaustive-correct", correct == 16, float(correct), None),
+        check("rac-sampled-correct", sampled_correct == config.trials, float(sampled_correct), None),
+        check("budget-every-round", True, 0.0, 0.0),
         *privacy["checks"],
     ]
     metrics = {
@@ -591,8 +439,8 @@ def _exp_tomography(config: ExperimentConfig) -> tuple[dict, list, Tally, list, 
         exact = tomography()
         deviation = float(np.max(np.abs(choi.matrix - exact.matrix)))
         checks = [
-            _check("sampled-trials-sufficient", config.trials >= 1000, float(config.trials), 1000.0),
-            _check("choi-trace-preserving", choi.tp_defect() <= choi.atol, choi.tp_defect(), choi.atol),
+            check("sampled-trials-sufficient", config.trials >= 1000, float(config.trials), 1000.0),
+            check("choi-trace-preserving", choi.tp_defect() <= choi.atol, choi.tp_defect(), choi.atol),
         ]
         metrics = {
             "mode": "sampled",
@@ -603,7 +451,7 @@ def _exp_tomography(config: ExperimentConfig) -> tuple[dict, list, Tally, list, 
             "statistical_tolerance": choi.atol,
             "choi": choi.to_json_dict(),
         }
-        return metrics, checks, _zero_tally(), [], []
+        return metrics, checks, Tally(), [], []
 
     decomposition = subchannels()
     choi = decomposition.total
@@ -612,15 +460,15 @@ def _exp_tomography(config: ExperimentConfig) -> tuple[dict, list, Tally, list, 
         for part in decomposition.parts.values()
     )
     checks = [
-        _check("choi-psd", choi.min_eigenvalue() >= -1e-8, choi.min_eigenvalue(), 1e-8),
-        _check("choi-trace-preserving", choi.tp_defect() <= 1e-8, choi.tp_defect(), 1e-8),
-        _check(
+        check("choi-psd", choi.min_eigenvalue() >= -1e-8, choi.min_eigenvalue(), 1e-8),
+        check("choi-trace-preserving", choi.tp_defect() <= 1e-8, choi.tp_defect(), 1e-8),
+        check(
             "subchannel-decomposition",
             decomposition.decomposition_defect() <= 1e-8,
             decomposition.decomposition_defect(),
             1e-8,
         ),
-        _check("subchannel-weights", weight_defect <= 1e-8, weight_defect, 1e-8),
+        check("subchannel-weights", weight_defect <= 1e-8, weight_defect, 1e-8),
     ]
     metrics = {
         "mode": "branch-exact",
@@ -630,13 +478,13 @@ def _exp_tomography(config: ExperimentConfig) -> tuple[dict, list, Tally, list, 
         "subchannel_weight_defect": weight_defect,
         "choi": choi.to_json_dict(),
     }
-    return metrics, checks, _zero_tally(), [], []
+    return metrics, checks, Tally(), [], []
 
 
 def _exp_mixture(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list]:
     alpha, beta = config.resolved_omega_amplitudes()
     report = mixture_check(alpha, beta, config.resolved_psi(), config.resolved_phi())
-    return report["metrics"], report["checks"], _zero_tally(), [], []
+    return report["metrics"], report["checks"], Tally(), [], []
 
 
 def _exp_nonsignaling(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list]:
@@ -649,7 +497,7 @@ def _exp_nonsignaling(config: ExperimentConfig) -> tuple[dict, list, Tally, list
         psi=config.resolved_psi(),
         phi=config.resolved_phi(),
     )
-    return report["metrics"], report["checks"], _zero_tally(), [], []
+    return report["metrics"], report["checks"], Tally(), [], []
 
 
 def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list]:
@@ -672,10 +520,10 @@ def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, li
         )
 
     checks = [
-        _check("isometry", dil.isometry_defect() <= 1e-8, dil.isometry_defect(), 1e-8),
-        _check("environment-dimension", dil.env_dim <= 16, float(dil.env_dim), 16.0),
-        _check("residual-orthogonality-max", max_overlap <= 1e-6, max_overlap, 1e-6),
-        _check("residual-purity-min", min_purity >= 1 - 1e-6, min_purity, 1e-6),
+        check("isometry", dil.isometry_defect() <= 1e-8, dil.isometry_defect(), 1e-8),
+        check("environment-dimension", dil.env_dim <= 16, float(dil.env_dim), 16.0),
+        check("residual-orthogonality-max", max_overlap <= 1e-6, max_overlap, 1e-6),
+        check("residual-purity-min", min_purity >= 1 - 1e-6, min_purity, 1e-6),
     ]
     metrics = {
         "environment_dimension": dil.env_dim,
@@ -685,7 +533,7 @@ def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, li
         "min_residual_purity": min_purity,
     }
     header = ["pair", "input_overlap", "residual_overlap"]
-    return metrics, checks, _zero_tally(), header, rows
+    return metrics, checks, Tally(), header, rows
 
 
 _DISPATCH = {

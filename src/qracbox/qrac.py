@@ -20,10 +20,12 @@ Bob's choice qubit is measured separately; a superposed choice is
 measured first, which is what makes the box output a mixture rather
 than a superposition of the two inputs.
 
-Besides sampled execution, every operation supports deterministic
-enumeration of all (choice outcome x Bell outcomes x coins) branches
-with exact probabilities, so the suite can assert identities at 1e-10
-instead of collecting statistics.
+The PR-box wiring of a round is written once, in ``_alice_side`` and
+``_bob_side``, and run by two executors: sampled (``qrac_alice`` /
+``qrac_bob`` and ``sample_channel`` draw each outcome from an rng) and
+enumerated (``channel_branches`` visits every choice outcome x Bell
+outcomes x coins branch with its exact probability, so the suite can
+assert identities at 1e-10 instead of collecting statistics).
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from .boxes import PRBox, _check_bit
-from .metering import MeteredChannel, ProtocolError, RoundTranscript
+from .metering import ProtocolError
 from .quantum import (
     KET0,
     PHI_PLUS,
@@ -51,7 +53,6 @@ from .quantum import (
     reduced_density,
     tensor,
 )
-from .rng import make_rng
 
 A_PRIME, A_DPRIME, EPR1_ALICE, EPR1_BOB, EPR2_ALICE, EPR2_BOB = range(6)
 
@@ -119,6 +120,54 @@ def _check_single_qubit(state: StateVector, name: str) -> None:
         raise ValueError(f"{name} must be a single-qubit state")
 
 
+def _register(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[StateVector, list[int]]:
+    """joint (x) both EPR pairs, and the qubits of ``joint`` that ride along.
+
+    The first pair lands on qubits (n, n+1) and the second on (n+2, n+3),
+    Alice's half first, where n is the size of ``joint``.
+    """
+    n = joint.num_qubits
+    if len(set(inputs)) != 3:
+        raise ValueError("input registers must be distinct")
+    for q in inputs:
+        if not 0 <= q < n:
+            raise ValueError(f"input register {q} out of range")
+    spectators = sorted(set(range(n)) - set(inputs))
+    return tensor([joint, PHI_PLUS, PHI_PLUS]), spectators
+
+
+def _alice_side(
+    first: BellOutcome, second: BellOutcome, box0: PRBox, box1: PRBox
+) -> AliceClassicalOutput:
+    """Feed first XOR second into the boxes; publish the first outcome masked."""
+    mask0 = box0.alice(first.bit0 ^ second.bit0)
+    mask1 = box1.alice(first.bit1 ^ second.bit1)
+    return AliceClassicalOutput(a1=first.bit1 ^ mask1, a0=first.bit0 ^ mask0)
+
+
+def _bob_side(
+    state: StateVector,
+    epr: int,
+    w: int,
+    b,
+    box0: PRBox,
+    box1: PRBox,
+    spectators: list[int],
+) -> tuple[tuple[int, int], tuple[int, int], DensityMatrix]:
+    """Unmask ``b`` through the boxes, correct Bob's half of pair w, keep it.
+
+    ``epr`` is the first qubit of the first EPR pair, so Bob's halves are
+    ``epr + 1`` and ``epr + 3``.  Returns his box outputs (B0, B1), the
+    (bit1, bit0) correction and the state of ``spectators`` + his qubit.
+    """
+    b1_in, b0_in = _as_bits(b)
+    pr_outputs = (box0.bob(w), box1.bob(w))
+    correction = (b1_in ^ pr_outputs[1], b0_in ^ pr_outputs[0])
+    target = epr + 1 if w == 0 else epr + 3
+    corrected = apply_unitary(state, pauli_correction(*correction), (target,))
+    return pr_outputs, correction, reduced_density(corrected, spectators + [target])
+
+
 def qrac_alice(
     psi: StateVector, phi: StateVector, res: QracResources
 ) -> AliceClassicalOutput:
@@ -136,11 +185,9 @@ def qrac_alice(
     state = _load_inputs(psi, phi)
     first, state = bell_measure(state, (A_PRIME, EPR1_ALICE), res.rng)
     second, state = bell_measure(state, (A_DPRIME, EPR2_ALICE), res.rng)
-    mask0 = res.box0.alice(first.bit0 ^ second.bit0)
-    mask1 = res.box1.alice(first.bit1 ^ second.bit1)
     res.state = state
     res.alice_done = True
-    return AliceClassicalOutput(a1=first.bit1 ^ mask1, a0=first.bit0 ^ mask0)
+    return _alice_side(first, second, res.box0, res.box1)
 
 
 def qrac_bob(w: int, b, res: QracResources) -> DensityMatrix:
@@ -151,20 +198,14 @@ def qrac_bob(w: int, b, res: QracResources) -> DensityMatrix:
     qubit is traced out before returning.
     """
     _check_bit(w, "w")
-    b1_in, b0_in = _as_bits(b)
+    bits = _as_bits(b)
     if not res.alice_done:
         raise ProtocolError("Bob's side needs Alice's measurements on record")
     if res.bob_done:
         raise ProtocolError("Bob's side of these resources was already used")
-    unmask0 = res.box0.bob(w)
-    unmask1 = res.box1.bob(w)
-    c0 = b0_in ^ unmask0
-    c1 = b1_in ^ unmask1
-    target = EPR1_BOB if w == 0 else EPR2_BOB
-    state = apply_unitary(res.state, pauli_correction(c1, c0), (target,))
-    res.state = state
+    _, _, output = _bob_side(res.state, EPR1_ALICE, w, bits, res.box0, res.box1, [])
     res.bob_done = True
-    return reduced_density(state, (target,))
+    return output
 
 
 class DenseCodingPair:
@@ -195,61 +236,6 @@ def dense_decode(state: StateVector, rng: np.random.Generator) -> BellOutcome:
         raise ValueError("dense decoding expects a two-qubit state")
     outcome, _ = bell_measure(state, (0, 1), rng)
     return outcome
-
-
-def qrac_round(
-    psi: StateVector,
-    phi: StateVector,
-    omega: StateVector,
-    seed: int,
-    *,
-    trial: int = 0,
-) -> tuple[DensityMatrix, RoundTranscript]:
-    """One metered round with Alice's output wired to Bob's input.
-
-    Bob measures his choice qubit omega first, Alice publishes her two
-    bits over the metered channel, Bob decodes.  The transcript always
-    shows exactly two classical bits Alice to Bob and nothing else.
-    """
-    _check_single_qubit(omega, "omega")
-    rng = make_rng(seed, trial)
-    res = QracResources(rng)
-    w, _ = measure_computational(omega, 0, rng)
-    alice_out = qrac_alice(psi, phi, res)
-    channel = MeteredChannel()
-    channel.send("A->B", "classical-bit", "a1", alice_out.a1)
-    channel.send("A->B", "classical-bit", "a0", alice_out.a0)
-    output = qrac_bob(w, alice_out, res)
-    return output, channel.transcript()
-
-
-def qrac_round_qubit_only(
-    psi: StateVector,
-    phi: StateVector,
-    omega: StateVector,
-    seed: int,
-    *,
-    trial: int = 0,
-) -> tuple[DensityMatrix, RoundTranscript]:
-    """Round variant where Alice's two bits travel dense-coded on one qubit.
-
-    Branch by branch this produces the same output state as qrac_round
-    for the same seed; only the transcript differs (one qubit, no bits).
-    """
-    _check_single_qubit(omega, "omega")
-    rng = make_rng(seed, trial)
-    res = QracResources(rng)
-    w, _ = measure_computational(omega, 0, rng)
-    alice_out = qrac_alice(psi, phi, res)
-    pair = DenseCodingPair()
-    payload = dense_encode(alice_out.a1, alice_out.a0, pair)
-    channel = MeteredChannel()
-    channel.send("A->B", "qubit", "dense-coded-output", payload)
-    decoded = dense_decode(payload, rng)
-    if decoded.bits != alice_out.bits:
-        raise ProtocolError("dense decoding disagreed with Alice's output")
-    output = qrac_bob(w, decoded.bits, res)
-    return output, channel.transcript()
 
 
 @dataclass(frozen=True)
@@ -287,57 +273,39 @@ def channel_branches(
     probabilities are exact and sum to 1.
     """
     q_apr, q_adp, q_r = inputs
-    if len({q_apr, q_adp, q_r}) != 3:
-        raise ValueError("input registers must be distinct")
+    extended, spectators = _register(joint, inputs)
     n = joint.num_qubits
-    for q in inputs:
-        if not 0 <= q < n:
-            raise ValueError(f"input register {q} out of range")
-    spectators = sorted(set(range(n)) - set(inputs))
-    extended = tensor([joint, PHI_PLUS, PHI_PLUS])
-    epr1_alice, epr1_bob, epr2_alice, epr2_bob = n, n + 1, n + 2, n + 3
 
     branches: list[ChannelBranch] = []
     for w in (0, 1):
         p_w, after_w = measure_project(extended, q_r, w)
         if after_w is None:
             continue
-        target = epr1_bob if w == 0 else epr2_bob
         for first in _BELL_OUTCOMES:
-            p1, after_first = bell_project(after_w, (q_apr, epr1_alice), first)
+            p1, after_first = bell_project(after_w, (q_apr, n), first)
             if after_first is None:
                 continue
             for second in _BELL_OUTCOMES:
-                p2, after_second = bell_project(
-                    after_first, (q_adp, epr2_alice), second
-                )
+                p2, after_second = bell_project(after_first, (q_adp, n + 2), second)
                 if after_second is None:
                     continue
-                x0 = first.bit0 ^ second.bit0
-                x1 = first.bit1 ^ second.bit1
-                for coin0, coin1 in product((0, 1), repeat=2):
-                    alice_out = AliceClassicalOutput(
-                        a1=first.bit1 ^ coin1, a0=first.bit0 ^ coin0
+                for coins in product((0, 1), repeat=2):
+                    box0, box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
+                    alice_out = _alice_side(first, second, box0, box1)
+                    pr_outputs, correction, rho = _bob_side(
+                        after_second, n, w, alice_out if b is None else b,
+                        box0, box1, spectators,
                     )
-                    b0_box = coin0 ^ (x0 & w)
-                    b1_box = coin1 ^ (x1 & w)
-                    b1_in, b0_in = alice_out.bits if b is None else _as_bits(b)
-                    c0 = b0_in ^ b0_box
-                    c1 = b1_in ^ b1_box
-                    corrected = apply_unitary(
-                        after_second, pauli_correction(c1, c0), (target,)
-                    )
-                    rho = reduced_density(corrected, spectators + [target])
                     branches.append(
                         ChannelBranch(
                             probability=p_w * p1 * p2 * 0.25,
                             w=w,
                             first_bell=first,
                             second_bell=second,
-                            coins=(coin0, coin1),
+                            coins=coins,
                             alice=alice_out,
-                            pr_outputs=(b0_box, b1_box),
-                            correction=(c1, c0),
+                            pr_outputs=pr_outputs,
+                            correction=correction,
                             output=rho,
                         )
                     )
@@ -353,26 +321,22 @@ def sample_channel(
 ) -> tuple[int, AliceClassicalOutput, DensityMatrix]:
     """One sampled execution of the box on registers of ``joint``.
 
-    Mirrors channel_branches but draws each outcome from the rng; used
-    by the sampled (statistical) verification paths.
+    Mirrors channel_branches but draws each outcome from the rng (choice,
+    both Bell measurements, then the coins); used by the sampled
+    (statistical) verification paths.
     """
     q_apr, q_adp, q_r = inputs
+    extended, spectators = _register(joint, inputs)
     n = joint.num_qubits
-    spectators = sorted(set(range(n)) - set(inputs))
-    extended = tensor([joint, PHI_PLUS, PHI_PLUS])
     w, state = measure_computational(extended, q_r, rng)
     first, state = bell_measure(state, (q_apr, n), rng)
     second, state = bell_measure(state, (q_adp, n + 2), rng)
     box0, box1 = PRBox(rng), PRBox(rng)
-    mask0 = box0.alice(first.bit0 ^ second.bit0)
-    mask1 = box1.alice(first.bit1 ^ second.bit1)
-    alice_out = AliceClassicalOutput(a1=first.bit1 ^ mask1, a0=first.bit0 ^ mask0)
-    b1_in, b0_in = alice_out.bits if b is None else _as_bits(b)
-    c0 = b0_in ^ box0.bob(w)
-    c1 = b1_in ^ box1.bob(w)
-    target = (n + 1) if w == 0 else (n + 3)
-    state = apply_unitary(state, pauli_correction(c1, c0), (target,))
-    return w, alice_out, reduced_density(state, spectators + [target])
+    alice_out = _alice_side(first, second, box0, box1)
+    _, _, rho = _bob_side(
+        state, n, w, alice_out if b is None else b, box0, box1, spectators
+    )
+    return w, alice_out, rho
 
 
 def alice_output_distribution(

@@ -19,7 +19,7 @@ identities.  Statistical checks elsewhere always run on seeded generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin, sqrt
+from math import cos, isfinite, sin, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,6 +52,8 @@ class StateVector:
                 f"{self.num_qubits} qubits, got shape {amps.shape}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
+        if not isfinite(norm_sq):  # any NaN or infinite amplitude lands here
+            raise ValueError("state has a non-finite amplitude")
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
         amps.setflags(write=False)
@@ -79,6 +81,8 @@ class DensityMatrix:
         dim = 2**self.num_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has a non-finite entry")
         if np.max(np.abs(mat - mat.conj().T)) > ALGEBRA_ATOL:
             raise ValueError("matrix is not Hermitian")
         if float(np.min(np.linalg.eigvalsh(mat))) < -ALGEBRA_ATOL:
@@ -386,14 +390,10 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     for q in keep_sorted:
         if not 0 <= q < state.num_qubits:
             raise ValueError(f"qubit index {q} out of range")
-    n = state.num_qubits
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    ket = list(letters[:n])
-    bra = [letters[n + i] if i in keep_sorted else ket[i] for i in range(n)]
-    out = "".join(ket[i] for i in keep_sorted) + "".join(bra[i] for i in keep_sorted)
+    ket, bra, out = _subsystem_subscripts(state.num_qubits, keep_sorted)
     psi = state.as_tensor()
     k = len(keep_sorted)
-    mat = np.einsum(f"{''.join(ket)},{''.join(bra)}->{out}", psi, psi.conj())
+    mat = np.einsum(f"{ket},{bra}->{out}", psi, psi.conj())
     return DensityMatrix(k, mat.reshape(2**k, 2**k))
 
 

@@ -120,6 +120,12 @@ class TestChoiValidation:
         with pytest.raises(ValueError):
             ChoiMatrix(8, 2, mat)
 
+    def test_non_finite_rejected(self):
+        mat = np.eye(16, dtype=complex) / 2
+        mat[3, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ChoiMatrix(8, 2, mat)
+
     def test_apply_validates_input_shape(self, exact_choi):
         with pytest.raises(ValueError):
             exact_choi.apply(np.eye(4))

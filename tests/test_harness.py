@@ -1,4 +1,4 @@
-"""Tests for configs, party machines, reports, canonical JSON, and the CLI."""
+"""Tests for configs, metered rounds, reports, canonical JSON, and the CLI."""
 from __future__ import annotations
 
 import json
@@ -13,7 +13,6 @@ from qracbox.cli import main
 from qracbox.harness import (
     ConfigError,
     ExperimentConfig,
-    QracBobParty,
     canonical_json,
     meter_assert,
     parse_state_spec,
@@ -22,15 +21,12 @@ from qracbox.harness import (
     run_rac_protocol,
 )
 from qracbox.metering import (
-    Message,
     ProtocolError,
     QRAC_BUDGET,
-    QUBIT_ONLY_BUDGET,
     RACBOX_BUDGET,
     Tally,
 )
-from qracbox.qrac import QracResources, qrac_round, qrac_round_qubit_only
-from qracbox.quantum import KET0, KET1, KET_PLUS, density, fidelity
+from qracbox.quantum import KET0, KET1, density, fidelity
 from qracbox.rng import make_rng
 
 
@@ -120,37 +116,10 @@ class TestExperimentConfig:
 
 
 class TestPartyMachines:
-    def test_matches_direct_round_execution(self):
-        for seed in range(20):
-            result = run_qrac_protocol(KET_PLUS, KET1, KET_PLUS, seed)
-            rho, transcript = qrac_round(KET_PLUS, KET1, KET_PLUS, seed)
-            assert np.array_equal(result.output.matrix, rho.matrix)
-            assert result.transcript.totals == transcript.totals
-
-    def test_dense_variant_matches_direct_round(self):
-        for seed in range(20):
-            result = run_qrac_protocol(KET0, KET1, KET_PLUS, seed, dense=True)
-            rho, transcript = qrac_round_qubit_only(KET0, KET1, KET_PLUS, seed)
-            assert np.array_equal(result.output.matrix, rho.matrix)
-            assert result.transcript.totals == transcript.totals == QUBIT_ONLY_BUDGET
-
     def test_bob_never_emits(self):
         result = run_qrac_protocol(KET0, KET1, KET0, seed=3)
         assert all(m.direction == "A->B" for m in result.transcript.messages)
         assert result.transcript.totals == QRAC_BUDGET
-
-    def test_out_of_order_message_rejected(self):
-        res = QracResources(make_rng(0))
-        bob = QracBobParty(KET0, res, make_rng(1))
-        bob.step([])  # measures w, still waiting
-        with pytest.raises(ProtocolError, match="out of protocol order"):
-            bob.step([Message("A->B", "classical-bit", "a0", 0)])
-
-    def test_wrong_kind_rejected(self):
-        res = QracResources(make_rng(0))
-        bob = QracBobParty(KET0, res, make_rng(1))
-        with pytest.raises(ProtocolError):
-            bob.step([Message("A->B", "qubit", "a1", None)])
 
     def test_rac_protocol(self):
         rng = make_rng(7)
@@ -338,6 +307,36 @@ class TestCli:
     def test_failed_check_exits_two(self, capsys):
         code = main(["tomography", "--seed", "1", "--mode", "sampled", "--trials", "200"])
         assert code == 2
+
+    def test_failed_checks_named_on_stderr(self, capsys):
+        code = main(["tomography", "--mode", "sampled", "--trials", "5", "--seed", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "sampled-trials-sufficient" in captured.err
+        config = ExperimentConfig(experiment="tomography", seed=1, trials=5, mode="sampled")
+        assert captured.out == canonical_json(run_experiment(config)) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (["run", "--experiment", "qrac", "--psi", "amp:nan,0,0,0"], None),
+            (["run", "--experiment", "qrac", "--psi", "amp:inf,0,0,0"], None),
+            (["run", "--experiment", "qrac", "--psi", "amp:1e308,0,1e308,0"], None),
+            (["run", "--experiment", "qrac", "--psi", "bloch:nan,0"], None),
+            (["run", "--experiment", "qrac", "--omega", "bloch:0,inf"], None),
+            (["mixture", "--alpha-sq", "nan"], None),
+            (["run"], '{"experiment": "mixture", "seed": 1, "alpha": [NaN, 0], "beta": [1, 0]}'),
+            (["run"], '{"experiment": "mixture", "seed": 1, "alpha": [1, 0], "beta": [0, Infinity]}'),
+            (["run"], '{"experiment": "mixture", "seed": 1, "alpha": ["x", 0], "beta": [0, 1]}'),
+        ],
+    )
+    def test_bad_number_is_config_error(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
+        assert main([*argv, "--seed", "1"]) == 3
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_out_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

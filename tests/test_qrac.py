@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qracbox.boxes import tv_distance
+from qracbox.harness import run_qrac_protocol
 from qracbox.metering import (
     ProtocolError,
     QRAC_BUDGET,
@@ -21,8 +22,6 @@ from qracbox.qrac import (
     dense_encode,
     qrac_alice,
     qrac_bob,
-    qrac_round,
-    qrac_round_qubit_only,
     sample_alice_output,
     sample_channel,
 )
@@ -112,15 +111,15 @@ class TestAliceOutput:
 
 class TestRound:
     def test_basis_inputs_recovered_exactly(self):
-        out, transcript = qrac_round(KET0, KET1, KET0, seed=7)
-        assert fidelity(out, KET0) == pytest.approx(1.0, abs=1e-12)
-        assert transcript.totals == QRAC_BUDGET
+        result = run_qrac_protocol(KET0, KET1, KET0, seed=7)
+        assert fidelity(result.output, KET0) == pytest.approx(1.0, abs=1e-12)
+        assert result.transcript.totals == QRAC_BUDGET
 
     def test_second_input_recovered_for_random_states(self):
         rng = make_rng(8)
         for seed in range(100):
             phi = haar_random_qubit(rng)
-            out, _ = qrac_round(KET_PLUS, phi, KET1, seed=seed)
+            out = run_qrac_protocol(KET_PLUS, phi, KET1, seed=seed).output
             assert fidelity(out, phi) >= 1 - 1e-10
 
     def test_superposed_choice_yields_even_mixture(self):
@@ -133,7 +132,7 @@ class TestRound:
         rng = make_rng(9)
         for seed in range(25):
             psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
-            _, transcript = qrac_round(psi, phi, KET_PLUS, seed=seed)
+            transcript = run_qrac_protocol(psi, phi, KET_PLUS, seed=seed).transcript
             assert transcript.totals == QRAC_BUDGET
             for msg in transcript.messages:
                 assert msg.direction == "A->B"
@@ -214,16 +213,16 @@ class TestQubitOnlyRound:
         rng = make_rng(10)
         for seed in range(50):
             psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
-            out_std, tr_std = qrac_round(psi, phi, KET_PLUS, seed=seed)
-            out_dc, tr_dc = qrac_round_qubit_only(psi, phi, KET_PLUS, seed=seed)
-            assert np.array_equal(out_std.matrix, out_dc.matrix)
-            assert tr_std.totals == QRAC_BUDGET
-            assert tr_dc.totals == QUBIT_ONLY_BUDGET
+            std = run_qrac_protocol(psi, phi, KET_PLUS, seed=seed)
+            dc = run_qrac_protocol(psi, phi, KET_PLUS, seed=seed, dense=True)
+            assert np.array_equal(std.output.matrix, dc.output.matrix)
+            assert std.transcript.totals == QRAC_BUDGET
+            assert dc.transcript.totals == QUBIT_ONLY_BUDGET
 
     def test_basis_examples(self):
-        out, transcript = qrac_round_qubit_only(KET0, KET1, KET0, seed=11)
-        assert fidelity(out, KET0) == pytest.approx(1.0, abs=1e-12)
-        assert transcript.totals.as_dict() == {
+        result = run_qrac_protocol(KET0, KET1, KET0, seed=11, dense=True)
+        assert fidelity(result.output, KET0) == pytest.approx(1.0, abs=1e-12)
+        assert result.transcript.totals.as_dict() == {
             "bits_a_to_b": 0,
             "bits_b_to_a": 0,
             "qubits_a_to_b": 1,
@@ -294,6 +293,19 @@ class TestSampledChannel:
                 if key[0] == w and key[1] == alice_out.bits
             ]
             assert any(np.max(np.abs(b.output.matrix - rho.matrix)) < 1e-10 for b in matches)
+
+    @pytest.mark.parametrize("inputs", [(0, 0, 2), (0, 1, 1), (0, 1, 3), (-1, 1, 2)])
+    @pytest.mark.parametrize(
+        "execute",
+        [
+            lambda joint, inputs: sample_channel(joint, make_rng(0), inputs),
+            lambda joint, inputs: channel_branches(joint, inputs),
+        ],
+        ids=["sampled", "enumerated"],
+    )
+    def test_bad_input_registers_rejected(self, execute, inputs):
+        with pytest.raises(ValueError, match="input register"):
+            execute(tensor([KET0] * 3), inputs)
 
     def test_fixed_b_sampling(self):
         joint = tensor([KET0, KET1, KET0])

@@ -55,6 +55,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector(1, np.array([bad, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(1, np.array([[0.5, bad], [0.0, 0.5]]))
+
     def test_state_vector_is_immutable(self):
         with pytest.raises(ValueError):
             KET0.amplitudes[0] = 0.0
