@@ -13,7 +13,7 @@ import json
 import sys
 from math import sqrt
 
-from .harness import ConfigError, ExperimentConfig, canonical_json, run_experiment
+from .harness import ConfigError, ExperimentConfig, canonical_json, open_output, run_experiment
 from .metering import ProtocolError
 
 _SUBCOMMANDS = {
@@ -117,6 +117,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run_experiment(config, csv_path=args.csv)
+        text = canonical_json(report)
+        if config.out:
+            with open_output(config.out) as handle:
+                handle.write(text + "\n")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -124,11 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"protocol violation: {exc}", file=sys.stderr)
         return 2
 
-    text = canonical_json(report)
-    if config.out:
-        with open(config.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
+    if not config.out:
         print(text)
     failed = [check for check in report["checks"] if not check["pass"]]
     for check in failed:

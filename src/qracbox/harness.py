@@ -116,7 +116,10 @@ def parse_state_spec(spec: str) -> StateVector:
             raise ConfigError(f"amp spec norm must be finite and non-zero: {spec!r}")
         if abs(norm - 1.0) > 1e-6:
             warnings.warn(f"state spec {spec!r} renormalized (norm was {norm!r})")
-        return StateVector(1, amps / norm)
+        try:
+            return StateVector(1, amps / norm)
+        except ValueError as exc:  # too small to normalize in double precision
+            raise ConfigError(f"amp spec cannot be normalized: {spec!r}: {exc}") from None
     raise ConfigError(f"unknown state spec scheme {scheme!r}")
 
 
@@ -156,8 +159,10 @@ class ExperimentConfig:
             raise ConfigError("seed is mandatory and must be an integer")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be in [0, 2**64)")
-        if not isinstance(self.trials, int) or self.trials < 0:
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 0:
             raise ConfigError("trials must be a non-negative integer")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("out must be a file path")
         if self.mode not in ("branch-exact", "sampled"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if (self.alpha is None) != (self.beta is None):
@@ -567,8 +572,16 @@ def run_experiment(config: ExperimentConfig, csv_path: str | None = None) -> dic
     }
 
 
+def open_output(path: str, newline: str | None = None):
+    """Open an output file for writing; one that cannot be opened is a ConfigError."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as handle:
+    with open_output(path, newline="") as handle:
         writer = csv.writer(handle)
         if header:
             writer.writerow(header)

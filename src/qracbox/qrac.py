@@ -26,10 +26,25 @@ The PR-box wiring of a round is written once, in ``_alice_side`` and
 enumerated (``channel_branches`` visits every choice outcome x Bell
 outcomes x coins branch with its exact probability, so the suite can
 assert identities at 1e-10 instead of collecting statistics).
+
+The sampled executor walks an outcome tree (``quantum.OutcomeNode``)
+instead of redoing the linear algebra in every trial.  For fixed inputs
+a round reaches few states: at most 2 choice outcomes x 4 x 4 Bell
+outcomes, and each leaf few corrected outputs.  A trial draws every
+outcome from its own rng, in the same order and with the same single
+uniform draw per measurement as before; the first trial that reaches a
+state computes it, and later trials reuse it.  Bob's corrected output
+is kept on the leaf, keyed by (target qubit, correction).  The roots
+are cached by the exact amplitude bytes of the inputs: Alice's last 16
+(psi, phi) pairs, and the last 4 (joint, ``inputs``) registers of
+``sample_channel``, since a tree holds up to 43 register states.
+Results are bit-for-bit those of a fresh computation.  The box coins,
+the PR-box wiring and all validation still run in every trial.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -37,17 +52,16 @@ import numpy as np
 from .boxes import PRBox, _check_bit
 from .metering import ProtocolError
 from .quantum import (
-    KET0,
     PHI_PLUS,
     _BELL_OUTCOMES,
     BellOutcome,
     DensityMatrix,
+    OutcomeNode,
     StateVector,
     apply_unitary,
     basis_state,
     bell_measure,
     bell_project,
-    measure_computational,
     measure_project,
     pauli_correction,
     reduced_density,
@@ -57,7 +71,6 @@ from .quantum import (
 A_PRIME, A_DPRIME, EPR1_ALICE, EPR1_BOB, EPR2_ALICE, EPR2_BOB = range(6)
 
 _EPR_PAIRS = tensor([PHI_PLUS, PHI_PLUS])
-_FRESH_STATE = tensor([KET0, KET0, _EPR_PAIRS])
 
 
 def _load_inputs(psi: StateVector, phi: StateVector) -> StateVector:
@@ -66,6 +79,30 @@ def _load_inputs(psi: StateVector, phi: StateVector) -> StateVector:
         "i,j,k->ijk", psi.amplitudes, phi.amplitudes, _EPR_PAIRS.amplitudes
     )
     return StateVector(6, amps.reshape(-1))
+
+
+def _from_bytes(num_qubits: int, amplitudes: bytes) -> StateVector:
+    return StateVector(num_qubits, np.frombuffer(amplitudes, dtype=complex))
+
+
+@lru_cache(maxsize=16)
+def _alice_tree(psi: bytes, phi: bytes) -> OutcomeNode:
+    """Alice's two Bell measurements on the loaded register, by input bytes."""
+    loaded = _load_inputs(_from_bytes(1, psi), _from_bytes(1, phi))
+    return OutcomeNode(
+        loaded, [("bell", (A_PRIME, EPR1_ALICE)), ("bell", (A_DPRIME, EPR2_ALICE))]
+    )
+
+
+@lru_cache(maxsize=4)
+def _channel_tree(n: int, joint: bytes, inputs: tuple[int, int, int]) -> OutcomeNode:
+    """Choice, then both Bell measurements, on joint (x) both EPR pairs."""
+    q_apr, q_adp, q_r = inputs
+    extended, _ = _register(_from_bytes(n, joint), inputs)
+    return OutcomeNode(
+        extended,
+        [("computational", q_r), ("bell", (q_apr, n)), ("bell", (q_adp, n + 2))],
+    )
 
 
 @dataclass(frozen=True)
@@ -98,8 +135,9 @@ def _as_bits(b) -> tuple[int, int]:
 class QracResources:
     """Shared one-round resources: two EPR pairs and two fresh PR-boxes.
 
-    The input registers start as placeholders and are loaded when Alice's
-    side runs; the EPR pairs are exact |Phi+> states from the start.
+    The register (both inputs and both exact |Phi+> pairs) is loaded when
+    Alice's side runs; ``leaf`` then holds it collapsed by her two Bell
+    measurements, for Bob's side.
     """
 
     def __init__(self, rng: np.random.Generator, *, coins: tuple[int, int] | None = None):
@@ -110,7 +148,7 @@ class QracResources:
         else:
             self.box0 = PRBox(coin=coins[0])
             self.box1 = PRBox(coin=coins[1])
-        self.state = _FRESH_STATE
+        self.leaf: OutcomeNode | None = None
         self.alice_done = False
         self.bob_done = False
 
@@ -120,19 +158,23 @@ def _check_single_qubit(state: StateVector, name: str) -> None:
         raise ValueError(f"{name} must be a single-qubit state")
 
 
+def _spectators(n: int, inputs: tuple[int, int, int]) -> list[int]:
+    """Check the (A', A'', choice) registers; the other qubits ride along."""
+    if len(set(inputs)) != 3:
+        raise ValueError("input registers must be distinct")
+    for q in inputs:
+        if not 0 <= q < n:
+            raise ValueError(f"input register {q} out of range")
+    return sorted(set(range(n)) - set(inputs))
+
+
 def _register(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[StateVector, list[int]]:
     """joint (x) both EPR pairs, and the qubits of ``joint`` that ride along.
 
     The first pair lands on qubits (n, n+1) and the second on (n+2, n+3),
     Alice's half first, where n is the size of ``joint``.
     """
-    n = joint.num_qubits
-    if len(set(inputs)) != 3:
-        raise ValueError("input registers must be distinct")
-    for q in inputs:
-        if not 0 <= q < n:
-            raise ValueError(f"input register {q} out of range")
-    spectators = sorted(set(range(n)) - set(inputs))
+    spectators = _spectators(joint.num_qubits, inputs)
     return tensor([joint, PHI_PLUS, PHI_PLUS]), spectators
 
 
@@ -146,26 +188,40 @@ def _alice_side(
 
 
 def _bob_side(
-    state: StateVector,
-    epr: int,
-    w: int,
-    b,
-    box0: PRBox,
-    box1: PRBox,
-    spectators: list[int],
-) -> tuple[tuple[int, int], tuple[int, int], DensityMatrix]:
-    """Unmask ``b`` through the boxes, correct Bob's half of pair w, keep it.
+    epr: int, w: int, b, box0: PRBox, box1: PRBox
+) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """Unmask ``b`` through the boxes: what Bob corrects, and on which qubit.
 
     ``epr`` is the first qubit of the first EPR pair, so Bob's halves are
     ``epr + 1`` and ``epr + 3``.  Returns his box outputs (B0, B1), the
-    (bit1, bit0) correction and the state of ``spectators`` + his qubit.
+    (bit1, bit0) correction and the target qubit, his half of pair w.
     """
     b1_in, b0_in = _as_bits(b)
     pr_outputs = (box0.bob(w), box1.bob(w))
     correction = (b1_in ^ pr_outputs[1], b0_in ^ pr_outputs[0])
-    target = epr + 1 if w == 0 else epr + 3
+    return pr_outputs, correction, epr + 1 if w == 0 else epr + 3
+
+
+def _bob_output(
+    state: StateVector, target: int, correction: tuple[int, int], spectators: list[int]
+) -> DensityMatrix:
+    """Correct ``target`` and keep it: the state of ``spectators`` + target."""
     corrected = apply_unitary(state, pauli_correction(*correction), (target,))
-    return pr_outputs, correction, reduced_density(corrected, spectators + [target])
+    return reduced_density(corrected, spectators + [target])
+
+
+def _leaf_output(
+    leaf: OutcomeNode, target: int, correction: tuple[int, int], spectators: list[int]
+) -> DensityMatrix:
+    """``_bob_output`` of a sampled leaf, computed once per (target, correction).
+
+    A leaf belongs to one tree, and so to one set of spectators.
+    """
+    output = leaf.memo.get((target, correction))
+    if output is None:
+        output = _bob_output(leaf.state, target, correction, spectators)
+        leaf.memo[(target, correction)] = output
+    return output
 
 
 def qrac_alice(
@@ -182,12 +238,11 @@ def qrac_alice(
     _check_single_qubit(phi, "phi")
     if res.alice_done:
         raise ProtocolError("Alice's side of these resources was already used")
-    state = _load_inputs(psi, phi)
-    first, state = bell_measure(state, (A_PRIME, EPR1_ALICE), res.rng)
-    second, state = bell_measure(state, (A_DPRIME, EPR2_ALICE), res.rng)
-    res.state = state
+    root = _alice_tree(psi.amplitudes.tobytes(), phi.amplitudes.tobytes())
+    first, node = root.draw(res.rng)
+    second, res.leaf = node.draw(res.rng)
     res.alice_done = True
-    return _alice_side(first, second, res.box0, res.box1)
+    return _alice_side(_BELL_OUTCOMES[first], _BELL_OUTCOMES[second], res.box0, res.box1)
 
 
 def qrac_bob(w: int, b, res: QracResources) -> DensityMatrix:
@@ -203,9 +258,9 @@ def qrac_bob(w: int, b, res: QracResources) -> DensityMatrix:
         raise ProtocolError("Bob's side needs Alice's measurements on record")
     if res.bob_done:
         raise ProtocolError("Bob's side of these resources was already used")
-    _, _, output = _bob_side(res.state, EPR1_ALICE, w, bits, res.box0, res.box1, [])
+    _, correction, target = _bob_side(EPR1_ALICE, w, bits, res.box0, res.box1)
     res.bob_done = True
-    return output
+    return _leaf_output(res.leaf, target, correction, [])
 
 
 class DenseCodingPair:
@@ -292,10 +347,10 @@ def channel_branches(
                 for coins in product((0, 1), repeat=2):
                     box0, box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
                     alice_out = _alice_side(first, second, box0, box1)
-                    pr_outputs, correction, rho = _bob_side(
-                        after_second, n, w, alice_out if b is None else b,
-                        box0, box1, spectators,
+                    pr_outputs, correction, target = _bob_side(
+                        n, w, alice_out if b is None else b, box0, box1
                     )
+                    rho = _bob_output(after_second, target, correction, spectators)
                     branches.append(
                         ChannelBranch(
                             probability=p_w * p1 * p2 * 0.25,
@@ -325,18 +380,15 @@ def sample_channel(
     both Bell measurements, then the coins); used by the sampled
     (statistical) verification paths.
     """
-    q_apr, q_adp, q_r = inputs
-    extended, spectators = _register(joint, inputs)
     n = joint.num_qubits
-    w, state = measure_computational(extended, q_r, rng)
-    first, state = bell_measure(state, (q_apr, n), rng)
-    second, state = bell_measure(state, (q_adp, n + 2), rng)
+    spectators = _spectators(n, inputs)
+    w, node = _channel_tree(n, joint.amplitudes.tobytes(), tuple(inputs)).draw(rng)
+    first, node = node.draw(rng)
+    second, leaf = node.draw(rng)
     box0, box1 = PRBox(rng), PRBox(rng)
-    alice_out = _alice_side(first, second, box0, box1)
-    _, _, rho = _bob_side(
-        state, n, w, alice_out if b is None else b, box0, box1, spectators
-    )
-    return w, alice_out, rho
+    alice_out = _alice_side(_BELL_OUTCOMES[first], _BELL_OUTCOMES[second], box0, box1)
+    _, correction, target = _bob_side(n, w, alice_out if b is None else b, box0, box1)
+    return w, alice_out, _leaf_output(leaf, target, correction, spectators)
 
 
 def alice_output_distribution(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, isfinite, sin, sqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -278,19 +278,94 @@ def bell_project(
     return prob, _reassemble_bell(state, pair, outcome.index, coeffs, prob)
 
 
-def _choose(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Sample an index with the given (possibly unnormalized) weights.
+def _choose(rng: np.random.Generator, weights: list[float], total: float) -> int:
+    """Sample an index with the given non-negative weights summing to ``total``.
 
     One uniform draw per call, so streams stay cheap and replayable.
     """
-    weights = [max(float(p), 0.0) for p in probs]
-    u = rng.random() * sum(weights)
+    u = rng.random() * total
     acc = 0.0
     for i, p in enumerate(weights):
         acc += p
         if u < acc:
             return i
     return len(weights) - 1
+
+
+_Born = tuple[np.ndarray, Callable[[int], StateVector]]
+
+
+def _bell_born(state: StateVector, pair: Sequence[int]) -> _Born:
+    """Born probabilities of a Bell measurement of ``pair``, and the collapse."""
+    p0, p1 = pair
+    if p0 == p1:
+        raise ValueError("pair indices must be distinct")
+    _check_targets(state, [p0, p1])
+    if state.num_qubits < 2:
+        raise ValueError("Bell measurement needs at least two qubits")
+    overlaps = _pair_overlaps(state, pair)
+    flat = overlaps.reshape(4, -1)
+    probs = np.einsum("ij,ij->i", flat, flat.conj()).real
+
+    def collapse(index: int) -> StateVector:
+        return _reassemble_bell(state, pair, index, overlaps[index], float(probs[index]))
+
+    return probs, collapse
+
+
+def _computational_born(state: StateVector, qubit: int) -> _Born:
+    """Born probabilities of ``qubit`` in the computational basis, and the collapse."""
+    _check_targets(state, [qubit])
+    psi = state.as_tensor()
+    axes = tuple(i for i in range(state.num_qubits) if i != qubit)
+    probs = np.sum(np.abs(psi) ** 2, axis=axes)
+
+    def collapse(bit: int) -> StateVector:
+        _, post = measure_project(state, qubit, bit)
+        assert post is not None
+        return post
+
+    return probs, collapse
+
+
+_BORN = {"bell": _bell_born, "computational": _computational_born}
+
+
+class OutcomeNode:
+    """A state in a lazily expanded tree of measurement outcomes.
+
+    ``measurements`` lists the measurements still to come, first to
+    last, as ``("bell", pair)`` or ``("computational", qubit)``.  The
+    first is made on ``state`` and ``probs`` holds its Born
+    probabilities, rounding noise below zero clipped to zero (``None``
+    on a leaf).  ``draw`` samples it and returns the child node of the
+    outcome drawn: a child is collapsed the first time its outcome is
+    drawn and reused from then on, so a walk repeated down the same path
+    costs one uniform draw per level.  ``memo`` keeps what callers
+    derive from a node's state.  Every array in the tree is read-only,
+    so a tree may be shared by any number of walks.
+    """
+
+    __slots__ = ("state", "probs", "memo", "_total", "_collapse", "_rest", "_children")
+
+    def __init__(self, state: StateVector, measurements: Sequence[tuple[str, object]] = ()):
+        self.state = state
+        self.probs = None
+        self.memo: dict = {}
+        self._children: dict[int, OutcomeNode] = {}
+        if measurements:
+            (kind, target), *self._rest = measurements
+            probs, self._collapse = _BORN[kind](state, target)
+            self.probs = [max(p, 0.0) for p in probs.tolist()]
+            self._total = sum(self.probs)
+
+    def draw(self, rng: np.random.Generator) -> tuple[int, "OutcomeNode"]:
+        """Sample the measurement with one uniform draw; (outcome, child)."""
+        index = _choose(rng, self.probs, self._total)
+        child = self._children.get(index)
+        if child is None:
+            child = self._children[index] = OutcomeNode(self._collapse(index), self._rest)
+        return index, child
 
 
 def bell_measure(
@@ -301,18 +376,8 @@ def bell_measure(
     The measured qubits stay in the register, collapsed into the observed
     Bell state.
     """
-    p0, p1 = pair
-    if p0 == p1:
-        raise ValueError("pair indices must be distinct")
-    _check_targets(state, [p0, p1])
-    if state.num_qubits < 2:
-        raise ValueError("Bell measurement needs at least two qubits")
-    overlaps = _pair_overlaps(state, pair)
-    flat = overlaps.reshape(4, -1)
-    probs = np.einsum("ij,ij->i", flat, flat.conj()).real
-    index = _choose(rng, probs)
-    post = _reassemble_bell(state, pair, index, overlaps[index], float(probs[index]))
-    return _BELL_OUTCOMES[index], post
+    index, child = OutcomeNode(state, [("bell", pair)]).draw(rng)
+    return _BELL_OUTCOMES[index], child.state
 
 
 def measure_project(
@@ -338,14 +403,8 @@ def measure_computational(
     state: StateVector, qubit: int, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Born-rule sample of one qubit; returns (bit, renormalized state)."""
-    _check_targets(state, [qubit])
-    psi = state.as_tensor()
-    axes = tuple(i for i in range(state.num_qubits) if i != qubit)
-    probs = np.sum(np.abs(psi) ** 2, axis=axes)
-    bit = _choose(rng, probs)
-    _, post = measure_project(state, qubit, bit)
-    assert post is not None
-    return bit, post
+    bit, child = OutcomeNode(state, [("computational", qubit)]).draw(rng)
+    return bit, child.state
 
 
 def _subsystem_subscripts(num_qubits: int, keep: Sequence[int]) -> tuple[str, str, str]:

@@ -1,9 +1,20 @@
 """Deterministic, counter-based random streams.
 
-All randomness flows from Philox 4x64 generators keyed by the pair
-(seed, stream).  An experiment with N trials draws trial i from the
-stream keyed (seed, i), so any trial can be replayed in isolation and
-trials may run in any order, or in parallel, without changing results.
+Randomness flows from Philox 4x64 generators keyed by the pair
+(seed, stream).  The per-trial experiments (``qrac``,
+``qrac-qubit-only``, the rounds of ``racbox`` and sampled
+``tomography``) draw trial i from the stream keyed (seed, i), so any of
+their trials can be replayed in isolation and trials may run in any
+order, or in parallel, without changing results.  The exceptions, each
+pinned by the reports' bytes:
+
+* sampled ``nonsignaling`` draws every trial with Bob's choice w from
+  the one stream (seed, w), trial after trial, so trial i can only be
+  replayed by replaying trials 0..i-1 of that choice first;
+* ``dilation`` draws all its random input pairs from stream (seed, 0);
+* the sampled privacy check of ``racbox`` (``boxes.verify_rac_privacy``)
+  draws from ``np.random.default_rng(seed)``, a PCG64 generator, not
+  from a Philox stream.
 """
 from __future__ import annotations
 

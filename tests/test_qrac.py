@@ -1,10 +1,14 @@
 """Tests for the box construction: recovery, budgets, privacy, dense coding."""
 from __future__ import annotations
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
-from qracbox.boxes import tv_distance
+from qracbox.boxes import PRBox, tv_distance
+from qracbox.cli import main
 from qracbox.harness import run_qrac_protocol
 from qracbox.metering import (
     ProtocolError,
@@ -15,6 +19,9 @@ from qracbox.qrac import (
     AliceClassicalOutput,
     DenseCodingPair,
     QracResources,
+    _alice_tree,
+    _channel_tree,
+    _load_inputs,
     alice_output_distribution,
     bob_view_distribution,
     channel_branches,
@@ -31,10 +38,16 @@ from qracbox.quantum import (
     KET_PLUS,
     PHI_PLUS,
     BellOutcome,
+    StateVector,
+    apply_unitary,
+    bell_measure,
     bell_project,
     bell_state,
     fidelity,
     haar_random_qubit,
+    measure_computational,
+    pauli_correction,
+    reduced_density,
     tensor,
     trace_distance,
 )
@@ -327,3 +340,119 @@ class TestAliceClassicalOutput:
     def test_bit_validation(self):
         with pytest.raises(ValueError):
             AliceClassicalOutput(a1=2, a0=0)
+
+
+def _fresh_sample_channel(joint, rng, inputs=(0, 1, 2)):
+    """sample_channel computed from scratch, with no outcome tree.
+
+    Same measurements, rng draws and PR-box wiring as the executor, built
+    from the public quantum primitives: the reference the cached path must
+    match bit for bit.
+    """
+    q_apr, q_adp, q_r = inputs
+    n = joint.num_qubits
+    spectators = sorted(set(range(n)) - set(inputs))
+    state = tensor([joint, PHI_PLUS, PHI_PLUS])
+    w, state = measure_computational(state, q_r, rng)
+    first, state = bell_measure(state, (q_apr, n), rng)
+    second, state = bell_measure(state, (q_adp, n + 2), rng)
+    box0, box1 = PRBox(rng), PRBox(rng)
+    mask0 = box0.alice(first.bit0 ^ second.bit0)
+    mask1 = box1.alice(first.bit1 ^ second.bit1)
+    alice = (first.bit1 ^ mask1, first.bit0 ^ mask0)
+    correction = (alice[0] ^ box1.bob(w), alice[1] ^ box0.bob(w))
+    target = n + 1 if w == 0 else n + 3
+    corrected = apply_unitary(state, pauli_correction(*correction), (target,))
+    return w, alice, reduced_density(corrected, spectators + [target])
+
+
+def _flip_lowest_bit(state: StateVector) -> StateVector:
+    """The same state with the last mantissa bit of one amplitude flipped."""
+    amps = state.amplitudes.copy()
+    amps.view(np.uint64)[0] ^= 1
+    return StateVector(state.num_qubits, amps)
+
+
+def _report_bytes(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestOutcomeTreeCache:
+    """The sampled executor's cached outcome trees never change a result."""
+
+    STATES = ["--psi", "bloch:0.7,1.1", "--phi", "bloch:2.2,-0.4", "--omega", "amp:0.6,0,0,0.8"]
+    ARGV = {
+        "qrac": ["run", "--experiment", "qrac", "--trials", "60", *STATES],
+        "qrac-qubit-only": ["run", "--experiment", "qrac-qubit-only", "--trials", "60", *STATES],
+        "tomography": ["tomography", "--trials", "60"],
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(ARGV))
+    def test_cold_warm_and_evicted_reports_are_identical(self, experiment):
+        argv = [*self.ARGV[experiment], "--mode", "sampled", "--seed", "5"]
+        _alice_tree.cache_clear()
+        _channel_tree.cache_clear()
+        cold = _report_bytes(argv)
+        hits = _alice_tree.cache_info().hits + _channel_tree.cache_info().hits
+        warm = _report_bytes(argv)
+        assert _alice_tree.cache_info().hits + _channel_tree.cache_info().hits > hits
+        # more new inputs than either cache holds: every root above is evicted
+        rng = make_rng(31)
+        for _ in range(_alice_tree.cache_info().maxsize + 1):
+            psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
+            sample_alice_output(psi, phi, 0, rng)
+            sample_channel(tensor([psi, phi, KET_PLUS]), rng)
+        evicted = _report_bytes(argv)
+        assert cold == warm == evicted
+
+    def test_sampled_channel_matches_fresh_computation_bit_for_bit(self):
+        rng = make_rng(33)
+        joint = tensor([haar_random_qubit(rng) for _ in range(4)])
+        _channel_tree.cache_clear()
+        for trial in range(80):  # cold on the first trials, warm after
+            inputs = [(0, 1, 2), (2, 0, 3)][trial % 2]
+            w, alice, rho = sample_channel(joint, make_rng(34, trial), inputs)
+            w_ref, alice_ref, rho_ref = _fresh_sample_channel(joint, make_rng(34, trial), inputs)
+            assert (w, alice.bits) == (w_ref, alice_ref)
+            assert np.array_equal(rho.matrix, rho_ref.matrix)
+
+    def test_qrac_round_matches_fresh_computation_bit_for_bit(self):
+        rng = make_rng(35)
+        psi = haar_random_qubit(rng)
+        phis = [haar_random_qubit(rng), haar_random_qubit(rng)]
+        _alice_tree.cache_clear()
+        for trial in range(80):
+            w, phi = trial % 2, phis[trial // 2 % 2]
+            res = QracResources(make_rng(36, trial))
+            out = qrac_bob(w, qrac_alice(psi, phi, res), res)
+            ref_rng = make_rng(36, trial)
+            box0, box1 = PRBox(ref_rng), PRBox(ref_rng)
+            state = _load_inputs(psi, phi)
+            first, state = bell_measure(state, (0, 2), ref_rng)
+            second, state = bell_measure(state, (1, 4), ref_rng)
+            mask0 = box0.alice(first.bit0 ^ second.bit0)
+            mask1 = box1.alice(first.bit1 ^ second.bit1)
+            correction = (first.bit1 ^ mask1 ^ box1.bob(w), first.bit0 ^ mask0 ^ box0.bob(w))
+            target = 3 if w == 0 else 5
+            corrected = apply_unitary(state, pauli_correction(*correction), (target,))
+            assert np.array_equal(out.matrix, reduced_density(corrected, [target]).matrix)
+
+    def test_inputs_one_bit_apart_never_share_a_tree(self):
+        rng = make_rng(32)
+        psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
+        nudged = _flip_lowest_bit(psi)
+        assert nudged.amplitudes.tobytes() != psi.amplitudes.tobytes()
+        tree = _alice_tree(psi.amplitudes.tobytes(), phi.amplitudes.tobytes())
+        assert _alice_tree(psi.amplitudes.copy().tobytes(), phi.amplitudes.tobytes()) is tree
+        assert _alice_tree(nudged.amplitudes.tobytes(), phi.amplitudes.tobytes()) is not tree
+        assert _alice_tree(phi.amplitudes.tobytes(), psi.amplitudes.tobytes()) is not tree
+
+        joint = tensor([psi, phi, KET_PLUS])
+        tree = _channel_tree(3, joint.amplitudes.tobytes(), (0, 1, 2))
+        assert _channel_tree(3, joint.amplitudes.tobytes(), (0, 1, 2)) is tree
+        other = _flip_lowest_bit(joint).amplitudes.tobytes()
+        assert _channel_tree(3, other, (0, 1, 2)) is not tree
+        assert _channel_tree(3, joint.amplitudes.tobytes(), (1, 0, 2)) is not tree

@@ -17,6 +17,7 @@ from qracbox.quantum import (
     PAULI_Z,
     BellOutcome,
     DensityMatrix,
+    OutcomeNode,
     StateVector,
     UnitaryMatrix,
     apply_unitary,
@@ -261,6 +262,45 @@ class TestBellMeasurement:
     def test_coincident_indices_rejected(self):
         with pytest.raises(ValueError):
             bell_measure(PHI_PLUS, (1, 1), rng_for(0))
+
+
+class TestOutcomeNode:
+    def test_probabilities_are_the_born_rule(self):
+        state = tensor([haar_random_qubit(rng_for(40)), PHI_PLUS])
+        node = OutcomeNode(state, [("bell", (0, 1)), ("computational", 2)])
+        expected = oracles.bell_probabilities(state.amplitudes, (0, 1), 3)
+        np.testing.assert_allclose(node.probs, expected, atol=1e-12)
+        assert sum(node.probs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_draw_matches_bell_measure_and_reuses_children(self):
+        state = tensor([haar_random_qubit(rng_for(41)), PHI_PLUS])
+        node = OutcomeNode(state, [("bell", (0, 1)), ("computational", 2)])
+        seen = {}
+        for seed in range(40):
+            outcome, post = bell_measure(state, (0, 1), rng_for(seed))
+            rng = rng_for(seed)
+            index, child = node.draw(rng)
+            assert index == outcome.index
+            assert np.array_equal(child.state.amplitudes, post.amplitudes)
+            # one uniform per measurement, as bell_measure draws
+            reference = rng_for(seed)
+            reference.random()
+            assert rng.random() == reference.random()
+            assert seen.setdefault(index, child) is child
+            assert child.probs is not None  # the computational measurement is next
+            _, leaf = child.draw(rng_for(seed))
+            assert leaf.probs is None
+            assert child.draw(rng_for(seed))[1] is leaf
+        assert len(seen) > 1
+
+    def test_computational_draw_matches_measure_computational(self):
+        state = haar_random_state(3, rng_for(42))
+        node = OutcomeNode(state, [("computational", 1)])
+        for seed in range(20):
+            bit, post = measure_computational(state, 1, rng_for(seed))
+            index, child = node.draw(rng_for(seed))
+            assert index == bit
+            assert np.array_equal(child.state.amplitudes, post.amplitudes)
 
 
 class TestTeleportationIdentity:
