@@ -39,7 +39,7 @@ class PRBox:
     the only place the product x*y can be evaluated.
     """
 
-    __slots__ = ("_coin", "_x", "_y", "_alice_used", "_bob_used")
+    __slots__ = ("_coin", "_x", "_y")
 
     def __init__(self, rng: np.random.Generator | None = None, *, coin: int | None = None):
         if coin is None:
@@ -49,37 +49,25 @@ class PRBox:
         self._coin = _check_bit(coin, "coin")
         self._x: int | None = None
         self._y: int | None = None
-        self._alice_used = False
-        self._bob_used = False
 
     @property
     def coin(self) -> int:
         return self._coin
 
-    @property
-    def alice_used(self) -> bool:
-        return self._alice_used
-
-    @property
-    def bob_used(self) -> bool:
-        return self._bob_used
-
     def alice(self, x: int) -> int:
         """Record Alice's input and return her output A = coin."""
-        if self._alice_used:
+        if self._x is not None:
             raise ProtocolError("Alice's side of the PR-box was already used")
         self._x = _check_bit(x, "x")
-        self._alice_used = True
         return self._coin
 
     def bob(self, y: int) -> int:
         """Record Bob's input and return his output B = coin XOR x*y."""
-        if self._bob_used:
+        if self._y is not None:
             raise ProtocolError("Bob's side of the PR-box was already used")
         if self._x is None:
             raise ProtocolError("Bob's output needs Alice's input on record")
         self._y = _check_bit(y, "y")
-        self._bob_used = True
         return self._coin ^ (self._x & self._y)
 
 

@@ -8,7 +8,9 @@ maximally entangled state through it, splits it into the four
 subchannels labeled by Alice's output, builds an isometric dilation,
 and machine-checks the structural claims: complete positivity, trace
 preservation, the subchannel decomposition, the mixture law for a
-superposed choice, and orthogonality of the dilation residuals.
+superposed choice, and orthogonality of the dilation residuals.  Every
+exact claim comes from one enumeration of the box's branches
+(``qrac.channel_branches``) reduced by ``qrac.branch_sums``.
 
 Choi convention: index (i*d_out + o), i.e. J = sum_ij |i><j| (x)
 L(|i><j|), so the partial trace over the output equals the identity on
@@ -22,7 +24,7 @@ from math import sqrt
 import numpy as np
 
 from .boxes import check, tv_distance
-from .qrac import alice_output_distribution, channel_branches, sample_alice_output, sample_channel
+from .qrac import branch_sums, channel_branches, sample_alice_output, sample_channel
 from .quantum import (
     KET0,
     KET1,
@@ -133,18 +135,6 @@ def _entangled_probe() -> StateVector:
     return StateVector(6, amps)
 
 
-def _accumulate_choi(branches) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
-    total = np.zeros((D_IN * D_OUT, D_IN * D_OUT), dtype=complex)
-    parts = {
-        (a1, a0): np.zeros_like(total) for a1 in (0, 1) for a0 in (0, 1)
-    }
-    for branch in branches:
-        contribution = D_IN * branch.probability * branch.output.matrix
-        total += contribution
-        parts[branch.alice.bits] += contribution
-    return total, parts
-
-
 def tomography(
     mode: str = "branch-exact",
     *,
@@ -160,7 +150,7 @@ def tomography(
     """
     probe = _entangled_probe()
     if mode == "branch-exact":
-        total, _ = _accumulate_choi(channel_branches(probe, (3, 4, 5)))
+        _, total, _ = branch_sums(channel_branches(probe, (3, 4, 5)), D_IN)
         return ChoiMatrix(D_IN, D_OUT, total)
     if mode == "sampled":
         if trials is None or seed is None:
@@ -175,7 +165,7 @@ def tomography(
 
 def subchannels() -> SubchannelSet:
     """Branch-exact reconstruction of the four conditioned subchannels."""
-    total, parts = _accumulate_choi(channel_branches(_entangled_probe(), (3, 4, 5)))
+    _, total, parts = branch_sums(channel_branches(_entangled_probe(), (3, 4, 5)), D_IN)
     return SubchannelSet(
         total=ChoiMatrix(D_IN, D_OUT, total),
         parts={key: ChoiMatrix(D_IN, D_OUT, mat) for key, mat in parts.items()},
@@ -202,19 +192,12 @@ def mixture_check(
     the four subchannels must emit exactly one quarter of that mixture.
     """
     omega = _omega_from_amplitudes(alpha, beta)
-    branches = channel_branches(tensor([psi, phi, omega]))
+    _, total, parts = branch_sums(channel_branches(tensor([psi, phi, omega])))
 
     expected = (
         abs(alpha) ** 2 * np.outer(psi.amplitudes, psi.amplitudes.conj())
         + abs(beta) ** 2 * np.outer(phi.amplitudes, phi.amplitudes.conj())
     )
-    total = np.zeros((2, 2), dtype=complex)
-    parts = {(a1, a0): np.zeros((2, 2), dtype=complex) for a1 in (0, 1) for a0 in (0, 1)}
-    for branch in branches:
-        contribution = branch.probability * branch.output.matrix
-        total += contribution
-        parts[branch.alice.bits] += contribution
-
     full_distance = trace_distance(total, expected)
     sub_distance = max(
         trace_distance(part, expected / 4) for part in parts.values()
@@ -360,20 +343,19 @@ def verify_nonsignaling(
     if contrast_pair is None:
         contrast_pair = (KET_PLUS, KET_MINUS)
 
-    dists = [
-        alice_output_distribution(psi, phi, omega)
-        for omega in (KET0, KET1, KET_PLUS)
+    # a fixed b changes no branch probability and no Alice bit, so the
+    # withheld enumerations of (psi, phi) also give Alice's distributions
+    own, contrast = [
+        [
+            branch_sums(channel_branches(tensor([*pair, omega]), b=(0, 0)))
+            for omega in (KET0, KET1, KET_PLUS)
+        ]
+        for pair in ((psi, phi), contrast_pair)
     ]
     exact_tv = max(
-        tv_distance(dists[i], dists[j]) for i in range(3) for j in range(i + 1, 3)
+        tv_distance(own[i][0], own[j][0]) for i in range(3) for j in range(i + 1, 3)
     )
-
-    withheld_distance = 0.0
-    for pair in (psi, phi), contrast_pair:
-        for omega in (KET0, KET1, KET_PLUS):
-            branches = channel_branches(tensor([pair[0], pair[1], omega]), b=(0, 0))
-            avg = sum(b.probability * b.output.matrix for b in branches)
-            withheld_distance = max(withheld_distance, trace_distance(avg, _MIXED))
+    withheld_distance = max(trace_distance(total, _MIXED) for _, total, _ in own + contrast)
 
     checks = [
         check("alice-distribution-exact", exact_tv <= 1e-12, exact_tv, 1e-12),

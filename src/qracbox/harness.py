@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isfinite
 from typing import Any
 
@@ -50,6 +50,7 @@ from .qrac import (
     AliceClassicalOutput,
     DenseCodingPair,
     QracResources,
+    branch_sums,
     channel_branches,
     dense_decode,
     dense_encode,
@@ -121,20 +122,6 @@ def parse_state_spec(spec: str) -> StateVector:
         except ValueError as exc:  # too small to normalize in double precision
             raise ConfigError(f"amp spec cannot be normalized: {spec!r}: {exc}") from None
     raise ConfigError(f"unknown state spec scheme {scheme!r}")
-
-
-_CONFIG_FIELDS = (
-    "experiment",
-    "seed",
-    "trials",
-    "mode",
-    "psi",
-    "phi",
-    "omega",
-    "alpha",
-    "beta",
-    "out",
-)
 
 
 @dataclass(frozen=True)
@@ -211,7 +198,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - set(_CONFIG_FIELDS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "experiment" not in data:
@@ -387,10 +374,7 @@ def _exp_qrac(config: ExperimentConfig, dense: bool) -> tuple[dict, list, Tally,
         exact_min = min(
             fidelity(b.output, psi if b.w == 0 else phi) for b in branches
         )
-        dist = [0.0] * 4
-        for b in branches:
-            dist[b.alice.index] += b.probability
-        exact_tv = tv_distance(dist, [0.25] * 4)
+        exact_tv = tv_distance(branch_sums(branches)[0], [0.25] * 4)
         checks.append(check("recovery-fidelity-exact", exact_min >= 1 - 1e-10, exact_min, 1e-10))
         checks.append(check("alice-uniformity-exact", exact_tv <= 1e-12, exact_tv, 1e-12))
         metrics["exact_min_fidelity"] = exact_min

@@ -1,7 +1,8 @@
 """Message transcripts and communication metering for two-party rounds.
 
 Every message that crosses between Alice and Bob goes through a
-MeteredChannel, which keeps an ordered log plus per-direction tallies.
+MeteredChannel, which keeps an ordered log; its transcript carries the
+per-direction tallies.
 Budgets are hard equalities: a standard box round costs exactly two
 classical bits Alice to Bob, the dense-coded variant exactly one qubit,
 and the classical RAC exactly one bit.  Nothing ever flows Bob to Alice.
@@ -103,18 +104,11 @@ class MeteredChannel:
 
     def __init__(self) -> None:
         self._log: list[Message] = []
-        self._tally = Tally()
-
-    @property
-    def tally(self) -> Tally:
-        return self._tally
 
     def send(self, direction: str, kind: str, payload: str, content: Any = None) -> Message:
         msg = Message(direction, kind, payload, content)
         self._log.append(msg)
-        delta = aggregate((msg,))
-        self._tally = self._tally + delta
         return msg
 
     def transcript(self) -> RoundTranscript:
-        return RoundTranscript(tuple(self._log), self._tally)
+        return RoundTranscript.from_messages(tuple(self._log))

@@ -25,7 +25,14 @@ The PR-box wiring of a round is written once, in ``_alice_side`` and
 ``qrac_bob`` and ``sample_channel`` draw each outcome from an rng) and
 enumerated (``channel_branches`` visits every choice outcome x Bell
 outcomes x coins branch with its exact probability, so the suite can
-assert identities at 1e-10 instead of collecting statistics).
+assert identities at 1e-10 instead of collecting statistics).  Both
+compute Bob's corrected output through one path, ``_leaf_output``,
+which keeps it on the collapsed state's ``OutcomeNode``.  With Alice's
+bits wired to Bob the coins cancel out of his correction, so the four
+coin branches of an enumerated leaf share one output.  Every exact
+claim reduces an enumeration the same way, through ``branch_sums``:
+Alice's output distribution and the probability-weighted output, in
+total and split by Alice's bits.
 
 The sampled executor walks an outcome tree (``quantum.OutcomeNode``)
 instead of redoing the linear algebra in every trial.  For fixed inputs
@@ -33,13 +40,13 @@ a round reaches few states: at most 2 choice outcomes x 4 x 4 Bell
 outcomes, and each leaf few corrected outputs.  A trial draws every
 outcome from its own rng, in the same order and with the same single
 uniform draw per measurement as before; the first trial that reaches a
-state computes it, and later trials reuse it.  Bob's corrected output
-is kept on the leaf, keyed by (target qubit, correction).  The roots
-are cached by the exact amplitude bytes of the inputs: Alice's last 16
-(psi, phi) pairs, and the last 4 (joint, ``inputs``) registers of
-``sample_channel``, since a tree holds up to 43 register states.
-Results are bit-for-bit those of a fresh computation.  The box coins,
-the PR-box wiring and all validation still run in every trial.
+state computes it, and later trials reuse it, Bob's corrected output
+included.  The roots are cached by the exact amplitude bytes of the
+inputs: Alice's last 16 (psi, phi) pairs, and the last 4 (joint,
+``inputs``) registers of ``sample_channel``, since a tree holds up to
+43 register states.  Results are bit-for-bit those of a fresh
+computation.  The box coins, the PR-box wiring and all validation still
+run in every trial.
 """
 from __future__ import annotations
 
@@ -202,24 +209,18 @@ def _bob_side(
     return pr_outputs, correction, epr + 1 if w == 0 else epr + 3
 
 
-def _bob_output(
-    state: StateVector, target: int, correction: tuple[int, int], spectators: list[int]
-) -> DensityMatrix:
-    """Correct ``target`` and keep it: the state of ``spectators`` + target."""
-    corrected = apply_unitary(state, pauli_correction(*correction), (target,))
-    return reduced_density(corrected, spectators + [target])
-
-
 def _leaf_output(
     leaf: OutcomeNode, target: int, correction: tuple[int, int], spectators: list[int]
 ) -> DensityMatrix:
-    """``_bob_output`` of a sampled leaf, computed once per (target, correction).
+    """Correct ``target`` and keep it: the state of ``spectators`` + target.
 
-    A leaf belongs to one tree, and so to one set of spectators.
+    Computed once per (target, correction) and kept on the leaf; a leaf
+    belongs to one register, and so to one set of spectators.
     """
     output = leaf.memo.get((target, correction))
     if output is None:
-        output = _bob_output(leaf.state, target, correction, spectators)
+        corrected = apply_unitary(leaf.state, pauli_correction(*correction), (target,))
+        output = reduced_density(corrected, spectators + [target])
         leaf.memo[(target, correction)] = output
     return output
 
@@ -344,13 +345,14 @@ def channel_branches(
                 p2, after_second = bell_project(after_first, (q_adp, n + 2), second)
                 if after_second is None:
                     continue
+                leaf = OutcomeNode(after_second)
                 for coins in product((0, 1), repeat=2):
                     box0, box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
                     alice_out = _alice_side(first, second, box0, box1)
                     pr_outputs, correction, target = _bob_side(
                         n, w, alice_out if b is None else b, box0, box1
                     )
-                    rho = _bob_output(after_second, target, correction, spectators)
+                    rho = _leaf_output(leaf, target, correction, spectators)
                     branches.append(
                         ChannelBranch(
                             probability=p_w * p1 * p2 * 0.25,
@@ -365,6 +367,27 @@ def channel_branches(
                         )
                     )
     return branches
+
+
+def branch_sums(
+    branches: list[ChannelBranch], scale: float = 1
+) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], np.ndarray]]:
+    """Reduce an enumeration: (Alice's distribution, output sum, per-bits sums).
+
+    The distribution is indexed by 2*a1 + a0.  The output sum is
+    sum(scale * p * output) over all branches, and the per-bits sums
+    split it by Alice's (a1, a0).  Branches are summed in order, so the
+    same enumeration always gives the same floats.
+    """
+    dist = np.zeros(4)
+    total = np.zeros_like(branches[0].output.matrix)
+    parts = {bits: np.zeros_like(total) for bits in product((0, 1), repeat=2)}
+    for branch in branches:
+        dist[branch.alice.index] += branch.probability
+        contribution = scale * branch.probability * branch.output.matrix
+        total += contribution
+        parts[branch.alice.bits] += contribution
+    return dist, total, parts
 
 
 def sample_channel(
@@ -395,10 +418,7 @@ def alice_output_distribution(
     psi: StateVector, phi: StateVector, omega: StateVector
 ) -> np.ndarray:
     """Exact distribution of Alice's two-bit output, indexed by 2*a1 + a0."""
-    dist = np.zeros(4)
-    for branch in channel_branches(tensor([psi, phi, omega])):
-        dist[branch.alice.index] += branch.probability
-    return dist
+    return branch_sums(channel_branches(tensor([psi, phi, omega])))[0]
 
 
 def sample_alice_output(

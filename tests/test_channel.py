@@ -6,10 +6,13 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from qracbox.boxes import tv_distance
 from qracbox.channel import (
+    D_IN,
     ChoiMatrix,
     Dilation,
     SubchannelSet,
+    _entangled_probe,
     build_dilation,
     environment_orthogonality_check,
     mixture_check,
@@ -17,10 +20,11 @@ from qracbox.channel import (
     tomography,
     verify_nonsignaling,
 )
-from qracbox.qrac import channel_branches
+from qracbox.qrac import branch_sums, channel_branches
 from qracbox.quantum import (
     KET0,
     KET1,
+    KET_MINUS,
     KET_PLUS,
     density,
     haar_random_qubit,
@@ -272,3 +276,85 @@ class TestNonsignaling:
             avgs.append(sum(b.probability * b.output.matrix for b in branches))
         assert trace_distance(avgs[0], avgs[1]) <= 1e-8
         assert trace_distance(avgs[0], np.eye(2) / 2) <= 1e-8
+
+
+def _loop_sums(branches, scale):
+    """The hand-written reduction: Alice's distribution, total, per-bits parts."""
+    dist = np.zeros(4)
+    dim = branches[0].output.matrix.shape[0]
+    total = np.zeros((dim, dim), dtype=complex)
+    parts = {(a1, a0): np.zeros((dim, dim), dtype=complex) for a1 in (0, 1) for a0 in (0, 1)}
+    for branch in branches:
+        dist[branch.alice.index] += branch.probability
+        contribution = scale * branch.probability * branch.output.matrix
+        total += contribution
+        parts[branch.alice.bits] += contribution
+    return dist, total, parts
+
+
+def _reference_nonsignaling(psi, phi, contrast_pair):
+    """Exact non-signaling metrics from 3 wired plus 6 withheld enumerations."""
+    dists = []
+    for omega in (KET0, KET1, KET_PLUS):
+        dist = np.zeros(4)
+        for branch in channel_branches(tensor([psi, phi, omega])):
+            dist[branch.alice.index] += branch.probability
+        dists.append(dist)
+    exact_tv = max(
+        tv_distance(dists[i], dists[j]) for i in range(3) for j in range(i + 1, 3)
+    )
+    withheld = 0.0
+    for pair in (psi, phi), contrast_pair:
+        for omega in (KET0, KET1, KET_PLUS):
+            branches = channel_branches(tensor([pair[0], pair[1], omega]), b=(0, 0))
+            avg = sum(b.probability * b.output.matrix for b in branches)
+            withheld = max(withheld, trace_distance(avg, np.eye(2) / 2))
+    return {"exact_alice_tv": exact_tv, "bob_withheld_trace_distance": withheld}
+
+
+class TestBranchSums:
+    """One reduction of an enumeration gives the floats of the loops it replaced."""
+
+    def _assert_same(self, got, want):
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert list(got[2]) == list(want[2])
+        assert all(np.array_equal(got[2][bits], want[2][bits]) for bits in want[2])
+
+    def test_probe_choi_sums(self):
+        branches = channel_branches(_entangled_probe(), (3, 4, 5))
+        self._assert_same(branch_sums(branches, D_IN), _loop_sums(branches, D_IN))
+
+    @pytest.mark.parametrize("b", [None, (0, 0)])
+    def test_qubit_inputs_with_superposed_choice(self, b):
+        rng = make_rng(43)
+        for _ in range(4):
+            joint = tensor([haar_random_qubit(rng), haar_random_qubit(rng), haar_random_qubit(rng)])
+            branches = channel_branches(joint, b=b)
+            self._assert_same(branch_sums(branches), _loop_sums(branches, 1))
+            assert np.array_equal(
+                branch_sums(branches)[1], sum(br.probability * br.output.matrix for br in branches)
+            )
+
+
+class TestNonsignalingReference:
+    """verify_nonsignaling reads Alice's distributions off the withheld enumerations."""
+
+    def _assert_matches_reference(self, psi, phi, contrast):
+        report = verify_nonsignaling(0, 0, psi=psi, phi=phi, contrast_pair=contrast)
+        reference = _reference_nonsignaling(psi, phi, contrast)
+        for name, value in reference.items():
+            assert report["metrics"][name] == value
+
+    def test_haar_random_pairs(self):
+        rng = make_rng(44)
+        for _ in range(4):
+            pair, contrast = [(haar_random_qubit(rng), haar_random_qubit(rng)) for _ in range(2)]
+            self._assert_matches_reference(*pair, contrast)
+
+    @pytest.mark.parametrize(
+        "psi,phi,contrast",
+        [(KET_PLUS, KET_MINUS, (KET_PLUS, KET0)), (KET0, KET1, (KET_PLUS, KET_MINUS))],
+    )
+    def test_named_pairs(self, psi, phi, contrast):
+        self._assert_matches_reference(psi, phi, contrast)

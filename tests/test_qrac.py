@@ -46,6 +46,7 @@ from qracbox.quantum import (
     fidelity,
     haar_random_qubit,
     measure_computational,
+    measure_project,
     pauli_correction,
     reduced_density,
     tensor,
@@ -456,3 +457,43 @@ class TestOutcomeTreeCache:
         other = _flip_lowest_bit(joint).amplitudes.tobytes()
         assert _channel_tree(3, other, (0, 1, 2)) is not tree
         assert _channel_tree(3, joint.amplitudes.tobytes(), (1, 0, 2)) is not tree
+
+
+def _fresh_branch_output(joint, inputs, branch):
+    """A branch's output from scratch: project, correct, trace out."""
+    q_apr, q_adp, q_r = inputs
+    n = joint.num_qubits
+    _, state = measure_project(tensor([joint, PHI_PLUS, PHI_PLUS]), q_r, branch.w)
+    _, state = bell_project(state, (q_apr, n), branch.first_bell)
+    _, state = bell_project(state, (q_adp, n + 2), branch.second_bell)
+    target = n + 1 if branch.w == 0 else n + 3
+    corrected = apply_unitary(state, pauli_correction(*branch.correction), (target,))
+    spectators = sorted(set(range(n)) - set(inputs))
+    return reduced_density(corrected, spectators + [target])
+
+
+class TestSharedOutputPath:
+    """channel_branches computes Bob's output through the leaf memo."""
+
+    @pytest.mark.parametrize("inputs", [(0, 1, 2), (2, 0, 3)])
+    def test_coin_branches_of_a_leaf_share_one_output(self, inputs):
+        rng = make_rng(41)
+        joint = tensor([haar_random_qubit(rng) for _ in range(4)])
+        leaves = {}
+        for branch in channel_branches(joint, inputs):
+            leaves.setdefault((branch.w, branch.first_bell, branch.second_bell), []).append(branch)
+        assert leaves and all(len(group) == 4 for group in leaves.values())
+        for group in leaves.values():
+            assert len({branch.correction for branch in group}) == 1
+            assert all(branch.output is group[0].output for branch in group)
+
+    @pytest.mark.parametrize("b", [None, (0, 0), (1, 0)])
+    @pytest.mark.parametrize("inputs", [(0, 1, 2), (2, 0, 3)])
+    def test_outputs_match_fresh_computation_bit_for_bit(self, inputs, b):
+        rng = make_rng(42)
+        joint = tensor([haar_random_qubit(rng) for _ in range(4)])
+        branches = channel_branches(joint, inputs, b=b)
+        assert len(branches) == 2 * 16 * 4
+        for branch in branches:
+            fresh = _fresh_branch_output(joint, inputs, branch)
+            assert np.array_equal(branch.output.matrix, fresh.matrix)
