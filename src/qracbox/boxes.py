@@ -18,6 +18,7 @@ from itertools import product
 import numpy as np
 
 from .metering import ProtocolError
+from .rng import fair_bits
 
 
 def check(name: str, passed: bool, value: float | None, tolerance: float | None) -> dict:
@@ -142,6 +143,11 @@ def _alice_view_dist_exact(a0: int, a1: int, w: int) -> np.ndarray:
     return dist
 
 
+# coins drawn per fair_bits call in verify_rac_privacy: as fast as one
+# call for all of them, with memory that does not grow with the trials
+_COIN_BLOCK = 4096
+
+
 def verify_rac_privacy(trials: int, seed: int) -> dict:
     """Check that the RAC leaks nothing it should not.
 
@@ -152,7 +158,6 @@ def verify_rac_privacy(trials: int, seed: int) -> dict:
     """
     if trials < 10**3:
         raise ValueError("privacy verification needs at least 1000 trials")
-    rng = np.random.default_rng(seed)
 
     exact_bob_tv = max(
         tv_distance(_bob_view_dist_exact(w, a_w, 0), _bob_view_dist_exact(w, a_w, 1))
@@ -168,12 +173,18 @@ def verify_rac_privacy(trials: int, seed: int) -> dict:
     # sampled comparison at fixed (w=0, a0=0), varying the unasked bit a1
     bob_counts = {0: np.zeros(4), 1: np.zeros(4)}
     alice_counts = {0: np.zeros(2), 1: np.zeros(2)}
+    rng = np.random.default_rng(seed)
+    coins = (
+        coin
+        for start in range(0, 4 * trials, _COIN_BLOCK)
+        for coin in fair_bits(rng, min(_COIN_BLOCK, 4 * trials - start))
+    )
     for _ in range(trials):
         for a1 in (0, 1):
-            r = rac_round(0, a1, 0, rng)
+            r = rac_round(0, a1, 0, coin=next(coins))
             bob_counts[a1][2 * r.message + (r.message ^ r.output)] += 1
         for w in (0, 1):
-            r = rac_round(0, 1, w, rng)
+            r = rac_round(0, 1, w, coin=next(coins))
             alice_counts[w][r.a0 ^ r.message] += 1
     sampled_bob_tv = tv_distance(bob_counts[0] / trials, bob_counts[1] / trials)
     sampled_alice_tv = tv_distance(alice_counts[0] / trials, alice_counts[1] / trials)

@@ -50,6 +50,7 @@ from .qrac import (
     AliceClassicalOutput,
     DenseCodingPair,
     QracResources,
+    _choice_tree,
     branch_sums,
     channel_branches,
     dense_decode,
@@ -65,10 +66,9 @@ from .quantum import (
     fidelity,
     haar_random_qubit,
     make_pure_qubit,
-    measure_computational,
     tensor,
 )
-from .rng import make_rng
+from .rng import fair_bits, make_rng
 
 EXPERIMENTS = (
     "qrac",
@@ -262,7 +262,7 @@ def run_qrac_protocol(
     """
     rng = make_rng(seed, trial)
     res = QracResources(rng)
-    w, _ = measure_computational(omega, 0, rng)
+    w, _ = _choice_tree(omega.num_qubits, omega.amplitudes.tobytes()).draw(rng)
     alice = qrac_alice(psi, phi, res)
     channel = MeteredChannel()
     if dense:
@@ -288,9 +288,16 @@ class RacRoundResult:
     w: int
 
 
-def run_rac_protocol(a0: int, a1: int, w: int, rng: np.random.Generator) -> RacRoundResult:
+def run_rac_protocol(
+    a0: int,
+    a1: int,
+    w: int,
+    rng: np.random.Generator | None = None,
+    *,
+    coin: int | None = None,
+) -> RacRoundResult:
     """One metered classical RAC round: Alice's masked bit is the only message."""
-    played = rac_round(a0, a1, w, rng)
+    played = rac_round(a0, a1, w, rng, coin=coin)
     channel = MeteredChannel()
     channel.send("A->B", "classical-bit", "m", played.message)
     return RacRoundResult(played.output, channel.transcript(), a0, a1, w)
@@ -394,9 +401,8 @@ def _exp_racbox(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list
     sampled_correct = 0
     for trial in range(config.trials):
         # inputs and box coin share the trial's stream, in that order
-        rng = make_rng(config.seed, trial)
-        a0, a1, w = (int(rng.integers(2)) for _ in range(3))
-        result = run_rac_protocol(a0, a1, w, rng)
+        a0, a1, w, coin = fair_bits(make_rng(config.seed, trial), 4)
+        result = run_rac_protocol(a0, a1, w, coin=coin)
         _assert_budget(result.transcript, RACBOX_BUDGET, f"racbox trial {trial}")
         tallies = tallies + result.transcript.totals
         ok = result.output == (a0 if w == 0 else a1)

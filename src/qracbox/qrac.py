@@ -42,11 +42,12 @@ outcome from its own rng, in the same order and with the same single
 uniform draw per measurement as before; the first trial that reaches a
 state computes it, and later trials reuse it, Bob's corrected output
 included.  The roots are cached by the exact amplitude bytes of the
-inputs: Alice's last 16 (psi, phi) pairs, and the last 4 (joint,
-``inputs``) registers of ``sample_channel``, since a tree holds up to
-43 register states.  Results are bit-for-bit those of a fresh
-computation.  The box coins, the PR-box wiring and all validation still
-run in every trial.
+inputs: Alice's last 16 (psi, phi) pairs, Bob's last 16 choice states
+omega (measured in ``harness.run_qrac_protocol``), and the last 4
+(joint, ``inputs``) registers of ``sample_channel``, since a tree holds
+up to 43 register states.  Results are bit-for-bit those of a fresh
+computation.  The box coins (drawn two to a word by ``rng.fair_bits``),
+the PR-box wiring and all validation still run in every trial.
 """
 from __future__ import annotations
 
@@ -74,6 +75,7 @@ from .quantum import (
     reduced_density,
     tensor,
 )
+from .rng import fair_bits
 
 A_PRIME, A_DPRIME, EPR1_ALICE, EPR1_BOB, EPR2_ALICE, EPR2_BOB = range(6)
 
@@ -99,6 +101,12 @@ def _alice_tree(psi: bytes, phi: bytes) -> OutcomeNode:
     return OutcomeNode(
         loaded, [("bell", (A_PRIME, EPR1_ALICE)), ("bell", (A_DPRIME, EPR2_ALICE))]
     )
+
+
+@lru_cache(maxsize=16)
+def _choice_tree(n: int, omega: bytes) -> OutcomeNode:
+    """Bob's computational measurement of qubit 0 of omega, by input bytes."""
+    return OutcomeNode(_from_bytes(n, omega), [("computational", 0)])
 
 
 @lru_cache(maxsize=4)
@@ -149,12 +157,9 @@ class QracResources:
 
     def __init__(self, rng: np.random.Generator, *, coins: tuple[int, int] | None = None):
         self.rng = rng
-        if coins is None:
-            self.box0 = PRBox(rng)
-            self.box1 = PRBox(rng)
-        else:
-            self.box0 = PRBox(coin=coins[0])
-            self.box1 = PRBox(coin=coins[1])
+        coin0, coin1 = fair_bits(rng, 2) if coins is None else coins
+        self.box0 = PRBox(coin=coin0)
+        self.box1 = PRBox(coin=coin1)
         self.leaf: OutcomeNode | None = None
         self.alice_done = False
         self.bob_done = False
@@ -408,7 +413,8 @@ def sample_channel(
     w, node = _channel_tree(n, joint.amplitudes.tobytes(), tuple(inputs)).draw(rng)
     first, node = node.draw(rng)
     second, leaf = node.draw(rng)
-    box0, box1 = PRBox(rng), PRBox(rng)
+    coin0, coin1 = fair_bits(rng, 2)
+    box0, box1 = PRBox(coin=coin0), PRBox(coin=coin1)
     alice_out = _alice_side(_BELL_OUTCOMES[first], _BELL_OUTCOMES[second], box0, box1)
     _, correction, target = _bob_side(n, w, alice_out if b is None else b, box0, box1)
     return w, alice_out, _leaf_output(leaf, target, correction, spectators)

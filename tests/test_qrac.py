@@ -21,6 +21,7 @@ from qracbox.qrac import (
     QracResources,
     _alice_tree,
     _channel_tree,
+    _choice_tree,
     _load_inputs,
     alice_output_distribution,
     bob_view_distribution,
@@ -394,17 +395,18 @@ class TestOutcomeTreeCache:
     @pytest.mark.parametrize("experiment", sorted(ARGV))
     def test_cold_warm_and_evicted_reports_are_identical(self, experiment):
         argv = [*self.ARGV[experiment], "--mode", "sampled", "--seed", "5"]
-        _alice_tree.cache_clear()
-        _channel_tree.cache_clear()
+        caches = (_alice_tree, _channel_tree, _choice_tree)
+        for cache in caches:
+            cache.cache_clear()
         cold = _report_bytes(argv)
-        hits = _alice_tree.cache_info().hits + _channel_tree.cache_info().hits
+        hits = sum(cache.cache_info().hits for cache in caches)
         warm = _report_bytes(argv)
-        assert _alice_tree.cache_info().hits + _channel_tree.cache_info().hits > hits
-        # more new inputs than either cache holds: every root above is evicted
+        assert sum(cache.cache_info().hits for cache in caches) > hits
+        # more new inputs than any cache holds: every root above is evicted
         rng = make_rng(31)
-        for _ in range(_alice_tree.cache_info().maxsize + 1):
+        for _ in range(max(cache.cache_info().maxsize for cache in caches) + 1):
             psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
-            sample_alice_output(psi, phi, 0, rng)
+            run_qrac_protocol(psi, phi, haar_random_qubit(rng), 31)
             sample_channel(tensor([psi, phi, KET_PLUS]), rng)
         evicted = _report_bytes(argv)
         assert cold == warm == evicted
@@ -450,6 +452,10 @@ class TestOutcomeTreeCache:
         assert _alice_tree(psi.amplitudes.copy().tobytes(), phi.amplitudes.tobytes()) is tree
         assert _alice_tree(nudged.amplitudes.tobytes(), phi.amplitudes.tobytes()) is not tree
         assert _alice_tree(phi.amplitudes.tobytes(), psi.amplitudes.tobytes()) is not tree
+
+        tree = _choice_tree(1, psi.amplitudes.tobytes())
+        assert _choice_tree(1, psi.amplitudes.copy().tobytes()) is tree
+        assert _choice_tree(1, nudged.amplitudes.tobytes()) is not tree
 
         joint = tensor([psi, phi, KET_PLUS])
         tree = _channel_tree(3, joint.amplitudes.tobytes(), (0, 1, 2))
