@@ -9,6 +9,10 @@ enumerate the coin exhaustively instead of sampling.
 On top of one PR-box sits the standard one-bit random access code:
 Alice feeds x = a0 XOR a1 into the box and publishes m = a0 XOR A; Bob
 feeds his choice w and outputs m XOR B, which always equals a_w.
+
+The law (``pr_law``) and the RAC wiring (``rac_wiring``) are written
+once, as XOR/AND expressions: on ints for one ``PRBox``, or on int
+arrays for a batch of boxes (``PRBoxes``), one per round of a block.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .metering import ProtocolError
-from .rng import fair_bits
+from .rng import bit_columns, trial_blocks
 
 
 def check(name: str, passed: bool, value: float | None, tolerance: float | None) -> dict:
@@ -69,14 +73,44 @@ class PRBox:
         if self._x is None:
             raise ProtocolError("Bob's output needs Alice's input on record")
         self._y = _check_bit(y, "y")
-        return self._coin ^ (self._x & self._y)
+        return pr_law(self._coin, self._x, self._y)
+
+
+class PRBoxes:
+    """A batch of fresh PR-boxes, one per round, driven by int arrays.
+
+    The batched executors' ``PRBox``: the same law, applied to a whole
+    block of rounds at once.  Its callers are fixed wiring that feeds
+    Alice's side first and each side once, so it keeps no per-box checks.
+    """
+
+    __slots__ = ("coin", "_x")
+
+    def __init__(self, coin: np.ndarray):
+        self.coin = np.asarray(coin, dtype=np.intp)
+        self._x = None
+
+    def alice(self, x):
+        self._x = x
+        return self.coin
+
+    def bob(self, y):
+        return pr_law(self.coin, self._x, y)
+
+
+def pr_law(coin, x, y):
+    """Bob's output coin XOR x*y of a box whose Alice output is ``coin``.
+
+    The PR-box law, for ints or int arrays: A XOR B = x*y.
+    """
+    return coin ^ (x & y)
 
 
 def enumerate_pr_outputs(x: int, y: int) -> list[tuple[float, int, int]]:
     """All (probability, A, B) triples of a fresh box for fixed inputs."""
     _check_bit(x, "x")
     _check_bit(y, "y")
-    return [(0.5, coin, coin ^ (x & y)) for coin in (0, 1)]
+    return [(0.5, coin, pr_law(coin, x, y)) for coin in (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -104,10 +138,18 @@ def rac_round(
     _check_bit(a1, "a1")
     _check_bit(w, "w")
     box = PRBox(rng, coin=coin)
-    a_out = box.alice(a0 ^ a1)
-    message = a0 ^ a_out
-    b_out = box.bob(w)
-    return RacRound(a0, a1, w, box.coin, message, message ^ b_out)
+    message, output = rac_wiring(a0, a1, w, box)
+    return RacRound(a0, a1, w, box.coin, message, output)
+
+
+def rac_wiring(a0, a1, w, box):
+    """The RAC on one box: (message m = a0 XOR A, Bob's output m XOR B).
+
+    Alice feeds a0 XOR a1; for ints and a ``PRBox``, or int arrays and
+    ``PRBoxes`` for a batch of rounds.
+    """
+    message = a0 ^ box.alice(a0 ^ a1)
+    return message, message ^ box.bob(w)
 
 
 def rac_all_cases() -> list[RacRound]:
@@ -143,11 +185,6 @@ def _alice_view_dist_exact(a0: int, a1: int, w: int) -> np.ndarray:
     return dist
 
 
-# coins drawn per fair_bits call in verify_rac_privacy: as fast as one
-# call for all of them, with memory that does not grow with the trials
-_COIN_BLOCK = 4096
-
-
 def verify_rac_privacy(trials: int, seed: int) -> dict:
     """Check that the RAC leaks nothing it should not.
 
@@ -170,22 +207,19 @@ def verify_rac_privacy(trials: int, seed: int) -> dict:
         for a1 in (0, 1)
     )
 
-    # sampled comparison at fixed (w=0, a0=0), varying the unasked bit a1
+    # sampled comparison at fixed (w=0, a0=0), varying the unasked bit a1;
+    # a trial plays four rounds on the four coins of two PCG64 words
     bob_counts = {0: np.zeros(4), 1: np.zeros(4)}
     alice_counts = {0: np.zeros(2), 1: np.zeros(2)}
     rng = np.random.default_rng(seed)
-    coins = (
-        coin
-        for start in range(0, 4 * trials, _COIN_BLOCK)
-        for coin in fair_bits(rng, min(_COIN_BLOCK, 4 * trials - start))
-    )
-    for _ in range(trials):
+    for block in trial_blocks(trials):
+        coins = bit_columns(rng.bit_generator.random_raw(2 * len(block)).reshape(-1, 2))
         for a1 in (0, 1):
-            r = rac_round(0, a1, 0, coin=next(coins))
-            bob_counts[a1][2 * r.message + (r.message ^ r.output)] += 1
+            message, output = rac_wiring(0, a1, 0, PRBoxes(coins[:, a1]))
+            bob_counts[a1] += np.bincount(2 * message + (message ^ output), minlength=4)
         for w in (0, 1):
-            r = rac_round(0, 1, w, coin=next(coins))
-            alice_counts[w][r.a0 ^ r.message] += 1
+            message, _ = rac_wiring(0, 1, w, PRBoxes(coins[:, 2 + w]))
+            alice_counts[w] += np.bincount(0 ^ message, minlength=2)
     sampled_bob_tv = tv_distance(bob_counts[0] / trials, bob_counts[1] / trials)
     sampled_alice_tv = tv_distance(alice_counts[0] / trials, alice_counts[1] / trials)
     # 0.02 at the reference operating point of 1e5 trials; scaled above

@@ -24,7 +24,7 @@ from math import sqrt
 import numpy as np
 
 from .boxes import check, tv_distance
-from .qrac import branch_sums, channel_branches, sample_alice_output, sample_channel
+from .qrac import branch_sums, channel_branches, sample_alice_outputs, sample_channel_block
 from .quantum import (
     KET0,
     KET1,
@@ -34,7 +34,7 @@ from .quantum import (
     tensor,
     trace_distance,
 )
-from .rng import make_rng
+from .rng import make_rng, stream_words, trial_blocks
 
 D_IN = 8
 D_OUT = 2
@@ -156,9 +156,11 @@ def tomography(
         if trials is None or seed is None:
             raise ValueError("sampled tomography needs trials and seed")
         total = np.zeros((D_IN * D_OUT, D_IN * D_OUT), dtype=complex)
-        for trial in range(trials):
-            _, _, rho = sample_channel(probe, make_rng(seed, trial), (3, 4, 5))
-            total += D_IN * rho.matrix / trials
+        for block in trial_blocks(trials):
+            ids, outputs = sample_channel_block(probe, stream_words(seed, block, 4), (3, 4, 5))
+            terms = [D_IN * rho.matrix / trials for rho in outputs]
+            for k in ids.tolist():  # in trial order, so every float is the same
+                total += terms[k]
         return ChoiMatrix(D_IN, D_OUT, total, atol=max(1e-8, 64 / sqrt(trials)))
     raise ValueError(f"unknown tomography mode {mode!r}")
 
@@ -367,11 +369,13 @@ def verify_nonsignaling(
     }
 
     if mode == "sampled":
+        # trial t with choice w plays words 3t .. 3t+2 of stream (seed, w)
         counts = {0: np.zeros(4), 1: np.zeros(4)}
         for w in (0, 1):
-            rng = make_rng(seed, w)
-            for _ in range(trials):
-                counts[w][sample_alice_output(psi, phi, w, rng).index] += 1
+            raw = make_rng(seed, w).bit_generator
+            for block in trial_blocks(trials):
+                words = raw.random_raw(3 * len(block)).reshape(-1, 3)
+                counts[w] += np.bincount(sample_alice_outputs(psi, phi, words), minlength=4)
         sampled_tv = tv_distance(counts[0] / trials, counts[1] / trials)
         checks.append(check("alice-distribution-sampled", sampled_tv <= 0.02, sampled_tv, 0.02))
         metrics["sampled_alice_tv"] = sampled_tv

@@ -28,7 +28,15 @@ from typing import Any
 import numpy as np
 
 from ._version import __version__
-from .boxes import check, rac_all_cases, rac_round, tv_distance, verify_rac_privacy
+from .boxes import (
+    PRBoxes,
+    check,
+    rac_all_cases,
+    rac_round,
+    rac_wiring,
+    tv_distance,
+    verify_rac_privacy,
+)
 from .channel import (
     build_dilation,
     environment_orthogonality_check,
@@ -38,6 +46,7 @@ from .channel import (
     verify_nonsignaling,
 )
 from .metering import (
+    MeteredBatch,
     MeteredChannel,
     ProtocolError,
     QRAC_BUDGET,
@@ -54,9 +63,11 @@ from .qrac import (
     branch_sums,
     channel_branches,
     dense_decode,
+    dense_decode_block,
     dense_encode,
     qrac_alice,
     qrac_bob,
+    qrac_rounds,
 )
 from .quantum import (
     KET0,
@@ -68,7 +79,7 @@ from .quantum import (
     make_pure_qubit,
     tensor,
 )
-from .rng import fair_bits, make_rng
+from .rng import bit_columns, make_rng, stream_words, trial_blocks, word_uniform
 
 EXPERIMENTS = (
     "qrac",
@@ -112,9 +123,12 @@ def parse_state_spec(spec: str) -> StateVector:
         if len(values) != 4:
             raise ConfigError(f"amp spec needs four numbers, got {spec!r}")
         amps = np.array([values[0] + 1j * values[1], values[2] + 1j * values[3]])
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0 or not isfinite(norm):
-            raise ConfigError(f"amp spec norm must be finite and non-zero: {spec!r}")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amps))
+        if not isfinite(norm):
+            raise ConfigError(f"amp spec norm overflows double precision: {spec!r}")
+        if norm == 0.0:
+            raise ConfigError(f"amp spec norm must be non-zero: {spec!r}")
         if abs(norm - 1.0) > 1e-6:
             warnings.warn(f"state spec {spec!r} renormalized (norm was {norm!r})")
         try:
@@ -258,7 +272,9 @@ def run_qrac_protocol(
     Alice's two bits cross the channel as two classical bits, or with
     ``dense`` as one dense-coded qubit.  Randomness is drawn from the
     (seed, trial) stream in the order box coins, omega, both Bell
-    measurements, dense decoding.
+    measurements, dense decoding.  This is the single-trial reference
+    executor: trial i of a ``qrac`` report, computed in a block by
+    ``_qrac_block``, is this round at ``trial=i``.
     """
     rng = make_rng(seed, trial)
     res = QracResources(rng)
@@ -296,7 +312,12 @@ def run_rac_protocol(
     *,
     coin: int | None = None,
 ) -> RacRoundResult:
-    """One metered classical RAC round: Alice's masked bit is the only message."""
+    """One metered classical RAC round: Alice's masked bit is the only message.
+
+    The single-trial reference executor of ``racbox``: trial i of a
+    report is this round on ``fair_bits(make_rng(seed, i), 4)``, which
+    are (a0, a1, w, coin).
+    """
     played = rac_round(a0, a1, w, rng, coin=coin)
     channel = MeteredChannel()
     channel.send("A->B", "classical-bit", "m", played.message)
@@ -336,31 +357,82 @@ def _assert_budget(transcript: RoundTranscript, budget: Tally, context: str) -> 
         )
 
 
+def _assert_block_budget(channel: MeteredBatch, budget: Tally, label: str) -> Tally:
+    """Hold every round of a block to the budget; returns the block's tally.
+
+    The first round over budget fails as a lone round would, named by
+    its trial.
+    """
+    over = channel.over_budget(budget)
+    if over.size:
+        first = int(over[0])
+        context = f"{label} trial {int(channel.rounds[first])}"
+        _assert_budget(channel.transcript(first), budget, context)
+    return channel.totals()
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
+def _qrac_block(
+    psi: StateVector,
+    phi: StateVector,
+    omega: StateVector,
+    seed: int,
+    trials: np.ndarray,
+    dense: bool,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, Tally]:
+    """Rounds ``trials`` of a qrac report at once: ``run_qrac_protocol`` on arrays.
+
+    Each trial draws the raw words of its stream that its lone round
+    draws (see ``rng``), so each trial is the round that
+    ``run_qrac_protocol(..., trial=i)`` replays.  Every round is metered
+    and held to the budget.  Returns w, Alice's bits (a1, a0), the
+    recovery fidelity per trial and the block's tally.
+    """
+    label = "qrac-qubit-only" if dense else "qrac"
+    words = stream_words(seed, trials, 5 if dense else 4)
+    w, alice, ids, outputs = qrac_rounds(psi, phi, omega, words)
+    channel = MeteredBatch(trials)
+    if dense:
+        sent = 2 * alice[0] + alice[1]
+        channel.send("A->B", "qubit", "dense-coded-output", sent)
+        wrong = np.flatnonzero(dense_decode_block(sent, word_uniform(words[:, 4])) != sent)
+        if wrong.size:
+            raise ProtocolError(
+                f"dense decoding disagreed with Alice's output in {label} "
+                f"trial {int(trials[wrong[0]])}"
+            )
+    else:
+        channel.send("A->B", "classical-bit", "a1", alice[0])
+        channel.send("A->B", "classical-bit", "a0", alice[1])
+    tally = _assert_block_budget(channel, QUBIT_ONLY_BUDGET if dense else QRAC_BUDGET, label)
+    # an output is Bob's qubit of one pair, so it belongs to one choice
+    choices = np.empty(len(outputs), dtype=np.intp)
+    choices[ids] = w
+    values = [fidelity(out, psi if c == 0 else phi) for out, c in zip(outputs, choices.tolist())]
+    return w, alice, np.array(values)[ids], tally
+
+
 def _exp_qrac(config: ExperimentConfig, dense: bool) -> tuple[dict, list, Tally, list, list]:
     psi, phi, omega = config.resolved_psi(), config.resolved_phi(), config.resolved_omega()
-    budget = QUBIT_ONLY_BUDGET if dense else QRAC_BUDGET
     rounds = max(config.trials, 1)
-    label = "qrac-qubit-only" if dense else "qrac"
 
     tallies = Tally()
     fidelities = []
-    histogram = [0, 0, 0, 0]
+    histogram = np.zeros(4, dtype=np.int64)
     rows = []
-    for trial in range(rounds):
-        result = run_qrac_protocol(psi, phi, omega, config.seed, trial=trial, dense=dense)
-        _assert_budget(result.transcript, budget, f"{label} trial {trial}")
-        tallies = tallies + result.transcript.totals
-        target = psi if result.w == 0 else phi
-        f = fidelity(result.output, target)
+    for trials in trial_blocks(rounds):
+        w, (a1, a0), f, tally = _qrac_block(psi, phi, omega, config.seed, trials, dense)
+        tallies = tallies + tally
         fidelities.append(f)
-        histogram[result.alice.index] += 1
-        rows.append([trial, result.w, result.alice.a1, result.alice.a0, f])
+        histogram += np.bincount(2 * a1 + a0, minlength=4)
+        rows += map(list, zip(trials.tolist(), w.tolist(), a1.tolist(), a0.tolist(), f.tolist()))
+    fidelities = np.concatenate(fidelities)
+    histogram = histogram.tolist()
 
-    min_f = min(fidelities)
+    min_f = float(fidelities.min())
     checks = [
         check("budget-every-round", True, 0.0, 0.0),
         check("recovery-fidelity", min_f >= 1 - 1e-10, min_f, 1e-10),
@@ -399,15 +471,16 @@ def _exp_racbox(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list
     tallies = Tally()
     rows = []
     sampled_correct = 0
-    for trial in range(config.trials):
-        # inputs and box coin share the trial's stream, in that order
-        a0, a1, w, coin = fair_bits(make_rng(config.seed, trial), 4)
-        result = run_rac_protocol(a0, a1, w, coin=coin)
-        _assert_budget(result.transcript, RACBOX_BUDGET, f"racbox trial {trial}")
-        tallies = tallies + result.transcript.totals
-        ok = result.output == (a0 if w == 0 else a1)
-        sampled_correct += ok
-        rows.append([trial, a0, a1, w, result.output, int(ok)])
+    for trials in trial_blocks(config.trials):
+        # inputs, then the box coin: words 0-1 of each trial's stream
+        a0, a1, w, coin = bit_columns(stream_words(config.seed, trials, 2)).T
+        message, output = rac_wiring(a0, a1, w, PRBoxes(coin))
+        channel = MeteredBatch(trials)
+        channel.send("A->B", "classical-bit", "m", message)
+        tallies = tallies + _assert_block_budget(channel, RACBOX_BUDGET, "racbox")
+        ok = (output == np.where(w == 0, a0, a1)).astype(int)
+        sampled_correct += int(ok.sum())
+        rows += map(list, zip(*(column.tolist() for column in (trials, a0, a1, w, output, ok))))
 
     privacy = verify_rac_privacy(config.trials, config.seed)
     checks = [

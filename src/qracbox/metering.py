@@ -2,7 +2,8 @@
 
 Every message that crosses between Alice and Bob goes through a
 MeteredChannel, which keeps an ordered log; its transcript carries the
-per-direction tallies.
+per-direction tallies.  A block of rounds run at once goes through a
+MeteredBatch instead, which tallies every round of the block apart.
 Budgets are hard equalities: a standard box round costs exactly two
 classical bits Alice to Bob, the dense-coded variant exactly one qubit,
 and the classical RAC exactly one bit.  Nothing ever flows Bob to Alice.
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 DIRECTIONS = ("A->B", "B->A")
 KINDS = ("classical-bit", "qubit")
@@ -112,3 +115,48 @@ class MeteredChannel:
 
     def transcript(self) -> RoundTranscript:
         return RoundTranscript.from_messages(tuple(self._log))
+
+
+# the Tally fields, in order, by message route
+_ROUTES = (("A->B", "classical-bit"), ("B->A", "classical-bit"), ("A->B", "qubit"), ("B->A", "qubit"))
+
+
+class MeteredBatch:
+    """Ordered message log of a block of rounds run at once, tallied per round.
+
+    ``rounds`` numbers the block's rounds (their trials).  A message goes
+    out in every round of the block, or only in the rounds ``rows``
+    selects; its content holds one entry per round.  ``counts[r]`` is
+    round r's tally, in ``Tally`` field order.
+    """
+
+    def __init__(self, rounds: np.ndarray) -> None:
+        self.rounds = rounds
+        self._log: list[tuple[Message, Any]] = []
+        self.counts = np.zeros((len(rounds), len(_ROUTES)), dtype=np.int64)
+
+    def send(
+        self, direction: str, kind: str, payload: str, content: Any = None, rows: Any = slice(None)
+    ) -> Message:
+        msg = Message(direction, kind, payload, content)
+        self._log.append((msg, rows))
+        self.counts[rows, _ROUTES.index((direction, kind))] += 1
+        return msg
+
+    def over_budget(self, budget: Tally) -> np.ndarray:
+        """Block indices of the rounds whose tally is not ``budget``."""
+        return np.flatnonzero((self.counts != list(budget.as_dict().values())).any(axis=1))
+
+    def transcript(self, index: int) -> RoundTranscript:
+        """The messages of the block's round ``index``, in the order sent."""
+        sent = []
+        for msg, rows in self._log:
+            mask = np.zeros(len(self.rounds), dtype=bool)
+            mask[rows] = True
+            if mask[index]:
+                sent.append(msg)
+        return RoundTranscript.from_messages(tuple(sent))
+
+    def totals(self) -> Tally:
+        """The tally of the whole block."""
+        return Tally(*self.counts.sum(axis=0).tolist())

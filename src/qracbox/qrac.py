@@ -21,33 +21,43 @@ measured first, which is what makes the box output a mixture rather
 than a superposition of the two inputs.
 
 The PR-box wiring of a round is written once, in ``_alice_side`` and
-``_bob_side``, and run by two executors: sampled (``qrac_alice`` /
-``qrac_bob`` and ``sample_channel`` draw each outcome from an rng) and
-enumerated (``channel_branches`` visits every choice outcome x Bell
-outcomes x coins branch with its exact probability, so the suite can
-assert identities at 1e-10 instead of collecting statistics).  Both
-compute Bob's corrected output through one path, ``_leaf_output``,
-which keeps it on the collapsed state's ``OutcomeNode``.  With Alice's
-bits wired to Bob the coins cancel out of his correction, so the four
-coin branches of an enumerated leaf share one output.  Every exact
-claim reduces an enumeration the same way, through ``branch_sums``:
-Alice's output distribution and the probability-weighted output, in
-total and split by Alice's bits.
+``_bob_side``, as XOR/AND expressions on the outcome bits and the boxes
+(``boxes.PRBox``, or ``boxes.PRBoxes`` for int arrays), and run by three
+executors:
 
-The sampled executor walks an outcome tree (``quantum.OutcomeNode``)
+* single-trial (``qrac_alice`` / ``qrac_bob``, ``sample_channel``,
+  ``sample_alice_output``): each outcome is drawn from an rng;
+* batched (``qrac_rounds``, ``sample_channel_block``,
+  ``sample_alice_outputs``, ``dense_decode_block``): a block of trials
+  at once, from the raw Philox words each trial's lone round would
+  draw (the word map is in ``rng``), so every trial equals its
+  single-trial replay bit for bit; the reports run these;
+* enumerated (``channel_branches``): every choice outcome x Bell
+  outcomes x coins branch with its exact probability, so the suite can
+  assert identities at 1e-10 instead of collecting statistics.
+
+All three compute Bob's corrected output through one path,
+``_leaf_output``, which keeps it on the collapsed state's
+``OutcomeNode``.  With Alice's bits wired to Bob the coins cancel out
+of his correction, so the four coin branches of an enumerated leaf
+share one output.  Every exact claim reduces an enumeration the same
+way, through ``branch_sums``: Alice's output distribution and the
+probability-weighted output, in total and split by Alice's bits.
+
+The sampled executors walk an outcome tree (``quantum.OutcomeNode``)
 instead of redoing the linear algebra in every trial.  For fixed inputs
 a round reaches few states: at most 2 choice outcomes x 4 x 4 Bell
-outcomes, and each leaf few corrected outputs.  A trial draws every
-outcome from its own rng, in the same order and with the same single
-uniform draw per measurement as before; the first trial that reaches a
-state computes it, and later trials reuse it, Bob's corrected output
-included.  The roots are cached by the exact amplitude bytes of the
-inputs: Alice's last 16 (psi, phi) pairs, Bob's last 16 choice states
-omega (measured in ``harness.run_qrac_protocol``), and the last 4
-(joint, ``inputs``) registers of ``sample_channel``, since a tree holds
-up to 43 register states.  Results are bit-for-bit those of a fresh
-computation.  The box coins (drawn two to a word by ``rng.fair_bits``),
-the PR-box wiring and all validation still run in every trial.
+outcomes, and each leaf few corrected outputs.  ``OutcomeNode.draw``
+takes one trial down the tree with one uniform per measurement;
+``OutcomeNode.walk`` takes a block of trials down it at once, picking
+the same outcomes from the same uniforms and grouping the trials by
+outcome.  The first trial that reaches a state computes it, and later
+trials, of either executor, reuse it, Bob's corrected output included.
+The roots are cached by the exact amplitude bytes of the inputs:
+Alice's last 16 (psi, phi) pairs, Bob's last 16 choice states omega,
+the last 4 (joint, ``inputs``) registers of the channel and the 4
+dense-coded payloads, since a tree holds up to 43 register states.
+Results are bit-for-bit those of a fresh computation.
 """
 from __future__ import annotations
 
@@ -57,7 +67,7 @@ from itertools import product
 
 import numpy as np
 
-from .boxes import PRBox, _check_bit
+from .boxes import PRBox, PRBoxes, _check_bit
 from .metering import ProtocolError
 from .quantum import (
     PHI_PLUS,
@@ -75,7 +85,7 @@ from .quantum import (
     reduced_density,
     tensor,
 )
-from .rng import fair_bits
+from .rng import bit_columns, fair_bits, word_uniform
 
 A_PRIME, A_DPRIME, EPR1_ALICE, EPR1_BOB, EPR2_ALICE, EPR2_BOB = range(6)
 
@@ -165,6 +175,12 @@ class QracResources:
         self.bob_done = False
 
 
+def _boxes(words: np.ndarray) -> tuple[PRBoxes, PRBoxes]:
+    """Both PR-boxes of every round of a batch, coins from one raw word a round."""
+    coins = bit_columns(words[:, None])
+    return PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1])
+
+
 def _check_single_qubit(state: StateVector, name: str) -> None:
     if state.num_qubits != 1:
         raise ValueError(f"{name} must be a single-qubit state")
@@ -190,28 +206,36 @@ def _register(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[StateVe
     return tensor([joint, PHI_PLUS, PHI_PLUS]), spectators
 
 
-def _alice_side(
-    first: BellOutcome, second: BellOutcome, box0: PRBox, box1: PRBox
-) -> AliceClassicalOutput:
-    """Feed first XOR second into the boxes; publish the first outcome masked."""
-    mask0 = box0.alice(first.bit0 ^ second.bit0)
-    mask1 = box1.alice(first.bit1 ^ second.bit1)
-    return AliceClassicalOutput(a1=first.bit1 ^ mask1, a0=first.bit0 ^ mask0)
+def _bell_bits(index):
+    """(bit1, bit0) of a Bell outcome index 2*bit1 + bit0, or of an index array."""
+    return index >> 1, index & 1
 
 
-def _bob_side(
-    epr: int, w: int, b, box0: PRBox, box1: PRBox
-) -> tuple[tuple[int, int], tuple[int, int], int]:
-    """Unmask ``b`` through the boxes: what Bob corrects, and on which qubit.
+def _alice_side(first, second, box0, box1):
+    """Feed first XOR second into the boxes; publish the first outcome masked.
+
+    ``first`` and ``second`` are the (bit1, bit0) of Alice's Bell
+    outcomes; returns her output (a1, a0).  The bits are ints and the
+    boxes ``PRBox``es for one round, or int arrays and ``PRBoxes`` for a
+    batch of rounds.
+    """
+    mask0 = box0.alice(first[1] ^ second[1])
+    mask1 = box1.alice(first[0] ^ second[0])
+    return first[0] ^ mask1, first[1] ^ mask0
+
+
+def _bob_side(epr: int, w, b, box0, box1):
+    """Unmask ``b`` = (b1, b0) through the boxes: what Bob corrects, and where.
 
     ``epr`` is the first qubit of the first EPR pair, so Bob's halves are
     ``epr + 1`` and ``epr + 3``.  Returns his box outputs (B0, B1), the
     (bit1, bit0) correction and the target qubit, his half of pair w.
+    Like ``_alice_side``, it runs on one round or on a batch.
     """
-    b1_in, b0_in = _as_bits(b)
+    b1_in, b0_in = b
     pr_outputs = (box0.bob(w), box1.bob(w))
     correction = (b1_in ^ pr_outputs[1], b0_in ^ pr_outputs[0])
-    return pr_outputs, correction, epr + 1 if w == 0 else epr + 3
+    return pr_outputs, correction, epr + 1 + 2 * w
 
 
 def _leaf_output(
@@ -248,7 +272,9 @@ def qrac_alice(
     first, node = root.draw(res.rng)
     second, res.leaf = node.draw(res.rng)
     res.alice_done = True
-    return _alice_side(_BELL_OUTCOMES[first], _BELL_OUTCOMES[second], res.box0, res.box1)
+    return AliceClassicalOutput(
+        *_alice_side(_bell_bits(first), _bell_bits(second), res.box0, res.box1)
+    )
 
 
 def qrac_bob(w: int, b, res: QracResources) -> DensityMatrix:
@@ -267,6 +293,46 @@ def qrac_bob(w: int, b, res: QracResources) -> DensityMatrix:
     _, correction, target = _bob_side(EPR1_ALICE, w, bits, res.box0, res.box1)
     res.bob_done = True
     return _leaf_output(res.leaf, target, correction, [])
+
+
+def qrac_rounds(
+    psi: StateVector, phi: StateVector, omega: StateVector, words: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, list[DensityMatrix]]:
+    """Standard rounds on fixed inputs, one per trial, all at once.
+
+    Row t of ``words`` holds raw words 0-3 of trial t's stream, the draws
+    of a round of ``harness.run_qrac_protocol``: the box coins, omega,
+    Alice's two Bell measurements.  Bob decodes Alice's bits as sent.
+    Returns Bob's choices w, Alice's bits (a1, a0) and each trial's
+    index into the list of distinct outputs, Bob's chosen qubit.
+    """
+    _check_single_qubit(psi, "psi")
+    _check_single_qubit(phi, "phi")
+    uniforms = word_uniform(words[:, 1:4])
+    w = _choice_tree(omega.num_qubits, omega.amplitudes.tobytes()).walk(uniforms[:, :1])[0][:, 0]
+    root = _alice_tree(psi.amplitudes.tobytes(), phi.amplitudes.tobytes())
+    bells, ends, leaves = root.walk(uniforms[:, 1:])
+    box0, box1 = _boxes(words[:, 0])
+    alice = _alice_side(_bell_bits(bells[:, 0]), _bell_bits(bells[:, 1]), box0, box1)
+    _, correction, target = _bob_side(EPR1_ALICE, w, alice, box0, box1)
+    return (w, alice, *_leaf_outputs(leaves, ends, target, correction, []))
+
+
+def _leaf_outputs(
+    leaves: list[OutcomeNode], ends: np.ndarray, target: np.ndarray, correction, spectators
+) -> tuple[np.ndarray, list[DensityMatrix]]:
+    """``_leaf_output`` of each trial of a batch, computed once per distinct one.
+
+    Trial t ends on ``leaves[ends[t]]``.  Returns each trial's index into
+    the list of distinct outputs, which come from the leaves' memos.
+    """
+    keys = np.stack([ends, target, *correction], axis=1)
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    outputs = [
+        _leaf_output(leaves[end], qubit, (c1, c0), spectators)
+        for end, qubit, c1, c0 in distinct.tolist()
+    ]
+    return inverse.reshape(-1), outputs
 
 
 class DenseCodingPair:
@@ -297,6 +363,25 @@ def dense_decode(state: StateVector, rng: np.random.Generator) -> BellOutcome:
         raise ValueError("dense decoding expects a two-qubit state")
     outcome, _ = bell_measure(state, (0, 1), rng)
     return outcome
+
+
+@lru_cache(maxsize=4)
+def _payload_node(bit1: int, bit0: int) -> OutcomeNode:
+    """The dense-coded payload of (bit1, bit0), before Bob's Bell measurement."""
+    return OutcomeNode(dense_encode(bit1, bit0, DenseCodingPair()), [("bell", (0, 1))])
+
+
+def dense_decode_block(index: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``dense_decode`` of the payloads of 2*bit1 + bit0 = ``index``, one per trial.
+
+    Trial t measures with ``uniforms[t]``; returns the decoded Bell
+    outcome indices, 2*bit1 + bit0 when decoding is right.
+    """
+    decoded = np.empty_like(index)
+    for value in np.flatnonzero(np.bincount(index)).tolist():
+        rows = index == value
+        decoded[rows] = _payload_node(*_bell_bits(value)).pick(uniforms[rows])
+    return decoded
 
 
 @dataclass(frozen=True)
@@ -336,6 +421,7 @@ def channel_branches(
     q_apr, q_adp, q_r = inputs
     extended, spectators = _register(joint, inputs)
     n = joint.num_qubits
+    fixed_b = None if b is None else _as_bits(b)
 
     branches: list[ChannelBranch] = []
     for w in (0, 1):
@@ -353,9 +439,11 @@ def channel_branches(
                 leaf = OutcomeNode(after_second)
                 for coins in product((0, 1), repeat=2):
                     box0, box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
-                    alice_out = _alice_side(first, second, box0, box1)
+                    alice_out = AliceClassicalOutput(
+                        *_alice_side(first.bits, second.bits, box0, box1)
+                    )
                     pr_outputs, correction, target = _bob_side(
-                        n, w, alice_out if b is None else b, box0, box1
+                        n, w, alice_out.bits if fixed_b is None else fixed_b, box0, box1
                     )
                     rho = _leaf_output(leaf, target, correction, spectators)
                     branches.append(
@@ -415,9 +503,32 @@ def sample_channel(
     second, leaf = node.draw(rng)
     coin0, coin1 = fair_bits(rng, 2)
     box0, box1 = PRBox(coin=coin0), PRBox(coin=coin1)
-    alice_out = _alice_side(_BELL_OUTCOMES[first], _BELL_OUTCOMES[second], box0, box1)
-    _, correction, target = _bob_side(n, w, alice_out if b is None else b, box0, box1)
+    alice_out = AliceClassicalOutput(
+        *_alice_side(_bell_bits(first), _bell_bits(second), box0, box1)
+    )
+    received = alice_out.bits if b is None else _as_bits(b)
+    _, correction, target = _bob_side(n, w, received, box0, box1)
     return w, alice_out, _leaf_output(leaf, target, correction, spectators)
+
+
+def sample_channel_block(
+    joint: StateVector, words: np.ndarray, inputs: tuple[int, int, int] = (0, 1, 2)
+) -> tuple[np.ndarray, list[DensityMatrix]]:
+    """``sample_channel`` rounds with Alice's bits wired to Bob, all at once.
+
+    Row t of ``words`` holds raw words 0-3 of trial t's stream, the draws
+    ``sample_channel`` makes: the choice, both Bell measurements, the
+    coins.  Returns each trial's index into the list of distinct outputs.
+    """
+    n = joint.num_qubits
+    spectators = _spectators(n, inputs)
+    tree = _channel_tree(n, joint.amplitudes.tobytes(), tuple(inputs))
+    outcomes, ends, leaves = tree.walk(word_uniform(words[:, :3]))
+    box0, box1 = _boxes(words[:, 3])
+    w = outcomes[:, 0]
+    alice = _alice_side(_bell_bits(outcomes[:, 1]), _bell_bits(outcomes[:, 2]), box0, box1)
+    _, correction, target = _bob_side(n, w, alice, box0, box1)
+    return _leaf_outputs(leaves, ends, target, correction, spectators)
 
 
 def alice_output_distribution(
@@ -440,6 +551,22 @@ def sample_alice_output(
     res.box0.bob(w)
     res.box1.bob(w)
     return alice_out
+
+
+def sample_alice_outputs(psi: StateVector, phi: StateVector, words: np.ndarray) -> np.ndarray:
+    """Alice's output index 2*a1 + a0 of ``sample_alice_output`` rounds, at once.
+
+    Row t of ``words`` holds the three raw words round t draws: the
+    coins and Alice's two Bell measurements.  Bob's choice changes none
+    of Alice's bits, so it is not needed.
+    """
+    _check_single_qubit(psi, "psi")
+    _check_single_qubit(phi, "phi")
+    root = _alice_tree(psi.amplitudes.tobytes(), phi.amplitudes.tobytes())
+    bells, _, _ = root.walk(word_uniform(words[:, 1:3]))
+    box0, box1 = _boxes(words[:, 0])
+    a1, a0 = _alice_side(_bell_bits(bells[:, 0]), _bell_bits(bells[:, 1]), box0, box1)
+    return 2 * a1 + a0
 
 
 def bob_view_distribution(

@@ -19,6 +19,7 @@ identities.  Statistical checks elsewhere always run on seeded generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import cos, isfinite, sin, sqrt
 from typing import Callable, Iterable, Sequence
 
@@ -341,9 +342,10 @@ class OutcomeNode:
     on a leaf).  ``draw`` samples it and returns the child node of the
     outcome drawn: a child is collapsed the first time its outcome is
     drawn and reused from then on, so a walk repeated down the same path
-    costs one uniform draw per level.  ``memo`` keeps what callers
-    derive from a node's state.  Every array in the tree is read-only,
-    so a tree may be shared by any number of walks.
+    costs one uniform draw per level.  ``walk`` takes a batch of trials
+    down the same tree with the same choices.  ``memo`` keeps what
+    callers derive from a node's state.  Every array in the tree is
+    read-only, so a tree may be shared by any number of walks.
     """
 
     __slots__ = ("state", "probs", "memo", "_total", "_collapse", "_rest", "_children")
@@ -359,13 +361,55 @@ class OutcomeNode:
             self.probs = [max(p, 0.0) for p in probs.tolist()]
             self._total = sum(self.probs)
 
-    def draw(self, rng: np.random.Generator) -> tuple[int, "OutcomeNode"]:
-        """Sample the measurement with one uniform draw; (outcome, child)."""
-        index = _choose(rng, self.probs, self._total)
+    def child(self, index: int) -> "OutcomeNode":
+        """The node of outcome ``index``, collapsed on first use."""
         child = self._children.get(index)
         if child is None:
             child = self._children[index] = OutcomeNode(self._collapse(index), self._rest)
-        return index, child
+        return child
+
+    def draw(self, rng: np.random.Generator) -> tuple[int, "OutcomeNode"]:
+        """Sample the measurement with one uniform draw; (outcome, child)."""
+        index = _choose(rng, self.probs, self._total)
+        return index, self.child(index)
+
+    def pick(self, uniforms: np.ndarray) -> np.ndarray:
+        """The outcome ``_choose`` takes on each uniform draw, as an index array.
+
+        The first index whose running sum of ``probs``, added in order,
+        exceeds u * total; the last index if none does.
+        """
+        acc = np.array(list(accumulate(self.probs)))
+        picks = np.searchsorted(acc, uniforms * self._total, side="right")
+        return np.minimum(picks, len(acc) - 1)
+
+    def walk(self, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, list["OutcomeNode"]]:
+        """Walk a batch of trials down the tree at once.
+
+        Row t of ``uniforms`` holds trial t's uniform draw for each
+        measurement to come, first to last, and trial t takes exactly
+        the path ``draw`` takes on those draws.  Trials are grouped by
+        outcome, so each node on the way is visited once for all of
+        them.  Returns every trial's outcomes (one column per
+        measurement), the index of its end node and the end nodes.
+        """
+        trials, depth = uniforms.shape
+        outcomes = np.zeros((trials, depth), dtype=np.intp)
+        ends = np.zeros(trials, dtype=np.intp)
+        nodes: list[OutcomeNode] = []
+
+        def descend(node: OutcomeNode, rows: np.ndarray, level: int) -> None:
+            if level == depth:
+                ends[rows] = len(nodes)
+                nodes.append(node)
+                return
+            picks = node.pick(uniforms[rows, level])
+            outcomes[rows, level] = picks
+            for index in np.flatnonzero(np.bincount(picks)).tolist():
+                descend(node.child(index), rows[picks == index], level + 1)
+
+        descend(self, np.arange(trials), 0)
+        return outcomes, ends, nodes
 
 
 def bell_measure(

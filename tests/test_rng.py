@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from qracbox import boxes, harness
-from qracbox.boxes import RacRound, rac_round, tv_distance, verify_rac_privacy
+from qracbox import rng as rng_module
+from qracbox.boxes import PRBoxes, RacRound, rac_round, tv_distance, verify_rac_privacy
 from qracbox.harness import ExperimentConfig, run_qrac_protocol, run_rac_protocol
+from qracbox.metering import MeteredBatch
 from qracbox.qrac import QracResources, qrac_alice, qrac_bob, sample_alice_output
 from qracbox.quantum import haar_random_qubit, measure_computational
 from qracbox.rng import fair_bits, make_rng
@@ -119,16 +121,17 @@ class TestExecutorsMatchPerCallDraws:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_racbox_rows_metrics_and_messages(self, seed, monkeypatch):
-        played = []
+        sent = []
+        send = MeteredBatch.send
 
-        def recording(*args, **kwargs):
-            result = run_rac_protocol(*args, **kwargs)
-            played.append((result.a0, result.a1, result.w, result.transcript.messages[0].content))
-            return result
+        def recording(self, *args, **kwargs):
+            sent.extend(np.asarray(args[3]).tolist())  # the message of each round
+            return send(self, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "run_rac_protocol", recording)
+        monkeypatch.setattr(MeteredBatch, "send", recording)
         config = ExperimentConfig(experiment="racbox", seed=seed, trials=1000)
         metrics, checks, tallies, _, rows = harness._exp_racbox(config)
+        played = [(a0, a1, w, m) for (_, a0, a1, w, _, _), m in zip(rows, sent, strict=True)]
 
         ref_rows, ref_played = [], []
         for trial in range(config.trials):
@@ -153,17 +156,26 @@ class TestExecutorsMatchPerCallDraws:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("trials", [1000, 2500])  # 4 000 and 10 000 coins
     def test_privacy_check_plays_the_old_rounds(self, seed, trials, monkeypatch):
-        played = []
+        batches = []  # the sampled part wires a block's rounds four ways at once
+        wiring = boxes.rac_wiring
 
-        def recording(*args, **kwargs):
-            played.append(rac_round(*args, **kwargs))
-            return played[-1]
+        def recording(a0, a1, w, box):
+            message, output = wiring(a0, a1, w, box)
+            if isinstance(box, PRBoxes):
+                batches.append((a0, a1, w, box.coin.tolist(), message.tolist(), output.tolist()))
+            return message, output
 
-        monkeypatch.setattr(boxes, "rac_round", recording)
+        monkeypatch.setattr(boxes, "rac_wiring", recording)
+        monkeypatch.setattr(rng_module, "TRIAL_BLOCK", 300)  # several blocks
         report = verify_rac_privacy(trials, seed)
+        played = []
+        for start in range(0, len(batches), 4):
+            four = batches[start:start + 4]
+            for t in range(len(four[0][3])):  # trial by trial, its four rounds in turn
+                for a0, a1, w, coins, messages, outputs in four:
+                    played.append(RacRound(a0, a1, w, coins[t], messages[t], outputs[t]))
         reference = _old_privacy_rounds(trials, seed)
-        # the exact part plays its enumerated coins first
-        assert played[-len(reference):] == reference
+        assert played == reference
 
         bob = {a1: np.zeros(4) for a1 in (0, 1)}
         alice = {w: np.zeros(2) for w in (0, 1)}
