@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import sqrt
 
 from .harness import ConfigError, ExperimentConfig, canonical_json, open_output, run_experiment
@@ -52,7 +53,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and reused by every ``main``."""
     parser = _Parser(
         prog="qracbox",
         description="Simulate and verify nonsignaling boxes: PR-boxes, the "

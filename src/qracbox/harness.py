@@ -415,7 +415,9 @@ def _qrac_block(
     return w, alice, np.array(values)[ids], tally
 
 
-def _exp_qrac(config: ExperimentConfig, dense: bool) -> tuple[dict, list, Tally, list, list]:
+def _exp_qrac(
+    config: ExperimentConfig, dense: bool, with_rows: bool = True
+) -> tuple[dict, list, Tally, list, list]:
     psi, phi, omega = config.resolved_psi(), config.resolved_phi(), config.resolved_omega()
     rounds = max(config.trials, 1)
 
@@ -428,7 +430,9 @@ def _exp_qrac(config: ExperimentConfig, dense: bool) -> tuple[dict, list, Tally,
         tallies = tallies + tally
         fidelities.append(f)
         histogram += np.bincount(2 * a1 + a0, minlength=4)
-        rows += map(list, zip(trials.tolist(), w.tolist(), a1.tolist(), a0.tolist(), f.tolist()))
+        if with_rows:
+            columns = (trials, w, a1, a0, f)
+            rows += map(list, zip(*(column.tolist() for column in columns)))
     fidelities = np.concatenate(fidelities)
     histogram = histogram.tolist()
 
@@ -462,7 +466,9 @@ def _exp_qrac(config: ExperimentConfig, dense: bool) -> tuple[dict, list, Tally,
     return metrics, checks, tallies, header, rows
 
 
-def _exp_racbox(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list]:
+def _exp_racbox(
+    config: ExperimentConfig, with_rows: bool = True
+) -> tuple[dict, list, Tally, list, list]:
     if config.trials < 1000:
         raise ConfigError("racbox experiment needs trials >= 1000 for the privacy check")
     cases = rac_all_cases()
@@ -480,7 +486,9 @@ def _exp_racbox(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list
         tallies = tallies + _assert_block_budget(channel, RACBOX_BUDGET, "racbox")
         ok = (output == np.where(w == 0, a0, a1)).astype(int)
         sampled_correct += int(ok.sum())
-        rows += map(list, zip(*(column.tolist() for column in (trials, a0, a1, w, output, ok))))
+        if with_rows:
+            columns = (trials, a0, a1, w, output, ok)
+            rows += map(list, zip(*(column.tolist() for column in columns)))
 
     privacy = verify_rac_privacy(config.trials, config.seed)
     checks = [
@@ -604,14 +612,16 @@ def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, li
     return metrics, checks, Tally(), header, rows
 
 
+# experiment -> f(config, with_rows); the per-trial CSV rows of qrac,
+# qrac-qubit-only and racbox are built only when with_rows is true
 _DISPATCH = {
-    "qrac": lambda cfg: _exp_qrac(cfg, dense=False),
-    "qrac-qubit-only": lambda cfg: _exp_qrac(cfg, dense=True),
+    "qrac": lambda cfg, with_rows: _exp_qrac(cfg, False, with_rows),
+    "qrac-qubit-only": lambda cfg, with_rows: _exp_qrac(cfg, True, with_rows),
     "racbox": _exp_racbox,
-    "tomography": _exp_tomography,
-    "mixture": _exp_mixture,
-    "nonsignaling": _exp_nonsignaling,
-    "dilation": _exp_dilation,
+    "tomography": lambda cfg, _: _exp_tomography(cfg),
+    "mixture": lambda cfg, _: _exp_mixture(cfg),
+    "nonsignaling": lambda cfg, _: _exp_nonsignaling(cfg),
+    "dilation": lambda cfg, _: _exp_dilation(cfg),
 }
 
 
@@ -623,7 +633,8 @@ def run_experiment(config: ExperimentConfig, csv_path: str | None = None) -> dic
     """
     if config.experiment not in _DISPATCH:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
-    metrics, checks, tallies, header, rows = _DISPATCH[config.experiment](config)
+    experiment = _DISPATCH[config.experiment]
+    metrics, checks, tallies, header, rows = experiment(config, csv_path is not None)
     if csv_path is not None:
         _write_csv(csv_path, header, rows)
     return {

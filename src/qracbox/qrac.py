@@ -34,15 +34,31 @@ executors:
   single-trial replay bit for bit; the reports run these;
 * enumerated (``channel_branches``): every choice outcome x Bell
   outcomes x coins branch with its exact probability, so the suite can
-  assert identities at 1e-10 instead of collecting statistics.
+  assert identities at 1e-10 instead of collecting statistics.  It
+  pays once per distinct state, not once per branch: all four outcomes
+  of a Bell measurement come from one ``quantum.bell_projections``
+  call, and the classical side of a leaf's four coin branches (coins,
+  Alice's bits, Bob's box outputs, correction, target) is one cached
+  row set of ``_wiring``.
 
 All three compute Bob's corrected output through one path,
 ``_leaf_output``, which keeps it on the collapsed state's
-``OutcomeNode``.  With Alice's bits wired to Bob the coins cancel out
-of his correction, so the four coin branches of an enumerated leaf
-share one output.  Every exact claim reduces an enumeration the same
-way, through ``branch_sums``: Alice's output distribution and the
-probability-weighted output, in total and split by Alice's bits.
+``OutcomeNode``.  It takes one partial trace per (leaf, target) and
+builds each corrected output Z^c1 X^c0 rho X^c0 Z^c1 from that matrix
+by an exact signed relabelling: entry (r, c) is rho[r ^ c0, c ^ c0]
+times (-1)^(c1 * (r & 1)) (-1)^(c1 * (c & 1)), the target being the
+last kept qubit.  No unitary is applied.  The Pauli entries are 0 and
++-1, so correcting the state and tracing it out sums the same products
+in the same order, up to sign, and negation commutes with rounding:
+every output is that of ``apply_unitary`` + ``reduced_density`` bit
+for bit, except possibly the sign of an exact zero.  No report sees
+that: ``branch_sums`` and sampled tomography add outputs to +0.0, and
+a zero's sign changes no non-zero fidelity.  With Alice's bits wired
+to Bob the coins cancel out of his correction, so the four coin
+branches of an enumerated leaf share one output.  Every exact
+claim reduces an enumeration the same way, through ``branch_sums``:
+Alice's output distribution and the probability-weighted output, in
+total and split by Alice's bits.
 
 The sampled executors walk an outcome tree (``quantum.OutcomeNode``)
 instead of redoing the linear algebra in every trial.  For fixed inputs
@@ -79,7 +95,7 @@ from .quantum import (
     apply_unitary,
     basis_state,
     bell_measure,
-    bell_project,
+    bell_projections,
     measure_project,
     pauli_correction,
     reduced_density,
@@ -238,18 +254,45 @@ def _bob_side(epr: int, w, b, box0, box1):
     return pr_outputs, correction, epr + 1 + 2 * w
 
 
+@lru_cache(maxsize=64)
+def _relabelling(
+    dim: int, correction: tuple[int, int]
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Z^c1 X^c0 on the last qubit of a ``dim``-dim matrix, as indices and signs.
+
+    Conjugating rho by Z^c1 X^c0 gives entry (r, c) = sign[r, c] *
+    rho[r ^ c0, c ^ c0], where sign[r, c] = (-1)^(c1 * (r & 1)) *
+    (-1)^(c1 * (c & 1)).  Returns the (row, column) index arrays that
+    pick rho[r ^ c0, c ^ c0] and the sign matrix.  They are shared
+    between calls, so they are read-only.
+    """
+    c1, c0 = correction
+    rows = np.arange(dim)
+    flips = np.where(c1 * (rows & 1), -1.0, 1.0)
+    picks, sign = np.ix_(rows ^ c0, rows ^ c0), np.outer(flips, flips)
+    for array in (*picks, sign):
+        array.setflags(write=False)
+    return picks, sign
+
+
 def _leaf_output(
     leaf: OutcomeNode, target: int, correction: tuple[int, int], spectators: list[int]
 ) -> DensityMatrix:
     """Correct ``target`` and keep it: the state of ``spectators`` + target.
 
-    Computed once per (target, correction) and kept on the leaf; a leaf
+    One partial trace per target, kept on the leaf; each correction of
+    it is an exact signed relabelling of that matrix, also kept.  A leaf
     belongs to one register, and so to one set of spectators.
     """
     output = leaf.memo.get((target, correction))
     if output is None:
-        corrected = apply_unitary(leaf.state, pauli_correction(*correction), (target,))
-        output = reduced_density(corrected, spectators + [target])
+        if correction == (0, 0):
+            assert all(q < target for q in spectators), "target must be the last kept qubit"
+            output = reduced_density(leaf.state, spectators + [target])
+        else:
+            base = _leaf_output(leaf, target, (0, 0), spectators)
+            picks, sign = _relabelling(2**base.num_qubits, correction)
+            output = DensityMatrix(base.num_qubits, base.matrix[picks] * sign)
         leaf.memo[(target, correction)] = output
     return output
 
@@ -404,6 +447,29 @@ class ChannelBranch:
     output: DensityMatrix
 
 
+_WiringRow = tuple[tuple[int, int], AliceClassicalOutput, tuple[int, int], tuple[int, int], int]
+
+
+@lru_cache(maxsize=1024)
+def _wiring(
+    n: int, w: int, first: BellOutcome, second: BellOutcome, fixed_b: tuple[int, int] | None
+) -> tuple[_WiringRow, ...]:
+    """The classical side of a leaf's four coin branches, computed once.
+
+    One row per coin pair, in ``product`` order: (coins, Alice's output,
+    Bob's box outputs, correction, target), from ``_alice_side`` and
+    ``_bob_side`` on fresh ``PRBox``es.  ``fixed_b=None`` wires Alice's
+    output to Bob.
+    """
+    rows = []
+    for coins in product((0, 1), repeat=2):
+        box0, box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
+        alice_out = AliceClassicalOutput(*_alice_side(first.bits, second.bits, box0, box1))
+        received = alice_out.bits if fixed_b is None else fixed_b
+        rows.append((coins, alice_out, *_bob_side(n, w, received, box0, box1)))
+    return tuple(rows)
+
+
 def channel_branches(
     joint: StateVector,
     inputs: tuple[int, int, int] = (0, 1, 2),
@@ -428,27 +494,21 @@ def channel_branches(
         p_w, after_w = measure_project(extended, q_r, w)
         if after_w is None:
             continue
-        for first in _BELL_OUTCOMES:
-            p1, after_first = bell_project(after_w, (q_apr, n), first)
+        for first, (p1, after_first) in zip(_BELL_OUTCOMES, bell_projections(after_w, (q_apr, n))):
             if after_first is None:
                 continue
-            for second in _BELL_OUTCOMES:
-                p2, after_second = bell_project(after_first, (q_adp, n + 2), second)
+            seconds = bell_projections(after_first, (q_adp, n + 2))
+            for second, (p2, after_second) in zip(_BELL_OUTCOMES, seconds):
                 if after_second is None:
                     continue
                 leaf = OutcomeNode(after_second)
-                for coins in product((0, 1), repeat=2):
-                    box0, box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
-                    alice_out = AliceClassicalOutput(
-                        *_alice_side(first.bits, second.bits, box0, box1)
-                    )
-                    pr_outputs, correction, target = _bob_side(
-                        n, w, alice_out.bits if fixed_b is None else fixed_b, box0, box1
-                    )
-                    rho = _leaf_output(leaf, target, correction, spectators)
+                probability = p_w * p1 * p2 * 0.25
+                for coins, alice_out, pr_outputs, correction, target in _wiring(
+                    n, w, first, second, fixed_b
+                ):
                     branches.append(
                         ChannelBranch(
-                            probability=p_w * p1 * p2 * 0.25,
+                            probability=probability,
                             w=w,
                             first_bell=first,
                             second_bell=second,
@@ -456,7 +516,7 @@ def channel_branches(
                             alice=alice_out,
                             pr_outputs=pr_outputs,
                             correction=correction,
-                            output=rho,
+                            output=_leaf_output(leaf, target, correction, spectators),
                         )
                     )
     return branches

@@ -19,6 +19,7 @@ identities.  Statistical checks elsewhere always run on seeded generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from math import cos, isfinite, sin, sqrt
 from typing import Callable, Iterable, Sequence
@@ -185,6 +186,9 @@ def _bell_vector(bit1: int, bit0: int) -> np.ndarray:
 # Row t*2+s holds B(t, s); used for projections and for dense coding.
 _BELL = np.stack([_bell_vector(i >> 1, i & 1) for i in range(4)])
 _BELL_TENSOR = _BELL.reshape(4, 2, 2)
+# Row i holds <B(i)| as the 1x4 operand np.tensordot makes of it.
+_BELL_BRAS = _BELL_TENSOR.conj().reshape(4, 1, 4)
+_BELL_BRAS.setflags(write=False)
 _BELL_OUTCOMES = tuple(BellOutcome(i >> 1, i & 1) for i in range(4))
 
 
@@ -257,26 +261,50 @@ def _reassemble_bell(
     return StateVector(state.num_qubits, post.reshape(-1))
 
 
+@lru_cache(maxsize=64)
+def _pair_first(num_qubits: int, pair: tuple[int, int]) -> tuple[int, ...]:
+    """Axis order with ``pair`` first and the other qubits after, in order."""
+    return (*pair, *(q for q in range(num_qubits) if q not in pair))
+
+
+def bell_projections(
+    state: StateVector, pair: Sequence[int]
+) -> list[tuple[float, StateVector | None]]:
+    """Probability and collapsed state for each forced Bell outcome, by index.
+
+    Entry ``i`` is for outcome 2*bit1 + bit0 = i; its state is ``None``
+    when the outcome has (numerically) zero probability.  The state is
+    transposed into one 4xM operand, the pair's axes first, once for all
+    four outcomes; each outcome's amplitudes are then the same
+    ``np.dot(<B(i)| as 1x4, operand)`` that ``np.tensordot`` computes
+    for one outcome alone, so every float is that of a separate
+    projection.  The four bras are not stacked into one 4x4 product,
+    which need not round the same.  Used by exact branch enumeration.
+    """
+    p0, p1 = pair
+    if p0 == p1:
+        raise ValueError("pair indices must be distinct")
+    _check_targets(state, [p0, p1])
+    n = state.num_qubits
+    operand = state.as_tensor().transpose(_pair_first(n, (p0, p1))).reshape(4, -1)
+    projections = []
+    for index in range(4):
+        coeffs = np.dot(_BELL_BRAS[index], operand).reshape((2,) * (n - 2))
+        prob = float(np.sum(np.abs(coeffs) ** 2))
+        post = None if prob < PROB_FLOOR else _reassemble_bell(state, pair, index, coeffs, prob)
+        projections.append((prob, post))
+    return projections
+
+
 def bell_project(
     state: StateVector, pair: Sequence[int], outcome: BellOutcome
 ) -> tuple[float, StateVector | None]:
     """Probability and collapsed state for one forced Bell outcome.
 
     Returns ``(prob, None)`` when the outcome has (numerically) zero
-    probability.  Used by exact branch enumeration.
+    probability.  The entry of ``bell_projections`` for ``outcome``.
     """
-    p0, p1 = pair
-    if p0 == p1:
-        raise ValueError("pair indices must be distinct")
-    _check_targets(state, [p0, p1])
-    psi = state.as_tensor()
-    coeffs = np.tensordot(
-        _BELL_TENSOR[outcome.index].conj(), psi, axes=([0, 1], [p0, p1])
-    )
-    prob = float(np.sum(np.abs(coeffs) ** 2))
-    if prob < PROB_FLOOR:
-        return prob, None
-    return prob, _reassemble_bell(state, pair, outcome.index, coeffs, prob)
+    return bell_projections(state, pair)[outcome.index]
 
 
 def _choose(rng: np.random.Generator, weights: list[float], total: float) -> int:
@@ -397,18 +425,20 @@ class OutcomeNode:
         outcomes = np.zeros((trials, depth), dtype=np.intp)
         ends = np.zeros(trials, dtype=np.intp)
         nodes: list[OutcomeNode] = []
-
-        def descend(node: OutcomeNode, rows: np.ndarray, level: int) -> None:
+        # depth first, lowest outcome first; a loop, not a recursive
+        # closure, whose reference cycle would hold the block's arrays
+        # until the cyclic garbage collector ran
+        stack = [(self, np.arange(trials), 0)]
+        while stack:
+            node, rows, level = stack.pop()
             if level == depth:
                 ends[rows] = len(nodes)
                 nodes.append(node)
-                return
+                continue
             picks = node.pick(uniforms[rows, level])
             outcomes[rows, level] = picks
-            for index in np.flatnonzero(np.bincount(picks)).tolist():
-                descend(node.child(index), rows[picks == index], level + 1)
-
-        descend(self, np.arange(trials), 0)
+            for index in reversed(np.flatnonzero(np.bincount(picks)).tolist()):
+                stack.append((node.child(index), rows[picks == index], level + 1))
         return outcomes, ends, nodes
 
 

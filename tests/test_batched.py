@@ -3,7 +3,9 @@ batched outcome-tree walk, and every batched report path against the
 single-trial reference executor it replaces, trial for trial."""
 from __future__ import annotations
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -139,6 +141,22 @@ class TestBatchedWalk:
                 path.append(index)
             assert outcomes[trial].tolist() == path
             assert leaves[ends[trial]] is node  # the scalar walk's cached leaf
+
+    def test_walk_is_depth_first_and_frees_its_arrays_without_gc(self):
+        probe = tensor([*_states(3), KET_PLUS])
+        tree = _channel_tree(4, probe.amplitudes.tobytes(), (0, 1, 2))
+        uniforms = word_uniform(stream_words(3, np.arange(500, dtype=np.uint64), 3))
+        gc.disable()
+        try:
+            outcomes, ends, leaves = tree.walk(uniforms)
+            paths = [tuple(outcomes[ends == i][0].tolist()) for i in range(len(leaves))]
+            assert len(paths) > 1 and paths == sorted(set(paths))
+            # no reference cycle keeps a block's arrays until a collection
+            refs = [weakref.ref(array) for array in (uniforms, outcomes, ends)]
+            del uniforms, outcomes, ends
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 def _scalar_qrac(config: ExperimentConfig, dense: bool):

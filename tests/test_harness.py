@@ -4,7 +4,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from math import pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,9 @@ from hypothesis import strategies as st
 
 import jsonschema
 
-from qracbox.cli import main
+import qracbox
+from qracbox import harness
+from qracbox.cli import build_parser, main
 from qracbox.harness import (
     ConfigError,
     ExperimentConfig,
@@ -262,6 +268,29 @@ class TestRunExperiment:
         assert lines[0] == "trial,w,a1,a0,fidelity"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize(
+        "experiment,trials", [("qrac", 5), ("qrac-qubit-only", 5), ("racbox", 1000)]
+    )
+    def test_rows_built_only_for_a_csv(self, monkeypatch, tmp_path, experiment, trials):
+        seen = []
+        run = harness._DISPATCH[experiment]
+
+        def spy(config, with_rows):
+            result = run(config, with_rows)
+            seen.append((with_rows, result[4]))
+            return result
+
+        monkeypatch.setitem(harness._DISPATCH, experiment, spy)
+        config = ExperimentConfig(experiment=experiment, seed=5, trials=trials)
+        path = tmp_path / "rows.csv"
+        bare = run_experiment(config)
+        with_csv = run_experiment(config, csv_path=str(path))
+        assert canonical_json(bare) == canonical_json(with_csv)
+        (bare_flag, bare_rows), (csv_flag, csv_rows) = seen
+        assert (bare_flag, bare_rows, csv_flag) == (False, [], True)
+        assert len(csv_rows) == trials
+        assert len(path.read_text().splitlines()) == trials + 1
+
 
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
@@ -377,6 +406,26 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["run", "--config", str(cfg)]) == 3
+
+    def test_reused_parser_matches_fresh_processes(self, capsys):
+        # a usage error, a valid run, then another subcommand, on the one
+        # parser this process builds; each must print what a new process does
+        runs = [
+            ["tomography", "--seed", "1", "--frobnicate"],
+            ["run", "--experiment", "qrac", "--seed", "4", "--trials", "3"],
+            ["mixture", "--seed", "2", "--alpha-sq", "0.5"],
+        ]
+        src = str(Path(qracbox.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv, expected_code in zip(runs, (3, 0, 0)):
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "qracbox", *argv], capture_output=True, text=True, env=env
+            )
+            assert code == expected_code
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert build_parser() is build_parser()
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_path_is_config_error(self, tmp_path, capsys, flag):
