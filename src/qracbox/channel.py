@@ -155,6 +155,8 @@ def tomography(
     if mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled tomography needs trials and seed")
+        if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
+            raise ValueError("sampled tomography needs an integer number of trials >= 1")
         total = np.zeros((D_IN * D_OUT, D_IN * D_OUT), dtype=complex)
         for block in trial_blocks(trials):
             ids, outputs = sample_channel_block(probe, stream_words(seed, block, 4), (3, 4, 5))
@@ -263,7 +265,11 @@ class Dilation:
         return np.einsum("ok,ol->kl", table.conj(), table)
 
 
-def build_dilation(choi: ChoiMatrix, *, rank_tol: float = 1e-12) -> Dilation:
+# Choi eigenvalues at or below this are rounding noise, not Kraus operators
+_RANK_TOL = 1e-12
+
+
+def build_dilation(choi: ChoiMatrix) -> Dilation:
     """Standard isometric dilation from the Choi eigendecomposition.
 
     The environment dimension is the Choi rank; any valid dilation would
@@ -272,7 +278,7 @@ def build_dilation(choi: ChoiMatrix, *, rank_tol: float = 1e-12) -> Dilation:
     if choi.min_eigenvalue() < -1e-8 or not choi.is_trace_preserving(1e-8):
         raise ValueError("dilation needs a CPTP Choi matrix")
     evals, evecs = np.linalg.eigh(choi.matrix)
-    kept = [k for k in range(len(evals)) if evals[k] > rank_tol]
+    kept = [k for k in range(len(evals)) if evals[k] > _RANK_TOL]
     env_dim = len(kept)
     v = np.zeros((choi.d_out * env_dim, choi.d_in), dtype=complex)
     for slot, k in enumerate(kept):

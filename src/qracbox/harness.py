@@ -232,18 +232,11 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "trials": self.trials,
-            "mode": self.mode,
-            "psi": self.psi,
-            "phi": self.phi,
-            "omega": self.omega,
-            "alpha": list(self.alpha) if self.alpha is not None else None,
-            "beta": list(self.beta) if self.beta is not None else None,
-            "out": self.out,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key in ("alpha", "beta"):
+            if data[key] is not None:
+                data[key] = list(data[key])
+        return data
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +297,15 @@ class RacRoundResult:
     w: int
 
 
-def run_rac_protocol(
-    a0: int,
-    a1: int,
-    w: int,
-    rng: np.random.Generator | None = None,
-    *,
-    coin: int | None = None,
-) -> RacRoundResult:
+def run_rac_protocol(a0: int, a1: int, w: int, rng: np.random.Generator) -> RacRoundResult:
     """One metered classical RAC round: Alice's masked bit is the only message.
 
-    The single-trial reference executor of ``racbox``: trial i of a
-    report is this round on ``fair_bits(make_rng(seed, i), 4)``, which
-    are (a0, a1, w, coin).
+    The box coin is ``int(rng.integers(2))``.  The single-trial reference
+    executor of ``racbox``: trial i of a report is this round with
+    ``rng = make_rng(seed, i)`` after three ``int(rng.integers(2))``
+    draws, which are (a0, a1, w).
     """
-    played = rac_round(a0, a1, w, rng, coin=coin)
+    played = rac_round(a0, a1, w, rng)
     channel = MeteredChannel()
     channel.send("A->B", "classical-bit", "m", played.message)
     return RacRoundResult(played.output, channel.transcript(), a0, a1, w)

@@ -74,16 +74,15 @@ QUBIT_ONLY_BUDGET = Tally(qubits_a_to_b=1)
 RACBOX_BUDGET = Tally(bits_a_to_b=1)
 
 
+# the Tally fields, in order, by message route
+_ROUTES = (("A->B", "classical-bit"), ("B->A", "classical-bit"), ("A->B", "qubit"), ("B->A", "qubit"))
+
+
 def aggregate(messages: tuple[Message, ...]) -> Tally:
-    counts = {(d, k): 0 for d in DIRECTIONS for k in KINDS}
+    counts = [0] * len(_ROUTES)
     for m in messages:
-        counts[(m.direction, m.kind)] += 1
-    return Tally(
-        bits_a_to_b=counts[("A->B", "classical-bit")],
-        bits_b_to_a=counts[("B->A", "classical-bit")],
-        qubits_a_to_b=counts[("A->B", "qubit")],
-        qubits_b_to_a=counts[("B->A", "qubit")],
-    )
+        counts[_ROUTES.index((m.direction, m.kind))] += 1
+    return Tally(*counts)
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,6 @@ class MeteredChannel:
 
     def transcript(self) -> RoundTranscript:
         return RoundTranscript.from_messages(tuple(self._log))
-
-
-# the Tally fields, in order, by message route
-_ROUTES = (("A->B", "classical-bit"), ("B->A", "classical-bit"), ("A->B", "qubit"), ("B->A", "qubit"))
 
 
 class MeteredBatch:

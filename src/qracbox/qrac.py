@@ -101,7 +101,7 @@ from .quantum import (
     reduced_density,
     tensor,
 )
-from .rng import bit_columns, fair_bits, word_uniform
+from .rng import bit_columns, word_uniform
 
 A_PRIME, A_DPRIME, EPR1_ALICE, EPR1_BOB, EPR2_ALICE, EPR2_BOB = range(6)
 
@@ -183,9 +183,9 @@ class QracResources:
 
     def __init__(self, rng: np.random.Generator, *, coins: tuple[int, int] | None = None):
         self.rng = rng
-        coin0, coin1 = fair_bits(rng, 2) if coins is None else coins
-        self.box0 = PRBox(coin=coin0)
-        self.box1 = PRBox(coin=coin1)
+        coin0, coin1 = (None, None) if coins is None else coins
+        self.box0 = PRBox(rng, coin=coin0)
+        self.box1 = PRBox(rng, coin=coin1)
         self.leaf: OutcomeNode | None = None
         self.alice_done = False
         self.bob_done = False
@@ -558,15 +558,15 @@ def sample_channel(
     """
     n = joint.num_qubits
     spectators = _spectators(n, inputs)
+    fixed_b = None if b is None else _as_bits(b)
     w, node = _channel_tree(n, joint.amplitudes.tobytes(), tuple(inputs)).draw(rng)
     first, node = node.draw(rng)
     second, leaf = node.draw(rng)
-    coin0, coin1 = fair_bits(rng, 2)
-    box0, box1 = PRBox(coin=coin0), PRBox(coin=coin1)
+    box0, box1 = PRBox(rng), PRBox(rng)
     alice_out = AliceClassicalOutput(
         *_alice_side(_bell_bits(first), _bell_bits(second), box0, box1)
     )
-    received = alice_out.bits if b is None else _as_bits(b)
+    received = alice_out.bits if fixed_b is None else fixed_b
     _, correction, target = _bob_side(n, w, received, box0, box1)
     return w, alice_out, _leaf_output(leaf, target, correction, spectators)
 

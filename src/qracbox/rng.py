@@ -28,46 +28,28 @@ racbox inputs) and a uniform in [0, 1) by ``word_uniform`` (one per
 measurement), the rules of ``int(rng.integers(2))`` and ``rng.random()``
 in numpy 2: ``integers(2)`` takes the top bit of the next 32-bit draw,
 a bit generator spends a word low half first, and ``random()`` keeps
-the top 53 bits of a whole word.  ``fair_bits`` draws bits from a
-generator by the same rule, which matches as many ``integers(2)`` calls
-only while no half word is buffered: after any even number of
-``integers(2)`` calls and any number of ``random()`` calls.
+the top 53 bits of a whole word.
 
 Reports are computed in blocks of ``TRIAL_BLOCK`` trials, and any trial
 of a per-trial stream can be replayed alone by the single-trial
 executors (``harness.run_qrac_protocol``, ``harness.run_rac_protocol``,
-``qrac.sample_channel``) on ``make_rng(seed, i)``.  The tests pin
-``stream_words`` to ``np.random.Philox`` and the two rules to numpy's
-draws, so a numpy that changed Philox would fail a test instead of
-silently changing reports.
+``qrac.sample_channel``) on ``make_rng(seed, i)``.  Those are plain
+reference code: they draw through numpy's ``Generator`` API, a coin
+with ``integers(2)`` and a measurement with ``random()``, and share no
+word rule with the batched executors.  The tests pin ``stream_words`` to
+``np.random.Philox`` and the two word rules to those draws, so a numpy
+that changed Philox would fail a test instead of silently changing
+reports.
 """
 from __future__ import annotations
 
 from typing import Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # trials computed together by the batched executors: it bounds the size
 # of every intermediate array of a report
 TRIAL_BLOCK = 4096
-
-
-class _PhiloxKey(ISeedSequence):
-    """Hands Philox its (seed, stream) key as-is.
-
-    ``Philox(key=...)`` would first seed itself from OS entropy, on every
-    call, and then overwrite that state with the key; this gives the same
-    key, counter and state without the entropy draw.
-    """
-
-    __slots__ = ("_key",)
-
-    def __init__(self, seed: int, stream: int):
-        self._key = np.array([seed, stream], dtype=np.uint64)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._key
 
 
 def _word(value, name: str) -> int:
@@ -80,8 +62,8 @@ def _word(value, name: str) -> int:
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for the Philox stream keyed (seed, stream)."""
-    key = _PhiloxKey(_word(seed, "seed"), _word(stream, "stream"))
-    return np.random.Generator(np.random.Philox(key))
+    key = np.array([_word(seed, "seed"), _word(stream, "stream")], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def word_bits(word):
@@ -98,22 +80,8 @@ def word_uniform(word):
     return (word >> 11) * (1.0 / 9007199254740992.0)
 
 
-def fair_bits(rng: np.random.Generator, count: int) -> list[int]:
-    """``count`` successive ``int(rng.integers(2))`` draws, for an even count.
-
-    Each raw word yields two bits by ``word_bits``.  ``rng`` must hold no
-    buffered half word (see the module docstring).
-    """
-    if count % 2:
-        raise ValueError("fair_bits draws two bits per word; count must be even")
-    bits = []
-    for word in rng.bit_generator.random_raw(count // 2).tolist():
-        bits += word_bits(word)
-    return bits
-
-
 def bit_columns(words: np.ndarray) -> np.ndarray:
-    """Each row's words as fair bits in ``fair_bits`` order, as int columns."""
+    """Each row's words as fair bits, two a word by ``word_bits``, as int columns."""
     low, high = word_bits(words)
     return np.stack([low, high], axis=-1).reshape(len(words), -1).astype(np.intp)
 

@@ -20,7 +20,7 @@ from qracbox.harness import (
     run_qrac_protocol,
     run_rac_protocol,
 )
-from qracbox.metering import MeteredBatch, ProtocolError, Tally
+from qracbox.metering import MeteredBatch, MeteredChannel, ProtocolError, Tally
 from qracbox.qrac import (
     _alice_tree,
     _channel_tree,
@@ -38,7 +38,7 @@ from qracbox.quantum import (
     haar_random_qubit,
     tensor,
 )
-from qracbox.rng import fair_bits, make_rng, stream_words, word_bits, word_uniform
+from qracbox.rng import make_rng, stream_words, word_bits, word_uniform
 
 KEYS = [0, 1, 2**32, 2**63, 2**64 - 1]
 SEEDS = [0, 5, 2**64 - 1]
@@ -96,7 +96,6 @@ class TestWordRules:
         expected = [int(ref.integers(2)) for _ in range(200)]
         low, high = word_bits(words)
         assert np.stack([low, high], axis=1).reshape(-1).tolist() == expected
-        assert fair_bits(make_rng(seed, 4), 200) == expected
 
 
 class TestBatchedWalk:
@@ -218,8 +217,9 @@ class TestReportsEqualTheScalarExecutor:
         metrics, checks, tallies, _, rows = harness._exp_racbox(config)
         ref_rows = []
         for trial in range(trials):
-            a0, a1, w, coin = fair_bits(make_rng(seed, trial), 4)
-            result = run_rac_protocol(a0, a1, w, coin=coin)
+            rng = make_rng(seed, trial)
+            a0, a1, w = (int(rng.integers(2)) for _ in range(3))
+            result = run_rac_protocol(a0, a1, w, rng)
             ok = result.output == (a0 if w == 0 else a1)
             ref_rows.append([trial, a0, a1, w, result.output, int(ok)])
         assert rows == ref_rows
@@ -324,6 +324,37 @@ class TestBudgetStillFails:
         config = ExperimentConfig(experiment="qrac-qubit-only", seed=1, trials=10)
         with pytest.raises(ProtocolError, match="dense decoding disagreed .* trial 1$"):
             harness._exp_qrac(config, dense=True)
+
+
+# experiment -> its trials: each report at or above its floor, so all pass
+REPORT_TRIALS = {
+    "qrac": 20,
+    "qrac-qubit-only": 20,
+    "racbox": 1000,
+    "tomography": 1000,
+    "mixture": 1,
+    "nonsignaling": 10**4,
+    "dilation": 10,
+}
+
+
+class TestReportsRunBatched:
+    """No report plays a round on the single-trial path: those executors are
+    references for the tests, so a report must not depend on them."""
+
+    @pytest.mark.parametrize("mode", ["branch-exact", "sampled"])
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_report_never_draws_one_trial_or_meters_one_round(
+        self, experiment, mode, monkeypatch, capsys
+    ):
+        def per_trial(*args, **kwargs):
+            raise AssertionError("a report reached the single-trial path")
+
+        monkeypatch.setattr(OutcomeNode, "draw", per_trial)
+        monkeypatch.setattr(MeteredChannel, "send", per_trial)
+        argv = ["run", "--experiment", experiment, "--mode", mode, "--seed", "7"]
+        assert main([*argv, "--trials", str(REPORT_TRIALS[experiment])]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestOverflowingAmpSpec:

@@ -83,6 +83,11 @@ class TestTomography:
         with pytest.raises(ValueError):
             tomography(mode="sampled")
 
+    @pytest.mark.parametrize("trials", [0, -5, 2.5, True])
+    def test_sampled_mode_rejects_a_bad_trial_count(self, trials):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            tomography(mode="sampled", trials=trials, seed=0)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             tomography(mode="exactish")

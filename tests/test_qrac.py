@@ -322,6 +322,15 @@ class TestSampledChannel:
         with pytest.raises(ValueError, match="input register"):
             execute(tensor([KET0] * 3), inputs)
 
+    def test_bad_b_rejected_before_any_draw(self):
+        rng = make_rng(16)
+        with pytest.raises(ValueError, match="b1 must be 0 or 1"):
+            sample_channel(tensor([KET0, KET1, KET0]), rng, b=(2, 0))
+        # the stream is where a fresh one starts: no word and no half word spent
+        assert rng.bit_generator.state["has_uint32"] == 0
+        fresh = make_rng(16).bit_generator.random_raw(8)
+        assert np.array_equal(rng.bit_generator.random_raw(8), fresh)
+
     def test_fixed_b_sampling(self):
         joint = tensor([KET0, KET1, KET0])
         rng = make_rng(15)

@@ -1,5 +1,5 @@
-"""Tests for the random streams: keyed Philox, paired fair bits, and the
-executors that draw from them, each against the per-call draws it replaces."""
+"""Tests for the random streams: keyed Philox, fair bits two to a raw word,
+and the executors that draw from them, each against numpy's per-call draws."""
 from __future__ import annotations
 
 import numpy as np
@@ -12,7 +12,7 @@ from qracbox.harness import ExperimentConfig, run_qrac_protocol, run_rac_protoco
 from qracbox.metering import MeteredBatch
 from qracbox.qrac import QracResources, qrac_alice, qrac_bob, sample_alice_output
 from qracbox.quantum import haar_random_qubit, measure_computational
-from qracbox.rng import fair_bits, make_rng
+from qracbox.rng import bit_columns, make_rng
 
 WORDS = [0, 1, 2**32, 2**63, 2**64 - 1]
 SEEDS = [0, 5, 42]
@@ -26,7 +26,7 @@ def _assert_same_state(a: np.random.Generator, b: np.random.Generator) -> None:
     """Equal bit-generator states, neither holding a buffered half word.
 
     ``uinteger`` (the buffered half) is only read while ``has_uint32`` is
-    1; ``integers(2)`` leaves a spent half there and ``fair_bits`` does
+    1; ``integers(2)`` leaves a spent half there and a raw-word draw does
     not, so it is left out, and the next draws show it is never read.
     """
     sa, sb = a.bit_generator.state, b.bit_generator.state
@@ -72,7 +72,15 @@ class TestMakeRng:
             make_rng(0, bad)
 
 
+def _word_bits(rng: np.random.Generator, count: int) -> list[int]:
+    """``count`` fair bits from the generator's next ``count // 2`` raw words."""
+    return bit_columns(rng.bit_generator.random_raw((1, count // 2)))[0].tolist()
+
+
 class TestFairBits:
+    """Two fair bits a raw word (``bit_columns``), the rule of the batched
+    coins and of the privacy check's PCG64 coins, against ``integers(2)``."""
+
     @pytest.mark.parametrize("count", [0, 2, 4, 10, 64])
     @pytest.mark.parametrize(
         "factory",
@@ -82,7 +90,7 @@ class TestFairBits:
     def test_equals_successive_integers_draws(self, count, factory):
         for seed in range(40):
             ours, ref = factory(seed), factory(seed)
-            assert fair_bits(ours, count) == _old_bits(ref, count)
+            assert _word_bits(ours, count) == _old_bits(ref, count)
             _assert_same_state(ours, ref)
 
     @pytest.mark.parametrize("factory", [make_rng, np.random.default_rng], ids=["philox", "pcg64"])
@@ -90,18 +98,13 @@ class TestFairBits:
         # one sampled non-signaling trial: two coins, then two uniforms
         ours, ref = factory(9), factory(9)
         for _ in range(500):
-            assert fair_bits(ours, 2) == _old_bits(ref, 2)
+            assert _word_bits(ours, 2) == _old_bits(ref, 2)
             assert (ours.random(), ours.random()) == (ref.random(), ref.random())
         _assert_same_state(ours, ref)
 
     def test_both_values_of_each_half_occur(self):
-        bits = np.array(fair_bits(make_rng(3), 4000)).reshape(-1, 2)
+        bits = np.array(_word_bits(make_rng(3), 4000)).reshape(-1, 2)
         assert set(map(tuple, bits)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-    @pytest.mark.parametrize("count", [1, 3, 7])
-    def test_odd_count_rejected(self, count):
-        with pytest.raises(ValueError, match="even"):
-            fair_bits(make_rng(0), count)
 
 
 def _old_privacy_rounds(trials: int, seed: int) -> list[RacRound]:
