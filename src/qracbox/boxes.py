@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .metering import ProtocolError
-from .rng import bit_columns, trial_blocks
+from .rng import bit_columns, trial_blocks, trial_count
 
 
 def check(name: str, passed: bool, value: float | None, tolerance: float | None) -> dict:
@@ -193,8 +193,7 @@ def verify_rac_privacy(trials: int, seed: int) -> dict:
     independent of w.  Sampled part: the same comparisons from `trials`
     seeded rounds, with total variation tolerance 0.02.
     """
-    if trials < 10**3:
-        raise ValueError("privacy verification needs at least 1000 trials")
+    trials = trial_count(trials, 10**3, "privacy verification")
 
     exact_bob_tv = max(
         tv_distance(_bob_view_dist_exact(w, a_w, 0), _bob_view_dist_exact(w, a_w, 1))

@@ -12,6 +12,18 @@ superposed choice, and orthogonality of the dilation residuals.  Every
 exact claim comes from one enumeration of the box's branches
 (``qrac.channel_branches``) reduced by ``qrac.branch_sums``.
 
+Two of those enumerations have inputs that depend on nothing: the
+maximally entangled probe behind ``tomography()`` and ``subchannels()``
+(``_probe_sums``), and the default (|+>, |->) contrast pair of
+``verify_nonsignaling`` with omega in {|0>, |1>, |+>}
+(``_default_contrast``).  Each is made once per process, on first use,
+and its arrays are shared read-only; every ``ChoiMatrix`` built from
+them is still a validated copy.  So the saving is for a process that
+makes several exact reports; one that makes a single report enumerates
+as often as before and saves only the ``np.kron`` work the dilation's
+pair loop no longer does.  A test that changes the box's wiring must
+call ``_probe_sums.cache_clear()`` and ``_default_contrast.cache_clear()``.
+
 Choi convention: index (i*d_out + o), i.e. J = sum_ij |i><j| (x)
 L(|i><j|), so the partial trace over the output equals the identity on
 the input space exactly when the channel is trace preserving.
@@ -19,7 +31,9 @@ the input space exactly when the channel is trace preserving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import sqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,7 +48,7 @@ from .quantum import (
     tensor,
     trace_distance,
 )
-from .rng import make_rng, stream_words, trial_blocks
+from .rng import make_rng, stream_words, trial_blocks, trial_count
 
 D_IN = 8
 D_OUT = 2
@@ -135,6 +149,18 @@ def _entangled_probe() -> StateVector:
     return StateVector(6, amps)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=1)
+def _probe_sums() -> tuple[np.ndarray, MappingProxyType]:
+    """The probe enumeration's output sum and per-bits sums, read-only."""
+    _, total, parts = branch_sums(channel_branches(_entangled_probe(), (3, 4, 5)), D_IN)
+    return _read_only(total), MappingProxyType({k: _read_only(m) for k, m in parts.items()})
+
+
 def tomography(
     mode: str = "branch-exact",
     *,
@@ -148,15 +174,13 @@ def tomography(
     runs and exists to exercise the statistical harness (its validation
     tolerance scales as 1/sqrt(trials)).
     """
-    probe = _entangled_probe()
     if mode == "branch-exact":
-        _, total, _ = branch_sums(channel_branches(probe, (3, 4, 5)), D_IN)
-        return ChoiMatrix(D_IN, D_OUT, total)
+        return ChoiMatrix(D_IN, D_OUT, _probe_sums()[0])
     if mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled tomography needs trials and seed")
-        if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
-            raise ValueError("sampled tomography needs an integer number of trials >= 1")
+        trials = trial_count(trials, 1, "sampled tomography")
+        probe = _entangled_probe()
         total = np.zeros((D_IN * D_OUT, D_IN * D_OUT), dtype=complex)
         for block in trial_blocks(trials):
             ids, outputs = sample_channel_block(probe, stream_words(seed, block, 4), (3, 4, 5))
@@ -169,7 +193,7 @@ def tomography(
 
 def subchannels() -> SubchannelSet:
     """Branch-exact reconstruction of the four conditioned subchannels."""
-    _, total, parts = branch_sums(channel_branches(_entangled_probe(), (3, 4, 5)), D_IN)
+    total, parts = _probe_sums()
     return SubchannelSet(
         total=ChoiMatrix(D_IN, D_OUT, total),
         parts={key: ChoiMatrix(D_IN, D_OUT, mat) for key, mat in parts.items()},
@@ -305,8 +329,10 @@ def environment_orthogonality_check(
     """
     residuals = []
     purities = []
+    # the products of np.kron(np.kron(psi, phi), choice), without its reshaping
+    pair = np.multiply.outer(psi.amplitudes, phi.amplitudes)
     for choice in (KET0, KET1):
-        vec = np.kron(np.kron(psi.amplitudes, phi.amplitudes), choice.amplitudes)
+        vec = np.multiply.outer(pair, choice.amplitudes).reshape(-1)
         env = dil.environment_state(vec)
         chi, top = _principal_state(env)
         residuals.append(chi)
@@ -325,6 +351,25 @@ def environment_orthogonality_check(
         },
         "checks": checks,
     }
+
+
+def _withheld(pair: tuple[StateVector, StateVector]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Alice's distribution and Bob's output for ``pair`` with Bob's bits fixed.
+
+    One (distribution, output) per choice omega in |0>, |1>, |+>.
+    """
+    return tuple(
+        branch_sums(channel_branches(tensor([*pair, omega]), b=(0, 0)))[:2]
+        for omega in (KET0, KET1, KET_PLUS)
+    )
+
+
+@lru_cache(maxsize=1)
+def _default_contrast() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``_withheld`` of the default contrast pair (|+>, |->), read-only."""
+    return tuple(
+        (_read_only(dist), _read_only(total)) for dist, total in _withheld((KET_PLUS, KET_MINUS))
+    )
 
 
 def verify_nonsignaling(
@@ -346,24 +391,17 @@ def verify_nonsignaling(
     """
     if mode not in ("branch-exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and trials < 10**4:
-        raise ValueError("sampled non-signaling verification needs >= 1e4 trials")
-    if contrast_pair is None:
-        contrast_pair = (KET_PLUS, KET_MINUS)
+    if mode == "sampled":
+        trials = trial_count(trials, 10**4, "sampled non-signaling verification")
 
     # a fixed b changes no branch probability and no Alice bit, so the
     # withheld enumerations of (psi, phi) also give Alice's distributions
-    own, contrast = [
-        [
-            branch_sums(channel_branches(tensor([*pair, omega]), b=(0, 0)))
-            for omega in (KET0, KET1, KET_PLUS)
-        ]
-        for pair in ((psi, phi), contrast_pair)
-    ]
+    own = _withheld((psi, phi))
+    contrast = _default_contrast() if contrast_pair is None else _withheld(contrast_pair)
     exact_tv = max(
         tv_distance(own[i][0], own[j][0]) for i in range(3) for j in range(i + 1, 3)
     )
-    withheld_distance = max(trace_distance(total, _MIXED) for _, total, _ in own + contrast)
+    withheld_distance = max(trace_distance(total, _MIXED) for _, total in own + contrast)
 
     checks = [
         check("alice-distribution-exact", exact_tv <= 1e-12, exact_tv, 1e-12),

@@ -501,15 +501,16 @@ def _exp_tomography(config: ExperimentConfig) -> tuple[dict, list, Tally, list, 
         choi = tomography(mode="sampled", trials=config.trials, seed=config.seed)
         exact = tomography()
         deviation = float(np.max(np.abs(choi.matrix - exact.matrix)))
+        tp_defect = choi.tp_defect()
         checks = [
             check("sampled-trials-sufficient", config.trials >= 1000, float(config.trials), 1000.0),
-            check("choi-trace-preserving", choi.tp_defect() <= choi.atol, choi.tp_defect(), choi.atol),
+            check("choi-trace-preserving", tp_defect <= choi.atol, tp_defect, choi.atol),
         ]
         metrics = {
             "mode": "sampled",
             "trials": config.trials,
             "min_eigenvalue": choi.min_eigenvalue(),
-            "tp_defect": choi.tp_defect(),
+            "tp_defect": tp_defect,
             "deviation_from_exact": deviation,
             "statistical_tolerance": choi.atol,
             "choi": choi.to_json_dict(),
@@ -518,26 +519,24 @@ def _exp_tomography(config: ExperimentConfig) -> tuple[dict, list, Tally, list, 
 
     decomposition = subchannels()
     choi = decomposition.total
+    min_eigenvalue = choi.min_eigenvalue()
+    tp_defect = choi.tp_defect()
+    decomposition_defect = decomposition.decomposition_defect()
     weight_defect = max(
         float(np.max(np.abs(part.input_trace() - np.eye(8) / 4)))
         for part in decomposition.parts.values()
     )
     checks = [
-        check("choi-psd", choi.min_eigenvalue() >= -1e-8, choi.min_eigenvalue(), 1e-8),
-        check("choi-trace-preserving", choi.tp_defect() <= 1e-8, choi.tp_defect(), 1e-8),
-        check(
-            "subchannel-decomposition",
-            decomposition.decomposition_defect() <= 1e-8,
-            decomposition.decomposition_defect(),
-            1e-8,
-        ),
+        check("choi-psd", min_eigenvalue >= -1e-8, min_eigenvalue, 1e-8),
+        check("choi-trace-preserving", tp_defect <= 1e-8, tp_defect, 1e-8),
+        check("subchannel-decomposition", decomposition_defect <= 1e-8, decomposition_defect, 1e-8),
         check("subchannel-weights", weight_defect <= 1e-8, weight_defect, 1e-8),
     ]
     metrics = {
         "mode": "branch-exact",
-        "min_eigenvalue": choi.min_eigenvalue(),
-        "tp_defect": choi.tp_defect(),
-        "decomposition_defect": decomposition.decomposition_defect(),
+        "min_eigenvalue": min_eigenvalue,
+        "tp_defect": tp_defect,
+        "decomposition_defect": decomposition_defect,
         "subchannel_weight_defect": weight_defect,
         "choi": choi.to_json_dict(),
     }

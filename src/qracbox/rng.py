@@ -86,6 +86,13 @@ def bit_columns(words: np.ndarray) -> np.ndarray:
     return np.stack([low, high], axis=-1).reshape(len(words), -1).astype(np.intp)
 
 
+def trial_count(trials, floor: int, what: str) -> int:
+    """``trials`` as a Python int, if it is an integer >= ``floor``; else ValueError."""
+    if isinstance(trials, (int, np.integer)) and not isinstance(trials, bool) and trials >= floor:
+        return int(trials)
+    raise ValueError(f"{what} needs an integer number of trials >= {floor}")
+
+
 def trial_blocks(count: int) -> Iterator[np.ndarray]:
     """Trials 0 .. count-1 as consecutive uint64 blocks of ``TRIAL_BLOCK``."""
     block = TRIAL_BLOCK

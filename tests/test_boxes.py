@@ -123,6 +123,11 @@ class TestRacPrivacy:
         with pytest.raises(ValueError):
             verify_rac_privacy(trials=10, seed=0)
 
+    @pytest.mark.parametrize("trials", [1000.5, float("nan"), 2000.0, "2000"])
+    def test_non_integer_trial_count_rejected(self, trials):
+        with pytest.raises(ValueError, match="integer number of trials >= 1000"):
+            verify_rac_privacy(trials, 0)
+
 
 class TestTvDistance:
     def test_disjoint_distributions(self):

@@ -1,18 +1,27 @@
 """Tests for tomography, channel structure, mixtures, and dilations."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qracbox
+from qracbox import channel as channel_module
 from qracbox.boxes import tv_distance
 from qracbox.channel import (
     D_IN,
     ChoiMatrix,
     Dilation,
     SubchannelSet,
+    _default_contrast,
     _entangled_probe,
+    _principal_state,
+    _probe_sums,
     build_dilation,
     environment_orthogonality_check,
     mixture_check,
@@ -257,6 +266,11 @@ class TestNonsignaling:
         with pytest.raises(ValueError):
             verify_nonsignaling(trials=100, seed=0, mode="sampled")
 
+    @pytest.mark.parametrize("trials", [10000.5, float("nan"), 20000.0, "20000"])
+    def test_sampled_mode_rejects_a_non_integer_trial_count(self, trials):
+        with pytest.raises(ValueError, match="integer number of trials >= 10000"):
+            verify_nonsignaling(trials, 0, "sampled")
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             verify_nonsignaling(trials=0, seed=0, mode="guess")
@@ -363,3 +377,111 @@ class TestNonsignalingReference:
     )
     def test_named_pairs(self, psi, phi, contrast):
         self._assert_matches_reference(psi, phi, contrast)
+
+
+def _reference_orthogonality(dil, psi, phi):
+    """Residual overlap and purity with the inputs built by np.kron."""
+    residuals, purities = [], []
+    for choice in (KET0, KET1):
+        vec = np.kron(np.kron(psi.amplitudes, phi.amplitudes), choice.amplitudes)
+        chi, top = _principal_state(dil.environment_state(vec))
+        residuals.append(chi)
+        purities.append(top)
+    return float(np.abs(np.vdot(residuals[0], residuals[1]))), min(purities)
+
+
+class TestOrthogonalityReference:
+    def test_metrics_equal_the_kron_reference(self, dilation):
+        rng = make_rng(45)
+        pairs = [(KET0, KET1), (KET_PLUS, KET_MINUS)]
+        pairs += [(haar_random_qubit(rng), haar_random_qubit(rng)) for _ in range(20)]
+        for psi, phi in pairs:
+            metrics = environment_orthogonality_check(dilation, psi, phi)["metrics"]
+            overlap, purity = _reference_orthogonality(dilation, psi, phi)
+            assert (metrics["overlap"], metrics["min_residual_purity"]) == (overlap, purity)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestConstantEnumerations:
+    """The probe and the default contrast pair are enumerated once per process."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return channel_branches(*args, **kwargs)
+
+        monkeypatch.setattr(channel_module, "channel_branches", counting)
+        return calls
+
+    def test_probe_sums_equal_a_fresh_enumeration(self):
+        _, total, parts = branch_sums(channel_branches(_entangled_probe(), (3, 4, 5)), D_IN)
+        cached_total, cached_parts = _probe_sums()
+        assert _same_bytes(cached_total, total)
+        assert list(cached_parts) == list(parts)
+        assert all(_same_bytes(cached_parts[bits], parts[bits]) for bits in parts)
+
+    def test_contrast_sums_equal_a_fresh_enumeration(self):
+        cached = _default_contrast()
+        assert len(cached) == 3
+        for (dist, total), omega in zip(cached, (KET0, KET1, KET_PLUS)):
+            fresh = branch_sums(channel_branches(tensor([KET_PLUS, KET_MINUS, omega]), b=(0, 0)))
+            assert _same_bytes(dist, fresh[0])
+            assert _same_bytes(total, fresh[1])
+
+    def test_cached_sums_are_read_only(self):
+        total, parts = _probe_sums()
+        arrays = [total, *parts.values(), *(a for sums in _default_contrast() for a in sums)]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            total[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            parts[(0, 0)] = total
+
+    def test_reports_get_validated_copies(self):
+        total, parts = _probe_sums()
+        decomposition = subchannels()
+        assert not np.shares_memory(tomography().matrix, total)
+        assert not np.shares_memory(decomposition.total.matrix, total)
+        assert not any(
+            np.shares_memory(decomposition.parts[bits].matrix, parts[bits]) for bits in parts
+        )
+
+    @pytest.mark.parametrize(
+        "report",
+        [tomography, subchannels, lambda: build_dilation(tomography())],
+        ids=["tomography", "subchannels", "dilation"],
+    )
+    def test_exact_channel_reports_reuse_the_probe(self, spy, report):
+        report()
+        spy.clear()
+        report()
+        assert spy == []
+
+    def test_default_contrast_is_enumerated_once(self, spy):
+        verify_nonsignaling(0, 0)
+        spy.clear()
+        verify_nonsignaling(0, 0)
+        assert len(spy) == 3
+        spy.clear()
+        verify_nonsignaling(0, 0, contrast_pair=(KET_PLUS, KET_MINUS))
+        assert len(spy) == 6
+
+    def test_default_contrast_report_equals_the_explicit_one(self):
+        explicit = verify_nonsignaling(0, 0, contrast_pair=(KET_PLUS, KET_MINUS))
+        assert verify_nonsignaling(0, 0) == explicit
+
+    def test_nothing_is_enumerated_at_import(self):
+        src = str(Path(qracbox.__file__).resolve().parents[1])
+        code = (
+            "import qracbox, qracbox.cli, qracbox.channel as c; "
+            "print(c._probe_sums.cache_info().currsize, c._default_contrast.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (out.returncode, out.stdout) == (0, "0 0\n")
