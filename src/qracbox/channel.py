@@ -38,16 +38,15 @@ from types import MappingProxyType
 import numpy as np
 
 from .boxes import check, tv_distance
-from .qrac import branch_sums, channel_branches, sample_alice_outputs, sample_channel_block
-from .quantum import (
-    KET0,
-    KET1,
-    KET_MINUS,
-    KET_PLUS,
-    StateVector,
-    tensor,
-    trace_distance,
+from .qrac import (
+    _check_inputs,
+    _round_register,
+    branch_sums,
+    channel_branches,
+    sample_alice_outputs,
+    sample_channel_block,
 )
+from .quantum import KET0, KET1, KET_MINUS, KET_PLUS, StateVector, trace_distance
 from .rng import make_rng, stream_words, trial_blocks, trial_count
 
 D_IN = 8
@@ -93,9 +92,6 @@ class ChoiMatrix:
 
     def tp_defect(self) -> float:
         return float(np.max(np.abs(self.input_trace() - np.eye(self.d_in))))
-
-    def is_trace_preserving(self, tol: float = 1e-8) -> bool:
-        return self.tp_defect() <= tol
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Channel output for an input density matrix (raw arrays)."""
@@ -220,7 +216,7 @@ def mixture_check(
     the four subchannels must emit exactly one quarter of that mixture.
     """
     omega = _omega_from_amplitudes(alpha, beta)
-    _, total, parts = branch_sums(channel_branches(tensor([psi, phi, omega])))
+    _, total, parts = branch_sums(channel_branches(_round_register(psi, phi, omega)))
 
     expected = (
         abs(alpha) ** 2 * np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -271,12 +267,6 @@ class Dilation:
         v = self.isometry
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.d_in))))
 
-    def evolve_pure(self, vec: np.ndarray) -> np.ndarray:
-        """V|vec> as a (d_out, env_dim) coefficient table."""
-        return (self.isometry @ np.asarray(vec, dtype=complex)).reshape(
-            self.d_out, self.env_dim
-        )
-
     def output_state(self, rho: np.ndarray) -> np.ndarray:
         """Tr_env V rho V', which must reproduce the channel."""
         big = self.isometry @ np.asarray(rho, dtype=complex) @ self.isometry.conj().T
@@ -284,8 +274,8 @@ class Dilation:
         return np.einsum("aebe->ab", four)
 
     def environment_state(self, vec: np.ndarray) -> np.ndarray:
-        """Reduced environment state for a pure input."""
-        table = self.evolve_pure(vec)
+        """Reduced environment state for a pure input, from V|vec> as a table."""
+        table = (self.isometry @ np.asarray(vec, dtype=complex)).reshape(self.d_out, self.env_dim)
         return np.einsum("ok,ol->kl", table.conj(), table)
 
 
@@ -299,7 +289,7 @@ def build_dilation(choi: ChoiMatrix) -> Dilation:
     The environment dimension is the Choi rank; any valid dilation would
     do, since residual orthogonality is basis independent.
     """
-    if choi.min_eigenvalue() < -1e-8 or not choi.is_trace_preserving(1e-8):
+    if choi.min_eigenvalue() < -1e-8 or choi.tp_defect() > 1e-8:
         raise ValueError("dilation needs a CPTP Choi matrix")
     evals, evecs = np.linalg.eigh(choi.matrix)
     kept = [k for k in range(len(evals)) if evals[k] > _RANK_TOL]
@@ -327,6 +317,7 @@ def environment_orthogonality_check(
     Those two residuals must be orthogonal: that is exactly why a
     superposed choice decoheres into a mixture.
     """
+    _check_inputs(psi, phi)
     residuals = []
     purities = []
     # the products of np.kron(np.kron(psi, phi), choice), without its reshaping
@@ -359,7 +350,7 @@ def _withheld(pair: tuple[StateVector, StateVector]) -> tuple[tuple[np.ndarray, 
     One (distribution, output) per choice omega in |0>, |1>, |+>.
     """
     return tuple(
-        branch_sums(channel_branches(tensor([*pair, omega]), b=(0, 0)))[:2]
+        branch_sums(channel_branches(_round_register(*pair, omega), b=(0, 0)))[:2]
         for omega in (KET0, KET1, KET_PLUS)
     )
 

@@ -14,8 +14,8 @@ import sys
 from functools import lru_cache
 from math import sqrt
 
-from .harness import ConfigError, ExperimentConfig, canonical_json, open_output, run_experiment
-from .metering import ProtocolError
+from .harness import EXPERIMENTS, ExperimentConfig, canonical_json, open_output, run_experiment
+from .metering import ConfigError, ProtocolError
 
 _SUBCOMMANDS = {
     "run": None,  # experiment chosen by flag or config
@@ -63,11 +63,11 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     run = sub.add_parser("run", help="run any experiment by name")
-    run.add_argument("--experiment", help="one of: qrac, qrac-qubit-only, racbox, "
-                     "tomography, mixture, nonsignaling, dilation")
+    run.add_argument("--experiment", help=f"one of: {', '.join(EXPERIMENTS)}")
     _add_common(run)
-    for name in ("verify-nonsignaling", "tomography", "mixture", "racbox", "dilation"):
-        _add_common(sub.add_parser(name, help=f"shortcut for the {_SUBCOMMANDS[name]} experiment"))
+    for name, experiment in _SUBCOMMANDS.items():
+        if experiment is not None:
+            _add_common(sub.add_parser(name, help=f"shortcut for the {experiment} experiment"))
     return parser
 
 

@@ -46,6 +46,7 @@ from .channel import (
     verify_nonsignaling,
 )
 from .metering import (
+    ConfigError,
     MeteredBatch,
     MeteredChannel,
     ProtocolError,
@@ -60,6 +61,7 @@ from .qrac import (
     DenseCodingPair,
     QracResources,
     _choice_tree,
+    _round_register,
     branch_sums,
     channel_branches,
     dense_decode,
@@ -77,24 +79,8 @@ from .quantum import (
     fidelity,
     haar_random_qubit,
     make_pure_qubit,
-    tensor,
 )
 from .rng import bit_columns, make_rng, stream_words, trial_blocks, word_uniform
-
-EXPERIMENTS = (
-    "qrac",
-    "qrac-qubit-only",
-    "racbox",
-    "tomography",
-    "mixture",
-    "nonsignaling",
-    "dilation",
-)
-
-
-class ConfigError(ValueError):
-    """The experiment description itself is unusable."""
-
 
 # ---------------------------------------------------------------------------
 # state specs and configs
@@ -173,7 +159,7 @@ class ExperimentConfig:
         if self.alpha is not None:
             if not all(isfinite(x) for x in (*self.alpha, *self.beta)):
                 raise ConfigError("alpha and beta must be finite")
-            weight = abs(self._alpha_complex()) ** 2 + abs(self._beta_complex()) ** 2
+            weight = abs(complex(*self.alpha)) ** 2 + abs(complex(*self.beta)) ** 2
             if abs(weight - 1.0) > 1e-10:
                 raise ConfigError("|alpha|^2 + |beta|^2 must be 1 within 1e-10")
         # parse eagerly so bad specs fail at config time
@@ -181,14 +167,6 @@ class ExperimentConfig:
         parse_state_spec(self.phi)
         if self.omega is not None:
             parse_state_spec(self.omega)
-
-    def _alpha_complex(self) -> complex:
-        assert self.alpha is not None
-        return complex(self.alpha[0], self.alpha[1])
-
-    def _beta_complex(self) -> complex:
-        assert self.beta is not None
-        return complex(self.beta[0], self.beta[1])
 
     def resolved_psi(self) -> StateVector:
         return parse_state_spec(self.psi)
@@ -199,7 +177,7 @@ class ExperimentConfig:
     def resolved_omega_amplitudes(self) -> tuple[complex, complex]:
         """(alpha, beta) of Bob's choice qubit, default |0>."""
         if self.alpha is not None:
-            return self._alpha_complex(), self._beta_complex()
+            return complex(*self.alpha), complex(*self.beta)
         if self.omega is not None:
             amps = parse_state_spec(self.omega).amplitudes
             return complex(amps[0]), complex(amps[1])
@@ -440,7 +418,7 @@ def _exp_qrac(
         # the 0.02 tolerance is calibrated for large samples
         checks.append(check("alice-uniformity-sampled", sampled_tv <= 0.02, sampled_tv, 0.02))
     if config.mode == "branch-exact":
-        branches = channel_branches(tensor([psi, phi, omega]))
+        branches = channel_branches(_round_register(psi, phi, omega))
         exact_min = min(
             fidelity(b.output, psi if b.w == 0 else phi) for b in branches
         )
@@ -456,8 +434,8 @@ def _exp_qrac(
 def _exp_racbox(
     config: ExperimentConfig, with_rows: bool = True
 ) -> tuple[dict, list, Tally, list, list]:
-    if config.trials < 1000:
-        raise ConfigError("racbox experiment needs trials >= 1000 for the privacy check")
+    # first, so a trial count below its floor plays no round
+    privacy = verify_rac_privacy(config.trials, config.seed)
     cases = rac_all_cases()
     correct = sum(r.output == (r.a0 if r.w == 0 else r.a1) for r in cases)
 
@@ -477,7 +455,6 @@ def _exp_racbox(
             columns = (trials, a0, a1, w, output, ok)
             rows += map(list, zip(*(column.tolist() for column in columns)))
 
-    privacy = verify_rac_privacy(config.trials, config.seed)
     checks = [
         check("rac-exhaustive-correct", correct == 16, float(correct), None),
         check("rac-sampled-correct", sampled_correct == config.trials, float(sampled_correct), None),
@@ -496,8 +473,6 @@ def _exp_racbox(
 
 def _exp_tomography(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list]:
     if config.mode == "sampled":
-        if config.trials < 1:
-            raise ConfigError("sampled tomography needs trials >= 1")
         choi = tomography(mode="sampled", trials=config.trials, seed=config.seed)
         exact = tomography()
         deviation = float(np.max(np.abs(choi.matrix - exact.matrix)))
@@ -550,8 +525,6 @@ def _exp_mixture(config: ExperimentConfig) -> tuple[dict, list, Tally, list, lis
 
 
 def _exp_nonsignaling(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list]:
-    if config.mode == "sampled" and config.trials < 10**4:
-        raise ConfigError("sampled nonsignaling verification needs trials >= 10000")
     report = verify_nonsignaling(
         config.trials,
         config.seed,
@@ -564,6 +537,7 @@ def _exp_nonsignaling(config: ExperimentConfig) -> tuple[dict, list, Tally, list
 
 def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list]:
     dil = build_dilation(tomography())
+    defect = dil.isometry_defect()
     rng = make_rng(config.seed)
     # the configured pair, one orthogonal pair, plus random pairs
     pairs = [(config.resolved_psi(), config.resolved_phi()), (KET0, KET1)]
@@ -582,14 +556,14 @@ def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, li
         )
 
     checks = [
-        check("isometry", dil.isometry_defect() <= 1e-8, dil.isometry_defect(), 1e-8),
+        check("isometry", defect <= 1e-8, defect, 1e-8),
         check("environment-dimension", dil.env_dim <= 16, float(dil.env_dim), 16.0),
         check("residual-orthogonality-max", max_overlap <= 1e-6, max_overlap, 1e-6),
         check("residual-purity-min", min_purity >= 1 - 1e-6, min_purity, 1e-6),
     ]
     metrics = {
         "environment_dimension": dil.env_dim,
-        "isometry_defect": dil.isometry_defect(),
+        "isometry_defect": defect,
         "pairs_checked": len(pairs),
         "max_overlap": max_overlap,
         "min_residual_purity": min_purity,
@@ -609,6 +583,7 @@ _DISPATCH = {
     "nonsignaling": lambda cfg, _: _exp_nonsignaling(cfg),
     "dilation": lambda cfg, _: _exp_dilation(cfg),
 }
+EXPERIMENTS = tuple(_DISPATCH)
 
 
 def run_experiment(config: ExperimentConfig, csv_path: str | None = None) -> dict:
@@ -617,8 +592,6 @@ def run_experiment(config: ExperimentConfig, csv_path: str | None = None) -> dic
     The report echoes the resolved config, so feeding it back through
     ExperimentConfig.from_dict replays the run byte for byte.
     """
-    if config.experiment not in _DISPATCH:
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
     experiment = _DISPATCH[config.experiment]
     metrics, checks, tallies, header, rows = experiment(config, csv_path is not None)
     if csv_path is not None:

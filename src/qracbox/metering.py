@@ -23,6 +23,10 @@ class ProtocolError(RuntimeError):
     """A device or party was driven outside its contract."""
 
 
+class ConfigError(ValueError):
+    """The experiment description itself is unusable."""
+
+
 @dataclass(frozen=True)
 class Message:
     """One metered transmission.

@@ -197,9 +197,23 @@ def _boxes(words: np.ndarray) -> tuple[PRBoxes, PRBoxes]:
     return PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1])
 
 
-def _check_single_qubit(state: StateVector, name: str) -> None:
-    if state.num_qubits != 1:
-        raise ValueError(f"{name} must be a single-qubit state")
+def _check_inputs(psi: StateVector, phi: StateVector) -> None:
+    """Alice's two inputs must be one qubit each."""
+    for state, name in ((psi, "psi"), (phi, "phi")):
+        if state.num_qubits != 1:
+            raise ValueError(f"{name} must be a single-qubit state")
+
+
+def _alice_root(psi: StateVector, phi: StateVector) -> OutcomeNode:
+    """The cached ``_alice_tree`` of checked inputs (psi, phi)."""
+    _check_inputs(psi, phi)
+    return _alice_tree(psi.amplitudes.tobytes(), phi.amplitudes.tobytes())
+
+
+def _round_register(psi: StateVector, phi: StateVector, omega: StateVector) -> StateVector:
+    """psi (x) phi (x) omega: an exact round's register, inputs checked."""
+    _check_inputs(psi, phi)
+    return tensor([psi, phi, omega])
 
 
 def _spectators(n: int, inputs: tuple[int, int, int]) -> list[int]:
@@ -230,14 +244,16 @@ def _bell_bits(index):
 def _alice_side(first, second, box0, box1):
     """Feed first XOR second into the boxes; publish the first outcome masked.
 
-    ``first`` and ``second`` are the (bit1, bit0) of Alice's Bell
-    outcomes; returns her output (a1, a0).  The bits are ints and the
-    boxes ``PRBox``es for one round, or int arrays and ``PRBoxes`` for a
-    batch of rounds.
+    ``first`` and ``second`` are the indices 2*bit1 + bit0 of Alice's
+    two Bell outcomes; returns her output (a1, a0).  The indices are
+    ints and the boxes ``PRBox``es for one round, or int arrays and
+    ``PRBoxes`` for a batch of rounds.
     """
-    mask0 = box0.alice(first[1] ^ second[1])
-    mask1 = box1.alice(first[0] ^ second[0])
-    return first[0] ^ mask1, first[1] ^ mask0
+    first1, first0 = _bell_bits(first)
+    xor1, xor0 = _bell_bits(first ^ second)
+    mask0 = box0.alice(xor0)
+    mask1 = box1.alice(xor1)
+    return first1 ^ mask1, first0 ^ mask0
 
 
 def _bob_side(epr: int, w, b, box0, box1):
@@ -307,17 +323,13 @@ def qrac_alice(
     returns the masked two-bit output.  The output is uniform on
     {00, 01, 10, 11} whatever the inputs.
     """
-    _check_single_qubit(psi, "psi")
-    _check_single_qubit(phi, "phi")
+    root = _alice_root(psi, phi)
     if res.alice_done:
         raise ProtocolError("Alice's side of these resources was already used")
-    root = _alice_tree(psi.amplitudes.tobytes(), phi.amplitudes.tobytes())
     first, node = root.draw(res.rng)
     second, res.leaf = node.draw(res.rng)
     res.alice_done = True
-    return AliceClassicalOutput(
-        *_alice_side(_bell_bits(first), _bell_bits(second), res.box0, res.box1)
-    )
+    return AliceClassicalOutput(*_alice_side(first, second, res.box0, res.box1))
 
 
 def qrac_bob(w: int, b, res: QracResources) -> DensityMatrix:
@@ -349,14 +361,12 @@ def qrac_rounds(
     Returns Bob's choices w, Alice's bits (a1, a0) and each trial's
     index into the list of distinct outputs, Bob's chosen qubit.
     """
-    _check_single_qubit(psi, "psi")
-    _check_single_qubit(phi, "phi")
+    root = _alice_root(psi, phi)
     uniforms = word_uniform(words[:, 1:4])
     w = _choice_tree(omega.num_qubits, omega.amplitudes.tobytes()).walk(uniforms[:, :1])[0][:, 0]
-    root = _alice_tree(psi.amplitudes.tobytes(), phi.amplitudes.tobytes())
     bells, ends, leaves = root.walk(uniforms[:, 1:])
     box0, box1 = _boxes(words[:, 0])
-    alice = _alice_side(_bell_bits(bells[:, 0]), _bell_bits(bells[:, 1]), box0, box1)
+    alice = _alice_side(bells[:, 0], bells[:, 1], box0, box1)
     _, correction, target = _bob_side(EPR1_ALICE, w, alice, box0, box1)
     return (w, alice, *_leaf_outputs(leaves, ends, target, correction, []))
 
@@ -464,7 +474,7 @@ def _wiring(
     rows = []
     for coins in product((0, 1), repeat=2):
         box0, box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
-        alice_out = AliceClassicalOutput(*_alice_side(first.bits, second.bits, box0, box1))
+        alice_out = AliceClassicalOutput(*_alice_side(first.index, second.index, box0, box1))
         received = alice_out.bits if fixed_b is None else fixed_b
         rows.append((coins, alice_out, *_bob_side(n, w, received, box0, box1)))
     return tuple(rows)
@@ -563,9 +573,7 @@ def sample_channel(
     first, node = node.draw(rng)
     second, leaf = node.draw(rng)
     box0, box1 = PRBox(rng), PRBox(rng)
-    alice_out = AliceClassicalOutput(
-        *_alice_side(_bell_bits(first), _bell_bits(second), box0, box1)
-    )
+    alice_out = AliceClassicalOutput(*_alice_side(first, second, box0, box1))
     received = alice_out.bits if fixed_b is None else fixed_b
     _, correction, target = _bob_side(n, w, received, box0, box1)
     return w, alice_out, _leaf_output(leaf, target, correction, spectators)
@@ -586,7 +594,7 @@ def sample_channel_block(
     outcomes, ends, leaves = tree.walk(word_uniform(words[:, :3]))
     box0, box1 = _boxes(words[:, 3])
     w = outcomes[:, 0]
-    alice = _alice_side(_bell_bits(outcomes[:, 1]), _bell_bits(outcomes[:, 2]), box0, box1)
+    alice = _alice_side(outcomes[:, 1], outcomes[:, 2], box0, box1)
     _, correction, target = _bob_side(n, w, alice, box0, box1)
     return _leaf_outputs(leaves, ends, target, correction, spectators)
 
@@ -595,7 +603,7 @@ def alice_output_distribution(
     psi: StateVector, phi: StateVector, omega: StateVector
 ) -> np.ndarray:
     """Exact distribution of Alice's two-bit output, indexed by 2*a1 + a0."""
-    return branch_sums(channel_branches(tensor([psi, phi, omega])))[0]
+    return branch_sums(channel_branches(_round_register(psi, phi, omega)))[0]
 
 
 def sample_alice_output(
@@ -620,12 +628,9 @@ def sample_alice_outputs(psi: StateVector, phi: StateVector, words: np.ndarray) 
     coins and Alice's two Bell measurements.  Bob's choice changes none
     of Alice's bits, so it is not needed.
     """
-    _check_single_qubit(psi, "psi")
-    _check_single_qubit(phi, "phi")
-    root = _alice_tree(psi.amplitudes.tobytes(), phi.amplitudes.tobytes())
-    bells, _, _ = root.walk(word_uniform(words[:, 1:3]))
+    bells, _, _ = _alice_root(psi, phi).walk(word_uniform(words[:, 1:3]))
     box0, box1 = _boxes(words[:, 0])
-    a1, a0 = _alice_side(_bell_bits(bells[:, 0]), _bell_bits(bells[:, 1]), box0, box1)
+    a1, a0 = _alice_side(bells[:, 0], bells[:, 1], box0, box1)
     return 2 * a1 + a0
 
 
@@ -640,7 +645,7 @@ def bob_view_distribution(
     the unchosen qubit means this whole dictionary is independent of it.
     """
     view: dict[tuple[int, int, int, int], tuple[float, np.ndarray]] = {}
-    for branch in channel_branches(tensor([psi, phi, basis_state(1, w)])):
+    for branch in channel_branches(_round_register(psi, phi, basis_state(1, w))):
         key = branch.alice.bits + branch.pr_outputs
         weight, matrix = view.get(key, (0.0, np.zeros((2, 2), dtype=complex)))
         view[key] = (

@@ -68,15 +68,14 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian PSD matrix over ``num_qubits`` qubits.
+    """Hermitian PSD matrix over ``num_qubits`` qubits, of trace 1.
 
-    Trace is 1 unless ``subnormalized`` is set, in which case it may be
-    anything in (0, 1] (conditioned branch outputs carry their weight).
+    Conditioned branch outputs are normalized states; their weights are
+    kept apart, as branch probabilities.
     """
 
     num_qubits: int
     matrix: np.ndarray
-    subnormalized: bool = False
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
@@ -92,16 +91,10 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr.imag) > ALGEBRA_ATOL:
             raise ValueError("trace is not real")
-        if self.subnormalized:
-            if tr.real > 1.0 + ALGEBRA_ATOL:
-                raise ValueError(f"subnormalized trace exceeds 1: {tr.real!r}")
-        elif abs(tr.real - 1.0) > ALGEBRA_ATOL:
+        if abs(tr.real - 1.0) > ALGEBRA_ATOL:
             raise ValueError(f"trace is not 1: {tr.real!r}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,7 +501,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix | fl
     t = rho.matrix.reshape((2,) * (2 * n))
     k = len(keep_sorted)
     reduced = np.einsum(f"{row}{col}->{out}", t).reshape(2**k, 2**k)
-    return DensityMatrix(k, reduced, subnormalized=rho.subnormalized)
+    return DensityMatrix(k, reduced)
 
 
 def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:

@@ -47,6 +47,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .metering import ConfigError
+
 # trials computed together by the batched executors: it bounds the size
 # of every intermediate array of a report
 TRIAL_BLOCK = 4096
@@ -87,10 +89,14 @@ def bit_columns(words: np.ndarray) -> np.ndarray:
 
 
 def trial_count(trials, floor: int, what: str) -> int:
-    """``trials`` as a Python int, if it is an integer >= ``floor``; else ValueError."""
+    """``trials`` as a Python int, if it is an integer >= ``floor``; else ConfigError.
+
+    The one check of each trial floor: the library and the CLI (exit 3)
+    both meet it here.
+    """
     if isinstance(trials, (int, np.integer)) and not isinstance(trials, bool) and trials >= floor:
         return int(trials)
-    raise ValueError(f"{what} needs an integer number of trials >= {floor}")
+    raise ConfigError(f"{what} needs an integer number of trials >= {floor}")
 
 
 def trial_blocks(count: int) -> Iterator[np.ndarray]:

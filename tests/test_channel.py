@@ -29,7 +29,12 @@ from qracbox.channel import (
     tomography,
     verify_nonsignaling,
 )
-from qracbox.qrac import branch_sums, channel_branches
+from qracbox.qrac import (
+    alice_output_distribution,
+    bob_view_distribution,
+    branch_sums,
+    channel_branches,
+)
 from qracbox.quantum import (
     KET0,
     KET1,
@@ -485,3 +490,25 @@ class TestConstantEnumerations:
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert (out.returncode, out.stdout) == (0, "0 0\n")
+
+
+class TestAliceInputsAreSingleQubits:
+    """Every exact entry point rejects a two-qubit psi or phi by name."""
+
+    @pytest.mark.parametrize("wrong", ["psi", "phi"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda psi, phi, dil: alice_output_distribution(psi, phi, KET0),
+            lambda psi, phi, dil: bob_view_distribution(psi, phi, 0),
+            lambda psi, phi, dil: mixture_check(1.0, 0.0, psi, phi),
+            lambda psi, phi, dil: verify_nonsignaling(0, 0, psi=psi, phi=phi),
+            lambda psi, phi, dil: environment_orthogonality_check(dil, psi, phi),
+        ],
+        ids=["alice_output_distribution", "bob_view_distribution", "mixture_check",
+             "verify_nonsignaling", "environment_orthogonality_check"],
+    )
+    def test_two_qubit_input_rejected(self, dilation, run, wrong):
+        inputs = {"psi": KET0, "phi": KET1, wrong: tensor([KET0, KET1])}
+        with pytest.raises(ValueError, match=f"^{wrong} must be a single-qubit state$"):
+            run(inputs["psi"], inputs["phi"], dilation)

@@ -138,9 +138,10 @@ class TestEnumerationCost:
     @pytest.mark.parametrize("b", [(0, 0), (1, 1)])
     @pytest.mark.parametrize("inputs", [(0, 1, 2), (2, 0, 3)])
     def test_one_reduced_density_per_leaf_target_and_no_unitary(self, monkeypatch, inputs, b):
-        traced, applied = [], []
+        traced, applied, held = [], [], []
 
         def spy_reduce(state, keep):
+            held.append(state)  # so that no later state can reuse its id
             traced.append((id(state), tuple(keep)))
             return reduced_density(state, keep)
 
@@ -224,7 +225,7 @@ class TestWiringTable:
             assert isinstance(rows, tuple) and len(rows) == 4
             for row, coins in zip(rows, product((0, 1), repeat=2)):
                 box0, box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
-                alice = _alice_side(first.bits, second.bits, box0, box1)
+                alice = _alice_side(first.index, second.index, box0, box1)
                 bob = _bob_side(7, w, alice if fixed_b is None else fixed_b, box0, box1)
                 assert isinstance(row, tuple)
                 assert (row[0], row[1].bits, *row[2:]) == (coins, alice, *bob)

@@ -5,8 +5,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from math import pi, sqrt
 from pathlib import Path
 
@@ -18,7 +20,9 @@ from hypothesis import strategies as st
 import jsonschema
 
 import qracbox
-from qracbox import harness
+from qracbox import harness, metering
+from qracbox.boxes import verify_rac_privacy
+from qracbox.channel import tomography, verify_nonsignaling
 from qracbox.cli import build_parser, main
 from qracbox.harness import (
     ConfigError,
@@ -437,6 +441,47 @@ class TestCli:
         assert captured.out == ""
 
 
+# experiment -> (CLI argv, trial floor, the library call that owns the floor)
+_FLOORS = {
+    "racbox": (["racbox"], 1000, lambda trials: verify_rac_privacy(trials, 0)),
+    "nonsignaling": (
+        ["verify-nonsignaling", "--mode", "sampled"],
+        10**4,
+        lambda trials: verify_nonsignaling(trials, 0, "sampled"),
+    ),
+    "tomography": (
+        ["tomography", "--mode", "sampled"],
+        1,
+        lambda trials: tomography(mode="sampled", trials=trials, seed=0),
+    ),
+}
+
+
+class TestTrialFloors:
+    """Each trial floor is checked once, by the library call that needs it."""
+
+    @pytest.mark.parametrize("experiment", _FLOORS)
+    def test_library_raises_a_config_error(self, experiment):
+        _, floor, call = _FLOORS[experiment]
+        with pytest.raises(ConfigError, match=f"trials >= {floor}$") as info:
+            call(floor - 1)
+        assert isinstance(info.value, ValueError)
+        assert ConfigError is metering.ConfigError is qracbox.ConfigError
+
+    @pytest.mark.parametrize("experiment", _FLOORS)
+    def test_cli_exits_3_below_the_floor_only(self, experiment, capsys):
+        argv, floor, call = _FLOORS[experiment]
+        with pytest.raises(ConfigError) as info:
+            call(floor - 1)
+        assert main([*argv, "--seed", "1", "--trials", str(floor - 1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err == [f"config error: {info.value}"]
+        assert re.fullmatch(rf"config error: .* trials >= {floor}", err[0])
+        assert main([*argv, "--seed", "1", "--trials", str(floor)]) != 3
+
+
 # Generated argv for the exit-code contract.  Each example starts from a
 # valid run (flags or a config file) at 2 trials and overrides some of it
 # with generated flags and config fields, so bad values are met both in
@@ -489,8 +534,10 @@ class TestCliExitCodes:
         flags=st.lists(_FLAGS, max_size=3),
     )
     def test_exit_code_is_always_0_2_or_3(
-        self, tmp_path, command, experiment, in_config, config_fields, flags
+        self, tmp_path, monkeypatch, command, experiment, in_config, config_fields, flags
     ):
+        # a relative config "out" path then lands in tmp_path
+        monkeypatch.chdir(tmp_path)
         argv = [command]
         if in_config:
             config = {"experiment": experiment, "seed": 3, "trials": 2, **config_fields}
@@ -505,5 +552,9 @@ class TestCliExitCodes:
         for flag in flags:
             argv += [paths.get(part, part) for part in flag]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+            with warnings.catch_warnings():
+                # an amp spec off unit norm is renormalized with a warning
+                # (TestStateSpecs), which the suite would otherwise raise
+                warnings.filterwarnings("ignore", "state spec .* renormalized", UserWarning)
+                code = main(argv)
         assert code in (0, 2, 3)

@@ -78,8 +78,6 @@ class TestTypes:
     def test_density_matrix_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(1, np.eye(2))
-        # but a subnormalized state may have trace < 1
-        DensityMatrix(1, 0.25 * np.eye(2), subnormalized=True)
 
     def test_unitary_rejected_if_not_unitary(self):
         with pytest.raises(ValueError):
@@ -367,12 +365,6 @@ class TestPartialTrace:
 
     def test_empty_keep_returns_scalar_trace(self):
         assert partial_trace(density(PHI_PLUS), []) == pytest.approx(1.0)
-
-    def test_subnormalized_flag_propagates(self):
-        quarter = DensityMatrix(2, density(PHI_PLUS).matrix / 4, subnormalized=True)
-        reduced = partial_trace(quarter, [0])
-        assert reduced.subnormalized
-        assert reduced.trace() == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_loop_oracle_on_random_states(self):
         rng = rng_for(9)
