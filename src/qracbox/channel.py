@@ -39,7 +39,7 @@ import numpy as np
 
 from .boxes import check, tv_distance
 from .qrac import (
-    _check_inputs,
+    _check_qubits,
     _round_register,
     branch_sums,
     channel_branches,
@@ -317,7 +317,7 @@ def environment_orthogonality_check(
     Those two residuals must be orthogonal: that is exactly why a
     superposed choice decoheres into a mixture.
     """
-    _check_inputs(psi, phi)
+    _check_qubits(psi=psi, phi=phi)
     residuals = []
     purities = []
     # the products of np.kron(np.kron(psi, phi), choice), without its reshaping

@@ -60,7 +60,7 @@ from .qrac import (
     AliceClassicalOutput,
     DenseCodingPair,
     QracResources,
-    _choice_tree,
+    _choice_root,
     _round_register,
     branch_sums,
     channel_branches,
@@ -249,7 +249,7 @@ def run_qrac_protocol(
     """
     rng = make_rng(seed, trial)
     res = QracResources(rng)
-    w, _ = _choice_tree(omega.num_qubits, omega.amplitudes.tobytes()).draw(rng)
+    w, _ = _choice_root(omega).draw(rng)
     alice = qrac_alice(psi, phi, res)
     channel = MeteredChannel()
     if dense:

@@ -41,8 +41,8 @@ executors:
   Alice's bits, Bob's box outputs, correction, target) is one cached
   row set of ``_wiring``.
 
-All three compute Bob's corrected output through one path,
-``_leaf_output``, which keeps it on the collapsed state's
+All three compute Bob's corrected outputs through one path,
+``_memo_outputs``, which keeps each on its collapsed state's
 ``OutcomeNode``.  It takes one partial trace per (leaf, target) and
 builds each corrected output Z^c1 X^c0 rho X^c0 Z^c1 from that matrix
 by an exact signed relabelling: entry (r, c) is rho[r ^ c0, c ^ c0]
@@ -53,12 +53,14 @@ in the same order, up to sign, and negation commutes with rounding:
 every output is that of ``apply_unitary`` + ``reduced_density`` bit
 for bit, except possibly the sign of an exact zero.  No report sees
 that: ``branch_sums`` and sampled tomography add outputs to +0.0, and
-a zero's sign changes no non-zero fidelity.  With Alice's bits wired
-to Bob the coins cancel out of his correction, so the four coin
-branches of an enumerated leaf share one output.  Every exact
-claim reduces an enumeration the same way, through ``branch_sums``:
-Alice's output distribution and the probability-weighted output, in
-total and split by Alice's bits.
+a zero's sign changes no non-zero fidelity.  The new outputs of a call
+are computed raw, then checked as one stack by ``density_matrices``:
+an enumeration makes one ``eigvalsh`` call, not one per output.  With
+Alice's bits wired to Bob the coins cancel out of his correction, so
+the four coin branches of an enumerated leaf share one output.  Every
+exact claim reduces an enumeration the same way, through
+``branch_sums``: Alice's output distribution and the
+probability-weighted output, in total and split by Alice's bits.
 
 The sampled executors walk an outcome tree (``quantum.OutcomeNode``)
 instead of redoing the linear algebra in every trial.  For fixed inputs
@@ -92,13 +94,14 @@ from .quantum import (
     DensityMatrix,
     OutcomeNode,
     StateVector,
+    _reduced_matrix,
     apply_unitary,
     basis_state,
     bell_measure,
     bell_projections,
+    density_matrices,
     measure_project,
     pauli_correction,
-    reduced_density,
     tensor,
 )
 from .rng import bit_columns, word_uniform
@@ -130,9 +133,9 @@ def _alice_tree(psi: bytes, phi: bytes) -> OutcomeNode:
 
 
 @lru_cache(maxsize=16)
-def _choice_tree(n: int, omega: bytes) -> OutcomeNode:
-    """Bob's computational measurement of qubit 0 of omega, by input bytes."""
-    return OutcomeNode(_from_bytes(n, omega), [("computational", 0)])
+def _choice_tree(omega: bytes) -> OutcomeNode:
+    """Bob's computational measurement of the choice qubit omega, by input bytes."""
+    return OutcomeNode(_from_bytes(1, omega), [("computational", 0)])
 
 
 @lru_cache(maxsize=4)
@@ -197,22 +200,28 @@ def _boxes(words: np.ndarray) -> tuple[PRBoxes, PRBoxes]:
     return PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1])
 
 
-def _check_inputs(psi: StateVector, phi: StateVector) -> None:
-    """Alice's two inputs must be one qubit each."""
-    for state, name in ((psi, "psi"), (phi, "phi")):
+def _check_qubits(**states: StateVector) -> None:
+    """Each named input of a round (psi, phi, omega) must be one qubit."""
+    for name, state in states.items():
         if state.num_qubits != 1:
             raise ValueError(f"{name} must be a single-qubit state")
 
 
 def _alice_root(psi: StateVector, phi: StateVector) -> OutcomeNode:
     """The cached ``_alice_tree`` of checked inputs (psi, phi)."""
-    _check_inputs(psi, phi)
+    _check_qubits(psi=psi, phi=phi)
     return _alice_tree(psi.amplitudes.tobytes(), phi.amplitudes.tobytes())
+
+
+def _choice_root(omega: StateVector) -> OutcomeNode:
+    """The cached ``_choice_tree`` of a checked choice state omega."""
+    _check_qubits(omega=omega)
+    return _choice_tree(omega.amplitudes.tobytes())
 
 
 def _round_register(psi: StateVector, phi: StateVector, omega: StateVector) -> StateVector:
     """psi (x) phi (x) omega: an exact round's register, inputs checked."""
-    _check_inputs(psi, phi)
+    _check_qubits(psi=psi, phi=phi, omega=omega)
     return tensor([psi, phi, omega])
 
 
@@ -291,26 +300,37 @@ def _relabelling(
     return picks, sign
 
 
-def _leaf_output(
-    leaf: OutcomeNode, target: int, correction: tuple[int, int], spectators: list[int]
-) -> DensityMatrix:
-    """Correct ``target`` and keep it: the state of ``spectators`` + target.
+def _memo_outputs(keys, spectators: list[int]) -> list[DensityMatrix]:
+    """The state of ``spectators`` + target of each (leaf, target, correction).
 
-    One partial trace per target, kept on the leaf; each correction of
-    it is an exact signed relabelling of that matrix, also kept.  A leaf
-    belongs to one register, and so to one set of spectators.
+    Missing outputs are computed raw, a partial trace per (leaf, target)
+    and a signed relabelling of it per correction, then checked as one
+    stack.  A leaf belongs to one register, so to one set of spectators.
     """
-    output = leaf.memo.get((target, correction))
-    if output is None:
-        if correction == (0, 0):
-            assert all(q < target for q in spectators), "target must be the last kept qubit"
-            output = reduced_density(leaf.state, spectators + [target])
-        else:
-            base = _leaf_output(leaf, target, (0, 0), spectators)
-            picks, sign = _relabelling(2**base.num_qubits, correction)
-            output = DensityMatrix(base.num_qubits, base.matrix[picks] * sign)
-        leaf.memo[(target, correction)] = output
-    return output
+    raw, memos, wanted = {}, {}, []  # raw keyed by (id of memo, target, correction)
+    for leaf, target, correction in keys:
+        memo = memos.setdefault(id(leaf.memo), leaf.memo)  # held: its id stays its own
+        base_key = (id(memo), target, (0, 0))
+        for key in (base_key, (id(memo), target, correction)):
+            if key in raw or key[1:] in memo:
+                continue
+            if key[2] == (0, 0):
+                assert all(q < target for q in spectators), "target must be the last kept qubit"
+                raw[key] = _reduced_matrix(leaf.state, spectators + [target])
+            else:
+                base = raw[base_key] if base_key in raw else memo[base_key[1:]].matrix
+                picks, sign = _relabelling(len(base), correction)
+                raw[key] = base[picks] * sign
+        wanted.append((memo, (target, correction)))
+    outputs = density_matrices(len(spectators) + 1, list(raw.values())) if raw else []
+    for (memo_id, *key), output in zip(raw, outputs):
+        memos[memo_id][tuple(key)] = output
+    return [memo[key] for memo, key in wanted]
+
+
+def _leaf_output(leaf: OutcomeNode, target: int, correction, spectators) -> DensityMatrix:
+    """Correct ``target`` and keep it: ``_memo_outputs`` of one key."""
+    return _memo_outputs([(leaf, target, correction)], spectators)[0]
 
 
 def qrac_alice(
@@ -363,7 +383,7 @@ def qrac_rounds(
     """
     root = _alice_root(psi, phi)
     uniforms = word_uniform(words[:, 1:4])
-    w = _choice_tree(omega.num_qubits, omega.amplitudes.tobytes()).walk(uniforms[:, :1])[0][:, 0]
+    w = _choice_root(omega).walk(uniforms[:, :1])[0][:, 0]
     bells, ends, leaves = root.walk(uniforms[:, 1:])
     box0, box1 = _boxes(words[:, 0])
     alice = _alice_side(bells[:, 0], bells[:, 1], box0, box1)
@@ -381,11 +401,8 @@ def _leaf_outputs(
     """
     keys = np.stack([ends, target, *correction], axis=1)
     distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
-    outputs = [
-        _leaf_output(leaves[end], qubit, (c1, c0), spectators)
-        for end, qubit, c1, c0 in distinct.tolist()
-    ]
-    return inverse.reshape(-1), outputs
+    keys = [(leaves[end], qubit, (c1, c0)) for end, qubit, c1, c0 in distinct.tolist()]
+    return inverse.reshape(-1), _memo_outputs(keys, spectators)
 
 
 class DenseCodingPair:
@@ -499,37 +516,27 @@ def channel_branches(
     n = joint.num_qubits
     fixed_b = None if b is None else _as_bits(b)
 
-    branches: list[ChannelBranch] = []
-    for w in (0, 1):
-        p_w, after_w = measure_project(extended, q_r, w)
-        if after_w is None:
-            continue
-        for first, (p1, after_first) in zip(_BELL_OUTCOMES, bell_projections(after_w, (q_apr, n))):
-            if after_first is None:
+    heads = []  # each branch's fields but its output
+
+    def keys():  # a leaf's state is let go once its outputs are computed raw
+        for w in (0, 1):
+            p_w, after_w = measure_project(extended, q_r, w)
+            if after_w is None:
                 continue
-            seconds = bell_projections(after_first, (q_adp, n + 2))
-            for second, (p2, after_second) in zip(_BELL_OUTCOMES, seconds):
-                if after_second is None:
+            firsts = bell_projections(after_w, (q_apr, n))
+            for first, (p1, after_first) in zip(_BELL_OUTCOMES, firsts):
+                if after_first is None:
                     continue
-                leaf = OutcomeNode(after_second)
-                probability = p_w * p1 * p2 * 0.25
-                for coins, alice_out, pr_outputs, correction, target in _wiring(
-                    n, w, first, second, fixed_b
-                ):
-                    branches.append(
-                        ChannelBranch(
-                            probability=probability,
-                            w=w,
-                            first_bell=first,
-                            second_bell=second,
-                            coins=coins,
-                            alice=alice_out,
-                            pr_outputs=pr_outputs,
-                            correction=correction,
-                            output=_leaf_output(leaf, target, correction, spectators),
-                        )
-                    )
-    return branches
+                seconds = bell_projections(after_first, (q_adp, n + 2))
+                for second, (p2, after_second) in zip(_BELL_OUTCOMES, seconds):
+                    if after_second is None:
+                        continue
+                    leaf, probability = OutcomeNode(after_second), p_w * p1 * p2 * 0.25
+                    for *wired, target in _wiring(n, w, first, second, fixed_b):
+                        heads.append((probability, w, first, second, *wired))
+                        yield leaf, target, wired[-1]
+    outputs = _memo_outputs(keys(), spectators)
+    return [ChannelBranch(*head, output) for head, output in zip(heads, outputs)]
 
 
 def branch_sums(

@@ -82,19 +82,47 @@ class DensityMatrix:
         dim = 2**self.num_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("matrix has a non-finite entry")
-        if np.max(np.abs(mat - mat.conj().T)) > ALGEBRA_ATOL:
-            raise ValueError("matrix is not Hermitian")
-        if float(np.min(np.linalg.eigvalsh(mat))) < -ALGEBRA_ATOL:
-            raise ValueError("matrix has a negative eigenvalue")
-        tr = complex(np.trace(mat))
-        if abs(tr.imag) > ALGEBRA_ATOL:
-            raise ValueError("trace is not real")
-        if abs(tr.real - 1.0) > ALGEBRA_ATOL:
-            raise ValueError(f"trace is not 1: {tr.real!r}")
+        _check_densities(mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+
+def _check_densities(stack: np.ndarray) -> None:
+    """The ``DensityMatrix`` checks, in order, each run once over an (N, d, d) stack.
+
+    A bad matrix raises the message it raises alone, whatever its place.
+    """
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix has a non-finite entry")
+    # |m - m^H| a row at a time: no temporary as large as the stack
+    rows = (np.abs(stack[:, i] - stack[:, :, i].conj()) for i in range(stack.shape[1]))
+    if max(row.max(initial=0.0) for row in rows) > ALGEBRA_ATOL:
+        raise ValueError("matrix is not Hermitian")
+    if float(np.min(np.linalg.eigvalsh(stack), initial=0.0)) < -ALGEBRA_ATOL:
+        raise ValueError("matrix has a negative eigenvalue")
+    traces = np.trace(stack, axis1=1, axis2=2)
+    if np.any(np.abs(traces.imag) > ALGEBRA_ATOL):
+        raise ValueError("trace is not real")
+    off = np.flatnonzero(np.abs(traces.real - 1.0) > ALGEBRA_ATOL)
+    if off.size:
+        raise ValueError(f"trace is not 1: {float(traces.real[off[0]])!r}")
+
+
+def density_matrices(num_qubits: int, matrices) -> list[DensityMatrix]:
+    """``DensityMatrix(num_qubits, m)`` for each matrix m of a stack, checked at once.
+
+    The stack is copied, checked (one ``eigvalsh`` call for all of it)
+    and made read-only once; each row is wrapped without a second check.
+    """
+    stack = np.array(matrices, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (2**num_qubits,) * 2:
+        raise ValueError(f"expected a stack of {num_qubits}-qubit matrices, got {stack.shape}")
+    _check_densities(stack)
+    stack.setflags(write=False)
+    wrapped = [object.__new__(DensityMatrix) for _ in range(len(stack))]
+    for rho, mat in zip(wrapped, stack):
+        vars(rho).update(num_qubits=num_qubits, matrix=mat)
+    return wrapped
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,11 +544,14 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     for q in keep_sorted:
         if not 0 <= q < state.num_qubits:
             raise ValueError(f"qubit index {q} out of range")
+    return DensityMatrix(len(keep_sorted), _reduced_matrix(state, keep_sorted))
+
+
+def _reduced_matrix(state: StateVector, keep_sorted: list[int]) -> np.ndarray:
+    """The unchecked matrix ``reduced_density`` wraps; ``keep_sorted`` ascending."""
     ket, bra, out = _subsystem_subscripts(state.num_qubits, keep_sorted)
     psi = state.as_tensor()
-    k = len(keep_sorted)
-    mat = np.einsum(f"{ket},{bra}->{out}", psi, psi.conj())
-    return DensityMatrix(k, mat.reshape(2**k, 2**k))
+    return np.einsum(f"{ket},{bra}->{out}", psi, psi.conj()).reshape((2 ** len(keep_sorted),) * 2)
 
 
 def density(state: StateVector) -> DensityMatrix:

@@ -27,23 +27,26 @@ from qracbox.qrac import (
     _relabelling,
     _wiring,
     channel_branches,
+    sample_channel_block,
 )
 from qracbox.quantum import (
     PHI_PLUS,
     PROB_FLOOR,
+    DensityMatrix,
     OutcomeNode,
     StateVector,
     apply_unitary,
     basis_state,
     bell_project,
     bell_projections,
+    density_matrices,
     haar_random_state,
     measure_project,
     pauli_correction,
     reduced_density,
     tensor,
 )
-from qracbox.rng import make_rng
+from qracbox.rng import make_rng, stream_words
 
 CORRECTIONS = list(product((0, 1), repeat=2))
 BELL_TENSOR = np.stack(
@@ -143,14 +146,15 @@ class TestEnumerationCost:
         def spy_reduce(state, keep):
             held.append(state)  # so that no later state can reuse its id
             traced.append((id(state), tuple(keep)))
-            return reduced_density(state, keep)
+            return reduce(state, keep)
 
         def spy_apply(*args, **kwargs):
             applied.append(args)
             return apply_unitary(*args, **kwargs)
 
+        reduce = quantum._reduced_matrix  # the partial trace behind reduced_density
         for module in (qrac, quantum):
-            monkeypatch.setattr(module, "reduced_density", spy_reduce)
+            monkeypatch.setattr(module, "_reduced_matrix", spy_reduce)
             monkeypatch.setattr(module, "apply_unitary", spy_apply)
         joint = tensor([haar_random_state(1, make_rng(74, q)) for q in range(4)])
         branches = channel_branches(joint, inputs, b=b)
@@ -159,6 +163,58 @@ class TestEnumerationCost:
         assert len(traced) == len(set(traced)) == len(leaves) == 2 * 16
         (spectator,) = set(range(4)) - set(inputs)
         assert {keep for _, keep in traced} == {(spectator, 5), (spectator, 7)}
+
+
+class TestStackedValidation:
+    """Each enumeration checks its outputs as one stack, and checks all of them."""
+
+    @pytest.mark.parametrize("b", [None, (0, 0), (1, 1)])
+    @pytest.mark.parametrize("inputs", [(0, 1, 2), (2, 0, 3)])
+    def test_one_stack_per_enumeration_and_no_single_check(self, monkeypatch, inputs, b):
+        stacks, singles = [], []
+        post_init = DensityMatrix.__post_init__
+
+        def spy_stack(num_qubits, matrices):
+            stacks.append(len(matrices))
+            return density_matrices(num_qubits, matrices)
+
+        def spy_single(rho):
+            singles.append(rho)
+            post_init(rho)
+
+        monkeypatch.setattr(qrac, "density_matrices", spy_stack)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", spy_single)
+        joint = tensor([haar_random_state(1, make_rng(77, q)) for q in range(4)])
+        branches = channel_branches(joint, inputs, b=b)
+        assert singles == []
+        # what checking each output alone built: the base partial trace of
+        # each leaf, and each other correction of it
+        leaves = {(br.w, br.first_bell, br.second_bell) for br in branches}
+        relabelled = {
+            (br.w, br.first_bell, br.second_bell, br.correction)
+            for br in branches
+            if br.correction != (0, 0)
+        }
+        assert stacks == [len(leaves) + len(relabelled)]
+
+    def test_every_relabelled_output_is_checked(self, monkeypatch):
+        def negated(dim, correction):
+            picks, sign = relabelling(dim, correction)
+            return picks, -np.ones_like(sign)
+
+        relabelling = qrac._relabelling
+        relabelling.cache_clear()
+        monkeypatch.setattr(qrac, "_relabelling", negated)
+        joint = tensor([haar_random_state(1, make_rng(78, q)) for q in range(3)])
+        try:
+            # -rho is Hermitian; its spectrum is the first check it fails
+            with pytest.raises(ValueError, match="^matrix has a negative eigenvalue$"):
+                channel_branches(joint)
+            with pytest.raises(ValueError, match="^matrix has a negative eigenvalue$"):
+                sample_channel_block(joint, stream_words(78, np.arange(64), 4))
+        finally:
+            relabelling.cache_clear()
+            qrac._channel_tree.cache_clear()
 
 
 class TestBellProjections:

@@ -30,6 +30,7 @@ from qracbox.qrac import (
     dense_encode,
     qrac_alice,
     qrac_bob,
+    qrac_rounds,
     sample_alice_output,
     sample_channel,
 )
@@ -53,7 +54,7 @@ from qracbox.quantum import (
     tensor,
     trace_distance,
 )
-from qracbox.rng import make_rng
+from qracbox.rng import make_rng, stream_words
 
 MIXED = np.eye(2) / 2
 
@@ -176,6 +177,22 @@ class TestResourceContracts:
         res = QracResources(make_rng(0))
         with pytest.raises(ValueError):
             qrac_alice(PHI_PLUS, KET0, res)
+
+    @pytest.mark.parametrize("omega", [tensor([KET_PLUS, KET1]), tensor([KET1, KET1])])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda omega: alice_output_distribution(KET0, KET1, omega),
+            lambda omega: run_qrac_protocol(KET0, KET1, omega, 3),
+            lambda omega: run_qrac_protocol(KET0, KET1, omega, 3, dense=True),
+            lambda omega: qrac_rounds(KET0, KET1, omega, stream_words(3, np.arange(5), 4)),
+        ],
+        ids=["alice_output_distribution", "run_qrac_protocol", "run_qrac_protocol_dense",
+             "qrac_rounds"],
+    )
+    def test_multi_qubit_choice_rejected(self, run, omega):
+        with pytest.raises(ValueError, match="^omega must be a single-qubit state$"):
+            run(omega)
 
 
 class TestDenseCoding:
@@ -462,9 +479,9 @@ class TestOutcomeTreeCache:
         assert _alice_tree(nudged.amplitudes.tobytes(), phi.amplitudes.tobytes()) is not tree
         assert _alice_tree(phi.amplitudes.tobytes(), psi.amplitudes.tobytes()) is not tree
 
-        tree = _choice_tree(1, psi.amplitudes.tobytes())
-        assert _choice_tree(1, psi.amplitudes.copy().tobytes()) is tree
-        assert _choice_tree(1, nudged.amplitudes.tobytes()) is not tree
+        tree = _choice_tree(psi.amplitudes.tobytes())
+        assert _choice_tree(psi.amplitudes.copy().tobytes()) is tree
+        assert _choice_tree(nudged.amplitudes.tobytes()) is not tree
 
         joint = tensor([psi, phi, KET_PLUS])
         tree = _channel_tree(3, joint.amplitudes.tobytes(), (0, 1, 2))

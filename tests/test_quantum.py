@@ -26,6 +26,7 @@ from qracbox.quantum import (
     bell_project,
     bell_state,
     density,
+    density_matrices,
     fidelity,
     haar_random_qubit,
     haar_random_state,
@@ -89,6 +90,59 @@ class TestTypes:
         assert out.index == 2
         with pytest.raises(ValueError):
             BellOutcome(2, 0)
+
+
+def _two_qubit_states(count: int, seed: int) -> np.ndarray:
+    """Mixed two-qubit states: halves of Haar-random three-qubit states."""
+    rng = rng_for(seed)
+    return np.stack([reduced_density(haar_random_state(3, rng), [0, 2]).matrix for _ in range(count)])
+
+
+# each defect, and the message DensityMatrix raises for it alone
+DEFECTS = {
+    "non-finite": (np.diag([np.nan, 0.5, 0.5, 0.0]), "matrix has a non-finite entry"),
+    # entry (2, 3) alone: a check that stops at the first rows misses it
+    "non-Hermitian": (np.eye(4) / 4 + np.diag([0.0, 0.0, 0.1], k=1), "matrix is not Hermitian"),
+    "negative eigenvalue": (np.diag([0.75, 0.5, -0.25, 0.0]), "matrix has a negative eigenvalue"),
+    # each diagonal entry within the Hermitian tolerance, their sum beyond it
+    "complex trace": (np.eye(4) / 4 + np.eye(4) * 4.5e-11j, "trace is not real"),
+    "trace not 1": (np.diag([0.7, 0.2, 0.2, 0.3]), "trace is not 1: 1.4"),
+}
+
+
+class TestDensityMatrices:
+    """A stack is checked at once, exactly as DensityMatrix checks each matrix."""
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_defect_raises_the_message_of_its_matrix_alone(self, defect, position):
+        bad, message = DEFECTS[defect]
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(2, bad)
+        assert str(alone.value) == message
+        stack = _two_qubit_states(7, 5)
+        stack[position] = bad
+        with pytest.raises(ValueError) as stacked:
+            density_matrices(2, stack)
+        assert str(stacked.value) == message
+
+    def test_valid_stack_is_wrapped_read_only_and_byte_equal(self):
+        stack = _two_qubit_states(9, 6)
+        expected = [DensityMatrix(2, m).matrix.tobytes() for m in stack]
+        wrapped = density_matrices(2, stack)
+        assert [rho.matrix.tobytes() for rho in wrapped] == expected
+        assert all(type(rho) is DensityMatrix and rho.num_qubits == 2 for rho in wrapped)
+        for rho in wrapped:
+            assert not rho.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                rho.matrix[0, 0] = 0.0
+        stack[:] = np.nan  # the caller's array is copied, not kept
+        assert [rho.matrix.tobytes() for rho in wrapped] == expected
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (1, 4, 4, 1)])
+    def test_stack_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a stack of 2-qubit matrices"):
+            density_matrices(2, np.zeros(shape))
 
 
 class TestMakePureQubit:
