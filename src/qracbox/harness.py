@@ -38,6 +38,7 @@ from .boxes import (
     verify_rac_privacy,
 )
 from .channel import (
+    _omega_from_amplitudes,
     build_dilation,
     environment_orthogonality_check,
     mixture_check,
@@ -159,9 +160,10 @@ class ExperimentConfig:
         if self.alpha is not None:
             if not all(isfinite(x) for x in (*self.alpha, *self.beta)):
                 raise ConfigError("alpha and beta must be finite")
-            weight = abs(complex(*self.alpha)) ** 2 + abs(complex(*self.beta)) ** 2
-            if abs(weight - 1.0) > 1e-10:
-                raise ConfigError("|alpha|^2 + |beta|^2 must be 1 within 1e-10")
+            try:
+                _omega_from_amplitudes(complex(*self.alpha), complex(*self.beta))
+            except ValueError:
+                raise ConfigError("|alpha|^2 + |beta|^2 must be 1 within 1e-10") from None
         # parse eagerly so bad specs fail at config time
         parse_state_spec(self.psi)
         parse_state_spec(self.phi)
@@ -293,12 +295,8 @@ def run_rac_protocol(a0: int, a1: int, w: int, rng: np.random.Generator) -> RacR
 # budget assertions and reports
 # ---------------------------------------------------------------------------
 
-def meter_assert(transcript: RoundTranscript, budget: Tally) -> dict:
-    """Hard equality of transcript tallies against a budget.
-
-    Returns a check entry; ``value`` is the number of mismatched tally
-    fields, with a diff in ``detail`` on failure.
-    """
+def _assert_budget(transcript: RoundTranscript, budget: Tally, context: str) -> None:
+    """Hard equality of transcript tallies against a budget."""
     actual = transcript.totals.as_dict()
     expected = budget.as_dict()
     diffs = [
@@ -306,19 +304,12 @@ def meter_assert(transcript: RoundTranscript, budget: Tally) -> dict:
         for key in expected
         if expected[key] != actual[key]
     ]
-    entry = check("budget", not diffs, float(len(diffs)), 0.0)
-    entry["detail"] = "; ".join(diffs) if diffs else None
-    return entry
-
-
-def _assert_budget(transcript: RoundTranscript, budget: Tally, context: str) -> None:
-    entry = meter_assert(transcript, budget)
-    if not entry["pass"]:
+    if diffs:
         excerpt = ", ".join(
             f"{m.direction} {m.kind} {m.payload}" for m in transcript.messages[-8:]
         )
         raise ProtocolError(
-            f"budget violation in {context}: {entry['detail']} (log: {excerpt})"
+            f"budget violation in {context}: {'; '.join(diffs)} (log: {excerpt})"
         )
 
 

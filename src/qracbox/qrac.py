@@ -184,11 +184,10 @@ class QracResources:
     measurements, for Bob's side.
     """
 
-    def __init__(self, rng: np.random.Generator, *, coins: tuple[int, int] | None = None):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        coin0, coin1 = (None, None) if coins is None else coins
-        self.box0 = PRBox(rng, coin=coin0)
-        self.box1 = PRBox(rng, coin=coin1)
+        self.box0 = PRBox(rng)
+        self.box1 = PRBox(rng)
         self.leaf: OutcomeNode | None = None
         self.alice_done = False
         self.bob_done = False
@@ -561,28 +560,22 @@ def branch_sums(
 
 
 def sample_channel(
-    joint: StateVector,
-    rng: np.random.Generator,
-    inputs: tuple[int, int, int] = (0, 1, 2),
-    *,
-    b: tuple[int, int] | None = None,
+    joint: StateVector, rng: np.random.Generator, inputs: tuple[int, int, int] = (0, 1, 2)
 ) -> tuple[int, AliceClassicalOutput, DensityMatrix]:
     """One sampled execution of the box on registers of ``joint``.
 
-    Mirrors channel_branches but draws each outcome from the rng (choice,
-    both Bell measurements, then the coins); used by the sampled
-    (statistical) verification paths.
+    Mirrors channel_branches with Alice's output wired to Bob, but draws
+    each outcome from the rng (choice, both Bell measurements, then the
+    coins); used by the sampled (statistical) verification paths.
     """
     n = joint.num_qubits
     spectators = _spectators(n, inputs)
-    fixed_b = None if b is None else _as_bits(b)
     w, node = _channel_tree(n, joint.amplitudes.tobytes(), tuple(inputs)).draw(rng)
     first, node = node.draw(rng)
     second, leaf = node.draw(rng)
     box0, box1 = PRBox(rng), PRBox(rng)
     alice_out = AliceClassicalOutput(*_alice_side(first, second, box0, box1))
-    received = alice_out.bits if fixed_b is None else fixed_b
-    _, correction, target = _bob_side(n, w, received, box0, box1)
+    _, correction, target = _bob_side(n, w, alice_out.bits, box0, box1)
     return w, alice_out, _leaf_output(leaf, target, correction, spectators)
 
 
@@ -604,13 +597,6 @@ def sample_channel_block(
     alice = _alice_side(outcomes[:, 1], outcomes[:, 2], box0, box1)
     _, correction, target = _bob_side(n, w, alice, box0, box1)
     return _leaf_outputs(leaves, ends, target, correction, spectators)
-
-
-def alice_output_distribution(
-    psi: StateVector, phi: StateVector, omega: StateVector
-) -> np.ndarray:
-    """Exact distribution of Alice's two-bit output, indexed by 2*a1 + a0."""
-    return branch_sums(channel_branches(_round_register(psi, phi, omega)))[0]
 
 
 def sample_alice_output(

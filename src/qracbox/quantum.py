@@ -166,11 +166,6 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _I = np.eye(2, dtype=complex)
 
-PAULI_X = UnitaryMatrix(2, _X)
-PAULI_Z = UnitaryMatrix(2, _Z)
-IDENTITY = UnitaryMatrix(2, _I)
-
-
 _CORRECTIONS = {
     (bit1, bit0): UnitaryMatrix(2, (_Z if bit1 else _I) @ (_X if bit0 else _I))
     for bit1 in (0, 1)
@@ -211,11 +206,6 @@ _BELL_TENSOR = _BELL.reshape(4, 2, 2)
 _BELL_BRAS = _BELL_TENSOR.conj().reshape(4, 1, 4)
 _BELL_BRAS.setflags(write=False)
 _BELL_OUTCOMES = tuple(BellOutcome(i >> 1, i & 1) for i in range(4))
-
-
-def bell_state(bit1: int, bit0: int) -> StateVector:
-    """The Bell basis state B(bit1, bit0) = (X^bit0 (x) Z^bit1)|Phi+>."""
-    return StateVector(2, _bell_vector(bit1, bit0))
 
 
 def make_pure_qubit(theta: float, phi: float) -> StateVector:
@@ -586,10 +576,3 @@ def haar_random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
 def haar_random_qubit(rng: np.random.Generator) -> StateVector:
     return haar_random_state(1, rng)
 
-
-def haar_random_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
-    """Haar-random unitary via QR decomposition with phase fixing."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return UnitaryMatrix(dim, q)

@@ -1,7 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written the slow, obvious way (explicit
-kron products, index loops) so it shares no code path with the package.
+kron products, index loops) so it shares no code path with the package:
+full unitaries, Bell vectors and probabilities, the loop partial trace,
+a Choi matrix applied to an input, a dilation's output, and Haar-random
+unitaries as test data.
 """
 from __future__ import annotations
 
@@ -91,3 +94,35 @@ def loop_partial_trace(rho: np.ndarray, keep: list[int], num_qubits: int) -> np.
 
 def tv_distance_arrays(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.asarray(p) - np.asarray(q))))
+
+
+def choi_apply(choi: np.ndarray, rho: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Channel output sum_ij rho[i, j] L(|i><j|), with L(|i><j|) the (i, j) block of J.
+
+    Entry (i*d_out + a, j*d_out + b) of the Choi matrix J is L(|i><j|)[a, b].
+    """
+    out = np.zeros((d_out, d_out), dtype=complex)
+    for i in range(d_in):
+        for j in range(d_in):
+            for a in range(d_out):
+                for b in range(d_out):
+                    out[a, b] += rho[i, j] * choi[i * d_out + a, j * d_out + b]
+    return out
+
+
+def dilation_output(v: np.ndarray, rho: np.ndarray, d_out: int, env_dim: int) -> np.ndarray:
+    """Tr_env V rho V' for V into output (x) environment, row o*env_dim + e."""
+    big = v @ rho @ v.conj().T
+    out = np.zeros((d_out, d_out), dtype=complex)
+    for a in range(d_out):
+        for b in range(d_out):
+            for e in range(env_dim):
+                out[a, b] += big[a * env_dim + e, b * env_dim + e]
+    return out
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary: QR of a complex Gaussian matrix, phases fixed by R's diagonal."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

@@ -12,6 +12,7 @@ import pytest
 
 import qracbox
 from qracbox import channel as channel_module
+from qracbox import qrac as qrac_module
 from qracbox.boxes import tv_distance
 from qracbox.channel import (
     D_IN,
@@ -30,7 +31,6 @@ from qracbox.channel import (
     verify_nonsignaling,
 )
 from qracbox.qrac import (
-    alice_output_distribution,
     bob_view_distribution,
     branch_sums,
     channel_branches,
@@ -47,6 +47,8 @@ from qracbox.quantum import (
     trace_distance,
 )
 from qracbox.rng import make_rng
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +78,7 @@ class TestTomography:
 
     def test_reconstruction_matches_basis_case(self, exact_choi):
         rho_in = density(tensor([KET0, KET1, KET0])).matrix
-        out = exact_choi.apply(rho_in)
+        out = oracles.choi_apply(exact_choi.matrix, rho_in, 8, 2)
         np.testing.assert_allclose(out, density(KET0).matrix, atol=1e-8)
 
     def test_reconstruction_matches_simulator_on_random_inputs(self, exact_choi):
@@ -85,7 +87,9 @@ class TestTomography:
             psi, phi, omega = (haar_random_qubit(rng) for _ in range(3))
             rho_in = density(tensor([psi, phi, omega])).matrix
             np.testing.assert_allclose(
-                exact_choi.apply(rho_in), direct_output(psi, phi, omega), atol=1e-8
+                oracles.choi_apply(exact_choi.matrix, rho_in, 8, 2),
+                direct_output(psi, phi, omega),
+                atol=1e-8,
             )
 
     def test_sampled_mode_roughly_agrees(self, exact_choi):
@@ -108,7 +112,9 @@ class TestTomography:
 
     def test_json_round_trip(self, exact_choi):
         data = exact_choi.to_json_dict()
-        back = ChoiMatrix.from_json_dict(data)
+        back = ChoiMatrix(
+            data["d_in"], data["d_out"], np.asarray(data["re"]) + 1j * np.asarray(data["im"])
+        )
         np.testing.assert_allclose(back.matrix, exact_choi.matrix, atol=1e-15)
 
 
@@ -149,10 +155,6 @@ class TestChoiValidation:
         with pytest.raises(ValueError, match="non-finite"):
             ChoiMatrix(8, 2, mat)
 
-    def test_apply_validates_input_shape(self, exact_choi):
-        with pytest.raises(ValueError):
-            exact_choi.apply(np.eye(4))
-
 
 class TestMixtureLaw:
     def test_pure_first_choice(self):
@@ -187,9 +189,11 @@ class TestMixtureLaw:
                 assert report["metrics"]["trace_distance"] <= 1e-8
                 assert report["metrics"]["subchannel_max_distance"] <= 1e-8
 
-    def test_unnormalized_weights_rejected(self):
-        with pytest.raises(ValueError):
-            mixture_check(1.0, 0.5, KET0, KET1)
+    # the last three are too large to square
+    @pytest.mark.parametrize("alpha", [1.0, 1e200, 1e200j, complex(1e308, 1e308)])
+    def test_unnormalized_weights_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"must be 1, got"):
+            mixture_check(alpha, 0.5, KET0, KET1)
 
 
 class TestDilation:
@@ -202,7 +206,8 @@ class TestDilation:
         dil = build_dilation(ChoiMatrix(2, 2, omega))
         assert dil.env_dim == 1
         rho = density(haar_random_qubit(make_rng(1))).matrix
-        np.testing.assert_allclose(dil.output_state(rho), rho, atol=1e-10)
+        output = oracles.dilation_output(dil.isometry, rho, dil.d_out, dil.env_dim)
+        np.testing.assert_allclose(output, rho, atol=1e-10)
 
     def test_isometry_property(self, exact_choi):
         dil = build_dilation(exact_choi)
@@ -215,7 +220,9 @@ class TestDilation:
         for _ in range(20):
             rho = density(haar_random_state(3, rng)).matrix
             np.testing.assert_allclose(
-                dil.output_state(rho), exact_choi.apply(rho), atol=1e-8
+                oracles.dilation_output(dil.isometry, rho, dil.d_out, dil.env_dim),
+                oracles.choi_apply(exact_choi.matrix, rho, 8, 2),
+                atol=1e-8,
             )
 
     def test_non_cptp_input_rejected(self):
@@ -492,6 +499,39 @@ class TestConstantEnumerations:
         assert (out.returncode, out.stdout) == (0, "0 0\n")
 
 
+class TestClearBoxCaches:
+    """A wiring change reaches the reports only once every box cache is cleared."""
+
+    def test_every_cache_is_emptied(self, clear_box_caches):
+        tomography()
+        verify_nonsignaling(0, 0)
+        caches = clear_box_caches()
+        assert {cache.__name__ for cache in caches} >= {
+            "_pair_first", "_alice_tree", "_choice_tree", "_channel_tree", "_relabelling",
+            "_payload_node", "_wiring", "_probe_sums", "_default_contrast",
+        }
+        assert all(cache.cache_info().currsize == 0 for cache in caches)
+
+    def test_a_wiring_mutant_reaches_tomography(self, exact_choi, monkeypatch, clear_box_caches):
+        honest_side = qrac_module._alice_side
+
+        def flip_a1(first, second, box0, box1):
+            a1, a0 = honest_side(first, second, box0, box1)
+            return a1 ^ 1, a0
+
+        tomography()
+        monkeypatch.setattr(qrac_module, "_alice_side", flip_a1)
+        _probe_sums.cache_clear()
+        _default_contrast.cache_clear()
+        assert np.array_equal(tomography().matrix, exact_choi.matrix)  # stale _wiring rows
+        clear_box_caches()
+        assert np.max(np.abs(tomography().matrix - exact_choi.matrix)) == pytest.approx(2.0)
+
+    def test_teardown_restores_the_honest_box(self, exact_choi):
+        # runs after the mutant test, whose teardown must leave no mutant row cached
+        assert np.array_equal(tomography().matrix, exact_choi.matrix)
+
+
 class TestAliceInputsAreSingleQubits:
     """Every exact entry point rejects a two-qubit psi or phi by name."""
 
@@ -499,14 +539,13 @@ class TestAliceInputsAreSingleQubits:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda psi, phi, dil: alice_output_distribution(psi, phi, KET0),
             lambda psi, phi, dil: bob_view_distribution(psi, phi, 0),
             lambda psi, phi, dil: mixture_check(1.0, 0.0, psi, phi),
             lambda psi, phi, dil: verify_nonsignaling(0, 0, psi=psi, phi=phi),
             lambda psi, phi, dil: environment_orthogonality_check(dil, psi, phi),
         ],
-        ids=["alice_output_distribution", "bob_view_distribution", "mixture_check",
-             "verify_nonsignaling", "environment_orthogonality_check"],
+        ids=["bob_view_distribution", "mixture_check", "verify_nonsignaling",
+             "environment_orthogonality_check"],
     )
     def test_two_qubit_input_rejected(self, dilation, run, wrong):
         inputs = {"psi": KET0, "phi": KET1, wrong: tensor([KET0, KET1])}

@@ -27,8 +27,8 @@ from qracbox.cli import build_parser, main
 from qracbox.harness import (
     ConfigError,
     ExperimentConfig,
+    _assert_budget,
     canonical_json,
-    meter_assert,
     parse_state_spec,
     run_experiment,
     run_qrac_protocol,
@@ -112,11 +112,18 @@ class TestExperimentConfig:
                 beta=(0.0, 0.0),
             )
 
-    def test_unnormalized_alpha_beta_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(
-                experiment="mixture", seed=1, alpha=(1.0, 0.0), beta=(1.0, 0.0)
-            )
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [
+            ((1.0, 0.0), (1.0, 0.0)),
+            ((0.0, 1e200), (0.8, 0.0)),  # too large to square
+            ((1e200, 0.0), (0.0, 0.0)),
+            ((1e308, 1e308), (0.0, 0.0)),
+        ],
+    )
+    def test_unnormalized_alpha_beta_rejected(self, alpha, beta):
+        with pytest.raises(ConfigError, match=r"must be 1 within 1e-10$"):
+            ExperimentConfig(experiment="mixture", seed=1, alpha=alpha, beta=beta)
 
     def test_omega_resolution(self):
         config = ExperimentConfig(
@@ -147,22 +154,22 @@ class TestPartyMachines:
             assert result.transcript.totals == RACBOX_BUDGET
 
 
-class TestMeterAssert:
-    def test_pass(self):
+class TestAssertBudget:
+    def test_within_budget_passes(self):
         result = run_qrac_protocol(KET0, KET1, KET0, seed=1)
-        check = meter_assert(result.transcript, QRAC_BUDGET)
-        assert check["pass"] and check["value"] == 0.0
+        _assert_budget(result.transcript, QRAC_BUDGET, "unit test")
 
-    def test_fail_reports_diff(self):
+    def test_over_budget_names_each_diff(self):
         result = run_qrac_protocol(KET0, KET1, KET0, seed=1)
-        check = meter_assert(result.transcript, Tally(bits_a_to_b=1, qubits_a_to_b=1))
-        assert not check["pass"]
-        assert check["value"] == 2.0
-        assert "bits_a_to_b" in check["detail"]
+        over = Tally(bits_a_to_b=1, qubits_a_to_b=1)
+        with pytest.raises(ProtocolError) as raised:
+            _assert_budget(result.transcript, over, "unit test")
+        assert str(raised.value).startswith(
+            "budget violation in unit test: bits_a_to_b: expected 1, got 2; "
+            "qubits_a_to_b: expected 1, got 0 (log: "
+        )
 
     def test_budget_violation_is_a_hard_failure_with_excerpt(self):
-        from qracbox.harness import _assert_budget
-
         result = run_qrac_protocol(KET0, KET1, KET0, seed=1)
         with pytest.raises(ProtocolError, match="log:"):
             _assert_budget(result.transcript, Tally(bits_a_to_b=1), "unit test")
@@ -368,6 +375,7 @@ class TestCli:
             (["run"], '{"experiment": "mixture", "seed": 1, "alpha": [NaN, 0], "beta": [1, 0]}'),
             (["run"], '{"experiment": "mixture", "seed": 1, "alpha": [1, 0], "beta": [0, Infinity]}'),
             (["run"], '{"experiment": "mixture", "seed": 1, "alpha": ["x", 0], "beta": [0, 1]}'),
+            (["run"], '{"experiment": "qrac", "seed": 1, "alpha": [0, 1e200], "beta": [0.8, 0]}'),
             (["run"], '{"experiment": "qrac", "trials": true}'),
             (["run"], '{"experiment": "qrac", "trials": 2, "out": 5}'),
         ],
@@ -507,7 +515,10 @@ _FLAGS = st.one_of(
 _CONFIG_FIELDS = st.dictionaries(
     st.sampled_from(["trials", "seed", "out", "mode", "psi", "omega", "alpha", "beta", "shots"]),
     st.one_of(
-        st.sampled_from([True, None, 5, -1, 1.5, "x", "sampled", "amp:1e-160,0,0,0", [0.6, 0]]),
+        st.sampled_from(
+            [True, None, 5, -1, 1.5, "x", "sampled", "amp:1e-160,0,0,0",
+             [0.6, 0], [1e200, 0], [0, 1e200]]
+        ),
         st.floats(),
     ),
     max_size=2,
@@ -558,3 +569,15 @@ class TestCliExitCodes:
                 warnings.filterwarnings("ignore", "state spec .* renormalized", UserWarning)
                 code = main(argv)
         assert code in (0, 2, 3)
+
+
+class TestPublicNames:
+    def test_all_resolves_once_each(self):
+        names = qracbox.__all__
+        assert len(set(names)) == len(names)
+        assert [name for name in names if not hasattr(qracbox, name)] == []
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from qracbox import *", namespace)
+        assert set(qracbox.__all__) <= set(namespace)

@@ -23,8 +23,9 @@ from qracbox.qrac import (
     _channel_tree,
     _choice_tree,
     _load_inputs,
-    alice_output_distribution,
+    _round_register,
     bob_view_distribution,
+    branch_sums,
     channel_branches,
     dense_decode,
     dense_encode,
@@ -44,7 +45,6 @@ from qracbox.quantum import (
     apply_unitary,
     bell_measure,
     bell_project,
-    bell_state,
     fidelity,
     haar_random_qubit,
     measure_computational,
@@ -55,6 +55,8 @@ from qracbox.quantum import (
     trace_distance,
 )
 from qracbox.rng import make_rng, stream_words
+
+import oracles
 
 MIXED = np.eye(2) / 2
 
@@ -98,7 +100,7 @@ class TestAliceOutput:
         rng = make_rng(4)
         for omega in (KET0, KET1, KET_PLUS):
             psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
-            dist = alice_output_distribution(psi, phi, omega)
+            dist = branch_sums(channel_branches(tensor([psi, phi, omega])))[0]
             assert np.max(np.abs(dist - 0.25)) < 1e-12
 
     def test_sampled_distribution_is_uniform(self):
@@ -182,12 +184,12 @@ class TestResourceContracts:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda omega: alice_output_distribution(KET0, KET1, omega),
+            lambda omega: channel_branches(_round_register(KET0, KET1, omega)),
             lambda omega: run_qrac_protocol(KET0, KET1, omega, 3),
             lambda omega: run_qrac_protocol(KET0, KET1, omega, 3, dense=True),
             lambda omega: qrac_rounds(KET0, KET1, omega, stream_words(3, np.arange(5), 4)),
         ],
-        ids=["alice_output_distribution", "run_qrac_protocol", "run_qrac_protocol_dense",
+        ids=["channel_branches", "run_qrac_protocol", "run_qrac_protocol_dense",
              "qrac_rounds"],
     )
     def test_multi_qubit_choice_rejected(self, run, omega):
@@ -230,7 +232,7 @@ class TestDenseCoding:
         for t in (0, 1):
             for s in (0, 1):
                 encoded = dense_encode(t, s, DenseCodingPair())
-                overlap = np.vdot(bell_state(t, s).amplitudes, encoded.amplitudes)
+                overlap = np.vdot(oracles.bell_vector(t, s), encoded.amplitudes)
                 assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
     def test_pair_reuse_rejected(self):
@@ -294,7 +296,8 @@ class TestForcedCoins:
         w = 1
         branches = channel_branches(tensor([psi, phi, KET1]))
         for coins in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            res = QracResources(make_rng(55), coins=coins)
+            res = QracResources(make_rng(55))
+            res.box0, res.box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
             a = qrac_alice(psi, phi, res)
             out = qrac_bob(w, a, res)
             matches = [
@@ -338,25 +341,6 @@ class TestSampledChannel:
     def test_bad_input_registers_rejected(self, execute, inputs):
         with pytest.raises(ValueError, match="input register"):
             execute(tensor([KET0] * 3), inputs)
-
-    def test_bad_b_rejected_before_any_draw(self):
-        rng = make_rng(16)
-        with pytest.raises(ValueError, match="b1 must be 0 or 1"):
-            sample_channel(tensor([KET0, KET1, KET0]), rng, b=(2, 0))
-        # the stream is where a fresh one starts: no word and no half word spent
-        assert rng.bit_generator.state["has_uint32"] == 0
-        fresh = make_rng(16).bit_generator.random_raw(8)
-        assert np.array_equal(rng.bit_generator.random_raw(8), fresh)
-
-    def test_fixed_b_sampling(self):
-        joint = tensor([KET0, KET1, KET0])
-        rng = make_rng(15)
-        avg = np.zeros((2, 2), dtype=complex)
-        trials = 400
-        for _ in range(trials):
-            _, _, rho = sample_channel(joint, rng, b=(0, 1))
-            avg += rho.matrix / trials
-        assert trace_distance(avg, MIXED) < 0.1
 
 
 class TestAliceClassicalOutput:

@@ -13,8 +13,7 @@ from qracbox.quantum import (
     KET1,
     KET_PLUS,
     PHI_PLUS,
-    PAULI_X,
-    PAULI_Z,
+    _BELL,
     BellOutcome,
     DensityMatrix,
     OutcomeNode,
@@ -24,13 +23,11 @@ from qracbox.quantum import (
     basis_state,
     bell_measure,
     bell_project,
-    bell_state,
     density,
     density_matrices,
     fidelity,
     haar_random_qubit,
     haar_random_state,
-    haar_random_unitary,
     make_pure_qubit,
     measure_computational,
     measure_project,
@@ -182,7 +179,7 @@ class TestTensor:
 
 class TestApplyUnitary:
     def test_x_flips_ket0(self):
-        out = apply_unitary(KET0, PAULI_X, [0])
+        out = apply_unitary(KET0, pauli_correction(0, 1), [0])
         assert fidelity(density(out), KET1) == pytest.approx(1.0, abs=1e-12)
 
     def test_correction_inverts_pauli_error(self):
@@ -199,15 +196,15 @@ class TestApplyUnitary:
                     assert fidelity(density(fixed), psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_z_on_either_half_of_phi_plus_agrees(self):
-        a = apply_unitary(PHI_PLUS, PAULI_Z, [0])
-        b = apply_unitary(PHI_PLUS, PAULI_Z, [1])
+        a = apply_unitary(PHI_PLUS, pauli_correction(1, 0), [0])
+        b = apply_unitary(PHI_PLUS, pauli_correction(1, 0), [1])
         assert np.abs(np.vdot(a.amplitudes, b.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_full_matrix_oracle(self):
         rng = rng_for(5)
         for _ in range(10):
             state = haar_random_state(3, rng)
-            u = haar_random_unitary(4, rng)
+            u = UnitaryMatrix(4, oracles.haar_unitary(4, rng))
             targets = list(rng.permutation(3)[:2])
             expected = oracles.embed_unitary(u.matrix, targets, 3) @ state.amplitudes
             got = apply_unitary(state, u, targets).amplitudes
@@ -215,14 +212,14 @@ class TestApplyUnitary:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            apply_unitary(PHI_PLUS, PAULI_X, [0, 1])
+            apply_unitary(PHI_PLUS, pauli_correction(0, 1), [0, 1])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            apply_unitary(KET0, PAULI_X, [1])
+            apply_unitary(KET0, pauli_correction(0, 1), [1])
 
     def test_duplicate_targets_rejected(self):
-        u4 = haar_random_unitary(4, rng_for(0))
+        u4 = UnitaryMatrix(4, oracles.haar_unitary(4, rng_for(0)))
         with pytest.raises(ValueError):
             apply_unitary(PHI_PLUS, u4, [0, 0])
 
@@ -233,7 +230,7 @@ class TestApplyUnitary:
         n = int(rng.integers(1, 5))
         k = int(rng.integers(1, min(n, 2) + 1))
         state = haar_random_state(n, rng)
-        u = haar_random_unitary(2**k, rng)
+        u = UnitaryMatrix(2**k, oracles.haar_unitary(2**k, rng))
         targets = list(rng.permutation(n)[:k])
         out = apply_unitary(state, u, targets)
         assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
@@ -241,11 +238,7 @@ class TestApplyUnitary:
 
 class TestBellMeasurement:
     def test_projectors_complete(self):
-        total = sum(
-            np.outer(bell_state(t, s).amplitudes, bell_state(t, s).amplitudes.conj())
-            for t in (0, 1)
-            for s in (0, 1)
-        )
+        total = sum(np.outer(row, row.conj()) for row in _BELL)
         assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
     def test_phi_plus_gives_00(self):
@@ -256,7 +249,7 @@ class TestBellMeasurement:
         )
 
     def test_x_encoded_pair_gives_01(self):
-        state = apply_unitary(PHI_PLUS, PAULI_X, [0])
+        state = apply_unitary(PHI_PLUS, pauli_correction(0, 1), [0])
         expected = oracles.bell_probabilities(state.amplitudes, (0, 1), 2)
         np.testing.assert_allclose(expected, [0, 1, 0, 0], atol=1e-12)
         outcome, _ = bell_measure(state, (0, 1), rng_for(3))

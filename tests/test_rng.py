@@ -199,7 +199,7 @@ class TestExecutorsMatchPerCallDraws:
         for trial in range(40):
             result = run_qrac_protocol(psi, phi, omega, seed, trial=trial, dense=dense)
             rng = make_rng(seed, trial)
-            res = QracResources(rng, coins=tuple(_old_bits(rng, 2)))
+            res = QracResources(rng)
             w, _ = measure_computational(omega, 0, rng)
             alice = qrac_alice(psi, phi, res)
             assert (result.w, result.alice) == (w, alice)
@@ -212,6 +212,6 @@ class TestExecutorsMatchPerCallDraws:
         ours, ref = make_rng(seed, 1), make_rng(seed, 1)
         for _ in range(300):
             out = sample_alice_output(psi, phi, 1, ours)
-            res = QracResources(ref, coins=tuple(_old_bits(ref, 2)))
+            res = QracResources(ref)
             assert out == qrac_alice(psi, phi, res)
         _assert_same_state(ours, ref)
