@@ -22,10 +22,10 @@ them is still a validated copy.  So the saving is for a process that
 makes several exact reports; one that makes a single report enumerates
 as often as before and saves only the ``np.kron`` work the dilation's
 pair loop no longer does.  These two are not the only caches the
-box's wiring feeds (``qrac`` caches outcome trees and ``_wiring`` rows),
-so a test that changes the wiring must clear every ``functools.lru_cache``
-of ``quantum``, ``qrac`` and ``channel``, as the suite's
-``clear_box_caches`` fixture (``tests/conftest.py``) does.
+box's wiring feeds (``qrac`` caches outcome trees, with Bob's outputs
+on their leaves), so a test that changes the wiring must clear every
+``functools.lru_cache`` of ``quantum``, ``qrac`` and ``channel``, as
+the suite's ``clear_box_caches`` fixture (``tests/conftest.py``) does.
 
 Choi convention: index (i*d_out + o), i.e. J = sum_ij |i><j| (x)
 L(|i><j|), so the partial trace over the output equals the identity on

@@ -22,32 +22,33 @@ than a superposition of the two inputs.
 
 The PR-box wiring of a round is written once, in ``_alice_side`` and
 ``_bob_side``, as XOR/AND expressions on the outcome bits and the boxes
-(``boxes.PRBox``, or ``boxes.PRBoxes`` for int arrays), and run by three
-executors:
+(``boxes.PRBox``, or ``boxes.PRBoxes`` for int arrays).  The
+single-trial references (``qrac_alice`` / ``qrac_bob``,
+``sample_channel``, ``sample_alice_output``) run it on ``PRBox``es,
+each outcome drawn from an rng.  Every other round runs through one
+pass, ``_play``: rows of (leaf, w, Bell outcome indices, coins) in,
+Alice's bits, Bob's box outputs and corrections and his distinct
+outputs out, from one ``PRBoxes`` pair.  The rows come two ways:
 
-* single-trial (``qrac_alice`` / ``qrac_bob``, ``sample_channel``,
-  ``sample_alice_output``): each outcome is drawn from an rng;
-* batched (``qrac_rounds``, ``sample_channel_block``,
-  ``sample_alice_outputs``, ``dense_decode_block``): a block of trials
-  at once, from the raw Philox words each trial's lone round would
-  draw (the word map is in ``rng``), so every trial equals its
-  single-trial replay bit for bit; the reports run these;
-* enumerated (``channel_branches``): every choice outcome x Bell
-  outcomes x coins branch with its exact probability, so the suite can
-  assert identities at 1e-10 instead of collecting statistics.  It
-  pays once per distinct state, not once per branch: all four outcomes
-  of a Bell measurement come from one ``quantum.bell_projections``
-  call, and the classical side of a leaf's four coin branches (coins,
-  Alice's bits, Bob's box outputs, correction, target) is one cached
-  row set of ``_wiring``.
+* sampled (``qrac_rounds``, ``sample_channel_block``): a block of
+  trials at once, from the raw Philox words each trial's lone round
+  would draw (the word map is in ``rng``), so every trial equals its
+  single-trial replay bit for bit.  The reports run these, and
+  ``sample_alice_outputs`` and ``dense_decode_block``, which need no
+  output of Bob's and read the same words the same way;
+* enumerated (``channel_branches``): each leaf x the four coin pairs,
+  every branch with its exact probability, so the suite can assert
+  identities at 1e-10 instead of collecting statistics.  It pays once
+  per distinct state, not once per branch: all four outcomes of a Bell
+  measurement come from one ``quantum.bell_projections`` call.
 
-All three compute Bob's corrected outputs through one path,
-``_memo_outputs``, which keeps each on its collapsed state's
-``OutcomeNode``.  It takes one partial trace per (leaf, target) and
-builds each corrected output Z^c1 X^c0 rho X^c0 Z^c1 from that matrix
-by an exact signed relabelling: entry (r, c) is rho[r ^ c0, c ^ c0]
-times (-1)^(c1 * (r & 1)) (-1)^(c1 * (c & 1)), the target being the
-last kept qubit.  No unitary is applied.  The Pauli entries are 0 and
+Bob's corrected outputs come from one function, ``_leaf_outputs``,
+which keeps each on its collapsed state's ``OutcomeNode``.  It takes
+one partial trace per (leaf, target) and builds each corrected output
+Z^c1 X^c0 rho X^c0 Z^c1 from that matrix by an exact signed
+relabelling: entry (r, c) is rho[r ^ c0, c ^ c0] times
+(-1)^(c1 * (r & 1)) (-1)^(c1 * (c & 1)), the target being the last
+kept qubit.  No unitary is applied.  The Pauli entries are 0 and
 +-1, so correcting the state and tracing it out sums the same products
 in the same order, up to sign, and negation commutes with rounding:
 every output is that of ``apply_unitary`` + ``reduced_density`` bit
@@ -169,6 +170,9 @@ class AliceClassicalOutput:
         return 2 * self.a1 + self.a0
 
 
+_ALICE_OUTPUTS = tuple(AliceClassicalOutput(i >> 1, i & 1) for i in range(4))
+
+
 def _as_bits(b) -> tuple[int, int]:
     if isinstance(b, AliceClassicalOutput):
         return b.bits
@@ -191,12 +195,6 @@ class QracResources:
         self.leaf: OutcomeNode | None = None
         self.alice_done = False
         self.bob_done = False
-
-
-def _boxes(words: np.ndarray) -> tuple[PRBoxes, PRBoxes]:
-    """Both PR-boxes of every round of a batch, coins from one raw word a round."""
-    coins = bit_columns(words[:, None])
-    return PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1])
 
 
 def _check_qubits(**states: StateVector) -> None:
@@ -299,37 +297,65 @@ def _relabelling(
     return picks, sign
 
 
-def _memo_outputs(keys, spectators: list[int]) -> list[DensityMatrix]:
-    """The state of ``spectators`` + target of each (leaf, target, correction).
+def _leaf_outputs(
+    leaves: list[OutcomeNode], ends: np.ndarray, target, correction, spectators: list[int]
+) -> tuple[np.ndarray, list[DensityMatrix]]:
+    """The state of ``spectators`` + corrected ``target`` of each row, once per distinct one.
 
-    Missing outputs are computed raw, a partial trace per (leaf, target)
-    and a signed relabelling of it per correction, then checked as one
-    stack.  A leaf belongs to one register, so to one set of spectators.
+    Row t ends on ``leaves[ends[t]]``; ``target`` and the (bit1, bit0)
+    ``correction`` are ints or one entry a row.  Returns each row's
+    index into the list of distinct outputs, which are kept on the
+    leaves' memos by (target, correction).  Missing outputs are computed
+    raw, a partial trace per (leaf, target) and a signed relabelling of
+    it per correction, then checked as one stack.  The leaves belong to
+    one register, so to one set of spectators.
     """
-    raw, memos, wanted = {}, {}, []  # raw keyed by (id of memo, target, correction)
-    for leaf, target, correction in keys:
-        memo = memos.setdefault(id(leaf.memo), leaf.memo)  # held: its id stays its own
-        base_key = (id(memo), target, (0, 0))
-        for key in (base_key, (id(memo), target, correction)):
-            if key in raw or key[1:] in memo:
+    shape = (len(leaves), np.max(target, initial=0) + 1, 2, 2)  # leaf, target, bit1, bit0
+    keys = np.ravel_multi_index((ends, target, *correction), shape)  # sort as the tuples do
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct = np.stack(np.unravel_index(distinct, shape), axis=1).tolist()
+    distinct = [(end, (qubit, (c1, c0))) for end, qubit, c1, c0 in distinct]
+    raw = {}  # keyed by (leaf index, (target, correction))
+    for end, (qubit, bits) in distinct:
+        memo, base_key = leaves[end].memo, (qubit, (0, 0))
+        for key in (base_key, (qubit, bits)):
+            if (end, key) in raw or key in memo:
                 continue
-            if key[2] == (0, 0):
-                assert all(q < target for q in spectators), "target must be the last kept qubit"
-                raw[key] = _reduced_matrix(leaf.state, spectators + [target])
+            if key == base_key:
+                assert all(q < qubit for q in spectators), "target must be the last kept qubit"
+                raw[end, key] = _reduced_matrix(leaves[end].state, spectators + [qubit])
             else:
-                base = raw[base_key] if base_key in raw else memo[base_key[1:]].matrix
-                picks, sign = _relabelling(len(base), correction)
-                raw[key] = base[picks] * sign
-        wanted.append((memo, (target, correction)))
+                base = raw[end, base_key] if (end, base_key) in raw else memo[base_key].matrix
+                picks, sign = _relabelling(len(base), bits)
+                raw[end, key] = base[picks] * sign
     outputs = density_matrices(len(spectators) + 1, list(raw.values())) if raw else []
-    for (memo_id, *key), output in zip(raw, outputs):
-        memos[memo_id][tuple(key)] = output
-    return [memo[key] for memo, key in wanted]
+    for (end, key), output in zip(raw, outputs):
+        leaves[end].memo[key] = output
+    return inverse.reshape(-1), [leaves[end].memo[key] for end, key in distinct]
 
 
 def _leaf_output(leaf: OutcomeNode, target: int, correction, spectators) -> DensityMatrix:
-    """Correct ``target`` and keep it: ``_memo_outputs`` of one key."""
-    return _memo_outputs([(leaf, target, correction)], spectators)[0]
+    """Correct ``target`` and keep it: ``_leaf_outputs`` of one row."""
+    return _leaf_outputs([leaf], np.zeros(1, dtype=np.intp), target, correction, spectators)[1][0]
+
+
+def _play(leaves, ends, w, bells, coins, epr: int, spectators, b=None):
+    """Rows of rounds with every outcome and coin given: the wiring and Bob's outputs.
+
+    Row t ends on ``leaves[ends[t]]``, reached by Bob's choice ``w[t]``
+    and Alice's Bell outcome indices ``bells[t]`` (first, second), with
+    box coins ``coins[t]``; ``epr`` is the first qubit of the first EPR
+    pair.  ``b=None`` wires Alice's bits to Bob; a fixed (b1, b0) of
+    ints models a Bob who never learned them.  Returns Alice's bits
+    (a1, a0), Bob's box outputs (B0, B1) and correction (bit1, bit0),
+    one array each, then each row's index into the list of distinct
+    outputs and that list.
+    """
+    box0, box1 = PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1])
+    alice = _alice_side(bells[:, 0], bells[:, 1], box0, box1)
+    pr_outputs, correction, target = _bob_side(epr, w, alice if b is None else b, box0, box1)
+    ids, outputs = _leaf_outputs(leaves, ends, target, correction, spectators)
+    return alice, pr_outputs, correction, ids, outputs
 
 
 def qrac_alice(
@@ -384,24 +410,10 @@ def qrac_rounds(
     uniforms = word_uniform(words[:, 1:4])
     w = _choice_root(omega).walk(uniforms[:, :1])[0][:, 0]
     bells, ends, leaves = root.walk(uniforms[:, 1:])
-    box0, box1 = _boxes(words[:, 0])
-    alice = _alice_side(bells[:, 0], bells[:, 1], box0, box1)
-    _, correction, target = _bob_side(EPR1_ALICE, w, alice, box0, box1)
-    return (w, alice, *_leaf_outputs(leaves, ends, target, correction, []))
-
-
-def _leaf_outputs(
-    leaves: list[OutcomeNode], ends: np.ndarray, target: np.ndarray, correction, spectators
-) -> tuple[np.ndarray, list[DensityMatrix]]:
-    """``_leaf_output`` of each trial of a batch, computed once per distinct one.
-
-    Trial t ends on ``leaves[ends[t]]``.  Returns each trial's index into
-    the list of distinct outputs, which come from the leaves' memos.
-    """
-    keys = np.stack([ends, target, *correction], axis=1)
-    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
-    keys = [(leaves[end], qubit, (c1, c0)) for end, qubit, c1, c0 in distinct.tolist()]
-    return inverse.reshape(-1), _memo_outputs(keys, spectators)
+    alice, _, _, ids, outputs = _play(
+        leaves, ends, w, bells, bit_columns(words[:, :1]), EPR1_ALICE, []
+    )
+    return w, alice, ids, outputs
 
 
 class DenseCodingPair:
@@ -473,29 +485,6 @@ class ChannelBranch:
     output: DensityMatrix
 
 
-_WiringRow = tuple[tuple[int, int], AliceClassicalOutput, tuple[int, int], tuple[int, int], int]
-
-
-@lru_cache(maxsize=1024)
-def _wiring(
-    n: int, w: int, first: BellOutcome, second: BellOutcome, fixed_b: tuple[int, int] | None
-) -> tuple[_WiringRow, ...]:
-    """The classical side of a leaf's four coin branches, computed once.
-
-    One row per coin pair, in ``product`` order: (coins, Alice's output,
-    Bob's box outputs, correction, target), from ``_alice_side`` and
-    ``_bob_side`` on fresh ``PRBox``es.  ``fixed_b=None`` wires Alice's
-    output to Bob.
-    """
-    rows = []
-    for coins in product((0, 1), repeat=2):
-        box0, box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
-        alice_out = AliceClassicalOutput(*_alice_side(first.index, second.index, box0, box1))
-        received = alice_out.bits if fixed_b is None else fixed_b
-        rows.append((coins, alice_out, *_bob_side(n, w, received, box0, box1)))
-    return tuple(rows)
-
-
 def channel_branches(
     joint: StateVector,
     inputs: tuple[int, int, int] = (0, 1, 2),
@@ -515,27 +504,35 @@ def channel_branches(
     n = joint.num_qubits
     fixed_b = None if b is None else _as_bits(b)
 
-    heads = []  # each branch's fields but its output
-
-    def keys():  # a leaf's state is let go once its outputs are computed raw
-        for w in (0, 1):
-            p_w, after_w = measure_project(extended, q_r, w)
-            if after_w is None:
+    leaves, probabilities, rows = [], [], []  # a row: leaf, w, first, second, coins
+    for w in (0, 1):
+        p_w, after_w = measure_project(extended, q_r, w)
+        if after_w is None:
+            continue
+        firsts = bell_projections(after_w, (q_apr, n))
+        for first, (p1, after_first) in enumerate(firsts):
+            if after_first is None:
                 continue
-            firsts = bell_projections(after_w, (q_apr, n))
-            for first, (p1, after_first) in zip(_BELL_OUTCOMES, firsts):
-                if after_first is None:
+            seconds = bell_projections(after_first, (q_adp, n + 2))
+            for second, (p2, after_second) in enumerate(seconds):
+                if after_second is None:
                     continue
-                seconds = bell_projections(after_first, (q_adp, n + 2))
-                for second, (p2, after_second) in zip(_BELL_OUTCOMES, seconds):
-                    if after_second is None:
-                        continue
-                    leaf, probability = OutcomeNode(after_second), p_w * p1 * p2 * 0.25
-                    for *wired, target in _wiring(n, w, first, second, fixed_b):
-                        heads.append((probability, w, first, second, *wired))
-                        yield leaf, target, wired[-1]
-    outputs = _memo_outputs(keys(), spectators)
-    return [ChannelBranch(*head, output) for head, output in zip(heads, outputs)]
+                for coins in product((0, 1), repeat=2):
+                    rows.append((len(leaves), w, first, second, *coins))
+                leaves.append(OutcomeNode(after_second))
+                probabilities.append(p_w * p1 * p2 * 0.25)
+    rows = np.array(rows)
+    alice, pr_outputs, correction, ids, outputs = _play(
+        leaves, rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4:], n, spectators, fixed_b
+    )
+    table = np.column_stack([rows, 2 * alice[0] + alice[1], *pr_outputs, *correction, ids])
+    return [
+        ChannelBranch(
+            probabilities[end], w, _BELL_OUTCOMES[first], _BELL_OUTCOMES[second],
+            (coin0, coin1), _ALICE_OUTPUTS[a], (B0, B1), (c1, c0), outputs[i],
+        )
+        for end, w, first, second, coin0, coin1, a, B0, B1, c1, c0, i in table.tolist()
+    ]
 
 
 def branch_sums(
@@ -592,11 +589,10 @@ def sample_channel_block(
     spectators = _spectators(n, inputs)
     tree = _channel_tree(n, joint.amplitudes.tobytes(), tuple(inputs))
     outcomes, ends, leaves = tree.walk(word_uniform(words[:, :3]))
-    box0, box1 = _boxes(words[:, 3])
-    w = outcomes[:, 0]
-    alice = _alice_side(outcomes[:, 1], outcomes[:, 2], box0, box1)
-    _, correction, target = _bob_side(n, w, alice, box0, box1)
-    return _leaf_outputs(leaves, ends, target, correction, spectators)
+    *_, ids, outputs = _play(
+        leaves, ends, outcomes[:, 0], outcomes[:, 1:], bit_columns(words[:, 3:]), n, spectators
+    )
+    return ids, outputs
 
 
 def sample_alice_output(
@@ -622,8 +618,8 @@ def sample_alice_outputs(psi: StateVector, phi: StateVector, words: np.ndarray) 
     of Alice's bits, so it is not needed.
     """
     bells, _, _ = _alice_root(psi, phi).walk(word_uniform(words[:, 1:3]))
-    box0, box1 = _boxes(words[:, 0])
-    a1, a0 = _alice_side(bells[:, 0], bells[:, 1], box0, box1)
+    coins = bit_columns(words[:, :1])
+    a1, a0 = _alice_side(bells[:, 0], bells[:, 1], PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1]))
     return 2 * a1 + a0
 
 

@@ -20,11 +20,11 @@ def _box_caches() -> list:
 def clear_box_caches():
     """Clear every cache of ``quantum``, ``qrac`` and ``channel`` around a test.
 
-    The caches keep outcome trees, wiring rows and whole enumerations, so a
-    test that changes the box's wiring would otherwise read the honest box
-    from them.  Yields the clearing function, which returns the caches it
-    cleared; call it after the change.  Teardown clears them again, so later
-    tests rebuild from the honest box.
+    The caches keep outcome trees, Bob's outputs on their leaves and whole
+    enumerations, so a test that changes the box's wiring would otherwise
+    read the honest box from them.  Yields the clearing function, which
+    returns the caches it cleared; call it after the change.  Teardown
+    clears them again, so later tests rebuild from the honest box.
     """
 
     def clear() -> list:

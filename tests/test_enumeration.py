@@ -3,11 +3,12 @@
 ``channel_branches`` takes one partial trace per (leaf, target) and
 builds each Pauli-corrected output from it by a signed relabelling,
 projects all four Bell outcomes of a pair from one transposed operand
-(``quantum.bell_projections``) and reads the classical side of each
-leaf from a cached wiring table.  Every float must be the one the
-direct computation gives: these tests compare with ``np.array_equal``
-against ``apply_unitary`` + ``reduced_density`` and against the
-``np.tensordot`` projection of one outcome at a time.
+(``quantum.bell_projections``) and wires each leaf's four coin branches
+in the same pass as the sampled blocks.  Every float must be the one
+the direct computation gives: these tests compare with
+``np.array_equal`` against ``apply_unitary`` + ``reduced_density`` and
+against the ``np.tensordot`` projection of one outcome at a time, and
+each branch's classical side with that of fresh ``PRBox``es.
 """
 from __future__ import annotations
 
@@ -25,13 +26,14 @@ from qracbox.qrac import (
     _bob_side,
     _leaf_output,
     _relabelling,
-    _wiring,
+    _round_register,
     channel_branches,
     sample_channel_block,
 )
 from qracbox.quantum import (
     PHI_PLUS,
     PROB_FLOOR,
+    KET_PLUS,
     DensityMatrix,
     OutcomeNode,
     StateVector,
@@ -271,17 +273,27 @@ class TestBellProjections:
         assert quantum._pair_first(5, (3, 1)) == (3, 1, 0, 2, 4)
 
 
-class TestWiringTable:
-    """The cached classical rows are those of fresh boxes, and immutable."""
+class TestBranchWiring:
+    """Each enumerated branch is wired as fresh boxes wire it."""
 
-    @pytest.mark.parametrize("fixed_b", [None, *CORRECTIONS])
-    def test_rows_match_fresh_boxes(self, fixed_b):
-        for w, first, second in product((0, 1), quantum._BELL_OUTCOMES, quantum._BELL_OUTCOMES):
-            rows = _wiring(7, w, first, second, fixed_b)
-            assert isinstance(rows, tuple) and len(rows) == 4
-            for row, coins in zip(rows, product((0, 1), repeat=2)):
-                box0, box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
-                alice = _alice_side(first.index, second.index, box0, box1)
-                bob = _bob_side(7, w, alice if fixed_b is None else fixed_b, box0, box1)
-                assert isinstance(row, tuple)
-                assert (row[0], row[1].bits, *row[2:]) == (coins, alice, *bob)
+    @pytest.mark.parametrize("b", [None, *CORRECTIONS])
+    @pytest.mark.parametrize("register", ["probe", "plus-choice"])
+    def test_branches_match_fresh_boxes(self, register, b):
+        if register == "probe":
+            joint, inputs = _entangled_probe(), (3, 4, 5)
+        else:
+            rng = make_rng(77)
+            psi, phi = haar_random_state(1, rng), haar_random_state(1, rng)
+            joint, inputs = _round_register(psi, phi, KET_PLUS), (0, 1, 2)
+        branches = channel_branches(joint, inputs, b=b)
+        assert len(branches) == 2 * 16 * 4
+        for index, branch in enumerate(branches):
+            coins = CORRECTIONS[index % 4]  # a leaf's coin pairs, in ``product`` order
+            box0, box1 = PRBox(coin=coins[0]), PRBox(coin=coins[1])
+            alice = _alice_side(branch.first_bell.index, branch.second_bell.index, box0, box1)
+            pr_outputs, correction, _ = _bob_side(
+                joint.num_qubits, branch.w, alice if b is None else b, box0, box1
+            )
+            wired = (branch.coins, branch.alice.bits, branch.pr_outputs, branch.correction)
+            assert wired == (coins, alice, pr_outputs, correction)
+            assert all(type(bit) is int for pair in wired for bit in pair)

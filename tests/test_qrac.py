@@ -7,7 +7,9 @@ import io
 import numpy as np
 import pytest
 
+from qracbox import qrac as qrac_module
 from qracbox.boxes import PRBox, tv_distance
+from qracbox.channel import _entangled_probe
 from qracbox.cli import main
 from qracbox.harness import run_qrac_protocol
 from qracbox.metering import (
@@ -33,7 +35,9 @@ from qracbox.qrac import (
     qrac_bob,
     qrac_rounds,
     sample_alice_output,
+    sample_alice_outputs,
     sample_channel,
+    sample_channel_block,
 )
 from qracbox.quantum import (
     KET0,
@@ -513,3 +517,44 @@ class TestSharedOutputPath:
         for branch in branches:
             fresh = _fresh_branch_output(joint, inputs, branch)
             assert np.array_equal(branch.output.matrix, fresh.matrix)
+
+
+def _every_executor() -> dict:
+    """What each executor of a round makes of fixed inputs and draws.
+
+    Alice's a1 bits (her output index from ``sample_alice_outputs``), or
+    Bob's outputs trial by trial from ``sample_channel_block``.
+    """
+    rng = make_rng(91)
+    psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
+    words = stream_words(92, np.arange(64, dtype=np.uint64), 4)
+    probe = _entangled_probe()
+    register = _round_register(psi, phi, KET_PLUS)
+    ids, outputs = sample_channel_block(probe, words, (3, 4, 5))
+    return {
+        "channel_branches": [branch.alice.a1 for branch in channel_branches(register)],
+        "qrac_rounds": qrac_rounds(psi, phi, KET_PLUS, words)[1][0],
+        "sample_alice_outputs": sample_alice_outputs(psi, phi, words[:, :3]),
+        "sample_channel_block": np.stack([outputs[i].matrix for i in ids]),
+        "qrac_alice": qrac_alice(psi, phi, QracResources(make_rng(93))).a1,
+        "sample_channel": sample_channel(probe, make_rng(94), (3, 4, 5))[1].a1,
+        "sample_alice_output": sample_alice_output(psi, phi, 1, make_rng(95)).a1,
+    }
+
+
+class TestOneWiringOwner:
+    """``_alice_side`` is the one owner of Alice's wiring, for every executor."""
+
+    def test_a_flipped_a1_reaches_every_executor(self, monkeypatch, clear_box_caches):
+        honest_side = qrac_module._alice_side
+
+        def flip_a1(first, second, box0, box1):
+            a1, a0 = honest_side(first, second, box0, box1)
+            return a1 ^ 1, a0
+
+        honest = _every_executor()
+        monkeypatch.setattr(qrac_module, "_alice_side", flip_a1)
+        clear_box_caches()
+        mutant = _every_executor()
+        changed = [name for name in honest if not np.array_equal(honest[name], mutant[name])]
+        assert changed == list(honest)
