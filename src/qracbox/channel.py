@@ -22,10 +22,10 @@ them is still a validated copy.  So the saving is for a process that
 makes several exact reports; one that makes a single report enumerates
 as often as before and saves only the ``np.kron`` work the dilation's
 pair loop no longer does.  These two are not the only caches the
-box's wiring feeds (``qrac`` caches outcome trees, with Bob's outputs
-on their leaves), so a test that changes the wiring must clear every
-``functools.lru_cache`` of ``quantum``, ``qrac`` and ``channel``, as
-the suite's ``clear_box_caches`` fixture (``tests/conftest.py``) does.
+box's wiring feeds (``qrac._tree`` keeps outcome trees, with Bob's
+outputs on their leaves), so a test that changes the box must clear
+all three, as the suite's ``clear_box_caches`` fixture
+(``tests/conftest.py``) does.
 
 Choi convention: index (i*d_out + o), i.e. J = sum_ij |i><j| (x)
 L(|i><j|), so the partial trace over the output equals the identity on
@@ -33,7 +33,7 @@ the input space exactly when the channel is trace preserving.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, sqrt
 from types import MappingProxyType
@@ -60,16 +60,15 @@ _MIXED = np.eye(2) / 2
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """Channel as a state: PSD iff completely positive.
+    """Channel as a state: PSD iff completely positive, checked within 1e-8.
 
-    ``atol`` is the validation tolerance; branch-exact reconstructions
-    use the default 1e-8 while sampled estimates pass a statistical one.
+    A sampled estimate is a sum of checked density matrices with
+    positive weights, so it passes the same check as an exact one.
     """
 
     d_in: int
     d_out: int
     matrix: np.ndarray
-    atol: float = field(default=1e-8, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
@@ -78,9 +77,9 @@ class ChoiMatrix:
             raise ValueError(f"expected {dim}x{dim} Choi matrix, got {mat.shape}")
         if not np.isfinite(mat).all():
             raise ValueError("Choi matrix has a non-finite entry")
-        if np.max(np.abs(mat - mat.conj().T)) > self.atol:
+        if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
             raise ValueError("Choi matrix is not Hermitian")
-        if float(np.min(np.linalg.eigvalsh(mat))) < -self.atol:
+        if float(np.min(np.linalg.eigvalsh(mat))) < -1e-8:
             raise ValueError("Choi matrix is not PSD: channel not completely positive")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -157,8 +156,7 @@ def tomography(
 
     Branch-exact mode enumerates every measurement outcome and box coin
     with its exact probability; sampled mode averages ``trials`` seeded
-    runs and exists to exercise the statistical harness (its validation
-    tolerance scales as 1/sqrt(trials)).
+    runs and exists to exercise the statistical harness.
     """
     if mode == "branch-exact":
         return ChoiMatrix(D_IN, D_OUT, _probe_sums()[0])
@@ -173,7 +171,7 @@ def tomography(
             terms = [D_IN * rho.matrix / trials for rho in outputs]
             for k in ids.tolist():  # in trial order, so every float is the same
                 total += terms[k]
-        return ChoiMatrix(D_IN, D_OUT, total, atol=max(1e-8, 64 / sqrt(trials)))
+        return ChoiMatrix(D_IN, D_OUT, total)
     raise ValueError(f"unknown tomography mode {mode!r}")
 
 

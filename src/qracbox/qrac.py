@@ -46,9 +46,9 @@ Bob's corrected outputs come from one function, ``_leaf_outputs``,
 which keeps each on its collapsed state's ``OutcomeNode``.  It takes
 one partial trace per (leaf, target) and builds each corrected output
 Z^c1 X^c0 rho X^c0 Z^c1 from that matrix by an exact signed
-relabelling: entry (r, c) is rho[r ^ c0, c ^ c0] times
-(-1)^(c1 * (r & 1)) (-1)^(c1 * (c & 1)), the target being the last
-kept qubit.  No unitary is applied.  The Pauli entries are 0 and
+relabelling (``_relabelled``): entry (r, c) is rho[r ^ c0, c ^ c0]
+times (-1)^(c1 * (r & 1)) (-1)^(c1 * (c & 1)), the target being the
+last kept qubit.  No unitary is applied.  The Pauli entries are 0 and
 +-1, so correcting the state and tracing it out sums the same products
 in the same order, up to sign, and negation commutes with rounding:
 every output is that of ``apply_unitary`` + ``reduced_density`` bit
@@ -72,11 +72,12 @@ takes one trial down the tree with one uniform per measurement;
 the same outcomes from the same uniforms and grouping the trials by
 outcome.  The first trial that reaches a state computes it, and later
 trials, of either executor, reuse it, Bob's corrected output included.
-The roots are cached by the exact amplitude bytes of the inputs:
-Alice's last 16 (psi, phi) pairs, Bob's last 16 choice states omega,
-the last 4 (joint, ``inputs``) registers of the channel and the 4
-dense-coded payloads, since a tree holds up to 43 register states.
-Results are bit-for-bit those of a fresh computation.
+All roots share one cache, ``_tree``, keyed by a register's exact
+amplitude bytes and its measurement schedule: Alice's loaded register
+with her two Bell measurements, Bob's choice qubit omega with its
+computational measurement, the channel's register with the choice and
+both Bell measurements, and each dense-coded payload with its Bell
+decoding.  Results are bit-for-bit those of a fresh computation.
 """
 from __future__ import annotations
 
@@ -111,43 +112,38 @@ A_PRIME, A_DPRIME, EPR1_ALICE, EPR1_BOB, EPR2_ALICE, EPR2_BOB = range(6)
 
 _EPR_PAIRS = tensor([PHI_PLUS, PHI_PLUS])
 
+# the measurement schedules of the cached outcome trees, first to last
+_ALICE_MEASUREMENTS = (("bell", (A_PRIME, EPR1_ALICE)), ("bell", (A_DPRIME, EPR2_ALICE)))
+_CHOICE_MEASUREMENT = (("computational", 0),)
+_DENSE_DECODING = (("bell", (0, 1)),)
 
-def _load_inputs(psi: StateVector, phi: StateVector) -> StateVector:
-    """psi (x) phi (x) both EPR pairs, assembled in one shot."""
+
+def _load_inputs(psi: StateVector, phi: StateVector) -> np.ndarray:
+    """The amplitudes of psi (x) phi (x) both EPR pairs, assembled in one shot."""
     amps = np.einsum(
         "i,j,k->ijk", psi.amplitudes, phi.amplitudes, _EPR_PAIRS.amplitudes
     )
-    return StateVector(6, amps.reshape(-1))
-
-
-def _from_bytes(num_qubits: int, amplitudes: bytes) -> StateVector:
-    return StateVector(num_qubits, np.frombuffer(amplitudes, dtype=complex))
+    return amps.reshape(-1)
 
 
 @lru_cache(maxsize=16)
-def _alice_tree(psi: bytes, phi: bytes) -> OutcomeNode:
-    """Alice's two Bell measurements on the loaded register, by input bytes."""
-    loaded = _load_inputs(_from_bytes(1, psi), _from_bytes(1, phi))
-    return OutcomeNode(
-        loaded, [("bell", (A_PRIME, EPR1_ALICE)), ("bell", (A_DPRIME, EPR2_ALICE))]
-    )
+def _tree(num_qubits: int, amplitudes: bytes, measurements: tuple) -> OutcomeNode:
+    """The outcome tree of ``measurements`` on the register of these exact amplitudes.
+
+    A tree holds at most 43 states (a choice, then two Bell
+    measurements: 1 + 2 + 8 + 32), and the largest sampled register is
+    the channel's 10-qubit probe register, at 16 KiB a state, so the 16
+    trees kept take at most about 11 MiB.  The benchmark's sampled
+    reports reach 10 (3 Alice, 2 choice, 1 probe and 4 payload trees);
+    a smaller cache would miss on every pass.
+    """
+    register = StateVector(num_qubits, np.frombuffer(amplitudes, dtype=complex))
+    return OutcomeNode(register, measurements)
 
 
-@lru_cache(maxsize=16)
-def _choice_tree(omega: bytes) -> OutcomeNode:
-    """Bob's computational measurement of the choice qubit omega, by input bytes."""
-    return OutcomeNode(_from_bytes(1, omega), [("computational", 0)])
-
-
-@lru_cache(maxsize=4)
-def _channel_tree(n: int, joint: bytes, inputs: tuple[int, int, int]) -> OutcomeNode:
-    """Choice, then both Bell measurements, on joint (x) both EPR pairs."""
-    q_apr, q_adp, q_r = inputs
-    extended, _ = _register(_from_bytes(n, joint), inputs)
-    return OutcomeNode(
-        extended,
-        [("computational", q_r), ("bell", (q_apr, n)), ("bell", (q_adp, n + 2))],
-    )
+def _root(register: StateVector, measurements: tuple) -> OutcomeNode:
+    """The cached ``_tree`` of ``register`` and ``measurements``."""
+    return _tree(register.num_qubits, register.amplitudes.tobytes(), measurements)
 
 
 @dataclass(frozen=True)
@@ -205,15 +201,16 @@ def _check_qubits(**states: StateVector) -> None:
 
 
 def _alice_root(psi: StateVector, phi: StateVector) -> OutcomeNode:
-    """The cached ``_alice_tree`` of checked inputs (psi, phi)."""
+    """Alice's two Bell measurements on the loaded register of checked (psi, phi)."""
     _check_qubits(psi=psi, phi=phi)
-    return _alice_tree(psi.amplitudes.tobytes(), phi.amplitudes.tobytes())
+    # a product of checked states: ``_tree`` checks the register on a miss
+    return _tree(6, _load_inputs(psi, phi).tobytes(), _ALICE_MEASUREMENTS)
 
 
 def _choice_root(omega: StateVector) -> OutcomeNode:
-    """The cached ``_choice_tree`` of a checked choice state omega."""
+    """Bob's computational measurement of a checked choice state omega."""
     _check_qubits(omega=omega)
-    return _choice_tree(omega.amplitudes.tobytes())
+    return _root(omega, _CHOICE_MEASUREMENT)
 
 
 def _round_register(psi: StateVector, phi: StateVector, omega: StateVector) -> StateVector:
@@ -240,6 +237,15 @@ def _register(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[StateVe
     """
     spectators = _spectators(joint.num_qubits, inputs)
     return tensor([joint, PHI_PLUS, PHI_PLUS]), spectators
+
+
+def _channel_root(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[OutcomeNode, list[int]]:
+    """Choice, then both Bell measurements, on ``_register``; and the spectators."""
+    q_apr, q_adp, q_r = inputs
+    extended, spectators = _register(joint, inputs)
+    n = joint.num_qubits
+    schedule = (("computational", q_r), ("bell", (q_apr, n)), ("bell", (q_adp, n + 2)))
+    return _root(extended, schedule), spectators
 
 
 def _bell_bits(index):
@@ -276,25 +282,24 @@ def _bob_side(epr: int, w, b, box0, box1):
     return pr_outputs, correction, epr + 1 + 2 * w
 
 
-@lru_cache(maxsize=64)
-def _relabelling(
-    dim: int, correction: tuple[int, int]
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Z^c1 X^c0 on the last qubit of a ``dim``-dim matrix, as indices and signs.
+# _SIGNS[c1][0, j, 0, k] = (-1)^(c1 * j) (-1)^(c1 * k), by the last bits j, k of (r, c)
+_SIGNS = np.stack([np.ones((2, 2)), np.outer([1.0, -1.0], [1.0, -1.0])]).reshape(2, 1, 2, 1, 2)
+_SIGNS.setflags(write=False)
 
-    Conjugating rho by Z^c1 X^c0 gives entry (r, c) = sign[r, c] *
-    rho[r ^ c0, c ^ c0], where sign[r, c] = (-1)^(c1 * (r & 1)) *
-    (-1)^(c1 * (c & 1)).  Returns the (row, column) index arrays that
-    pick rho[r ^ c0, c ^ c0] and the sign matrix.  They are shared
-    between calls, so they are read-only.
+
+def _relabelled(rho: np.ndarray, correction) -> np.ndarray:
+    """Z^c1 X^c0 rho X^c0 Z^c1 on the last qubit of rho, by exact signed relabelling.
+
+    With the last qubit on axes of its own, X^c0 reverses both and Z^c1
+    multiplies by ``_SIGNS[c1]``.  The multiply runs for c1 = 0 too:
+    complex times real can flip the sign of an exact zero.
     """
     c1, c0 = correction
-    rows = np.arange(dim)
-    flips = np.where(c1 * (rows & 1), -1.0, 1.0)
-    picks, sign = np.ix_(rows ^ c0, rows ^ c0), np.outer(flips, flips)
-    for array in (*picks, sign):
-        array.setflags(write=False)
-    return picks, sign
+    half = len(rho) // 2
+    four = rho.reshape(half, 2, half, 2)
+    if c0:
+        four = four[:, ::-1, :, ::-1]
+    return (four * _SIGNS[c1]).reshape(rho.shape)
 
 
 def _leaf_outputs(
@@ -326,8 +331,7 @@ def _leaf_outputs(
                 raw[end, key] = _reduced_matrix(leaves[end].state, spectators + [qubit])
             else:
                 base = raw[end, base_key] if (end, base_key) in raw else memo[base_key].matrix
-                picks, sign = _relabelling(len(base), bits)
-                raw[end, key] = base[picks] * sign
+                raw[end, key] = _relabelled(base, bits)
     outputs = density_matrices(len(spectators) + 1, list(raw.values())) if raw else []
     for (end, key), output in zip(raw, outputs):
         leaves[end].memo[key] = output
@@ -446,10 +450,8 @@ def dense_decode(state: StateVector, rng: np.random.Generator) -> BellOutcome:
     return outcome
 
 
-@lru_cache(maxsize=4)
-def _payload_node(bit1: int, bit0: int) -> OutcomeNode:
-    """The dense-coded payload of (bit1, bit0), before Bob's Bell measurement."""
-    return OutcomeNode(dense_encode(bit1, bit0, DenseCodingPair()), [("bell", (0, 1))])
+# the dense-coded payload of 2*bit1 + bit0, by index
+_PAYLOADS = tuple(dense_encode(*_bell_bits(i), DenseCodingPair()) for i in range(4))
 
 
 def dense_decode_block(index: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -461,7 +463,7 @@ def dense_decode_block(index: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     decoded = np.empty_like(index)
     for value in np.flatnonzero(np.bincount(index)).tolist():
         rows = index == value
-        decoded[rows] = _payload_node(*_bell_bits(value)).pick(uniforms[rows])
+        decoded[rows] = _root(_PAYLOADS[value], _DENSE_DECODING).pick(uniforms[rows])
     return decoded
 
 
@@ -566,8 +568,8 @@ def sample_channel(
     coins); used by the sampled (statistical) verification paths.
     """
     n = joint.num_qubits
-    spectators = _spectators(n, inputs)
-    w, node = _channel_tree(n, joint.amplitudes.tobytes(), tuple(inputs)).draw(rng)
+    tree, spectators = _channel_root(joint, inputs)
+    w, node = tree.draw(rng)
     first, node = node.draw(rng)
     second, leaf = node.draw(rng)
     box0, box1 = PRBox(rng), PRBox(rng)
@@ -586,8 +588,7 @@ def sample_channel_block(
     coins.  Returns each trial's index into the list of distinct outputs.
     """
     n = joint.num_qubits
-    spectators = _spectators(n, inputs)
-    tree = _channel_tree(n, joint.amplitudes.tobytes(), tuple(inputs))
+    tree, spectators = _channel_root(joint, inputs)
     outcomes, ends, leaves = tree.walk(word_uniform(words[:, :3]))
     *_, ids, outputs = _play(
         leaves, ends, outcomes[:, 0], outcomes[:, 1:], bit_columns(words[:, 3:]), n, spectators

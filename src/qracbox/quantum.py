@@ -19,7 +19,6 @@ identities.  Statistical checks elsewhere always run on seeded generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from math import cos, isfinite, sin, sqrt
 from typing import Callable, Iterable, Sequence
@@ -272,12 +271,6 @@ def _reassemble_bell(
     return StateVector(state.num_qubits, post.reshape(-1))
 
 
-@lru_cache(maxsize=64)
-def _pair_first(num_qubits: int, pair: tuple[int, int]) -> tuple[int, ...]:
-    """Axis order with ``pair`` first and the other qubits after, in order."""
-    return (*pair, *(q for q in range(num_qubits) if q not in pair))
-
-
 def bell_projections(
     state: StateVector, pair: Sequence[int]
 ) -> list[tuple[float, StateVector | None]]:
@@ -297,7 +290,8 @@ def bell_projections(
         raise ValueError("pair indices must be distinct")
     _check_targets(state, [p0, p1])
     n = state.num_qubits
-    operand = state.as_tensor().transpose(_pair_first(n, (p0, p1))).reshape(4, -1)
+    pair_first = (p0, p1, *(q for q in range(n) if q not in (p0, p1)))
+    operand = state.as_tensor().transpose(pair_first).reshape(4, -1)
     projections = []
     for index in range(4):
         coeffs = np.dot(_BELL_BRAS[index], operand).reshape((2,) * (n - 2))

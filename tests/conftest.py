@@ -20,8 +20,9 @@ def _box_caches() -> list:
 def clear_box_caches():
     """Clear every cache of ``quantum``, ``qrac`` and ``channel`` around a test.
 
-    The caches keep outcome trees, Bob's outputs on their leaves and whole
-    enumerations, so a test that changes the box's wiring would otherwise
+    The caches are ``qrac._tree`` (outcome trees, with Bob's outputs on
+    their leaves) and ``channel._probe_sums`` and ``_default_contrast``
+    (whole enumerations), so a test that changes the box would otherwise
     read the honest box from them.  Yields the clearing function, which
     returns the caches it cleared; call it after the change.  Teardown
     clears them again, so later tests rebuild from the honest box.

@@ -22,8 +22,8 @@ from qracbox.harness import (
 )
 from qracbox.metering import MeteredBatch, MeteredChannel, ProtocolError, Tally
 from qracbox.qrac import (
-    _alice_tree,
-    _channel_tree,
+    _alice_root,
+    _channel_root,
     sample_alice_output,
     sample_alice_outputs,
     sample_channel,
@@ -100,7 +100,7 @@ class TestWordRules:
 
 class TestBatchedWalk:
     def test_pick_is_choose(self):
-        node = _alice_tree(*(s.amplitudes.tobytes() for s in _states(1)[:2]))
+        node = _alice_root(*_states(1)[:2])
         words = make_rng(2).bit_generator.random_raw(4000)
         rng = make_rng(2)
         expected = [_choose(rng, node.probs, sum(node.probs)) for _ in range(4000)]
@@ -130,7 +130,7 @@ class TestBatchedWalk:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_walk_is_draw_trial_by_trial(self, seed):
         probe = tensor([*_states(seed), KET1])
-        tree = _channel_tree(4, probe.amplitudes.tobytes(), (0, 1, 2))
+        tree, _ = _channel_root(probe, (0, 1, 2))
         words = stream_words(seed, np.arange(300, dtype=np.uint64), 3)
         outcomes, ends, leaves = tree.walk(word_uniform(words))
         for trial in range(300):
@@ -143,7 +143,7 @@ class TestBatchedWalk:
 
     def test_walk_is_depth_first_and_frees_its_arrays_without_gc(self):
         probe = tensor([*_states(3), KET_PLUS])
-        tree = _channel_tree(4, probe.amplitudes.tobytes(), (0, 1, 2))
+        tree, _ = _channel_root(probe, (0, 1, 2))
         uniforms = word_uniform(stream_words(3, np.arange(500, dtype=np.uint64), 3))
         gc.disable()
         try:

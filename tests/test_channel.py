@@ -6,6 +6,7 @@ import subprocess
 import sys
 from math import sqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from qracbox.qrac import (
     bob_view_distribution,
     branch_sums,
     channel_branches,
+    qrac_rounds,
+    sample_channel_block,
 )
 from qracbox.quantum import (
     KET0,
@@ -46,7 +49,7 @@ from qracbox.quantum import (
     tensor,
     trace_distance,
 )
-from qracbox.rng import make_rng
+from qracbox.rng import make_rng, stream_words
 
 import oracles
 
@@ -95,7 +98,20 @@ class TestTomography:
     def test_sampled_mode_roughly_agrees(self, exact_choi):
         sampled = tomography(mode="sampled", trials=3000, seed=5)
         assert np.max(np.abs(sampled.matrix - exact_choi.matrix)) < 0.5
-        assert sampled.atol > 1e-8
+        # a weighted sum of checked outputs passes the exact 1e-8 check
+        assert sampled.min_eigenvalue() >= -1e-8
+
+    def test_sampled_mode_is_checked_at_the_exact_tolerance(self, monkeypatch):
+        # every trial gets one Hermitian output with eigenvalue -0.01, so the
+        # estimate has eigenvalue -0.08: far inside 64 / sqrt(1000) = 2.02
+        output = SimpleNamespace(matrix=np.diag([1.01, -0.01] + [0.0] * 14))
+
+        def block(joint, words, inputs):
+            return np.zeros(len(words), dtype=np.intp), [output]
+
+        monkeypatch.setattr(channel_module, "sample_channel_block", block)
+        with pytest.raises(ValueError, match="^Choi matrix is not PSD"):
+            tomography(mode="sampled", trials=1000, seed=5)
 
     def test_sampled_mode_needs_trials_and_seed(self):
         with pytest.raises(ValueError):
@@ -506,10 +522,10 @@ class TestClearBoxCaches:
         tomography()
         verify_nonsignaling(0, 0)
         caches = clear_box_caches()
-        assert {cache.__name__ for cache in caches} >= {
-            "_pair_first", "_alice_tree", "_choice_tree", "_channel_tree", "_relabelling",
-            "_payload_node", "_probe_sums", "_default_contrast",
-        }
+        # a new cache fails here until it is listed, and documented with the fixture
+        assert sorted(cache.__name__ for cache in caches) == [
+            "_default_contrast", "_probe_sums", "_tree",
+        ]
         assert all(cache.cache_info().currsize == 0 for cache in caches)
 
     def test_a_wiring_mutant_reaches_tomography(self, exact_choi, monkeypatch, clear_box_caches):
@@ -524,6 +540,50 @@ class TestClearBoxCaches:
         _probe_sums.cache_clear()
         _default_contrast.cache_clear()  # no cached wiring is left to hide the mutant
         assert np.max(np.abs(tomography().matrix - exact_choi.matrix)) == pytest.approx(2.0)
+
+    def test_a_relabelling_mutant_reaches_every_executor(self, monkeypatch, clear_box_caches):
+        honest_relabelled = qrac_module._relabelled
+
+        def no_z(rho, correction):  # Z^c1 X^c0 without its Z
+            return honest_relabelled(rho, (0, correction[1]))
+
+        rng = make_rng(96)
+        psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
+        joint = tensor([psi, phi, KET_PLUS])
+        words = stream_words(96, np.arange(256), 4)
+
+        def run() -> dict:
+            ids, outputs = sample_channel_block(joint, words)
+            _, _, round_ids, round_outputs = qrac_rounds(psi, phi, KET_PLUS, words)
+            return {
+                "channel_branches": [
+                    br.output.matrix for br in channel_branches(joint) if br.correction[0]
+                ],
+                "tomography": tomography().matrix,
+                "sample_channel_block": [outputs[i].matrix for i in ids.tolist()],
+                "qrac_rounds": [round_outputs[i].matrix for i in round_ids.tolist()],
+            }
+
+        def changed(before: dict, after: dict) -> list:
+            return [
+                name for name in before
+                if not np.array_equal(np.stack(before[name]), np.stack(after[name]))
+            ]
+
+        honest = run()
+        monkeypatch.setattr(qrac_module, "_relabelled", no_z)
+        # an enumeration builds its leaves afresh: no cache to clear
+        mutant = run()
+        assert changed(honest, mutant) == ["channel_branches"]
+        assert all(
+            not np.array_equal(a, b)
+            for a, b in zip(honest["channel_branches"], mutant["channel_branches"])
+        )
+        _probe_sums.cache_clear()
+        assert changed(honest, run()) == ["channel_branches", "tomography"]
+        # the sampled executors read Bob's outputs from the cached trees' leaves
+        qrac_module._tree.cache_clear()
+        assert changed(honest, run()) == list(honest)
 
     def test_teardown_restores_the_honest_box(self, exact_choi):
         # runs after the mutant test, whose teardown must leave no mutant result cached

@@ -25,7 +25,7 @@ from qracbox.qrac import (
     _alice_side,
     _bob_side,
     _leaf_output,
-    _relabelling,
+    _relabelled,
     _round_register,
     channel_branches,
     sample_channel_block,
@@ -126,15 +126,16 @@ class TestRelabelledOutputs:
             fresh = _fresh_output(state, target, branch.correction, [0, 1, 2])
             assert np.array_equal(branch.output.matrix, fresh.matrix)
 
-    @pytest.mark.parametrize("dim", [2, 8])
-    def test_relabelling_arrays_are_read_only(self, dim):
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_relabelled_is_the_pauli_conjugation(self, dim):
+        state = haar_random_state(5, make_rng(79, dim))
+        rho = reduced_density(state, range(dim.bit_length() - 1)).matrix
         for correction in CORRECTIONS:
-            (rows, cols), sign = _relabelling(dim, correction)
-            for array in (rows, cols, sign):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0
-        assert _relabelling(dim, (1, 1)) is _relabelling(dim, (1, 1))
+            pauli = np.kron(np.eye(dim // 2), pauli_correction(*correction).matrix)
+            relabelled = _relabelled(rho, correction)
+            assert relabelled.shape == rho.shape
+            assert np.array_equal(relabelled, pauli @ rho @ pauli.conj().T)
+        assert not qrac._SIGNS.flags.writeable
 
 
 class TestEnumerationCost:
@@ -199,24 +200,14 @@ class TestStackedValidation:
         }
         assert stacks == [len(leaves) + len(relabelled)]
 
-    def test_every_relabelled_output_is_checked(self, monkeypatch):
-        def negated(dim, correction):
-            picks, sign = relabelling(dim, correction)
-            return picks, -np.ones_like(sign)
-
-        relabelling = qrac._relabelling
-        relabelling.cache_clear()
-        monkeypatch.setattr(qrac, "_relabelling", negated)
+    def test_every_relabelled_output_is_checked(self, monkeypatch, clear_box_caches):
+        monkeypatch.setattr(qrac, "_relabelled", lambda rho, bits: -_relabelled(rho, bits))
         joint = tensor([haar_random_state(1, make_rng(78, q)) for q in range(3)])
-        try:
-            # -rho is Hermitian; its spectrum is the first check it fails
-            with pytest.raises(ValueError, match="^matrix has a negative eigenvalue$"):
-                channel_branches(joint)
-            with pytest.raises(ValueError, match="^matrix has a negative eigenvalue$"):
-                sample_channel_block(joint, stream_words(78, np.arange(64), 4))
-        finally:
-            relabelling.cache_clear()
-            qrac._channel_tree.cache_clear()
+        # -rho is Hermitian; its spectrum is the first check it fails
+        with pytest.raises(ValueError, match="^matrix has a negative eigenvalue$"):
+            channel_branches(joint)
+        with pytest.raises(ValueError, match="^matrix has a negative eigenvalue$"):
+            sample_channel_block(joint, stream_words(78, np.arange(64), 4))
 
 
 class TestBellProjections:
@@ -269,8 +260,6 @@ class TestBellProjections:
 
     def test_shared_operands_are_read_only(self):
         assert not quantum._BELL_BRAS.flags.writeable
-        assert isinstance(quantum._pair_first(5, (3, 1)), tuple)
-        assert quantum._pair_first(5, (3, 1)) == (3, 1, 0, 2, 4)
 
 
 class TestBranchWiring:

@@ -388,6 +388,24 @@ class TestCli:
         assert main([*argv, "--seed", "1"]) == 3
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize(
+        "alpha,beta,message",
+        [
+            (["1", "0"], [0, 0], "alpha must be a [re, im] pair of numbers"),
+            ([True, 0], [0, 0], "alpha must be a [re, im] pair of numbers"),
+            ([0.6, 0], [0.8, False], "beta must be a [re, im] pair of numbers"),
+            ([" 0.6 ", 0], ["8e-1", 0], "alpha must be a [re, im] pair of numbers"),
+            ([10**400, 0], [0, 0], "alpha and beta must be finite"),
+        ],
+        ids=["strings", "true", "false", "padded-strings", "int-too-large"],
+    )
+    def test_alpha_beta_take_only_numbers(self, tmp_path, capsys, alpha, beta, message):
+        # float() takes "1", " 0.6 " and true; an amplitude must be a JSON number
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "mixture", "seed": 1, "alpha": alpha, "beta": beta}))
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_out_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(

@@ -21,11 +21,13 @@ from qracbox.qrac import (
     AliceClassicalOutput,
     DenseCodingPair,
     QracResources,
-    _alice_tree,
-    _channel_tree,
-    _choice_tree,
+    _ALICE_MEASUREMENTS,
+    _alice_root,
+    _channel_root,
+    _choice_root,
     _load_inputs,
     _round_register,
+    _tree,
     bob_view_distribution,
     branch_sums,
     channel_branches,
@@ -409,16 +411,14 @@ class TestOutcomeTreeCache:
     @pytest.mark.parametrize("experiment", sorted(ARGV))
     def test_cold_warm_and_evicted_reports_are_identical(self, experiment):
         argv = [*self.ARGV[experiment], "--mode", "sampled", "--seed", "5"]
-        caches = (_alice_tree, _channel_tree, _choice_tree)
-        for cache in caches:
-            cache.cache_clear()
+        _tree.cache_clear()
         cold = _report_bytes(argv)
-        hits = sum(cache.cache_info().hits for cache in caches)
+        hits = _tree.cache_info().hits
         warm = _report_bytes(argv)
-        assert sum(cache.cache_info().hits for cache in caches) > hits
-        # more new inputs than any cache holds: every root above is evicted
+        assert _tree.cache_info().hits > hits
+        # more new inputs than the cache holds: every root above is evicted
         rng = make_rng(31)
-        for _ in range(max(cache.cache_info().maxsize for cache in caches) + 1):
+        for _ in range(_tree.cache_info().maxsize + 1):
             psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
             run_qrac_protocol(psi, phi, haar_random_qubit(rng), 31)
             sample_channel(tensor([psi, phi, KET_PLUS]), rng)
@@ -428,7 +428,7 @@ class TestOutcomeTreeCache:
     def test_sampled_channel_matches_fresh_computation_bit_for_bit(self):
         rng = make_rng(33)
         joint = tensor([haar_random_qubit(rng) for _ in range(4)])
-        _channel_tree.cache_clear()
+        _tree.cache_clear()
         for trial in range(80):  # cold on the first trials, warm after
             inputs = [(0, 1, 2), (2, 0, 3)][trial % 2]
             w, alice, rho = sample_channel(joint, make_rng(34, trial), inputs)
@@ -440,14 +440,14 @@ class TestOutcomeTreeCache:
         rng = make_rng(35)
         psi = haar_random_qubit(rng)
         phis = [haar_random_qubit(rng), haar_random_qubit(rng)]
-        _alice_tree.cache_clear()
+        _tree.cache_clear()
         for trial in range(80):
             w, phi = trial % 2, phis[trial // 2 % 2]
             res = QracResources(make_rng(36, trial))
             out = qrac_bob(w, qrac_alice(psi, phi, res), res)
             ref_rng = make_rng(36, trial)
             box0, box1 = PRBox(ref_rng), PRBox(ref_rng)
-            state = _load_inputs(psi, phi)
+            state = StateVector(6, _load_inputs(psi, phi))
             first, state = bell_measure(state, (0, 2), ref_rng)
             second, state = bell_measure(state, (1, 4), ref_rng)
             mask0 = box0.alice(first.bit0 ^ second.bit0)
@@ -462,21 +462,23 @@ class TestOutcomeTreeCache:
         psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
         nudged = _flip_lowest_bit(psi)
         assert nudged.amplitudes.tobytes() != psi.amplitudes.tobytes()
-        tree = _alice_tree(psi.amplitudes.tobytes(), phi.amplitudes.tobytes())
-        assert _alice_tree(psi.amplitudes.copy().tobytes(), phi.amplitudes.tobytes()) is tree
-        assert _alice_tree(nudged.amplitudes.tobytes(), phi.amplitudes.tobytes()) is not tree
-        assert _alice_tree(phi.amplitudes.tobytes(), psi.amplitudes.tobytes()) is not tree
+        copy = StateVector(1, psi.amplitudes.copy())
+        tree = _alice_root(psi, phi)
+        assert _alice_root(copy, phi) is tree
+        assert _alice_root(nudged, phi) is not tree
+        assert _alice_root(phi, psi) is not tree
+        # the same register under another schedule
+        assert _tree(6, _load_inputs(psi, phi).tobytes(), _ALICE_MEASUREMENTS[::-1]) is not tree
 
-        tree = _choice_tree(psi.amplitudes.tobytes())
-        assert _choice_tree(psi.amplitudes.copy().tobytes()) is tree
-        assert _choice_tree(nudged.amplitudes.tobytes()) is not tree
+        tree = _choice_root(psi)
+        assert _choice_root(copy) is tree
+        assert _choice_root(nudged) is not tree
 
         joint = tensor([psi, phi, KET_PLUS])
-        tree = _channel_tree(3, joint.amplitudes.tobytes(), (0, 1, 2))
-        assert _channel_tree(3, joint.amplitudes.tobytes(), (0, 1, 2)) is tree
-        other = _flip_lowest_bit(joint).amplitudes.tobytes()
-        assert _channel_tree(3, other, (0, 1, 2)) is not tree
-        assert _channel_tree(3, joint.amplitudes.tobytes(), (1, 0, 2)) is not tree
+        tree, _ = _channel_root(joint, (0, 1, 2))
+        assert _channel_root(joint, (0, 1, 2))[0] is tree
+        assert _channel_root(_flip_lowest_bit(joint), (0, 1, 2))[0] is not tree
+        assert _channel_root(joint, (1, 0, 2))[0] is not tree
 
 
 def _fresh_branch_output(joint, inputs, branch):
