@@ -274,7 +274,8 @@ def build_dilation(choi: ChoiMatrix) -> Dilation:
     The environment dimension is the Choi rank; any valid dilation would
     do, since residual orthogonality is basis independent.
     """
-    if choi.min_eigenvalue() < -1e-8 or choi.tp_defect() > 1e-8:
+    # complete positivity is checked by ChoiMatrix itself, at the same bound
+    if choi.tp_defect() > 1e-8:
         raise ValueError("dilation needs a CPTP Choi matrix")
     evals, evecs = np.linalg.eigh(choi.matrix)
     kept = [k for k in range(len(evals)) if evals[k] > _RANK_TOL]

@@ -127,7 +127,10 @@ def parse_state_spec(spec: str) -> StateVector:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete, replayable description of one experiment run."""
+    """Complete, replayable description of one experiment run.
+
+    Checked on construction, however built; alpha and beta are kept as floats.
+    """
 
     experiment: str
     seed: int
@@ -141,6 +144,17 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        for key in ("alpha", "beta"):
+            pair = getattr(self, key)
+            if pair is not None:
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                    raise ConfigError(f"{key} must be a [re, im] pair")
+                if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair):
+                    raise ConfigError(f"{key} must be a [re, im] pair of numbers")
+                try:
+                    object.__setattr__(self, key, (float(pair[0]), float(pair[1])))
+                except OverflowError:  # an int too large for a float
+                    raise ConfigError("alpha and beta must be finite") from None
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
@@ -199,19 +213,7 @@ class ExperimentConfig:
             raise ConfigError("config needs an experiment name")
         if "seed" not in data:
             raise ConfigError("config needs a seed")
-        kwargs = dict(data)
-        for key in ("alpha", "beta"):
-            if kwargs.get(key) is not None:
-                pair = kwargs[key]
-                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                    raise ConfigError(f"{key} must be a [re, im] pair")
-                if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair):
-                    raise ConfigError(f"{key} must be a [re, im] pair of numbers")
-                try:
-                    kwargs[key] = (float(pair[0]), float(pair[1]))
-                except OverflowError:  # an int too large for a float
-                    raise ConfigError("alpha and beta must be finite") from None
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}

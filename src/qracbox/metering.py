@@ -1,9 +1,10 @@
 """Message transcripts and communication metering for two-party rounds.
 
 Every message that crosses between Alice and Bob goes through a
-MeteredChannel, which keeps an ordered log; its transcript carries the
-per-direction tallies.  A block of rounds run at once goes through a
-MeteredBatch instead, which tallies every round of the block apart.
+MeteredChannel, which keeps an ordered log; its transcript derives the
+per-direction tallies from that log, so the two cannot disagree.  A
+block of rounds run at once goes through a MeteredBatch instead, which
+tallies every round of the block apart.
 Budgets are hard equalities: a standard box round costs exactly two
 classical bits Alice to Bob, the dense-coded variant exactly one qubit,
 and the classical RAC exactly one bit.  Nothing ever flows Bob to Alice.
@@ -91,18 +92,14 @@ def aggregate(messages: tuple[Message, ...]) -> Tally:
 
 @dataclass(frozen=True)
 class RoundTranscript:
-    """Ordered record of one round's messages with per-direction totals."""
+    """Ordered record of one round's messages; its totals are read off the log."""
 
     messages: tuple[Message, ...]
-    totals: Tally
 
-    def __post_init__(self) -> None:
-        if aggregate(self.messages) != self.totals:
-            raise ValueError("transcript totals do not match the message log")
-
-    @classmethod
-    def from_messages(cls, messages: tuple[Message, ...]) -> "RoundTranscript":
-        return cls(messages, aggregate(messages))
+    @property
+    def totals(self) -> Tally:
+        """Per-direction counts of ``messages``."""
+        return aggregate(self.messages)
 
 
 class MeteredChannel:
@@ -117,7 +114,7 @@ class MeteredChannel:
         return msg
 
     def transcript(self) -> RoundTranscript:
-        return RoundTranscript.from_messages(tuple(self._log))
+        return RoundTranscript(tuple(self._log))
 
 
 class MeteredBatch:
@@ -154,7 +151,7 @@ class MeteredBatch:
             mask[rows] = True
             if mask[index]:
                 sent.append(msg)
-        return RoundTranscript.from_messages(tuple(sent))
+        return RoundTranscript(tuple(sent))
 
     def totals(self) -> Tally:
         """The tally of the whole block."""

@@ -181,7 +181,8 @@ class QracResources:
 
     The register (both inputs and both exact |Phi+> pairs) is loaded when
     Alice's side runs; ``leaf`` then holds it collapsed by her two Bell
-    measurements, for Bob's side.
+    measurements, for Bob's side.  Each side runs once: a set ``leaf``
+    means Alice's side has run, and the boxes refuse Bob's side twice.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -189,8 +190,6 @@ class QracResources:
         self.box0 = PRBox(rng)
         self.box1 = PRBox(rng)
         self.leaf: OutcomeNode | None = None
-        self.alice_done = False
-        self.bob_done = False
 
 
 def _check_qubits(**states: StateVector) -> None:
@@ -240,12 +239,18 @@ def _register(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[StateVe
 
 
 def _channel_root(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[OutcomeNode, list[int]]:
-    """Choice, then both Bell measurements, on ``_register``; and the spectators."""
+    """Choice, then both Bell measurements, on ``_register``'s register; and spectators.
+
+    Keyed like ``_alice_root``: by amplitudes built as ``tensor`` builds
+    them, left unchecked until a ``_tree`` miss.
+    """
     q_apr, q_adp, q_r = inputs
-    extended, spectators = _register(joint, inputs)
     n = joint.num_qubits
+    spectators = _spectators(n, inputs)
+    pair = PHI_PLUS.amplitudes
+    amplitudes = np.multiply.outer(np.multiply.outer(joint.amplitudes, pair), pair)
     schedule = (("computational", q_r), ("bell", (q_apr, n)), ("bell", (q_adp, n + 2)))
-    return _root(extended, schedule), spectators
+    return _tree(n + 4, amplitudes.tobytes(), schedule), spectators
 
 
 def _bell_bits(index):
@@ -373,11 +378,10 @@ def qrac_alice(
     {00, 01, 10, 11} whatever the inputs.
     """
     root = _alice_root(psi, phi)
-    if res.alice_done:
+    if res.leaf is not None:
         raise ProtocolError("Alice's side of these resources was already used")
     first, node = root.draw(res.rng)
     second, res.leaf = node.draw(res.rng)
-    res.alice_done = True
     return AliceClassicalOutput(*_alice_side(first, second, res.box0, res.box1))
 
 
@@ -386,16 +390,14 @@ def qrac_bob(w: int, b, res: QracResources) -> DensityMatrix:
 
     ``b`` is his two-bit classical input (b1, b0); feeding Alice's output
     recovers her w-th input qubit exactly.  Everything except the chosen
-    qubit is traced out before returning.
+    qubit is traced out before returning.  A second call is refused by
+    the boxes (``PRBox.bob``), before any state changes.
     """
     _check_bit(w, "w")
     bits = _as_bits(b)
-    if not res.alice_done:
+    if res.leaf is None:
         raise ProtocolError("Bob's side needs Alice's measurements on record")
-    if res.bob_done:
-        raise ProtocolError("Bob's side of these resources was already used")
     _, correction, target = _bob_side(EPR1_ALICE, w, bits, res.box0, res.box1)
-    res.bob_done = True
     return _leaf_output(res.leaf, target, correction, [])
 
 

@@ -3,8 +3,8 @@
 Everything here is deliberately written the slow, obvious way (explicit
 kron products, index loops) so it shares no code path with the package:
 full unitaries, Bell vectors and probabilities, the loop partial trace,
-a Choi matrix applied to an input, a dilation's output, and Haar-random
-unitaries as test data.
+a Choi matrix applied to an input, the Choi matrix of the ideal channel,
+a dilation's output, and Haar-random unitaries as test data.
 """
 from __future__ import annotations
 
@@ -108,6 +108,28 @@ def choi_apply(choi: np.ndarray, rho: np.ndarray, d_in: int, d_out: int) -> np.n
                 for b in range(d_out):
                     out[a, b] += rho[i, j] * choi[i * d_out + a, j * d_out + b]
     return out
+
+
+def selection_choi() -> np.ndarray:
+    """Choi matrix of S: measure the choice, return the chosen slot, discard the other.
+
+    The input i has bits (A', A'', choice), most significant first, and
+    entry (i*2 + o, j*2 + p) is S(|i><j|)[o, p]: the choice bits must
+    agree (the measurement), and so must the discarded slot's (the
+    partial trace).
+    """
+    choi = np.zeros((16, 16), dtype=complex)
+    for i in range(8):
+        for j in range(8):
+            first_i, second_i, choice_i = i >> 2, (i >> 1) & 1, i & 1
+            first_j, second_j, choice_j = j >> 2, (j >> 1) & 1, j & 1
+            if choice_i != choice_j:
+                continue
+            kept_i, dropped_i = (first_i, second_i) if choice_i == 0 else (second_i, first_i)
+            kept_j, dropped_j = (first_j, second_j) if choice_j == 0 else (second_j, first_j)
+            if dropped_i == dropped_j:
+                choi[i * 2 + kept_i, j * 2 + kept_j] = 1
+    return choi
 
 
 def dilation_output(v: np.ndarray, rho: np.ndarray, d_out: int, env_dim: int) -> np.ndarray:

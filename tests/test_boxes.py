@@ -3,10 +3,13 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
 import pytest
 
+from qracbox import boxes as boxes_module
 from qracbox.boxes import (
     PRBox,
+    PRBoxes,
     enumerate_pr_outputs,
     rac_all_cases,
     rac_round,
@@ -118,6 +121,22 @@ class TestRacPrivacy:
         assert report["metrics"]["sampled_bob_tv"] <= 0.02
         assert report["metrics"]["sampled_alice_tv"] <= 0.02
         assert all(c["pass"] for c in report["checks"])
+
+    def test_exact_check_catches_a_correct_but_leaking_box(self, monkeypatch):
+        # every coin held at 0: the box still obeys A XOR B = x*y, so the
+        # RAC stays correct, but A no longer pads m, and at w = 1 Bob's m is a0
+        class ConstantCoinBox(PRBox):
+            __slots__ = ()
+
+            def __init__(self, rng=None, *, coin=None):
+                super().__init__(coin=0)
+
+        monkeypatch.setattr(boxes_module, "PRBox", ConstantCoinBox)
+        monkeypatch.setattr(boxes_module, "PRBoxes", lambda coin: PRBoxes(np.zeros_like(coin)))
+        assert all(r.output == (r.a0 if r.w == 0 else r.a1) for r in rac_all_cases())
+        checks = {c["name"]: c for c in verify_rac_privacy(trials=1000, seed=3)["checks"]}
+        assert not checks["rac-privacy-bob-exact"]["pass"]
+        assert checks["rac-privacy-bob-exact"]["value"] == 1.0
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(ValueError):

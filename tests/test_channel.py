@@ -134,6 +134,21 @@ class TestTomography:
         np.testing.assert_allclose(back.matrix, exact_choi.matrix, atol=1e-15)
 
 
+class TestChannelIdentity:
+    """The exact channel is S, for every input: measure the choice, return
+    the chosen slot, discard the other.  A channel is fixed by its Choi
+    matrix, so this certifies recovery, the mixture law and the
+    subchannel law on entangled inputs too."""
+
+    def test_choi_is_the_selection_channel(self, exact_choi):
+        assert np.max(np.abs(exact_choi.matrix - oracles.selection_choi())) <= 1e-15
+
+    def test_each_subchannel_is_a_quarter_of_it(self, exact_subchannels):
+        quarter = oracles.selection_choi() / 4
+        for part in exact_subchannels.parts.values():
+            assert np.max(np.abs(part.matrix - quarter)) <= 1e-15
+
+
 class TestSubchannels:
     def test_parts_sum_to_total(self, exact_subchannels):
         assert exact_subchannels.decomposition_defect() <= 1e-8

@@ -125,6 +125,27 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=r"must be 1 within 1e-10$"):
             ExperimentConfig(experiment="mixture", seed=1, alpha=alpha, beta=beta)
 
+    @pytest.mark.parametrize(
+        "alpha,message",
+        [
+            ((True, 0), "alpha must be a [re, im] pair of numbers"),
+            (("1", 0), "alpha must be a [re, im] pair of numbers"),
+            ((1.0,), "alpha must be a [re, im] pair"),
+            ((10**400, 0), "alpha and beta must be finite"),
+        ],
+    )
+    def test_alpha_beta_are_checked_however_the_config_is_built(self, alpha, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(experiment="mixture", seed=1, alpha=alpha, beta=(0, 0))
+
+    def test_a_directly_built_int_alpha_reports_as_from_json(self):
+        direct = ExperimentConfig(experiment="mixture", seed=1, alpha=(1, 0), beta=(0, 0))
+        parsed = ExperimentConfig.from_dict(
+            {"experiment": "mixture", "seed": 1, "alpha": [1, 0], "beta": [0, 0]}
+        )
+        assert direct.alpha == parsed.alpha == (1.0, 0.0)
+        assert canonical_json(run_experiment(direct)) == canonical_json(run_experiment(parsed))
+
     def test_omega_resolution(self):
         config = ExperimentConfig(
             experiment="mixture",

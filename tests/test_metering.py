@@ -24,10 +24,10 @@ def test_tally_matches_log_aggregation():
     assert aggregate(t.messages) == t.totals
 
 
-def test_transcript_rejects_mismatched_totals():
-    msg = Message("A->B", "qubit", "payload")
-    with pytest.raises(ValueError):
-        RoundTranscript((msg,), Tally(bits_a_to_b=1))
+def test_transcript_totals_are_read_off_the_log():
+    msgs = (Message("A->B", "qubit", "payload"), Message("A->B", "classical-bit", "m"))
+    assert RoundTranscript(msgs).totals == Tally(bits_a_to_b=1, qubits_a_to_b=1)
+    assert RoundTranscript(()).totals == Tally()
 
 
 def test_invalid_direction_and_kind_rejected():

@@ -53,6 +53,7 @@ from qracbox.quantum import (
     bell_project,
     fidelity,
     haar_random_qubit,
+    haar_random_state,
     measure_computational,
     measure_project,
     pauli_correction,
@@ -456,6 +457,28 @@ class TestOutcomeTreeCache:
             target = 3 if w == 0 else 5
             corrected = apply_unitary(state, pauli_correction(*correction), (target,))
             assert np.array_equal(out.matrix, reduced_density(corrected, [target]).matrix)
+
+    @pytest.mark.parametrize("num_qubits", [3, 4, 6])
+    def test_channel_root_register_is_the_tensor_and_a_hit_checks_nothing(
+        self, num_qubits, monkeypatch
+    ):
+        rng = make_rng(37, num_qubits)
+        joints = [haar_random_state(num_qubits, rng) for _ in range(5)]
+        trees = [_channel_root(joint, (0, 1, 2))[0] for joint in joints]
+        for joint, tree in zip(joints, trees):
+            expected = tensor([joint, PHI_PLUS, PHI_PLUS]).amplitudes
+            assert tree.state.amplitudes.tobytes() == expected.tobytes()
+        checked = []
+        honest_check = StateVector.__post_init__
+
+        def counting_check(state):
+            checked.append(state)
+            honest_check(state)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counting_check)
+        for joint, tree in zip(joints, trees):
+            assert _channel_root(joint, (0, 1, 2))[0] is tree
+        assert checked == []
 
     def test_inputs_one_bit_apart_never_share_a_tree(self):
         rng = make_rng(32)
