@@ -228,6 +228,12 @@ def _spectators(n: int, inputs: tuple[int, int, int]) -> list[int]:
     return sorted(set(range(n)) - set(inputs))
 
 
+def _with_pairs(joint: StateVector) -> np.ndarray:
+    """The amplitudes of joint (x) both EPR pairs, as ``tensor`` builds them, unchecked."""
+    pair = PHI_PLUS.amplitudes
+    return np.multiply.outer(np.multiply.outer(joint.amplitudes, pair), pair).reshape(-1)
+
+
 def _register(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[StateVector, list[int]]:
     """joint (x) both EPR pairs, and the qubits of ``joint`` that ride along.
 
@@ -235,22 +241,20 @@ def _register(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[StateVe
     Alice's half first, where n is the size of ``joint``.
     """
     spectators = _spectators(joint.num_qubits, inputs)
-    return tensor([joint, PHI_PLUS, PHI_PLUS]), spectators
+    return StateVector(joint.num_qubits + 4, _with_pairs(joint)), spectators
 
 
 def _channel_root(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[OutcomeNode, list[int]]:
     """Choice, then both Bell measurements, on ``_register``'s register; and spectators.
 
-    Keyed like ``_alice_root``: by amplitudes built as ``tensor`` builds
-    them, left unchecked until a ``_tree`` miss.
+    Keyed like ``_alice_root``: by ``_with_pairs``'s amplitudes, left
+    unchecked until a ``_tree`` miss.
     """
     q_apr, q_adp, q_r = inputs
     n = joint.num_qubits
     spectators = _spectators(n, inputs)
-    pair = PHI_PLUS.amplitudes
-    amplitudes = np.multiply.outer(np.multiply.outer(joint.amplitudes, pair), pair)
     schedule = (("computational", q_r), ("bell", (q_apr, n)), ("bell", (q_adp, n + 2)))
-    return _tree(n + 4, amplitudes.tobytes(), schedule), spectators
+    return _tree(n + 4, _with_pairs(joint).tobytes(), schedule), spectators
 
 
 def _bell_bits(index):

@@ -26,6 +26,7 @@ from qracbox.qrac import (
     _channel_root,
     _choice_root,
     _load_inputs,
+    _register,
     _round_register,
     _tree,
     bob_view_distribution,
@@ -459,15 +460,16 @@ class TestOutcomeTreeCache:
             assert np.array_equal(out.matrix, reduced_density(corrected, [target]).matrix)
 
     @pytest.mark.parametrize("num_qubits", [3, 4, 6])
-    def test_channel_root_register_is_the_tensor_and_a_hit_checks_nothing(
+    def test_channel_register_is_the_tensor_and_a_root_hit_checks_nothing(
         self, num_qubits, monkeypatch
     ):
         rng = make_rng(37, num_qubits)
         joints = [haar_random_state(num_qubits, rng) for _ in range(5)]
         trees = [_channel_root(joint, (0, 1, 2))[0] for joint in joints]
         for joint, tree in zip(joints, trees):
-            expected = tensor([joint, PHI_PLUS, PHI_PLUS]).amplitudes
-            assert tree.state.amplitudes.tobytes() == expected.tobytes()
+            expected = tensor([joint, PHI_PLUS, PHI_PLUS]).amplitudes.tobytes()
+            assert tree.state.amplitudes.tobytes() == expected
+            assert _register(joint, (0, 1, 2))[0].amplitudes.tobytes() == expected
         checked = []
         honest_check = StateVector.__post_init__
 
