@@ -172,17 +172,22 @@ def verify_rac_privacy(trials: int, seed: int) -> dict:
     Exhaustive part: both views are read off one pass over
     ``rac_all_cases``, each case weighing 1/2 for its coin.  Bob's view
     (m, B) must be independent of the bit he did not ask for, and
-    Alice's view (A) independent of w.  Sampled part: Bob's view at
-    (w=0, a0=0) for either a1, and Alice's at (a0=0, a1=1) for either
-    w, from `trials` seeded rounds, with total variation tolerance
-    max(0.02, 6/sqrt(trials)).
+    Alice's view (A) independent of w.  The same pass counts the cases
+    whose output is a_w, as the metrics ``exhaustive_cases`` and
+    ``exhaustive_correct``; the ``racbox`` report checks that count.
+    Sampled part: Bob's view at (w=0, a0=0) for either a1, and Alice's
+    at (a0=0, a1=1) for either w, from `trials` seeded rounds, with
+    total variation tolerance max(0.02, 6/sqrt(trials)).
     """
     trials = trial_count(trials, 10**3, "privacy verification")
 
     bob_views = defaultdict(lambda: np.zeros(4))  # (w, a_w, a_other) -> (m, B)
     alice_views = defaultdict(lambda: np.zeros(2))  # (a0, a1, w) -> A
-    for r in rac_all_cases():
+    cases = rac_all_cases()
+    correct = 0
+    for r in cases:
         a_w, a_other = (r.a0, r.a1) if r.w == 0 else (r.a1, r.a0)
+        correct += r.output == a_w
         b_out = r.message ^ r.output  # B as Bob received it
         bob_views[r.w, a_w, a_other][2 * r.message + b_out] += 0.5
         alice_views[r.a0, r.a1, r.w][r.a0 ^ r.message] += 0.5  # A = a0 XOR m
@@ -229,6 +234,8 @@ def verify_rac_privacy(trials: int, seed: int) -> dict:
     ]
     return {
         "metrics": {
+            "exhaustive_cases": len(cases),
+            "exhaustive_correct": correct,
             "trials": trials,
             "exact_bob_tv": exact_bob_tv,
             "exact_alice_tv": exact_alice_tv,

@@ -14,7 +14,7 @@ exact claim comes from one enumeration of the box's branches
 
 Two of those enumerations have inputs that depend on nothing: the
 maximally entangled probe behind ``tomography()`` and ``subchannels()``
-(``_probe_sums``), and the default (|+>, |->) contrast pair of
+(``_probe_sums``), and the fixed (|+>, |->) contrast pair of
 ``verify_nonsignaling`` with omega in {|0>, |1>, |+>}
 (``_default_contrast``).  Each is made once per process, on first use,
 and its arrays are shared read-only; every ``ChoiMatrix`` built from
@@ -143,7 +143,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _probe_sums() -> tuple[np.ndarray, MappingProxyType]:
     """The probe enumeration's output sum and per-bits sums, read-only."""
     _, total, parts = branch_sums(channel_branches(_entangled_probe(), (3, 4, 5)), D_IN)
-    return _read_only(total), MappingProxyType({k: _read_only(m) for k, m in parts.items()})
+    return _read_only(total), MappingProxyType({k: _read_only(m) for k, (_, m) in parts.items()})
 
 
 def tomography(
@@ -215,7 +215,7 @@ def mixture_check(
     )
     full_distance = trace_distance(total, expected)
     sub_distance = max(
-        trace_distance(part, expected / 4) for part in parts.values()
+        trace_distance(part, expected / 4) for _, part in parts.values()
     )
     checks = [
         check("mixture-full-channel", full_distance <= 1e-8, full_distance, 1e-8),
@@ -343,7 +343,7 @@ def _withheld(pair: tuple[StateVector, StateVector]) -> tuple[tuple[np.ndarray, 
 
 @lru_cache(maxsize=1)
 def _default_contrast() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """``_withheld`` of the default contrast pair (|+>, |->), read-only."""
+    """``_withheld`` of the contrast pair (|+>, |->), read-only."""
     return tuple(
         (_read_only(dist), _read_only(total)) for dist, total in _withheld((KET_PLUS, KET_MINUS))
     )
@@ -356,14 +356,15 @@ def verify_nonsignaling(
     *,
     psi: StateVector = KET0,
     phi: StateVector = KET1,
-    contrast_pair: tuple[StateVector, StateVector] | None = None,
 ) -> dict:
     """Machine-check that neither party's data depends on the other's input.
 
     Exact part (always): Alice's output distribution is identical for
     both basis choices and a superposed choice, and Bob's branch-averaged
-    output with Alice's bits withheld is maximally mixed for two
-    different input pairs.  Sampled part (mode="sampled", trials >= 1e4):
+    output with Alice's bits withheld is maximally mixed for two input
+    pairs, (psi, phi) and the fixed contrast pair (|+>, |->).  To check
+    the withheld marginal of another pair, pass it as (psi, phi).
+    Sampled part (mode="sampled", trials >= 1e4):
     the Alice comparison re-done statistically with tolerance 0.02.
     """
     if mode not in ("branch-exact", "sampled"):
@@ -374,7 +375,7 @@ def verify_nonsignaling(
     # a fixed b changes no branch probability and no Alice bit, so the
     # withheld enumerations of (psi, phi) also give Alice's distributions
     own = _withheld((psi, phi))
-    contrast = _default_contrast() if contrast_pair is None else _withheld(contrast_pair)
+    contrast = _default_contrast()
     exact_tv = max(
         tv_distance(own[i][0], own[j][0]) for i in range(3) for j in range(i + 1, 3)
     )

@@ -31,7 +31,6 @@ from ._version import __version__
 from .boxes import (
     PRBoxes,
     check,
-    rac_all_cases,
     rac_round,
     rac_wiring,
     tv_distance,
@@ -48,7 +47,6 @@ from .channel import (
 )
 from .metering import (
     ConfigError,
-    MeteredBatch,
     MeteredChannel,
     ProtocolError,
     QRAC_BUDGET,
@@ -317,7 +315,7 @@ def _assert_budget(transcript: RoundTranscript, budget: Tally, context: str) -> 
         )
 
 
-def _assert_block_budget(channel: MeteredBatch, budget: Tally, label: str) -> Tally:
+def _assert_block_budget(channel: MeteredChannel, budget: Tally, label: str) -> Tally:
     """Hold every round of a block to the budget; returns the block's tally.
 
     The first round over budget fails as a lone round would, named by
@@ -354,7 +352,7 @@ def _qrac_block(
     label = "qrac-qubit-only" if dense else "qrac"
     words = stream_words(seed, trials, 5 if dense else 4)
     w, alice, ids, outputs = qrac_rounds(psi, phi, omega, words)
-    channel = MeteredBatch(trials)
+    channel = MeteredChannel(trials)
     if dense:
         sent = 2 * alice[0] + alice[1]
         channel.send("A->B", "qubit", "dense-coded-output", sent)
@@ -431,8 +429,7 @@ def _exp_racbox(
 ) -> tuple[dict, list, Tally, list, list]:
     # first, so a trial count below its floor plays no round
     privacy = verify_rac_privacy(config.trials, config.seed)
-    cases = rac_all_cases()
-    correct = sum(r.output == (r.a0 if r.w == 0 else r.a1) for r in cases)
+    correct = privacy["metrics"]["exhaustive_correct"]
 
     tallies = Tally()
     rows = []
@@ -441,7 +438,7 @@ def _exp_racbox(
         # inputs, then the box coin: words 0-1 of each trial's stream
         a0, a1, w, coin = bit_columns(stream_words(config.seed, trials, 2)).T
         message, output = rac_wiring(a0, a1, w, PRBoxes(coin))
-        channel = MeteredBatch(trials)
+        channel = MeteredChannel(trials)
         channel.send("A->B", "classical-bit", "m", message)
         tallies = tallies + _assert_block_budget(channel, RACBOX_BUDGET, "racbox")
         ok = (output == np.where(w == 0, a0, a1)).astype(int)
@@ -456,12 +453,7 @@ def _exp_racbox(
         check("budget-every-round", True, 0.0, 0.0),
         *privacy["checks"],
     ]
-    metrics = {
-        "exhaustive_cases": 16,
-        "exhaustive_correct": correct,
-        "rounds": config.trials,
-        **privacy["metrics"],
-    }
+    metrics = {"rounds": config.trials, **privacy["metrics"]}
     header = ["trial", "a0", "a1", "w", "output", "correct"]
     return metrics, checks, tallies, header, rows
 

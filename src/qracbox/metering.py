@@ -1,10 +1,10 @@
 """Message transcripts and communication metering for two-party rounds.
 
 Every message that crosses between Alice and Bob goes through a
-MeteredChannel, which keeps an ordered log; its transcript derives the
-per-direction tallies from that log, so the two cannot disagree.  A
-block of rounds run at once goes through a MeteredBatch instead, which
-tallies every round of the block apart.
+MeteredChannel, which keeps an ordered log for one round or for a block
+of rounds run at once, and tallies every round apart.  A round's
+transcript derives its per-direction tallies from that log, so the two
+cannot disagree.
 Budgets are hard equalities: a standard box round costs exactly two
 classical bits Alice to Bob, the dense-coded variant exactly one qubit,
 and the classical RAC exactly one bit.  Nothing ever flows Bob to Alice.
@@ -12,7 +12,7 @@ and the classical RAC exactly one bit.  Nothing ever flows Bob to Alice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -103,30 +103,16 @@ class RoundTranscript:
 
 
 class MeteredChannel:
-    """Ordered, tallied message log for one round."""
+    """Ordered message log of one round, or of a block of rounds run at once.
 
-    def __init__(self) -> None:
-        self._log: list[Message] = []
-
-    def send(self, direction: str, kind: str, payload: str, content: Any = None) -> Message:
-        msg = Message(direction, kind, payload, content)
-        self._log.append(msg)
-        return msg
-
-    def transcript(self) -> RoundTranscript:
-        return RoundTranscript(tuple(self._log))
-
-
-class MeteredBatch:
-    """Ordered message log of a block of rounds run at once, tallied per round.
-
-    ``rounds`` numbers the block's rounds (their trials).  A message goes
-    out in every round of the block, or only in the rounds ``rows``
-    selects; its content holds one entry per round.  ``counts[r]`` is
-    round r's tally, in ``Tally`` field order.
+    ``rounds`` numbers the channel's rounds (a block's trials); by default
+    it carries one round, numbered 0.  A message goes out in every round,
+    or only in the rounds ``rows`` selects; in a block its content holds
+    one entry per round.  ``counts[r]`` is round r's tally, in ``Tally``
+    field order.
     """
 
-    def __init__(self, rounds: np.ndarray) -> None:
+    def __init__(self, rounds: Sequence[int] = (0,)) -> None:
         self.rounds = rounds
         self._log: list[tuple[Message, Any]] = []
         self.counts = np.zeros((len(rounds), len(_ROUTES)), dtype=np.int64)
@@ -140,11 +126,11 @@ class MeteredBatch:
         return msg
 
     def over_budget(self, budget: Tally) -> np.ndarray:
-        """Block indices of the rounds whose tally is not ``budget``."""
+        """Indices of the rounds whose tally is not ``budget``."""
         return np.flatnonzero((self.counts != list(budget.as_dict().values())).any(axis=1))
 
-    def transcript(self, index: int) -> RoundTranscript:
-        """The messages of the block's round ``index``, in the order sent."""
+    def transcript(self, index: int = 0) -> RoundTranscript:
+        """The messages of round ``index``, in the order sent."""
         sent = []
         for msg, rows in self._log:
             mask = np.zeros(len(self.rounds), dtype=bool)
@@ -154,5 +140,5 @@ class MeteredBatch:
         return RoundTranscript(tuple(sent))
 
     def totals(self) -> Tally:
-        """The tally of the whole block."""
+        """The tally of every round together."""
         return Tally(*self.counts.sum(axis=0).tolist())

@@ -286,8 +286,6 @@ def bell_projections(
     which need not round the same.  Used by exact branch enumeration.
     """
     p0, p1 = pair
-    if p0 == p1:
-        raise ValueError("pair indices must be distinct")
     _check_targets(state, [p0, p1])
     n = state.num_qubits
     pair_first = (p0, p1, *(q for q in range(n) if q not in (p0, p1)))
@@ -331,12 +329,7 @@ _Born = tuple[np.ndarray, Callable[[int], StateVector]]
 
 def _bell_born(state: StateVector, pair: Sequence[int]) -> _Born:
     """Born probabilities of a Bell measurement of ``pair``, and the collapse."""
-    p0, p1 = pair
-    if p0 == p1:
-        raise ValueError("pair indices must be distinct")
-    _check_targets(state, [p0, p1])
-    if state.num_qubits < 2:
-        raise ValueError("Bell measurement needs at least two qubits")
+    _check_targets(state, pair)
     overlaps = _pair_overlaps(state, pair)
     flat = overlaps.reshape(4, -1)
     probs = np.einsum("ij,ij->i", flat, flat.conj()).real

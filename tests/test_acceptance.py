@@ -150,9 +150,7 @@ def test_criterion_5_nonsignaling():
     exact = verify_nonsignaling(0, 105, psi=KET0, phi=KET1)
     tv_exact = exact["metrics"]["exact_alice_tv"]
     withheld = exact["metrics"]["bob_withheld_trace_distance"]
-    contrast = verify_nonsignaling(
-        0, 105, psi=KET_PLUS, phi=KET_MINUS, contrast_pair=(KET_PLUS, KET0)
-    )
+    contrast = verify_nonsignaling(0, 105, psi=KET_PLUS, phi=KET0)
     withheld = max(withheld, contrast["metrics"]["bob_withheld_trace_distance"])
     sampled = verify_nonsignaling(10**5, 106, mode="sampled")
     tv_sampled = sampled["metrics"]["sampled_alice_tv"]

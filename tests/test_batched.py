@@ -20,7 +20,7 @@ from qracbox.harness import (
     run_qrac_protocol,
     run_rac_protocol,
 )
-from qracbox.metering import MeteredBatch, MeteredChannel, ProtocolError, Tally
+from qracbox.metering import MeteredChannel, ProtocolError, Tally
 from qracbox.qrac import (
     _alice_root,
     _channel_root,
@@ -272,7 +272,7 @@ VIOLATOR = 2 * BLOCK + 1
 
 
 def _one_extra_bit(monkeypatch) -> None:
-    send = MeteredBatch.send
+    send = MeteredChannel.send
 
     def sending(self, direction, kind, payload, content=None, rows=slice(None)):
         msg = send(self, direction, kind, payload, content, rows)
@@ -280,7 +280,7 @@ def _one_extra_bit(monkeypatch) -> None:
             send(self, "A->B", "classical-bit", "extra", None, self.rounds == VIOLATOR)
         return msg
 
-    monkeypatch.setattr(MeteredBatch, "send", sending)
+    monkeypatch.setattr(MeteredChannel, "send", sending)
 
 
 class TestBudgetStillFails:
@@ -302,7 +302,7 @@ class TestBudgetStillFails:
         assert "extra" in err[0]
 
     def test_transcript_of_one_round(self):
-        channel = MeteredBatch(np.arange(10, 13, dtype=np.uint64))
+        channel = MeteredChannel(np.arange(10, 13, dtype=np.uint64))
         channel.send("A->B", "classical-bit", "a1", np.zeros(3))
         channel.send("A->B", "qubit", "q", None, np.array([False, True, False]))
         assert [m.payload for m in channel.transcript(1).messages] == ["a1", "q"]
@@ -351,10 +351,35 @@ class TestReportsRunBatched:
             raise AssertionError("a report reached the single-trial path")
 
         monkeypatch.setattr(OutcomeNode, "draw", per_trial)
-        monkeypatch.setattr(MeteredChannel, "send", per_trial)
+        monkeypatch.setattr(harness, "run_qrac_protocol", per_trial)
+        monkeypatch.setattr(harness, "run_rac_protocol", per_trial)
         argv = ["run", "--experiment", experiment, "--mode", mode, "--seed", "7"]
         assert main([*argv, "--trials", str(REPORT_TRIALS[experiment])]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "experiment, payloads",
+        [("qrac", ["a1", "a0"]), ("qrac-qubit-only", ["dense-coded-output"]), ("racbox", ["m"])],
+    )
+    def test_every_block_is_metered_by_the_one_channel(
+        self, experiment, payloads, monkeypatch
+    ):
+        _small_blocks(monkeypatch)
+        sent = []  # (payload, rounds of the block) of each message
+        send = MeteredChannel.send
+
+        def recording(self, direction, kind, payload, content=None, rows=slice(None)):
+            sent.append((payload, len(self.rounds)))
+            return send(self, direction, kind, payload, content, rows)
+
+        monkeypatch.setattr(MeteredChannel, "send", recording)
+        trials = REPORT_TRIALS[experiment]
+        argv = ["run", "--experiment", experiment, "--seed", "7", "--trials", str(trials)]
+        assert main(argv) == 0
+        blocks = -(-trials // BLOCK)
+        assert len(sent) == len(payloads) * blocks
+        assert [payload for payload, _ in sent] == payloads * blocks
+        assert sum(rounds for _, rounds in sent) == len(payloads) * trials
 
 
 class TestOverflowingAmpSpec:

@@ -1,12 +1,14 @@
 """Tests for the PR-box and the one-bit classical random access code."""
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
 from qracbox import boxes as boxes_module
+from qracbox import harness
 from qracbox.boxes import (
     PRBox,
     PRBoxes,
@@ -16,6 +18,7 @@ from qracbox.boxes import (
     tv_distance,
     verify_rac_privacy,
 )
+from qracbox.cli import main
 from qracbox.metering import ProtocolError
 from qracbox.rng import make_rng
 
@@ -137,6 +140,42 @@ class TestRacPrivacy:
         checks = {c["name"]: c for c in verify_rac_privacy(trials=1000, seed=3)["checks"]}
         assert not checks["rac-privacy-bob-exact"]["pass"]
         assert checks["rac-privacy-bob-exact"]["value"] == 1.0
+
+    def test_the_privacy_pass_counts_the_correct_cases(self):
+        metrics = verify_rac_privacy(trials=1000, seed=3)["metrics"]
+        assert (metrics["exhaustive_cases"], metrics["exhaustive_correct"]) == (16, 16)
+
+    def _spy_on_rac_all_cases(self, monkeypatch, cases):
+        """Count ``rac_all_cases`` calls in every module that binds it; return ``cases()``."""
+        calls = []
+        honest = boxes_module.rac_all_cases
+
+        def counting():
+            calls.append(1)
+            return cases(honest())
+
+        for module in (boxes_module, harness):
+            if getattr(module, "rac_all_cases", None) is honest:
+                monkeypatch.setattr(module, "rac_all_cases", counting)
+        return calls
+
+    def test_a_racbox_report_enumerates_the_cases_once(self, monkeypatch, capsys):
+        calls = self._spy_on_rac_all_cases(monkeypatch, lambda cases: cases)
+        assert main(["racbox", "--trials", "1000", "--seed", "3"]) == 0
+        assert calls == [1]
+
+    def test_a_wrong_case_fails_the_report(self, monkeypatch, capsys):
+        def one_wrong(cases):
+            first = cases[0]
+            return [replace(first, output=first.output ^ 1), *cases[1:]]
+
+        self._spy_on_rac_all_cases(monkeypatch, one_wrong)
+        report = verify_rac_privacy(trials=1000, seed=3)
+        assert report["metrics"]["exhaustive_correct"] == 15
+        assert main(["racbox", "--trials", "1000", "--seed", "3"]) == 2
+        out = capsys.readouterr().out
+        assert '"exhaustive_correct":15' in out
+        assert '{"name":"rac-exhaustive-correct","pass":false,"tolerance":null,"value":15}' in out
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(ValueError):

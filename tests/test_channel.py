@@ -341,7 +341,10 @@ class TestNonsignaling:
 
 
 def _loop_sums(branches, scale):
-    """The hand-written reduction: Alice's distribution, total, per-bits parts."""
+    """The hand-written reduction: Alice's distribution, total, per-bits parts.
+
+    Each part is (its weight, read off the distribution, its output sum).
+    """
     dist = np.zeros(4)
     dim = branches[0].output.matrix.shape[0]
     total = np.zeros((dim, dim), dtype=complex)
@@ -351,11 +354,38 @@ def _loop_sums(branches, scale):
         contribution = scale * branch.probability * branch.output.matrix
         total += contribution
         parts[branch.alice.bits] += contribution
-    return dist, total, parts
+    return dist, total, {(a1, a0): (dist[2 * a1 + a0], m) for (a1, a0), m in parts.items()}
 
 
-def _reference_nonsignaling(psi, phi, contrast_pair):
-    """Exact non-signaling metrics from 3 wired plus 6 withheld enumerations."""
+def _bob_view_key(branch):
+    return branch.alice.bits + branch.pr_outputs
+
+
+def _loop_bob_view(branches):
+    """Bob's view (a1, a0, B0, B1) -> (weight, output sum), by the hand loop
+    ``bob_view_distribution`` ran before it became one ``branch_sums`` call."""
+    view = {}
+    for branch in branches:
+        key = branch.alice.bits + branch.pr_outputs
+        weight, matrix = view.get(key, (0.0, np.zeros((2, 2), dtype=complex)))
+        view[key] = (
+            weight + branch.probability,
+            matrix + branch.probability * branch.output.matrix,
+        )
+    return view
+
+
+def _assert_same_parts(got, want):
+    """Bit-equal (weight, sum) parts, ``got`` in sorted key order."""
+    assert list(got) == sorted(want)
+    for key, (weight, matrix) in want.items():
+        assert got[key][0] == weight
+        assert np.array_equal(got[key][1], matrix)
+
+
+def _reference_nonsignaling(psi, phi):
+    """Exact non-signaling metrics from 3 wired plus 6 withheld enumerations,
+    of (psi, phi) and of the contrast pair (|+>, |->)."""
     dists = []
     for omega in (KET0, KET1, KET_PLUS):
         dist = np.zeros(4)
@@ -366,7 +396,7 @@ def _reference_nonsignaling(psi, phi, contrast_pair):
         tv_distance(dists[i], dists[j]) for i in range(3) for j in range(i + 1, 3)
     )
     withheld = 0.0
-    for pair in (psi, phi), contrast_pair:
+    for pair in (psi, phi), (KET_PLUS, KET_MINUS):
         for omega in (KET0, KET1, KET_PLUS):
             branches = channel_branches(tensor([pair[0], pair[1], omega]), b=(0, 0))
             avg = sum(b.probability * b.output.matrix for b in branches)
@@ -380,8 +410,7 @@ class TestBranchSums:
     def _assert_same(self, got, want):
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
-        assert list(got[2]) == list(want[2])
-        assert all(np.array_equal(got[2][bits], want[2][bits]) for bits in want[2])
+        _assert_same_parts(got[2], want[2])
 
     def test_probe_choi_sums(self):
         branches = channel_branches(_entangled_probe(), (3, 4, 5))
@@ -398,28 +427,44 @@ class TestBranchSums:
                 branch_sums(branches)[1], sum(br.probability * br.output.matrix for br in branches)
             )
 
+    @pytest.mark.parametrize("b", [None, (0, 0)])
+    def test_bob_view_key(self, b):
+        rng = make_rng(46)
+        for _ in range(4):
+            joint = tensor([haar_random_qubit(rng), haar_random_qubit(rng), haar_random_qubit(rng)])
+            branches = channel_branches(joint, b=b)
+            dist, total, parts = branch_sums(branches, key=_bob_view_key)
+            want_dist, want_total, _ = _loop_sums(branches, 1)
+            assert np.array_equal(dist, want_dist) and np.array_equal(total, want_total)
+            _assert_same_parts(parts, _loop_bob_view(branches))
+
+    @pytest.mark.parametrize("w", [0, 1])
+    def test_bob_view_distribution_is_the_hand_loop(self, w):
+        rng = make_rng(47 + w)
+        psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
+        branches = channel_branches(tensor([psi, phi, KET1 if w else KET0]))
+        _assert_same_parts(bob_view_distribution(psi, phi, w), _loop_bob_view(branches))
+
 
 class TestNonsignalingReference:
     """verify_nonsignaling reads Alice's distributions off the withheld enumerations."""
 
-    def _assert_matches_reference(self, psi, phi, contrast):
-        report = verify_nonsignaling(0, 0, psi=psi, phi=phi, contrast_pair=contrast)
-        reference = _reference_nonsignaling(psi, phi, contrast)
+    def _assert_matches_reference(self, psi, phi):
+        report = verify_nonsignaling(0, 0, psi=psi, phi=phi)
+        reference = _reference_nonsignaling(psi, phi)
         for name, value in reference.items():
             assert report["metrics"][name] == value
 
     def test_haar_random_pairs(self):
         rng = make_rng(44)
-        for _ in range(4):
-            pair, contrast = [(haar_random_qubit(rng), haar_random_qubit(rng)) for _ in range(2)]
-            self._assert_matches_reference(*pair, contrast)
+        for _ in range(8):
+            self._assert_matches_reference(haar_random_qubit(rng), haar_random_qubit(rng))
 
     @pytest.mark.parametrize(
-        "psi,phi,contrast",
-        [(KET_PLUS, KET_MINUS, (KET_PLUS, KET0)), (KET0, KET1, (KET_PLUS, KET_MINUS))],
+        "psi,phi", [(KET_PLUS, KET_MINUS), (KET_PLUS, KET0), (KET0, KET1)]
     )
-    def test_named_pairs(self, psi, phi, contrast):
-        self._assert_matches_reference(psi, phi, contrast)
+    def test_named_pairs(self, psi, phi):
+        self._assert_matches_reference(psi, phi)
 
 
 def _reference_orthogonality(dil, psi, phi):
@@ -467,7 +512,7 @@ class TestConstantEnumerations:
         cached_total, cached_parts = _probe_sums()
         assert _same_bytes(cached_total, total)
         assert list(cached_parts) == list(parts)
-        assert all(_same_bytes(cached_parts[bits], parts[bits]) for bits in parts)
+        assert all(_same_bytes(cached_parts[bits], parts[bits][1]) for bits in parts)
 
     def test_contrast_sums_equal_a_fresh_enumeration(self):
         cached = _default_contrast()
@@ -511,13 +556,6 @@ class TestConstantEnumerations:
         spy.clear()
         verify_nonsignaling(0, 0)
         assert len(spy) == 3
-        spy.clear()
-        verify_nonsignaling(0, 0, contrast_pair=(KET_PLUS, KET_MINUS))
-        assert len(spy) == 6
-
-    def test_default_contrast_report_equals_the_explicit_one(self):
-        explicit = verify_nonsignaling(0, 0, contrast_pair=(KET_PLUS, KET_MINUS))
-        assert verify_nonsignaling(0, 0) == explicit
 
     def test_nothing_is_enumerated_at_import(self):
         src = str(Path(qracbox.__file__).resolve().parents[1])

@@ -23,6 +23,7 @@ from qracbox.quantum import (
     basis_state,
     bell_measure,
     bell_project,
+    bell_projections,
     density,
     density_matrices,
     fidelity,
@@ -304,9 +305,15 @@ class TestBellMeasurement:
                     1.0, abs=1e-12
                 )
 
-    def test_coincident_indices_rejected(self):
-        with pytest.raises(ValueError):
-            bell_measure(PHI_PLUS, (1, 1), rng_for(0))
+    @pytest.mark.parametrize(
+        "measure",
+        [lambda pair: bell_measure(PHI_PLUS, pair, rng_for(0)),
+         lambda pair: bell_projections(PHI_PLUS, pair)],
+        ids=["bell_measure", "bell_projections"],
+    )
+    def test_coincident_indices_rejected(self, measure):
+        with pytest.raises(ValueError, match=r"^duplicate qubit indices in "):
+            measure((1, 1))
 
 
 class TestOutcomeNode:

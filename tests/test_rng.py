@@ -9,7 +9,7 @@ from qracbox import boxes, harness
 from qracbox import rng as rng_module
 from qracbox.boxes import PRBoxes, RacRound, rac_round, tv_distance, verify_rac_privacy
 from qracbox.harness import ExperimentConfig, run_qrac_protocol, run_rac_protocol
-from qracbox.metering import MeteredBatch
+from qracbox.metering import MeteredChannel
 from qracbox.qrac import QracResources, qrac_alice, qrac_bob, sample_alice_output
 from qracbox.quantum import haar_random_qubit, measure_computational
 from qracbox.rng import bit_columns, make_rng
@@ -125,16 +125,17 @@ class TestExecutorsMatchPerCallDraws:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_racbox_rows_metrics_and_messages(self, seed, monkeypatch):
         sent = []
-        send = MeteredBatch.send
+        send = MeteredChannel.send
 
         def recording(self, *args, **kwargs):
             sent.extend(np.asarray(args[3]).tolist())  # the message of each round
             return send(self, *args, **kwargs)
 
-        monkeypatch.setattr(MeteredBatch, "send", recording)
+        monkeypatch.setattr(MeteredChannel, "send", recording)
         config = ExperimentConfig(experiment="racbox", seed=seed, trials=1000)
         metrics, checks, tallies, _, rows = harness._exp_racbox(config)
         played = [(a0, a1, w, m) for (_, a0, a1, w, _, _), m in zip(rows, sent, strict=True)]
+        monkeypatch.undo()  # the reference rounds send through the same channel
 
         ref_rows, ref_played = [], []
         for trial in range(config.trials):
