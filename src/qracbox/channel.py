@@ -143,7 +143,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _probe_sums() -> tuple[np.ndarray, MappingProxyType]:
     """The probe enumeration's output sum and per-bits sums, read-only."""
     _, total, parts = branch_sums(channel_branches(_entangled_probe(), (3, 4, 5)), D_IN)
-    return _read_only(total), MappingProxyType({k: _read_only(m) for k, (_, m) in parts.items()})
+    return _read_only(total), MappingProxyType({k: _read_only(m) for k, m in parts.items()})
 
 
 def tomography(
@@ -215,7 +215,7 @@ def mixture_check(
     )
     full_distance = trace_distance(total, expected)
     sub_distance = max(
-        trace_distance(part, expected / 4) for _, part in parts.values()
+        trace_distance(part, expected / 4) for part in parts.values()
     )
     checks = [
         check("mixture-full-channel", full_distance <= 1e-8, full_distance, 1e-8),

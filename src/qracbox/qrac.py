@@ -61,8 +61,7 @@ Alice's bits wired to Bob the coins cancel out of his correction, so
 the four coin branches of an enumerated leaf share one output.  Every
 exact claim reduces an enumeration the same way, through
 ``branch_sums``: Alice's output distribution and the
-probability-weighted output, in total and split by a key of the
-branch, Alice's bits by default.
+probability-weighted output, in total and split by Alice's bits.
 
 The sampled executors walk an outcome tree (``quantum.OutcomeNode``)
 instead of redoing the linear algebra in every trial.  For fixed inputs
@@ -85,7 +84,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -100,7 +98,6 @@ from .quantum import (
     StateVector,
     _reduced_matrix,
     apply_unitary,
-    basis_state,
     bell_measure,
     bell_projections,
     density_matrices,
@@ -545,35 +542,25 @@ def channel_branches(
     ]
 
 
-def _alice_bits(branch: ChannelBranch) -> tuple[int, int]:
-    return branch.alice.bits
-
-
 def branch_sums(
-    branches: list[ChannelBranch], scale: float = 1, key: Callable = _alice_bits
-) -> tuple[np.ndarray, np.ndarray, dict[tuple, tuple[float, np.ndarray]]]:
-    """Reduce an enumeration: (Alice's distribution, output sum, per-key sums).
+    branches: list[ChannelBranch], scale: float = 1
+) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], np.ndarray]]:
+    """Reduce an enumeration: (Alice's distribution, output sum, per-bits sums).
 
     The distribution is indexed by 2*a1 + a0.  The output sum is
-    sum(scale * p * output) over all branches.  The per-key sums split
-    it by ``key(branch)``, Alice's (a1, a0) by default: each key that
-    occurs maps to (its total probability, its output sum), in sorted
-    key order.  Every sum starts from zero and adds the branches in
-    order, so the same enumeration always gives the same floats.
+    sum(scale * p * output) over all branches, and the per-bits sums
+    split it by Alice's (a1, a0).  Branches are summed in order, so the
+    same enumeration always gives the same floats.
     """
     dist = np.zeros(4)
     total = np.zeros_like(branches[0].output.matrix)
-    weights, sums = {}, {}
+    parts = {bits: np.zeros_like(total) for bits in product((0, 1), repeat=2)}
     for branch in branches:
         dist[branch.alice.index] += branch.probability
         contribution = scale * branch.probability * branch.output.matrix
         total += contribution
-        label = key(branch)
-        if label not in sums:
-            weights[label], sums[label] = 0.0, np.zeros_like(total)
-        weights[label] += branch.probability
-        sums[label] += contribution
-    return dist, total, {label: (weights[label], sums[label]) for label in sorted(sums)}
+        parts[branch.alice.bits] += contribution
+    return dist, total, parts
 
 
 def sample_channel(
@@ -640,18 +627,3 @@ def sample_alice_outputs(psi: StateVector, phi: StateVector, words: np.ndarray) 
     coins = bit_columns(words[:, :1])
     a1, a0 = _alice_side(bells[:, 0], bells[:, 1], PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1]))
     return 2 * a1 + a0
-
-
-def bob_view_distribution(
-    psi: StateVector, phi: StateVector, w: int
-) -> dict[tuple[int, int, int, int], tuple[float, np.ndarray]]:
-    """Joint distribution of Bob's complete final view, exactly.
-
-    Keyed by (a1, a0, B0, B1), the classical data Bob holds after a
-    round; his derived correction bits are functions of these.  Values
-    are (probability, probability-weighted output matrix), one
-    ``branch_sums`` reduction keyed by that data.  Privacy of the
-    unchosen qubit means this whole dictionary is independent of it.
-    """
-    branches = channel_branches(_round_register(psi, phi, basis_state(1, w)))
-    return branch_sums(branches, key=lambda branch: branch.alice.bits + branch.pr_outputs)[2]

@@ -32,7 +32,6 @@ from qracbox.channel import (
     verify_nonsignaling,
 )
 from qracbox.qrac import (
-    bob_view_distribution,
     branch_sums,
     channel_branches,
     qrac_rounds,
@@ -341,10 +340,7 @@ class TestNonsignaling:
 
 
 def _loop_sums(branches, scale):
-    """The hand-written reduction: Alice's distribution, total, per-bits parts.
-
-    Each part is (its weight, read off the distribution, its output sum).
-    """
+    """The hand-written reduction: Alice's distribution, total, per-bits parts."""
     dist = np.zeros(4)
     dim = branches[0].output.matrix.shape[0]
     total = np.zeros((dim, dim), dtype=complex)
@@ -354,33 +350,7 @@ def _loop_sums(branches, scale):
         contribution = scale * branch.probability * branch.output.matrix
         total += contribution
         parts[branch.alice.bits] += contribution
-    return dist, total, {(a1, a0): (dist[2 * a1 + a0], m) for (a1, a0), m in parts.items()}
-
-
-def _bob_view_key(branch):
-    return branch.alice.bits + branch.pr_outputs
-
-
-def _loop_bob_view(branches):
-    """Bob's view (a1, a0, B0, B1) -> (weight, output sum), by the hand loop
-    ``bob_view_distribution`` ran before it became one ``branch_sums`` call."""
-    view = {}
-    for branch in branches:
-        key = branch.alice.bits + branch.pr_outputs
-        weight, matrix = view.get(key, (0.0, np.zeros((2, 2), dtype=complex)))
-        view[key] = (
-            weight + branch.probability,
-            matrix + branch.probability * branch.output.matrix,
-        )
-    return view
-
-
-def _assert_same_parts(got, want):
-    """Bit-equal (weight, sum) parts, ``got`` in sorted key order."""
-    assert list(got) == sorted(want)
-    for key, (weight, matrix) in want.items():
-        assert got[key][0] == weight
-        assert np.array_equal(got[key][1], matrix)
+    return dist, total, parts
 
 
 def _reference_nonsignaling(psi, phi):
@@ -410,7 +380,8 @@ class TestBranchSums:
     def _assert_same(self, got, want):
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
-        _assert_same_parts(got[2], want[2])
+        assert list(got[2]) == list(want[2])
+        assert all(np.array_equal(got[2][bits], want[2][bits]) for bits in want[2])
 
     def test_probe_choi_sums(self):
         branches = channel_branches(_entangled_probe(), (3, 4, 5))
@@ -426,24 +397,6 @@ class TestBranchSums:
             assert np.array_equal(
                 branch_sums(branches)[1], sum(br.probability * br.output.matrix for br in branches)
             )
-
-    @pytest.mark.parametrize("b", [None, (0, 0)])
-    def test_bob_view_key(self, b):
-        rng = make_rng(46)
-        for _ in range(4):
-            joint = tensor([haar_random_qubit(rng), haar_random_qubit(rng), haar_random_qubit(rng)])
-            branches = channel_branches(joint, b=b)
-            dist, total, parts = branch_sums(branches, key=_bob_view_key)
-            want_dist, want_total, _ = _loop_sums(branches, 1)
-            assert np.array_equal(dist, want_dist) and np.array_equal(total, want_total)
-            _assert_same_parts(parts, _loop_bob_view(branches))
-
-    @pytest.mark.parametrize("w", [0, 1])
-    def test_bob_view_distribution_is_the_hand_loop(self, w):
-        rng = make_rng(47 + w)
-        psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
-        branches = channel_branches(tensor([psi, phi, KET1 if w else KET0]))
-        _assert_same_parts(bob_view_distribution(psi, phi, w), _loop_bob_view(branches))
 
 
 class TestNonsignalingReference:
@@ -512,7 +465,7 @@ class TestConstantEnumerations:
         cached_total, cached_parts = _probe_sums()
         assert _same_bytes(cached_total, total)
         assert list(cached_parts) == list(parts)
-        assert all(_same_bytes(cached_parts[bits], parts[bits][1]) for bits in parts)
+        assert all(_same_bytes(cached_parts[bits], parts[bits]) for bits in parts)
 
     def test_contrast_sums_equal_a_fresh_enumeration(self):
         cached = _default_contrast()
@@ -650,13 +603,11 @@ class TestAliceInputsAreSingleQubits:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda psi, phi, dil: bob_view_distribution(psi, phi, 0),
             lambda psi, phi, dil: mixture_check(1.0, 0.0, psi, phi),
             lambda psi, phi, dil: verify_nonsignaling(0, 0, psi=psi, phi=phi),
             lambda psi, phi, dil: environment_orthogonality_check(dil, psi, phi),
         ],
-        ids=["bob_view_distribution", "mixture_check", "verify_nonsignaling",
-             "environment_orthogonality_check"],
+        ids=["mixture_check", "verify_nonsignaling", "environment_orthogonality_check"],
     )
     def test_two_qubit_input_rejected(self, dilation, run, wrong):
         inputs = {"psi": KET0, "phi": KET1, wrong: tensor([KET0, KET1])}

@@ -29,7 +29,6 @@ from qracbox.qrac import (
     _register,
     _round_register,
     _tree,
-    bob_view_distribution,
     branch_sums,
     channel_branches,
     dense_decode,
@@ -50,6 +49,7 @@ from qracbox.quantum import (
     BellOutcome,
     StateVector,
     apply_unitary,
+    basis_state,
     bell_measure,
     bell_project,
     fidelity,
@@ -270,6 +270,25 @@ class TestQubitOnlyRound:
             "qubits_a_to_b": 1,
             "qubits_b_to_a": 0,
         }
+
+
+def bob_view_distribution(psi, phi, w):
+    """Joint distribution of Bob's complete final view, exactly.
+
+    Keyed by (a1, a0, B0, B1), the classical data Bob holds after a
+    round; his derived correction bits are functions of these.  Values
+    are (probability, probability-weighted output matrix).  Privacy of
+    the unchosen qubit means this whole dictionary is independent of it.
+    """
+    view = {}
+    for branch in channel_branches(_round_register(psi, phi, basis_state(1, w))):
+        key = branch.alice.bits + branch.pr_outputs
+        weight, matrix = view.get(key, (0.0, np.zeros((2, 2), dtype=complex)))
+        view[key] = (
+            weight + branch.probability,
+            matrix + branch.probability * branch.output.matrix,
+        )
+    return view
 
 
 class TestUnchosenQubitPrivacy:
