@@ -10,7 +10,9 @@ and machine-checks the structural claims: complete positivity, trace
 preservation, the subchannel decomposition, the mixture law for a
 superposed choice, and orthogonality of the dilation residuals.  Every
 exact claim comes from one enumeration of the box's branches
-(``qrac.channel_branches``) reduced by ``qrac.branch_sums``.
+(``qrac.channel_branches``) reduced by ``qrac.branch_sums``.  The
+dilation's pairs are checked as stacks, a block of pairs at a time
+(``_residual_overlaps``).
 
 Two of those enumerations have inputs that depend on nothing: the
 maximally entangled probe behind ``tomography()`` and ``subchannels()``
@@ -19,9 +21,7 @@ maximally entangled probe behind ``tomography()`` and ``subchannels()``
 (``_default_contrast``).  Each is made once per process, on first use,
 and its arrays are shared read-only; every ``ChoiMatrix`` built from
 them is still a validated copy.  So the saving is for a process that
-makes several exact reports; one that makes a single report enumerates
-as often as before and saves only the ``np.kron`` work the dilation's
-pair loop no longer does.  These two are not the only caches the
+makes several exact reports.  These two are not the only caches the
 box's wiring feeds (``qrac._tree`` keeps outcome trees, with Bob's
 outputs on their leaves), so a test that changes the box must clear
 all three, as the suite's ``clear_box_caches`` fixture
@@ -50,7 +50,7 @@ from .qrac import (
     sample_channel_block,
 )
 from .quantum import KET0, KET1, KET_MINUS, KET_PLUS, StateVector, trace_distance
-from .rng import make_rng, stream_words, trial_blocks, trial_count
+from .rng import TRIAL_BLOCK, make_rng, stream_words, trial_blocks, trial_count
 
 D_IN = 8
 D_OUT = 2
@@ -259,9 +259,10 @@ class Dilation:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.d_in))))
 
     def environment_state(self, vec: np.ndarray) -> np.ndarray:
-        """Reduced environment state for a pure input, from V|vec> as a table."""
-        table = (self.isometry @ np.asarray(vec, dtype=complex)).reshape(self.d_out, self.env_dim)
-        return np.einsum("ok,ol->kl", table.conj(), table)
+        """Reduced environment state for a pure input, or a stack of them, from V|vec>."""
+        vec = np.asarray(vec, dtype=complex)
+        table = (self.isometry @ vec[..., None]).reshape(*vec.shape[:-1], self.d_out, -1)
+        return np.einsum("...ok,...ol->...kl", table.conj(), table)
 
 
 # Choi eigenvalues at or below this are rounding noise, not Kraus operators
@@ -288,9 +289,24 @@ def build_dilation(choi: ChoiMatrix) -> Dilation:
     return Dilation(choi.d_in, choi.d_out, env_dim, v)
 
 
-def _principal_state(rho: np.ndarray) -> tuple[np.ndarray, float]:
-    evals, evecs = np.linalg.eigh(rho)
-    return evecs[:, -1], float(evals[-1])
+def _residual_overlaps(dil: Dilation, psis: list[StateVector], phis: list[StateVector]):
+    """Yield (residual overlap, smaller residual purity, input overlap) of each pair (psi, phi).
+
+    One environment state call and one ``eigh`` a block of ``TRIAL_BLOCK`` pairs, which bounds
+    the arrays held at once; each overlap is a ``vdot`` of contiguous residuals, as for a lone pair.
+    """
+    for start in range(0, len(psis), TRIAL_BLOCK):
+        block = (states[start : start + TRIAL_BLOCK] for states in (psis, phis))
+        psi, phi = (np.stack([state.amplitudes for state in states]) for states in block)
+        pair = psi[:, :, None] * phi[:, None, :]
+        # np.kron(np.kron(psi, phi), choice) for choices |0> and |1>, unreshaped
+        vecs = (pair[:, None, :, :, None] * np.eye(2)[:, None, None, :]).reshape(-1, dil.d_in)
+        evals, evecs = np.linalg.eigh(dil.environment_state(vecs))
+        residuals = np.ascontiguousarray(evecs[:, :, -1])  # the principal eigenvectors
+        tops = evals[:, -1].tolist()
+        for p in range(len(psi)):
+            overlap = float(np.abs(np.vdot(residuals[2 * p], residuals[2 * p + 1])))
+            yield overlap, min(tops[2 * p : 2 * p + 2]), float(np.abs(np.vdot(psi[p], phi[p])))
 
 
 def environment_orthogonality_check(
@@ -301,21 +317,11 @@ def environment_orthogonality_check(
     For choice |0> the box emits psi and parks everything else in some
     residual state; for choice |1> it emits phi with another residual.
     Those two residuals must be orthogonal: that is exactly why a
-    superposed choice decoheres into a mixture.
+    superposed choice decoheres into a mixture.  The one-pair view of
+    ``_residual_overlaps``.
     """
     _check_qubits(psi=psi, phi=phi)
-    residuals = []
-    purities = []
-    # the products of np.kron(np.kron(psi, phi), choice), without its reshaping
-    pair = np.multiply.outer(psi.amplitudes, phi.amplitudes)
-    for choice in (KET0, KET1):
-        vec = np.multiply.outer(pair, choice.amplitudes).reshape(-1)
-        env = dil.environment_state(vec)
-        chi, top = _principal_state(env)
-        residuals.append(chi)
-        purities.append(top)
-    overlap = float(np.abs(np.vdot(residuals[0], residuals[1])))
-    min_purity = min(purities)
+    ((overlap, min_purity, input_overlap),) = _residual_overlaps(dil, [psi], [phi])
     checks = [
         check("residual-orthogonality", overlap <= 1e-6, overlap, 1e-6),
         check("residual-purity", min_purity >= 1 - 1e-6, min_purity, 1e-6),
@@ -324,7 +330,7 @@ def environment_orthogonality_check(
         "metrics": {
             "overlap": overlap,
             "min_residual_purity": min_purity,
-            "input_overlap": float(np.abs(np.vdot(psi.amplitudes, phi.amplitudes))),
+            "input_overlap": input_overlap,
         },
         "checks": checks,
     }

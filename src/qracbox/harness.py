@@ -38,8 +38,8 @@ from .boxes import (
 )
 from .channel import (
     _omega_from_amplitudes,
+    _residual_overlaps,
     build_dilation,
-    environment_orthogonality_check,
     mixture_check,
     subchannels,
     tomography,
@@ -76,7 +76,7 @@ from .quantum import (
     DensityMatrix,
     StateVector,
     fidelity,
-    haar_random_qubit,
+    haar_random_states,
     make_pure_qubit,
 )
 from .rng import bit_columns, make_rng, stream_words, trial_blocks, word_uniform
@@ -412,9 +412,9 @@ def _exp_qrac(
         checks.append(check("alice-uniformity-sampled", sampled_tv <= 0.02, sampled_tv, 0.02))
     if config.mode == "branch-exact":
         branches = channel_branches(_round_register(psi, phi, omega))
-        exact_min = min(
-            fidelity(b.output, psi if b.w == 0 else phi) for b in branches
-        )
+        # coin branches share their output: one fidelity per distinct (output, w)
+        distinct = {(id(b.output), b.w): b for b in branches}.values()
+        exact_min = min(fidelity(b.output, psi if b.w == 0 else phi) for b in distinct)
         exact_tv = tv_distance(branch_sums(branches)[0], [0.25] * 4)
         checks.append(check("recovery-fidelity-exact", exact_min >= 1 - 1e-10, exact_min, 1e-10))
         checks.append(check("alice-uniformity-exact", exact_tv <= 1e-12, exact_tv, 1e-12))
@@ -526,22 +526,15 @@ def _exp_nonsignaling(config: ExperimentConfig) -> tuple[dict, list, Tally, list
 def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list]:
     dil = build_dilation(tomography())
     defect = dil.isometry_defect()
-    rng = make_rng(config.seed)
     # the configured pair, one orthogonal pair, plus random pairs
-    pairs = [(config.resolved_psi(), config.resolved_phi()), (KET0, KET1)]
-    for _ in range(max(config.trials, 50)):
-        pairs.append((haar_random_qubit(rng), haar_random_qubit(rng)))
-
-    max_overlap = 0.0
-    min_purity = 1.0
-    rows = []
-    for index, (psi, phi) in enumerate(pairs):
-        report = environment_orthogonality_check(dil, psi, phi)
-        max_overlap = max(max_overlap, report["metrics"]["overlap"])
-        min_purity = min(min_purity, report["metrics"]["min_residual_purity"])
-        rows.append(
-            [index, report["metrics"]["input_overlap"], report["metrics"]["overlap"]]
-        )
+    haar = haar_random_states(1, 2 * max(config.trials, 50), make_rng(config.seed))
+    psis = [config.resolved_psi(), KET0, *haar[0::2]]
+    phis = [config.resolved_phi(), KET1, *haar[1::2]]
+    max_overlap, min_purity, rows = 0.0, 1.0, []
+    for index, (overlap, purity, inputs) in enumerate(_residual_overlaps(dil, psis, phis)):
+        max_overlap = max(max_overlap, overlap)
+        min_purity = min(min_purity, purity)
+        rows.append([index, inputs, overlap])
 
     checks = [
         check("isometry", defect <= 1e-8, defect, 1e-8),
@@ -552,7 +545,7 @@ def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, li
     metrics = {
         "environment_dimension": dil.env_dim,
         "isometry_defect": defect,
-        "pairs_checked": len(pairs),
+        "pairs_checked": len(psis),
         "max_overlap": max_overlap,
         "min_residual_purity": min_purity,
     }

@@ -38,30 +38,27 @@ outputs out, from one ``PRBoxes`` pair.  The rows come two ways:
   output of Bob's and read the same words the same way;
 * enumerated (``channel_branches``): each leaf x the four coin pairs,
   every branch with its exact probability, so the suite can assert
-  identities at 1e-10 instead of collecting statistics.  It pays once
-  per distinct state, not once per branch: all four outcomes of a Bell
-  measurement come from one ``quantum.bell_projections`` call.
+  identities at 1e-10 instead of collecting statistics.  It runs on
+  stacks of states: one stacked projection per measurement level (the
+  choice, then each Bell measurement), every float that of projecting
+  each state alone (``quantum.bell_projections``).
 
 Bob's corrected outputs come from one function, ``_leaf_outputs``,
 which keeps each on its collapsed state's ``OutcomeNode``.  It takes
-one partial trace per (leaf, target) and builds each corrected output
-Z^c1 X^c0 rho X^c0 Z^c1 from that matrix by an exact signed
-relabelling (``_relabelled``): entry (r, c) is rho[r ^ c0, c ^ c0]
-times (-1)^(c1 * (r & 1)) (-1)^(c1 * (c & 1)), the target being the
-last kept qubit.  No unitary is applied.  The Pauli entries are 0 and
-+-1, so correcting the state and tracing it out sums the same products
-in the same order, up to sign, and negation commutes with rounding:
-every output is that of ``apply_unitary`` + ``reduced_density`` bit
-for bit, except possibly the sign of an exact zero.  No report sees
-that: ``branch_sums`` and sampled tomography add outputs to +0.0, and
-a zero's sign changes no non-zero fidelity.  The new outputs of a call
-are computed raw, then checked as one stack by ``density_matrices``:
-an enumeration makes one ``eigvalsh`` call, not one per output.  With
-Alice's bits wired to Bob the coins cancel out of his correction, so
-the four coin branches of an enumerated leaf share one output.  Every
-exact claim reduces an enumeration the same way, through
-``branch_sums``: Alice's output distribution and the
-probability-weighted output, in total and split by Alice's bits.
+one stacked partial trace per target, a row per leaf, and builds each
+corrected output Z^c1 X^c0 rho X^c0 Z^c1 by an exact signed
+relabelling of the stack (``_relabelled``): entry (r, c) is
+rho[r ^ c0, c ^ c0] times (-1)^(c1 * (r & 1)) (-1)^(c1 * (c & 1)),
+the target being the last kept qubit.  No unitary is applied.  The
+Pauli entries are 0 and +-1, so correcting the state and tracing it
+out sums the same products in the same order, up to sign, and
+negation commutes with rounding: every output is that of
+``apply_unitary`` + ``reduced_density`` bit for bit, except possibly
+the sign of an exact zero, which no report sees.  The new outputs of a
+call are checked as one stack by ``density_matrices``.  With Alice's
+bits wired to Bob the coins cancel out of his correction, so the four
+coin branches of an enumerated leaf share one output.  Every exact
+claim reduces an enumeration through ``branch_sums``.
 
 The sampled executors walk an outcome tree (``quantum.OutcomeNode``)
 instead of redoing the linear algebra in every trial.  For fixed inputs
@@ -96,12 +93,12 @@ from .quantum import (
     DensityMatrix,
     OutcomeNode,
     StateVector,
-    _reduced_matrix,
+    _reduced_matrices,
     apply_unitary,
     bell_measure,
     bell_projections,
     density_matrices,
-    measure_project,
+    measure_projections,
     pauli_correction,
     tensor,
 )
@@ -298,15 +295,16 @@ _SIGNS.setflags(write=False)
 def _relabelled(rho: np.ndarray, correction) -> np.ndarray:
     """Z^c1 X^c0 rho X^c0 Z^c1 on the last qubit of rho, by exact signed relabelling.
 
-    With the last qubit on axes of its own, X^c0 reverses both and Z^c1
-    multiplies by ``_SIGNS[c1]``.  The multiply runs for c1 = 0 too:
-    complex times real can flip the sign of an exact zero.
+    ``rho`` may be an (N, d, d) stack, c1 and c0 one entry a matrix.
+    With the last qubit on axes of its own, X^c0 selects both axes
+    reversed and Z^c1 multiplies by ``_SIGNS[c1]``.  The multiply runs
+    for c1 = 0 too: complex times real can flip the sign of an exact zero.
     """
     c1, c0 = correction
-    half = len(rho) // 2
-    four = rho.reshape(half, 2, half, 2)
-    if c0:
-        four = four[:, ::-1, :, ::-1]
+    half = rho.shape[-1] // 2
+    four = rho.reshape(rho.shape[:-2] + (half, 2, half, 2))
+    flip = np.reshape(c0, np.shape(c0) + (1,) * 4)
+    four = np.where(flip, four[..., ::-1, :, ::-1], four)
     return (four * _SIGNS[c1]).reshape(rho.shape)
 
 
@@ -319,27 +317,32 @@ def _leaf_outputs(
     ``correction`` are ints or one entry a row.  Returns each row's
     index into the list of distinct outputs, which are kept on the
     leaves' memos by (target, correction).  Missing outputs are computed
-    raw, a partial trace per (leaf, target) and a signed relabelling of
-    it per correction, then checked as one stack.  The leaves belong to
-    one register, so to one set of spectators.
+    raw, one stacked partial trace per target over the leaves that need
+    it and one signed relabelling of the stack of their corrections,
+    then checked as one stack.  The leaves belong to one register, so
+    to one set of spectators.
     """
     shape = (len(leaves), np.max(target, initial=0) + 1, 2, 2)  # leaf, target, bit1, bit0
     keys = np.ravel_multi_index((ends, target, *correction), shape)  # sort as the tuples do
     distinct, inverse = np.unique(keys, return_inverse=True)
     distinct = np.stack(np.unravel_index(distinct, shape), axis=1).tolist()
     distinct = [(end, (qubit, (c1, c0))) for end, qubit, c1, c0 in distinct]
+    missing = [(end, key) for end, key in distinct if key not in leaves[end].memo]
+    # (leaf index, target) -> the uncorrected output's matrix, or None
+    base = {(end, q): leaves[end].memo.get((q, (0, 0))) for end, (q, _) in missing}
+    base = {key: getattr(rho, "matrix", None) for key, rho in base.items()}
     raw = {}  # keyed by (leaf index, (target, correction))
-    for end, (qubit, bits) in distinct:
-        memo, base_key = leaves[end].memo, (qubit, (0, 0))
-        for key in (base_key, (qubit, bits)):
-            if (end, key) in raw or key in memo:
-                continue
-            if key == base_key:
-                assert all(q < qubit for q in spectators), "target must be the last kept qubit"
-                raw[end, key] = _reduced_matrix(leaves[end].state, spectators + [qubit])
-            else:
-                base = raw[end, base_key] if (end, base_key) in raw else memo[base_key].matrix
-                raw[end, key] = _relabelled(base, bits)
+    for qubit in sorted({qubit for (_, qubit), rho in base.items() if rho is None}):
+        assert all(q < qubit for q in spectators), "target must be the last kept qubit"
+        ends_q = [end for (end, q), rho in base.items() if q == qubit and rho is None]
+        traces = _reduced_matrices([leaves[end].state for end in ends_q], spectators + [qubit])
+        for end, trace in zip(ends_q, traces):
+            base[end, qubit] = raw[end, (qubit, (0, 0))] = trace
+    relabel = [(end, key) for end, key in missing if key[1] != (0, 0)]
+    if relabel:
+        bits = np.array([bits for _, (_, bits) in relabel])
+        bases = np.stack([base[end, qubit] for end, (qubit, _) in relabel])
+        raw.update(zip(relabel, _relabelled(bases, (bits[:, 0], bits[:, 1]))))
     outputs = density_matrices(len(spectators) + 1, list(raw.values())) if raw else []
     for (end, key), output in zip(raw, outputs):
         leaves[end].memo[key] = output
@@ -511,24 +514,24 @@ def channel_branches(
     n = joint.num_qubits
     fixed_b = None if b is None else _as_bits(b)
 
-    leaves, probabilities, rows = [], [], []  # a row: leaf, w, first, second, coins
-    for w in (0, 1):
-        p_w, after_w = measure_project(extended, q_r, w)
-        if after_w is None:
-            continue
-        firsts = bell_projections(after_w, (q_apr, n))
-        for first, (p1, after_first) in enumerate(firsts):
-            if after_first is None:
-                continue
-            seconds = bell_projections(after_first, (q_adp, n + 2))
-            for second, (p2, after_second) in enumerate(seconds):
-                if after_second is None:
-                    continue
-                for coins in product((0, 1), repeat=2):
-                    rows.append((len(leaves), w, first, second, *coins))
-                leaves.append(OutcomeNode(after_second))
-                probabilities.append(p_w * p1 * p2 * 0.25)
-    rows = np.array(rows)
+    # one stacked projection per level: the choice, then each Bell measurement
+    paths, states = [((), 1.0)], [extended]  # the outcomes so far, and their probability
+    for project in (
+        lambda level: measure_projections(level, q_r),
+        lambda level: bell_projections(level, (q_apr, n)),
+        lambda level: bell_projections(level, (q_adp, n + 2)),
+    ):
+        found = [
+            ((*path, outcome), p * p_outcome, post)
+            for (path, p), projections in zip(paths, project(states))
+            for outcome, (p_outcome, post) in enumerate(projections)
+            if post is not None
+        ]
+        paths, states = [(path, p) for path, p, _ in found], [post for *_, post in found]
+    leaves = [OutcomeNode(state) for state in states]
+    probabilities = [p * 0.25 for _, p in paths]
+    coins = list(product((0, 1), repeat=2))
+    rows = np.array([(end, *path, *c) for end, (path, _) in enumerate(paths) for c in coins])
     alice, pr_outputs, correction, ids, outputs = _play(
         leaves, rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4:], n, spectators, fixed_b
     )
@@ -549,18 +552,19 @@ def branch_sums(
 
     The distribution is indexed by 2*a1 + a0.  The output sum is
     sum(scale * p * output) over all branches, and the per-bits sums
-    split it by Alice's (a1, a0).  Branches are summed in order, so the
-    same enumeration always gives the same floats.
+    split it by Alice's (a1, a0).  Branches are summed in order, from
+    zeros, so the same enumeration always gives the same floats.
     """
-    dist = np.zeros(4)
-    total = np.zeros_like(branches[0].output.matrix)
-    parts = {bits: np.zeros_like(total) for bits in product((0, 1), repeat=2)}
-    for branch in branches:
-        dist[branch.alice.index] += branch.probability
-        contribution = scale * branch.probability * branch.output.matrix
-        total += contribution
-        parts[branch.alice.bits] += contribution
-    return dist, total, parts
+    alice = np.array([branch.alice.index for branch in branches])
+    probabilities = np.array([branch.probability for branch in branches])
+    terms = np.stack([branch.output.matrix for branch in branches])
+    np.multiply((scale * probabilities)[:, None, None], terms, out=terms)
+    parts = {
+        bits: np.add.reduce(terms[alice == 2 * bits[0] + bits[1]], axis=0, initial=0)
+        for bits in product((0, 1), repeat=2)
+    }
+    total = np.add.reduce(terms, axis=0, initial=0)
+    return np.bincount(alice, weights=probabilities, minlength=4), total, parts
 
 
 def sample_channel(

@@ -45,24 +45,47 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)
-        if self.num_qubits < 1:
-            raise ValueError("state needs at least one qubit")
-        if amps.shape != (2**self.num_qubits,):
+        if self.num_qubits >= 1 and amps.shape != (2**self.num_qubits,):
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got shape {amps.shape}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not isfinite(norm_sq):  # any NaN or infinite amplitude lands here
-            raise ValueError("state has a non-finite amplitude")
-        if abs(norm_sq - 1.0) > NORM_ATOL:
-            raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        (checked,) = _state_vectors(self.num_qubits, amps[None])
+        object.__setattr__(self, "amplitudes", checked.amplitudes)
 
     def as_tensor(self) -> np.ndarray:
         """View of the amplitudes as a rank-``num_qubits`` tensor."""
         return self.amplitudes.reshape((2,) * self.num_qubits)
+
+
+def _state_vectors(num_qubits: int, stack: np.ndarray) -> list[StateVector]:
+    """``StateVector(num_qubits, a)`` for each row a of a (K, 2^n) stack, checked at once.
+
+    Each state is a row of the stack, made read-only: pass only a fresh complex stack.
+    """
+    if num_qubits < 1:
+        raise ValueError("state needs at least one qubit")
+    if stack.ndim != 2 or stack.shape[1] != 2**num_qubits:
+        raise ValueError(f"expected a stack of {num_qubits}-qubit states, got {stack.shape}")
+    squares = np.abs(stack)
+    squares **= 2  # in place: no second temporary as large as the stack
+    norms = np.add.reduce(squares, axis=1).tolist()
+    if not all(map(isfinite, norms)):  # any NaN or infinite amplitude lands here
+        raise ValueError("state has a non-finite amplitude")
+    for norm in norms:
+        if abs(norm - 1.0) > NORM_ATOL:
+            raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
+    return _wrap(StateVector, num_qubits, "amplitudes", stack)
+
+
+def _wrap(cls, num_qubits: int, field: str, stack: np.ndarray) -> list:
+    """Each row of a checked stack, made read-only, as a ``cls`` built without a second check."""
+    stack.setflags(write=False)
+    wrapped = [object.__new__(cls) for _ in range(len(stack))]
+    for obj, row in zip(wrapped, stack):  # one by one: vars() would give each a dict
+        object.__setattr__(obj, "num_qubits", num_qubits)
+        object.__setattr__(obj, field, row)
+    return wrapped
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,20 +100,23 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex)
         dim = 2**self.num_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        _check_densities(mat[None])
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        (checked,) = density_matrices(self.num_qubits, mat[None])
+        object.__setattr__(self, "matrix", checked.matrix)
 
 
-def _check_densities(stack: np.ndarray) -> None:
-    """The ``DensityMatrix`` checks, in order, each run once over an (N, d, d) stack.
+def density_matrices(num_qubits: int, matrices) -> list[DensityMatrix]:
+    """``DensityMatrix(num_qubits, m)`` for each matrix m of a copied stack, checked at once.
 
-    A bad matrix raises the message it raises alone, whatever its place.
+    Each check runs once over the whole stack (one ``eigvalsh`` call), so
+    a bad matrix raises the message it raises alone, whatever its place.
     """
+    stack = np.array(matrices, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (2**num_qubits,) * 2:
+        raise ValueError(f"expected a stack of {num_qubits}-qubit matrices, got {stack.shape}")
     if not np.isfinite(stack).all():
         raise ValueError("matrix has a non-finite entry")
     # |m - m^H| a row at a time: no temporary as large as the stack
@@ -105,23 +131,7 @@ def _check_densities(stack: np.ndarray) -> None:
     off = np.flatnonzero(np.abs(traces.real - 1.0) > ALGEBRA_ATOL)
     if off.size:
         raise ValueError(f"trace is not 1: {float(traces.real[off[0]])!r}")
-
-
-def density_matrices(num_qubits: int, matrices) -> list[DensityMatrix]:
-    """``DensityMatrix(num_qubits, m)`` for each matrix m of a stack, checked at once.
-
-    The stack is copied, checked (one ``eigvalsh`` call for all of it)
-    and made read-only once; each row is wrapped without a second check.
-    """
-    stack = np.array(matrices, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1:] != (2**num_qubits,) * 2:
-        raise ValueError(f"expected a stack of {num_qubits}-qubit matrices, got {stack.shape}")
-    _check_densities(stack)
-    stack.setflags(write=False)
-    wrapped = [object.__new__(DensityMatrix) for _ in range(len(stack))]
-    for rho, mat in zip(wrapped, stack):
-        vars(rho).update(num_qubits=num_qubits, matrix=mat)
-    return wrapped
+    return _wrap(DensityMatrix, num_qubits, "matrix", stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,41 +272,75 @@ def _pair_overlaps(state: StateVector, pair: Sequence[int]) -> np.ndarray:
     return np.tensordot(_BELL_TENSOR.conj(), state.as_tensor(), axes=([1, 2], [p0, p1]))
 
 
-def _reassemble_bell(
-    state: StateVector, pair: Sequence[int], index: int, coeffs: np.ndarray, prob: float
-) -> StateVector:
-    """Post-measurement state with the pair left collapsed into B(t, s)."""
-    post = np.multiply.outer(_BELL_TENSOR[index], coeffs / sqrt(prob))
-    post = np.moveaxis(post, [0, 1], list(pair))
-    return StateVector(state.num_qubits, post.reshape(-1))
+def _projections(states, axes: tuple, outcome_amplitudes, collapse, only=None) -> list:
+    """(probability, collapsed state or None) per outcome, for one state or each of a list.
+
+    The kept rows of ``outcome_amplitudes``' (outcomes, K, M) stack, over
+    the roots of their probabilities, go to ``collapse`` as one stack;
+    with ``only`` set, no outcome but that one is collapsed.
+    """
+    stack = [states] if isinstance(states, StateVector) else list(states)
+    n = stack[0].num_qubits
+    if any(state.num_qubits != n for state in stack):
+        raise ValueError("stacked states must have one number of qubits")
+    _check_targets(stack[0], axes)
+    amps = outcome_amplitudes(stack, n, axes)
+    probs = np.add.reduce(np.abs(amps) ** 2, axis=2)
+    rows = probs.T.tolist()
+    kept = [(k, i) for k, row in enumerate(rows) for i, p in enumerate(row) if not p < PROB_FLOOR]
+    kept = [(k, i) for k, i in kept if only in (None, i)]
+    ks, outcomes = np.array(kept, dtype=np.intp).reshape(-1, 2).T
+    posts = collapse(n, axes, outcomes, amps[outcomes, ks] / np.sqrt(probs[outcomes, ks])[:, None])
+    projections = [[(p, None) for p in row] for row in rows]
+    for (k, i), post in zip(kept, posts):
+        projections[k][i] = (rows[k][i], post)
+    return projections[0] if isinstance(states, StateVector) else projections
 
 
-def bell_projections(
-    state: StateVector, pair: Sequence[int]
-) -> list[tuple[float, StateVector | None]]:
+def _axes_first(stack: list[StateVector], n: int, axes: tuple) -> np.ndarray:
+    """The states with ``axes`` first, as a C-ordered (2^len(axes), K, M) stack."""
+    rows = np.empty((2,) * len(axes) + (len(stack),) + (2,) * (n - len(axes)), dtype=complex)
+    order = (*axes, *(q for q in range(n) if q not in axes))
+    for k, state in enumerate(stack):
+        rows[(slice(None),) * len(axes) + (k,)] = state.as_tensor().transpose(order)
+    return rows.reshape(2 ** len(axes), len(stack), -1)
+
+
+def _bell_amplitudes(stack: list[StateVector], n: int, pair: tuple) -> np.ndarray:
+    """<B(i)|state> for each outcome i and state, as one (4, K, M) stack."""
+    if len(pair) != 2:
+        raise ValueError(f"a Bell measurement needs two qubits, got {pair}")
+    if pair == (n - 2, n - 1):  # one state's operand is a view of its amplitudes
+        operand = np.stack([state.amplitudes for state in stack]).reshape(-1, 4).T
+    else:
+        operand = _axes_first(stack, n, pair).reshape(4, -1)
+    amps = np.empty((4, len(stack), operand.shape[1] // len(stack)), dtype=complex)
+    for index in range(4):
+        np.dot(_BELL_BRAS[index], operand, out=amps[index].reshape(1, -1))
+    return amps
+
+
+def _bell_collapse(n: int, pair: tuple, outcomes, scaled: np.ndarray) -> list[StateVector]:
+    """B(i) (x) row for each outcome i and row of ``scaled``, written in place, checked at once."""
+    posts = np.empty((len(outcomes),) + (2,) * n, dtype=complex)
+    bells = _BELL_TENSOR[outcomes].reshape((len(outcomes), 2, 2) + (1,) * (n - 2))
+    scaled = scaled.reshape((len(outcomes), 1, 1) + (2,) * (n - 2))
+    order = (*pair, *(q for q in range(n) if q not in pair))
+    np.multiply(bells, scaled, out=posts.transpose(0, *(1 + q for q in order)))
+    return _state_vectors(n, posts.reshape(len(outcomes), 2**n))
+
+
+def bell_projections(states, pair: Sequence[int]) -> list:
     """Probability and collapsed state for each forced Bell outcome, by index.
 
     Entry ``i`` is for outcome 2*bit1 + bit0 = i; its state is ``None``
-    when the outcome has (numerically) zero probability.  The state is
-    transposed into one 4xM operand, the pair's axes first, once for all
-    four outcomes; each outcome's amplitudes are then the same
-    ``np.dot(<B(i)| as 1x4, operand)`` that ``np.tensordot`` computes
-    for one outcome alone, so every float is that of a separate
-    projection.  The four bras are not stacked into one 4x4 product,
-    which need not round the same.  Used by exact branch enumeration.
+    when the outcome has (numerically) zero probability.  A list of
+    states gets one such list each, from one 4 x (K*M) operand laid out
+    as a lone state's; each outcome is one ``np.dot(<B(i)| as 1x4,
+    operand)``, as ``np.tensordot`` projects one state (so a stack of 2-
+    or 3-qubit states may round differently), never one 4x4 product.
     """
-    p0, p1 = pair
-    _check_targets(state, [p0, p1])
-    n = state.num_qubits
-    pair_first = (p0, p1, *(q for q in range(n) if q not in (p0, p1)))
-    operand = state.as_tensor().transpose(pair_first).reshape(4, -1)
-    projections = []
-    for index in range(4):
-        coeffs = np.dot(_BELL_BRAS[index], operand).reshape((2,) * (n - 2))
-        prob = float(np.sum(np.abs(coeffs) ** 2))
-        post = None if prob < PROB_FLOOR else _reassemble_bell(state, pair, index, coeffs, prob)
-        projections.append((prob, post))
-    return projections
+    return _projections(states, tuple(pair), _bell_amplitudes, _bell_collapse)
 
 
 def bell_project(
@@ -307,7 +351,8 @@ def bell_project(
     Returns ``(prob, None)`` when the outcome has (numerically) zero
     probability.  The entry of ``bell_projections`` for ``outcome``.
     """
-    return bell_projections(state, pair)[outcome.index]
+    index = outcome.index
+    return _projections(state, tuple(pair), _bell_amplitudes, _bell_collapse, index)[index]
 
 
 def _choose(rng: np.random.Generator, weights: list[float], total: float) -> int:
@@ -335,7 +380,8 @@ def _bell_born(state: StateVector, pair: Sequence[int]) -> _Born:
     probs = np.einsum("ij,ij->i", flat, flat.conj()).real
 
     def collapse(index: int) -> StateVector:
-        return _reassemble_bell(state, pair, index, overlaps[index], float(probs[index]))
+        scaled = overlaps[index].reshape(1, -1) / np.sqrt(probs[index : index + 1])[:, None]
+        return _bell_collapse(state.num_qubits, tuple(pair), [index], scaled)[0]
 
     return probs, collapse
 
@@ -452,23 +498,26 @@ def bell_measure(
     return _BELL_OUTCOMES[index], child.state
 
 
+def _take_collapse(n: int, axes: tuple, bits, scaled: np.ndarray) -> list[StateVector]:
+    """Each row of ``scaled`` where qubit ``axes[0]`` is its bit, in one zeroed, checked stack."""
+    posts = np.zeros((len(bits),) + (2,) * n, dtype=complex)
+    view = posts.transpose(0, *(1 + q for q in (*axes, *(q for q in range(n) if q not in axes))))
+    view[np.arange(len(bits)), bits] = scaled.reshape((len(bits),) + (2,) * (n - 1))
+    return _state_vectors(n, posts.reshape(len(bits), 2**n))
+
+
+def measure_projections(states, qubit: int) -> list:
+    """Both forced outcomes of ``qubit``, stacked as ``bell_projections``; each a ``np.take``."""
+    return _projections(states, (qubit,), _axes_first, _take_collapse)
+
+
 def measure_project(
     state: StateVector, qubit: int, outcome: int
 ) -> tuple[float, StateVector | None]:
-    """Probability and collapsed state for a forced computational outcome."""
-    _check_targets(state, [qubit])
+    """Probability and collapsed state for a forced outcome, as ``measure_projections`` gives it."""
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    psi = state.as_tensor()
-    kept = np.take(psi, outcome, axis=qubit)
-    prob = float(np.sum(np.abs(kept) ** 2))
-    if prob < PROB_FLOOR:
-        return prob, None
-    post = np.zeros_like(psi)
-    idx: list = [slice(None)] * state.num_qubits
-    idx[qubit] = outcome
-    post[tuple(idx)] = kept / sqrt(prob)
-    return prob, StateVector(state.num_qubits, post.reshape(-1))
+    return _projections(state, (qubit,), _axes_first, _take_collapse, outcome)[outcome]
 
 
 def measure_computational(
@@ -521,14 +570,15 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     for q in keep_sorted:
         if not 0 <= q < state.num_qubits:
             raise ValueError(f"qubit index {q} out of range")
-    return DensityMatrix(len(keep_sorted), _reduced_matrix(state, keep_sorted))
+    return DensityMatrix(len(keep_sorted), _reduced_matrices([state], keep_sorted)[0])
 
 
-def _reduced_matrix(state: StateVector, keep_sorted: list[int]) -> np.ndarray:
-    """The unchecked matrix ``reduced_density`` wraps; ``keep_sorted`` ascending."""
-    ket, bra, out = _subsystem_subscripts(state.num_qubits, keep_sorted)
-    psi = state.as_tensor()
-    return np.einsum(f"{ket},{bra}->{out}", psi, psi.conj()).reshape((2 ** len(keep_sorted),) * 2)
+def _reduced_matrices(states: Sequence[StateVector], keep_sorted: list[int]) -> np.ndarray:
+    """The unchecked matrices ``reduced_density`` wraps, from one einsum over the states."""
+    ket, bra, out = _subsystem_subscripts(states[0].num_qubits, keep_sorted)
+    psi = np.stack([state.as_tensor() for state in states])
+    traces = np.einsum(f"...{ket},...{bra}->...{out}", psi, psi.conj())
+    return traces.reshape((len(states),) + (2 ** len(keep_sorted),) * 2)
 
 
 def density(state: StateVector) -> DensityMatrix:
@@ -553,11 +603,18 @@ def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
+def haar_random_states(num_qubits: int, count: int, rng: np.random.Generator) -> list[StateVector]:
+    """The states of ``count`` ``haar_random_state`` calls, from one ``rng.normal`` draw."""
+    draws = rng.normal(size=(count, 2, 2**num_qubits))
+    vecs = draws[:, 0] + 1j * draws[:, 1]
+    # a norm a row: np.linalg.norm along an axis rounds differently
+    vecs /= np.array([np.linalg.norm(vec) for vec in vecs])[:, None]
+    return _state_vectors(num_qubits, vecs)
+
+
 def haar_random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state, for randomized identity checks."""
-    dim = 2**num_qubits
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(num_qubits, vec / np.linalg.norm(vec))
+    return haar_random_states(num_qubits, 1, rng)[0]
 
 
 def haar_random_qubit(rng: np.random.Generator) -> StateVector:

@@ -5,6 +5,12 @@ kron products, index loops) so it shares no code path with the package:
 full unitaries, Bell vectors and probabilities, the loop partial trace,
 a Choi matrix applied to an input, the Choi matrix of the ideal channel,
 a dilation's output, and Haar-random unitaries as test data.
+
+The last section keeps the exact channel layer as it ran one state and
+one pair at a time: the nested enumeration with its per-state
+projections, partial traces and relabellings, the branch-sum loop, the
+dilation report's per-pair loop and sequential Haar draws.  The stacked
+layer must give their floats bit for bit.
 """
 from __future__ import annotations
 
@@ -148,3 +154,134 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+# ---------------------------------------------------------------------------
+# the exact channel layer one state and one pair at a time, as it ran before
+# it was stacked: references the stacked layer must equal byte for byte
+# ---------------------------------------------------------------------------
+
+PROB_FLOOR = 1e-14
+_BELL_TENSOR = np.stack([bell_vector(i >> 1, i & 1) for i in range(4)]).reshape(4, 2, 2)
+_BELL_BRAS = _BELL_TENSOR.conj().reshape(4, 1, 4)
+_SIGNS = np.stack([np.ones((2, 2)), np.outer([1.0, -1.0], [1.0, -1.0])]).reshape(2, 1, 2, 1, 2)
+
+
+def measure_project(amps: np.ndarray, qubit: int, outcome: int):
+    """(probability, collapsed amplitudes or None) of one computational outcome."""
+    n = amps.size.bit_length() - 1
+    psi = amps.reshape((2,) * n)
+    kept = np.take(psi, outcome, axis=qubit)
+    prob = float(np.sum(np.abs(kept) ** 2))
+    if prob < PROB_FLOOR:
+        return prob, None
+    post = np.zeros_like(psi)
+    idx: list = [slice(None)] * n
+    idx[qubit] = outcome
+    post[tuple(idx)] = kept / sqrt(prob)
+    return prob, post.reshape(-1)
+
+
+def bell_projections(amps: np.ndarray, pair: tuple[int, int]):
+    """(probability, collapsed amplitudes or None) of each Bell outcome of one state."""
+    n = amps.size.bit_length() - 1
+    p0, p1 = pair
+    pair_first = (p0, p1, *(q for q in range(n) if q not in pair))
+    operand = amps.reshape((2,) * n).transpose(pair_first).reshape(4, -1)
+    projections = []
+    for index in range(4):
+        coeffs = np.dot(_BELL_BRAS[index], operand).reshape((2,) * (n - 2))
+        prob = float(np.sum(np.abs(coeffs) ** 2))
+        if prob < PROB_FLOOR:
+            projections.append((prob, None))
+            continue
+        post = np.multiply.outer(_BELL_TENSOR[index], coeffs / sqrt(prob))
+        post = np.moveaxis(post, [0, 1], pair)
+        projections.append((prob, post.reshape(-1)))
+    return projections
+
+
+def nested_leaves(joint: np.ndarray, inputs: tuple[int, int, int]):
+    """Every leaf of an enumeration as (w, first, second, probability, amplitudes).
+
+    ``joint`` with both EPR pairs appended, then the choice and both Bell
+    measurements, state by state in nested loops; ``probability`` is
+    p_w * p_first * p_second, before the coins' quarter.
+    """
+    n = joint.size.bit_length() - 1
+    q_apr, q_adp, q_r = inputs
+    phi_plus = bell_vector(0, 0)
+    extended = np.multiply.outer(np.multiply.outer(joint, phi_plus), phi_plus).reshape(-1)
+    leaves = []
+    for w in (0, 1):
+        p_w, after_w = measure_project(extended, q_r, w)
+        if after_w is None:
+            continue
+        for first, (p1, after_first) in enumerate(bell_projections(after_w, (q_apr, n))):
+            if after_first is None:
+                continue
+            for second, (p2, leaf) in enumerate(bell_projections(after_first, (q_adp, n + 2))):
+                if leaf is not None:
+                    leaves.append((w, first, second, p_w * p1 * p2, leaf))
+    return leaves
+
+
+def corrected_output(leaf: np.ndarray, keep: list[int], correction: tuple[int, int]) -> np.ndarray:
+    """One einsum partial trace of one leaf, then its signed relabelling by Z^c1 X^c0."""
+    n = leaf.size.bit_length() - 1
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    row = letters[:n]
+    col = "".join(letters[n + i] if i in keep else row[i] for i in range(n))
+    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    psi = leaf.reshape((2,) * n)
+    rho = np.einsum(f"{row},{col}->{out}", psi, psi.conj()).reshape((2 ** len(keep),) * 2)
+    c1, c0 = correction
+    half = len(rho) // 2
+    four = rho.reshape(half, 2, half, 2)
+    if c0:
+        four = four[:, ::-1, :, ::-1]
+    return (four * _SIGNS[c1]).reshape(rho.shape)
+
+
+def loop_branch_sums(branches, scale=1):
+    """Alice's distribution, output sum and per-bits sums, one branch at a time."""
+    dist = np.zeros(4)
+    total = np.zeros_like(branches[0].output.matrix)
+    parts = {(a1, a0): np.zeros_like(total) for a1 in (0, 1) for a0 in (0, 1)}
+    for branch in branches:
+        dist[branch.alice.index] += branch.probability
+        contribution = scale * branch.probability * branch.output.matrix
+        total += contribution
+        parts[branch.alice.bits] += contribution
+    return dist, total, parts
+
+
+def environment_residual(v: np.ndarray, vec: np.ndarray, d_out: int, env_dim: int):
+    """Principal eigenvector and eigenvalue of the environment state of one input."""
+    table = (v @ vec).reshape(d_out, env_dim)
+    evals, evecs = np.linalg.eigh(np.einsum("ok,ol->kl", table.conj(), table))
+    return evecs[:, -1], float(evals[-1])
+
+
+def residual_overlaps(v: np.ndarray, psi: np.ndarray, phi: np.ndarray, d_out: int, env_dim: int):
+    """One pair of the dilation report: residual overlap, smaller purity, input overlap."""
+    pair = np.multiply.outer(psi, phi)
+    residuals, purities = zip(*(
+        environment_residual(v, np.multiply.outer(pair, choice).reshape(-1), d_out, env_dim)
+        for choice in np.eye(2, dtype=complex)
+    ))
+    return (
+        float(np.abs(np.vdot(residuals[0], residuals[1]))),
+        min(purities),
+        float(np.abs(np.vdot(psi, phi))),
+    )
+
+
+def haar_states(num_qubits: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Haar-random amplitudes drawn one state at a time: real parts, then imaginary parts."""
+    dim = 2**num_qubits
+    states = []
+    for _ in range(count):
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        states.append(vec / np.linalg.norm(vec))
+    return states

@@ -22,7 +22,6 @@ from qracbox.channel import (
     SubchannelSet,
     _default_contrast,
     _entangled_probe,
-    _principal_state,
     _probe_sums,
     build_dilation,
     environment_orthogonality_check,
@@ -425,7 +424,7 @@ def _reference_orthogonality(dil, psi, phi):
     residuals, purities = [], []
     for choice in (KET0, KET1):
         vec = np.kron(np.kron(psi.amplitudes, phi.amplitudes), choice.amplitudes)
-        chi, top = _principal_state(dil.environment_state(vec))
+        chi, top = oracles.environment_residual(dil.isometry, vec, dil.d_out, dil.env_dim)
         residuals.append(chi)
         purities.append(top)
     return float(np.abs(np.vdot(residuals[0], residuals[1]))), min(purities)

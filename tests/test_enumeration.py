@@ -139,25 +139,26 @@ class TestRelabelledOutputs:
 
 
 class TestEnumerationCost:
-    """One partial trace per (leaf, target), no unitary applied."""
+    """One stacked partial trace per target, a row per (leaf, target), no unitary applied."""
 
     @pytest.mark.parametrize("b", [(0, 0), (1, 1)])
     @pytest.mark.parametrize("inputs", [(0, 1, 2), (2, 0, 3)])
     def test_one_reduced_density_per_leaf_target_and_no_unitary(self, monkeypatch, inputs, b):
-        traced, applied, held = [], [], []
+        traced, applied, held, calls = [], [], [], []
 
-        def spy_reduce(state, keep):
-            held.append(state)  # so that no later state can reuse its id
-            traced.append((id(state), tuple(keep)))
-            return reduce(state, keep)
+        def spy_reduce(states, keep):
+            held.extend(states)  # so that no later state can reuse its id
+            traced.extend((id(state), tuple(keep)) for state in states)
+            calls.append(tuple(keep))
+            return reduce(states, keep)
 
         def spy_apply(*args, **kwargs):
             applied.append(args)
             return apply_unitary(*args, **kwargs)
 
-        reduce = quantum._reduced_matrix  # the partial trace behind reduced_density
+        reduce = quantum._reduced_matrices  # the stacked partial trace behind reduced_density
         for module in (qrac, quantum):
-            monkeypatch.setattr(module, "_reduced_matrix", spy_reduce)
+            monkeypatch.setattr(module, "_reduced_matrices", spy_reduce)
             monkeypatch.setattr(module, "apply_unitary", spy_apply)
         joint = tensor([haar_random_state(1, make_rng(74, q)) for q in range(4)])
         branches = channel_branches(joint, inputs, b=b)
@@ -166,6 +167,7 @@ class TestEnumerationCost:
         assert len(traced) == len(set(traced)) == len(leaves) == 2 * 16
         (spectator,) = set(range(4)) - set(inputs)
         assert {keep for _, keep in traced} == {(spectator, 5), (spectator, 7)}
+        assert sorted(calls) == [(spectator, 5), (spectator, 7)]  # one call per target
 
 
 class TestStackedValidation:
@@ -199,6 +201,13 @@ class TestStackedValidation:
             if br.correction != (0, 0)
         }
         assert stacks == [len(leaves) + len(relabelled)]
+
+    def test_every_collapsed_state_is_checked(self, monkeypatch):
+        # a Bell collapse off unit norm, the projections left honest
+        monkeypatch.setattr(quantum, "_BELL_TENSOR", 1.01 * quantum._BELL_TENSOR)
+        joint = tensor([haar_random_state(1, make_rng(80, q)) for q in range(3)])
+        with pytest.raises(ValueError, match=r"^state not normalized: sum \|amp\|\^2 = 1\.02"):
+            channel_branches(joint)
 
     def test_every_relabelled_output_is_checked(self, monkeypatch, clear_box_caches):
         monkeypatch.setattr(qrac, "_relabelled", lambda rho, bits: -_relabelled(rho, bits))
@@ -257,6 +266,11 @@ class TestBellProjections:
             bell_projections(state, (1, 1))
         with pytest.raises(ValueError):
             bell_projections(state, (0, 3))
+        for pair in [(0,), (0, 1, 2)]:
+            with pytest.raises(ValueError, match="needs two qubits"):
+                bell_projections(state, pair)
+            with pytest.raises(ValueError, match="needs two qubits"):
+                bell_projections([state, state], pair)
 
     def test_shared_operands_are_read_only(self):
         assert not quantum._BELL_BRAS.flags.writeable
