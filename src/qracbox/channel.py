@@ -10,9 +10,10 @@ and machine-checks the structural claims: complete positivity, trace
 preservation, the subchannel decomposition, the mixture law for a
 superposed choice, and orthogonality of the dilation residuals.  Every
 exact claim comes from one enumeration of the box's branches
-(``qrac.channel_branches``) reduced by ``qrac.branch_sums``.  The
-dilation's pairs are checked as stacks, a block of pairs at a time
-(``_residual_overlaps``).
+(``qrac.channel_branches``, a ``qrac.BranchTable`` of arrays) reduced
+by ``qrac.branch_sums``, which reads the table's arrays and builds no
+per-branch object.  The dilation's pairs are checked as stacks, a
+block of pairs at a time (``_residual_overlaps``).
 
 Two of those enumerations have inputs that depend on nothing: the
 maximally entangled probe behind ``tomography()`` and ``subchannels()``

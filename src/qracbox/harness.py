@@ -412,9 +412,11 @@ def _exp_qrac(
         checks.append(check("alice-uniformity-sampled", sampled_tv <= 0.02, sampled_tv, 0.02))
     if config.mode == "branch-exact":
         branches = channel_branches(_round_register(psi, phi, omega))
-        # coin branches share their output: one fidelity per distinct (output, w)
-        distinct = {(id(b.output), b.w): b for b in branches}.values()
-        exact_min = min(fidelity(b.output, psi if b.w == 0 else phi) for b in distinct)
+        # coin branches share their output: one fidelity per distinct output, of one w
+        distinct = dict(zip(branches.output.tolist(), branches.w.tolist()))
+        exact_min = min(
+            fidelity(branches.outputs[i], psi if w == 0 else phi) for i, w in distinct.items()
+        )
         exact_tv = tv_distance(branch_sums(branches)[0], [0.25] * 4)
         checks.append(check("recovery-fidelity-exact", exact_min >= 1 - 1e-10, exact_min, 1e-10))
         checks.append(check("alice-uniformity-exact", exact_tv <= 1e-12, exact_tv, 1e-12))
@@ -607,9 +609,9 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 # ---------------------------------------------------------------------------
 
 def _format_float(value: float) -> str:
-    if not np.isfinite(value):
+    if not isfinite(value):
         raise ValueError(f"cannot serialize non-finite float {value!r}")
-    return format(float(value), ".17g")
+    return format(value, ".17g")
 
 
 def _emit(obj: Any, out: list[str]) -> None:
@@ -623,6 +625,8 @@ def _emit(obj: Any, out: list[str]) -> None:
         out.append(_format_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)) and all(type(item) is float for item in obj):
+        out.append("[" + ",".join(map(_format_float, obj)) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

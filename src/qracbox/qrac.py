@@ -39,12 +39,18 @@ outputs out, from one ``PRBoxes`` pair.  The rows come two ways:
 * enumerated (``channel_branches``): each leaf x the four coin pairs,
   every branch with its exact probability, so the suite can assert
   identities at 1e-10 instead of collecting statistics.  It runs on
-  stacks of states: one stacked projection per measurement level (the
-  choice, then each Bell measurement), every float that of projecting
-  each state alone (``quantum.bell_projections``).
+  (K, 2^n) amplitude stacks from the register to the branch sums: one
+  stacked projection per measurement level (the choice, then each Bell
+  measurement), every float that of projecting each state alone
+  (``quantum.bell_projections``), and the leaves of the last level go
+  to ``_play`` as one stack.  It returns one ``BranchTable``: the leaf
+  probabilities, a row of ints per branch and the distinct outputs.
+  ``branch_sums`` reads those arrays; a ``ChannelBranch`` is built only
+  when the table is indexed or iterated.
 
 Bob's corrected outputs come from one function, ``_leaf_outputs``,
-which keeps each on its collapsed state's ``OutcomeNode``.  It takes
+which keeps each in a memo of its leaf: the ``OutcomeNode`` of a
+sampled walk, or a fresh dict per leaf of an enumeration.  It takes
 one stacked partial trace per target, a row per leaf, and builds each
 corrected output Z^c1 X^c0 rho X^c0 Z^c1 by an exact signed
 relabelling of the stack (``_relabelled``): entry (r, c) is
@@ -78,6 +84,7 @@ decoding.  Results are bit-for-bit those of a fresh computation.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -93,12 +100,12 @@ from .quantum import (
     DensityMatrix,
     OutcomeNode,
     StateVector,
+    _bell_stack,
+    _measure_stack,
     _reduced_matrices,
     apply_unitary,
     bell_measure,
-    bell_projections,
     density_matrices,
-    measure_projections,
     pauli_correction,
     tensor,
 )
@@ -309,33 +316,35 @@ def _relabelled(rho: np.ndarray, correction) -> np.ndarray:
 
 
 def _leaf_outputs(
-    leaves: list[OutcomeNode], ends: np.ndarray, target, correction, spectators: list[int]
+    amplitudes, memos: list[dict], ends: np.ndarray, target, correction, spectators: list[int]
 ) -> tuple[np.ndarray, list[DensityMatrix]]:
     """The state of ``spectators`` + corrected ``target`` of each row, once per distinct one.
 
-    Row t ends on ``leaves[ends[t]]``; ``target`` and the (bit1, bit0)
-    ``correction`` are ints or one entry a row.  Returns each row's
-    index into the list of distinct outputs, which are kept on the
-    leaves' memos by (target, correction).  Missing outputs are computed
-    raw, one stacked partial trace per target over the leaves that need
-    it and one signed relabelling of the stack of their corrections,
-    then checked as one stack.  The leaves belong to one register, so
-    to one set of spectators.
+    Row t ends on leaf ``ends[t]``, whose amplitudes are
+    ``amplitudes[ends[t]]`` (a row of a leaf stack, or of a list) and
+    whose outputs are kept in ``memos[ends[t]]`` by (target,
+    correction); ``target`` and the (bit1, bit0) ``correction`` are ints
+    or one entry a row.  Returns each row's index into the list of
+    distinct outputs, and that list.  Missing outputs are computed raw,
+    one stacked partial trace per target over the leaves that need it
+    and one signed relabelling of the stack of their corrections, then
+    checked as one stack.  The leaves belong to one register, so to one
+    set of spectators.
     """
-    shape = (len(leaves), np.max(target, initial=0) + 1, 2, 2)  # leaf, target, bit1, bit0
+    shape = (len(memos), np.max(target, initial=0) + 1, 2, 2)  # leaf, target, bit1, bit0
     keys = np.ravel_multi_index((ends, target, *correction), shape)  # sort as the tuples do
     distinct, inverse = np.unique(keys, return_inverse=True)
     distinct = np.stack(np.unravel_index(distinct, shape), axis=1).tolist()
     distinct = [(end, (qubit, (c1, c0))) for end, qubit, c1, c0 in distinct]
-    missing = [(end, key) for end, key in distinct if key not in leaves[end].memo]
+    missing = [(end, key) for end, key in distinct if key not in memos[end]]
     # (leaf index, target) -> the uncorrected output's matrix, or None
-    base = {(end, q): leaves[end].memo.get((q, (0, 0))) for end, (q, _) in missing}
+    base = {(end, q): memos[end].get((q, (0, 0))) for end, (q, _) in missing}
     base = {key: getattr(rho, "matrix", None) for key, rho in base.items()}
     raw = {}  # keyed by (leaf index, (target, correction))
     for qubit in sorted({qubit for (_, qubit), rho in base.items() if rho is None}):
         assert all(q < qubit for q in spectators), "target must be the last kept qubit"
         ends_q = [end for (end, q), rho in base.items() if q == qubit and rho is None]
-        traces = _reduced_matrices([leaves[end].state for end in ends_q], spectators + [qubit])
+        traces = _reduced_matrices([amplitudes[end] for end in ends_q], spectators + [qubit])
         for end, trace in zip(ends_q, traces):
             base[end, qubit] = raw[end, (qubit, (0, 0))] = trace
     relabel = [(end, key) for end, key in missing if key[1] != (0, 0)]
@@ -345,31 +354,38 @@ def _leaf_outputs(
         raw.update(zip(relabel, _relabelled(bases, (bits[:, 0], bits[:, 1]))))
     outputs = density_matrices(len(spectators) + 1, list(raw.values())) if raw else []
     for (end, key), output in zip(raw, outputs):
-        leaves[end].memo[key] = output
-    return inverse.reshape(-1), [leaves[end].memo[key] for end, key in distinct]
+        memos[end][key] = output
+    return inverse.reshape(-1), [memos[end][key] for end, key in distinct]
+
+
+def _node_leaves(nodes: list[OutcomeNode]) -> tuple[list[np.ndarray], list[dict]]:
+    """The amplitudes and memos ``_leaf_outputs`` reads, of outcome-tree leaves."""
+    return [node.state.amplitudes for node in nodes], [node.memo for node in nodes]
 
 
 def _leaf_output(leaf: OutcomeNode, target: int, correction, spectators) -> DensityMatrix:
     """Correct ``target`` and keep it: ``_leaf_outputs`` of one row."""
-    return _leaf_outputs([leaf], np.zeros(1, dtype=np.intp), target, correction, spectators)[1][0]
+    ends = np.zeros(1, dtype=np.intp)
+    return _leaf_outputs(*_node_leaves([leaf]), ends, target, correction, spectators)[1][0]
 
 
-def _play(leaves, ends, w, bells, coins, epr: int, spectators, b=None):
+def _play(amplitudes, memos, ends, w, bells, coins, epr: int, spectators, b=None):
     """Rows of rounds with every outcome and coin given: the wiring and Bob's outputs.
 
-    Row t ends on ``leaves[ends[t]]``, reached by Bob's choice ``w[t]``
-    and Alice's Bell outcome indices ``bells[t]`` (first, second), with
-    box coins ``coins[t]``; ``epr`` is the first qubit of the first EPR
-    pair.  ``b=None`` wires Alice's bits to Bob; a fixed (b1, b0) of
-    ints models a Bob who never learned them.  Returns Alice's bits
-    (a1, a0), Bob's box outputs (B0, B1) and correction (bit1, bit0),
-    one array each, then each row's index into the list of distinct
-    outputs and that list.
+    Row t ends on leaf ``ends[t]`` of ``_leaf_outputs``' ``amplitudes``
+    and ``memos``, reached by Bob's choice ``w[t]`` and Alice's Bell
+    outcome indices ``bells[t]`` (first, second), with box coins
+    ``coins[t]``; ``epr`` is the first qubit of the first EPR pair.
+    ``b=None`` wires Alice's bits to Bob; a fixed (b1, b0) of ints
+    models a Bob who never learned them.  Returns Alice's bits (a1, a0),
+    Bob's box outputs (B0, B1) and correction (bit1, bit0), one array
+    each, then each row's index into the list of distinct outputs and
+    that list.
     """
     box0, box1 = PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1])
     alice = _alice_side(bells[:, 0], bells[:, 1], box0, box1)
     pr_outputs, correction, target = _bob_side(epr, w, alice if b is None else b, box0, box1)
-    ids, outputs = _leaf_outputs(leaves, ends, target, correction, spectators)
+    ids, outputs = _leaf_outputs(amplitudes, memos, ends, target, correction, spectators)
     return alice, pr_outputs, correction, ids, outputs
 
 
@@ -423,7 +439,7 @@ def qrac_rounds(
     w = _choice_root(omega).walk(uniforms[:, :1])[0][:, 0]
     bells, ends, leaves = root.walk(uniforms[:, 1:])
     alice, _, _, ids, outputs = _play(
-        leaves, ends, w, bells, bit_columns(words[:, :1]), EPR1_ALICE, []
+        *_node_leaves(leaves), ends, w, bells, bit_columns(words[:, :1]), EPR1_ALICE, []
     )
     return w, alice, ids, outputs
 
@@ -495,12 +511,61 @@ class ChannelBranch:
     output: DensityMatrix
 
 
+@dataclass(frozen=True, eq=False)
+class BranchTable(Sequence):
+    """An exact enumeration as arrays, a row per branch; a ``Sequence`` of ``ChannelBranch``.
+
+    Each coin branch of leaf l has probability ``probabilities[l]``.
+    Row t holds branch t's leaf, Bob's choice, Alice's two Bell outcome
+    indices, the coins (coin0, coin1), Alice's output index 2*a1 + a0,
+    Bob's box outputs (B0, B1) and correction (bit1, bit0), and the
+    index of its output in ``outputs``, the distinct outputs.  A
+    ``ChannelBranch`` is built only when the table is indexed or
+    iterated.
+    """
+
+    probabilities: np.ndarray
+    leaf: np.ndarray
+    w: np.ndarray
+    bells: np.ndarray
+    coins: np.ndarray
+    alice: np.ndarray
+    pr_outputs: np.ndarray
+    correction: np.ndarray
+    output: np.ndarray
+    outputs: list[DensityMatrix]
+
+    def __len__(self) -> int:
+        return len(self.leaf)
+
+    def _views(self, rows) -> list[ChannelBranch]:
+        columns = (self.probabilities[self.leaf[rows]], self.w[rows], self.bells[rows],
+                   self.coins[rows], self.alice[rows], self.pr_outputs[rows],
+                   self.correction[rows], self.output[rows])
+        return [
+            ChannelBranch(p, w, _BELL_OUTCOMES[first], _BELL_OUTCOMES[second], tuple(coins),
+                          _ALICE_OUTPUTS[a], tuple(pr_outputs), tuple(correction), self.outputs[i])
+            for p, w, (first, second), coins, a, pr_outputs, correction, i
+            in zip(*(column.tolist() for column in columns))
+        ]
+
+    def __getitem__(self, index):
+        rows = np.arange(len(self))[index]
+        return self._views(rows) if isinstance(index, slice) else self._views([rows])[0]
+
+    def __iter__(self):
+        return iter(self._views(slice(None)))
+
+
+_COIN_PAIRS = np.array(list(product((0, 1), repeat=2)))
+
+
 def channel_branches(
     joint: StateVector,
     inputs: tuple[int, int, int] = (0, 1, 2),
     *,
     b: tuple[int, int] | None = None,
-) -> list[ChannelBranch]:
+) -> BranchTable:
     """Enumerate all branches of the box acting on registers of ``joint``.
 
     ``inputs`` names the (A', A'', choice) qubits; any remaining qubits
@@ -515,38 +580,26 @@ def channel_branches(
     fixed_b = None if b is None else _as_bits(b)
 
     # one stacked projection per level: the choice, then each Bell measurement
-    paths, states = [((), 1.0)], [extended]  # the outcomes so far, and their probability
-    for project in (
-        lambda level: measure_projections(level, q_r),
-        lambda level: bell_projections(level, (q_apr, n)),
-        lambda level: bell_projections(level, (q_adp, n + 2)),
+    leaves, paths, probabilities = extended.amplitudes[None], np.zeros((1, 0), np.intp), np.ones(1)
+    for project, target in (
+        (_measure_stack, q_r), (_bell_stack, (q_apr, n)), (_bell_stack, (q_adp, n + 2))
     ):
-        found = [
-            ((*path, outcome), p * p_outcome, post)
-            for (path, p), projections in zip(paths, project(states))
-            for outcome, (p_outcome, post) in enumerate(projections)
-            if post is not None
-        ]
-        paths, states = [(path, p) for path, p, _ in found], [post for *_, post in found]
-    leaves = [OutcomeNode(state) for state in states]
-    probabilities = [p * 0.25 for _, p in paths]
-    coins = list(product((0, 1), repeat=2))
-    rows = np.array([(end, *path, *c) for end, (path, _) in enumerate(paths) for c in coins])
+        probs, ks, outcomes, leaves = project(leaves, n + 4, target)
+        paths = np.column_stack([paths[ks], outcomes])
+        probabilities = probabilities[ks] * probs[outcomes, ks]
+    ends = np.repeat(np.arange(len(paths)), 4)
+    w, bells, coins = paths[ends, 0], paths[ends, 1:], np.tile(_COIN_PAIRS, (len(paths), 1))
     alice, pr_outputs, correction, ids, outputs = _play(
-        leaves, rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4:], n, spectators, fixed_b
+        leaves, [{} for _ in paths], ends, w, bells, coins, n, spectators, fixed_b
     )
-    table = np.column_stack([rows, 2 * alice[0] + alice[1], *pr_outputs, *correction, ids])
-    return [
-        ChannelBranch(
-            probabilities[end], w, _BELL_OUTCOMES[first], _BELL_OUTCOMES[second],
-            (coin0, coin1), _ALICE_OUTPUTS[a], (B0, B1), (c1, c0), outputs[i],
-        )
-        for end, w, first, second, coin0, coin1, a, B0, B1, c1, c0, i in table.tolist()
-    ]
+    return BranchTable(
+        probabilities * 0.25, ends, w, bells, coins, 2 * alice[0] + alice[1],
+        np.column_stack(pr_outputs), np.column_stack(correction), ids, outputs,
+    )
 
 
 def branch_sums(
-    branches: list[ChannelBranch], scale: float = 1
+    branches: BranchTable, scale: float = 1
 ) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], np.ndarray]]:
     """Reduce an enumeration: (Alice's distribution, output sum, per-bits sums).
 
@@ -555,16 +608,15 @@ def branch_sums(
     split it by Alice's (a1, a0).  Branches are summed in order, from
     zeros, so the same enumeration always gives the same floats.
     """
-    alice = np.array([branch.alice.index for branch in branches])
-    probabilities = np.array([branch.probability for branch in branches])
-    terms = np.stack([branch.output.matrix for branch in branches])
+    probabilities = branches.probabilities[branches.leaf]
+    terms = np.stack([output.matrix for output in branches.outputs])[branches.output]
     np.multiply((scale * probabilities)[:, None, None], terms, out=terms)
     parts = {
-        bits: np.add.reduce(terms[alice == 2 * bits[0] + bits[1]], axis=0, initial=0)
+        bits: np.add.reduce(terms[branches.alice == 2 * bits[0] + bits[1]], axis=0, initial=0)
         for bits in product((0, 1), repeat=2)
     }
     total = np.add.reduce(terms, axis=0, initial=0)
-    return np.bincount(alice, weights=probabilities, minlength=4), total, parts
+    return np.bincount(branches.alice, weights=probabilities, minlength=4), total, parts
 
 
 def sample_channel(
@@ -600,7 +652,8 @@ def sample_channel_block(
     tree, spectators = _channel_root(joint, inputs)
     outcomes, ends, leaves = tree.walk(word_uniform(words[:, :3]))
     *_, ids, outputs = _play(
-        leaves, ends, outcomes[:, 0], outcomes[:, 1:], bit_columns(words[:, 3:]), n, spectators
+        *_node_leaves(leaves), ends, outcomes[:, 0], outcomes[:, 1:], bit_columns(words[:, 3:]),
+        n, spectators,
     )
     return ids, outputs
 

@@ -50,18 +50,18 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got shape {amps.shape}"
             )
-        (checked,) = _state_vectors(self.num_qubits, amps[None])
-        object.__setattr__(self, "amplitudes", checked.amplitudes)
+        (checked,) = _checked_states(self.num_qubits, amps[None])
+        object.__setattr__(self, "amplitudes", checked)
 
     def as_tensor(self) -> np.ndarray:
         """View of the amplitudes as a rank-``num_qubits`` tensor."""
         return self.amplitudes.reshape((2,) * self.num_qubits)
 
 
-def _state_vectors(num_qubits: int, stack: np.ndarray) -> list[StateVector]:
-    """``StateVector(num_qubits, a)`` for each row a of a (K, 2^n) stack, checked at once.
+def _checked_states(num_qubits: int, stack: np.ndarray) -> np.ndarray:
+    """A (K, 2^n) amplitude stack, each row checked as ``StateVector`` checks it, made read-only.
 
-    Each state is a row of the stack, made read-only: pass only a fresh complex stack.
+    Pass only a fresh complex stack: it is taken over.
     """
     if num_qubits < 1:
         raise ValueError("state needs at least one qubit")
@@ -75,7 +75,16 @@ def _state_vectors(num_qubits: int, stack: np.ndarray) -> list[StateVector]:
     for norm in norms:
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
-    return _wrap(StateVector, num_qubits, "amplitudes", stack)
+    stack.setflags(write=False)
+    return stack
+
+
+def _state_vectors(num_qubits: int, stack: np.ndarray) -> list[StateVector]:
+    """``StateVector(num_qubits, a)`` for each row a of a (K, 2^n) stack, checked at once.
+
+    Each state is a row of the stack, made read-only: pass only a fresh complex stack.
+    """
+    return _wrap(StateVector, num_qubits, "amplitudes", _checked_states(num_qubits, stack))
 
 
 def _wrap(cls, num_qubits: int, field: str, stack: np.ndarray) -> list:
@@ -238,12 +247,12 @@ def tensor(states: Sequence[StateVector]) -> StateVector:
     return StateVector(sum(s.num_qubits for s in states), amps)
 
 
-def _check_targets(state: StateVector, targets: Sequence[int]) -> None:
+def _check_targets(num_qubits: int, targets: Sequence[int]) -> None:
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate qubit indices in {targets}")
     for t in targets:
-        if not 0 <= t < state.num_qubits:
-            raise ValueError(f"qubit index {t} out of range for {state.num_qubits} qubits")
+        if not 0 <= t < num_qubits:
+            raise ValueError(f"qubit index {t} out of range for {num_qubits} qubits")
 
 
 def apply_unitary(
@@ -251,7 +260,7 @@ def apply_unitary(
 ) -> StateVector:
     """Apply ``u`` to the named qubits (in the given order), identity elsewhere."""
     targets = list(targets)
-    _check_targets(state, targets)
+    _check_targets(state.num_qubits, targets)
     k = len(targets)
     if u.dim != 2**k:
         raise ValueError(f"unitary of dim {u.dim} does not act on {k} qubits")
@@ -272,46 +281,65 @@ def _pair_overlaps(state: StateVector, pair: Sequence[int]) -> np.ndarray:
     return np.tensordot(_BELL_TENSOR.conj(), state.as_tensor(), axes=([1, 2], [p0, p1]))
 
 
-def _projections(states, axes: tuple, outcome_amplitudes, collapse, only=None) -> list:
-    """(probability, collapsed state or None) per outcome, for one state or each of a list.
+def _projections(stack: np.ndarray, n: int, axes: tuple, outcome_amplitudes, collapse, only=None):
+    """Every forced outcome of each state of a (K, 2^n) amplitude stack, as arrays.
 
-    The kept rows of ``outcome_amplitudes``' (outcomes, K, M) stack, over
-    the roots of their probabilities, go to ``collapse`` as one stack;
-    with ``only`` set, no outcome but that one is collapsed.
+    Returns the (outcomes, K) Born probabilities and, state by state and
+    outcome by outcome, the state index ``ks``, the outcome index and
+    the collapsed amplitudes of each outcome at or above ``PROB_FLOOR``:
+    the kept rows of ``outcome_amplitudes``' (outcomes, K, M) stack, over
+    the roots of their probabilities, go to ``collapse`` as one stack,
+    which comes back checked and read-only.  With ``only`` set, no
+    outcome but that one is collapsed.
     """
-    stack = [states] if isinstance(states, StateVector) else list(states)
-    n = stack[0].num_qubits
-    if any(state.num_qubits != n for state in stack):
-        raise ValueError("stacked states must have one number of qubits")
-    _check_targets(stack[0], axes)
+    _check_targets(n, axes)
     amps = outcome_amplitudes(stack, n, axes)
     probs = np.add.reduce(np.abs(amps) ** 2, axis=2)
-    rows = probs.T.tolist()
-    kept = [(k, i) for k, row in enumerate(rows) for i, p in enumerate(row) if not p < PROB_FLOOR]
-    kept = [(k, i) for k, i in kept if only in (None, i)]
-    ks, outcomes = np.array(kept, dtype=np.intp).reshape(-1, 2).T
+    kept = ~(probs < PROB_FLOOR)  # a NaN probability is kept, and fails the check
+    if only is not None:
+        kept[:only] = kept[only + 1 :] = False
+    ks, outcomes = np.nonzero(kept.T)
     posts = collapse(n, axes, outcomes, amps[outcomes, ks] / np.sqrt(probs[outcomes, ks])[:, None])
+    return probs, ks, outcomes, posts
+
+
+def _projection_lists(states, project, target, only=None) -> list:
+    """(probability, collapsed state or None) per outcome, for one state or each of a list.
+
+    ``project`` is ``_bell_stack`` or ``_measure_stack``, run on one stack of the states.
+    """
+    lone = isinstance(states, StateVector)
+    if lone:
+        n, stack = states.num_qubits, states.amplitudes[None]
+    else:
+        states = list(states)
+        n = states[0].num_qubits
+        if any(state.num_qubits != n for state in states):
+            raise ValueError("stacked states must have one number of qubits")
+        stack = np.stack([state.amplitudes for state in states])
+    probs, ks, outcomes, posts = project(stack, n, target, only)
+    rows = probs.T.tolist()
     projections = [[(p, None) for p in row] for row in rows]
-    for (k, i), post in zip(kept, posts):
+    posts = _wrap(StateVector, n, "amplitudes", posts)
+    for k, i, post in zip(ks.tolist(), outcomes.tolist(), posts):
         projections[k][i] = (rows[k][i], post)
-    return projections[0] if isinstance(states, StateVector) else projections
+    return projections[0] if lone else projections
 
 
-def _axes_first(stack: list[StateVector], n: int, axes: tuple) -> np.ndarray:
-    """The states with ``axes`` first, as a C-ordered (2^len(axes), K, M) stack."""
-    rows = np.empty((2,) * len(axes) + (len(stack),) + (2,) * (n - len(axes)), dtype=complex)
-    order = (*axes, *(q for q in range(n) if q not in axes))
-    for k, state in enumerate(stack):
-        rows[(slice(None),) * len(axes) + (k,)] = state.as_tensor().transpose(order)
-    return rows.reshape(2 ** len(axes), len(stack), -1)
+def _axes_first(stack: np.ndarray, n: int, axes: tuple) -> np.ndarray:
+    """The states with ``axes`` first: a C-ordered (2^len(axes), K, M) stack, one copy at most."""
+    rest = (q for q in range(n) if q not in axes)
+    tensor = stack.reshape((len(stack),) + (2,) * n)
+    order = (*(1 + q for q in axes), 0, *(1 + q for q in rest))
+    return np.ascontiguousarray(tensor.transpose(order)).reshape(2 ** len(axes), len(stack), -1)
 
 
-def _bell_amplitudes(stack: list[StateVector], n: int, pair: tuple) -> np.ndarray:
+def _bell_amplitudes(stack: np.ndarray, n: int, pair: tuple) -> np.ndarray:
     """<B(i)|state> for each outcome i and state, as one (4, K, M) stack."""
     if len(pair) != 2:
         raise ValueError(f"a Bell measurement needs two qubits, got {pair}")
     if pair == (n - 2, n - 1):  # one state's operand is a view of its amplitudes
-        operand = np.stack([state.amplitudes for state in stack]).reshape(-1, 4).T
+        operand = stack.reshape(-1, 4).T
     else:
         operand = _axes_first(stack, n, pair).reshape(4, -1)
     amps = np.empty((4, len(stack), operand.shape[1] // len(stack)), dtype=complex)
@@ -320,14 +348,19 @@ def _bell_amplitudes(stack: list[StateVector], n: int, pair: tuple) -> np.ndarra
     return amps
 
 
-def _bell_collapse(n: int, pair: tuple, outcomes, scaled: np.ndarray) -> list[StateVector]:
+def _bell_collapse(n: int, pair: tuple, outcomes, scaled: np.ndarray) -> np.ndarray:
     """B(i) (x) row for each outcome i and row of ``scaled``, written in place, checked at once."""
     posts = np.empty((len(outcomes),) + (2,) * n, dtype=complex)
     bells = _BELL_TENSOR[outcomes].reshape((len(outcomes), 2, 2) + (1,) * (n - 2))
     scaled = scaled.reshape((len(outcomes), 1, 1) + (2,) * (n - 2))
     order = (*pair, *(q for q in range(n) if q not in pair))
     np.multiply(bells, scaled, out=posts.transpose(0, *(1 + q for q in order)))
-    return _state_vectors(n, posts.reshape(len(outcomes), 2**n))
+    return _checked_states(n, posts.reshape(len(outcomes), 2**n))
+
+
+def _bell_stack(stack: np.ndarray, n: int, pair: tuple, only=None):
+    """``_projections`` of a Bell measurement of ``pair`` on each state of the stack."""
+    return _projections(stack, n, pair, _bell_amplitudes, _bell_collapse, only)
 
 
 def bell_projections(states, pair: Sequence[int]) -> list:
@@ -340,7 +373,7 @@ def bell_projections(states, pair: Sequence[int]) -> list:
     operand)``, as ``np.tensordot`` projects one state (so a stack of 2-
     or 3-qubit states may round differently), never one 4x4 product.
     """
-    return _projections(states, tuple(pair), _bell_amplitudes, _bell_collapse)
+    return _projection_lists(states, _bell_stack, tuple(pair))
 
 
 def bell_project(
@@ -352,7 +385,7 @@ def bell_project(
     probability.  The entry of ``bell_projections`` for ``outcome``.
     """
     index = outcome.index
-    return _projections(state, tuple(pair), _bell_amplitudes, _bell_collapse, index)[index]
+    return _projection_lists(state, _bell_stack, tuple(pair), index)[index]
 
 
 def _choose(rng: np.random.Generator, weights: list[float], total: float) -> int:
@@ -374,21 +407,22 @@ _Born = tuple[np.ndarray, Callable[[int], StateVector]]
 
 def _bell_born(state: StateVector, pair: Sequence[int]) -> _Born:
     """Born probabilities of a Bell measurement of ``pair``, and the collapse."""
-    _check_targets(state, pair)
+    _check_targets(state.num_qubits, pair)
     overlaps = _pair_overlaps(state, pair)
     flat = overlaps.reshape(4, -1)
     probs = np.einsum("ij,ij->i", flat, flat.conj()).real
 
     def collapse(index: int) -> StateVector:
         scaled = overlaps[index].reshape(1, -1) / np.sqrt(probs[index : index + 1])[:, None]
-        return _bell_collapse(state.num_qubits, tuple(pair), [index], scaled)[0]
+        posts = _bell_collapse(state.num_qubits, tuple(pair), [index], scaled)
+        return _wrap(StateVector, state.num_qubits, "amplitudes", posts)[0]
 
     return probs, collapse
 
 
 def _computational_born(state: StateVector, qubit: int) -> _Born:
     """Born probabilities of ``qubit`` in the computational basis, and the collapse."""
-    _check_targets(state, [qubit])
+    _check_targets(state.num_qubits, [qubit])
     psi = state.as_tensor()
     axes = tuple(i for i in range(state.num_qubits) if i != qubit)
     probs = np.sum(np.abs(psi) ** 2, axis=axes)
@@ -498,17 +532,22 @@ def bell_measure(
     return _BELL_OUTCOMES[index], child.state
 
 
-def _take_collapse(n: int, axes: tuple, bits, scaled: np.ndarray) -> list[StateVector]:
+def _take_collapse(n: int, axes: tuple, bits, scaled: np.ndarray) -> np.ndarray:
     """Each row of ``scaled`` where qubit ``axes[0]`` is its bit, in one zeroed, checked stack."""
     posts = np.zeros((len(bits),) + (2,) * n, dtype=complex)
     view = posts.transpose(0, *(1 + q for q in (*axes, *(q for q in range(n) if q not in axes))))
     view[np.arange(len(bits)), bits] = scaled.reshape((len(bits),) + (2,) * (n - 1))
-    return _state_vectors(n, posts.reshape(len(bits), 2**n))
+    return _checked_states(n, posts.reshape(len(bits), 2**n))
+
+
+def _measure_stack(stack: np.ndarray, n: int, qubit: int, only=None):
+    """``_projections`` of a computational measurement of ``qubit`` on each state of the stack."""
+    return _projections(stack, n, (qubit,), _axes_first, _take_collapse, only)
 
 
 def measure_projections(states, qubit: int) -> list:
     """Both forced outcomes of ``qubit``, stacked as ``bell_projections``; each a ``np.take``."""
-    return _projections(states, (qubit,), _axes_first, _take_collapse)
+    return _projection_lists(states, _measure_stack, qubit)
 
 
 def measure_project(
@@ -517,7 +556,7 @@ def measure_project(
     """Probability and collapsed state for a forced outcome, as ``measure_projections`` gives it."""
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    return _projections(state, (qubit,), _axes_first, _take_collapse, outcome)[outcome]
+    return _projection_lists(state, _measure_stack, qubit, outcome)[outcome]
 
 
 def measure_computational(
@@ -570,13 +609,14 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     for q in keep_sorted:
         if not 0 <= q < state.num_qubits:
             raise ValueError(f"qubit index {q} out of range")
-    return DensityMatrix(len(keep_sorted), _reduced_matrices([state], keep_sorted)[0])
+    return DensityMatrix(len(keep_sorted), _reduced_matrices([state.amplitudes], keep_sorted)[0])
 
 
-def _reduced_matrices(states: Sequence[StateVector], keep_sorted: list[int]) -> np.ndarray:
-    """The unchecked matrices ``reduced_density`` wraps, from one einsum over the states."""
-    ket, bra, out = _subsystem_subscripts(states[0].num_qubits, keep_sorted)
-    psi = np.stack([state.as_tensor() for state in states])
+def _reduced_matrices(states: Sequence[np.ndarray], keep_sorted: list[int]) -> np.ndarray:
+    """The unchecked matrices ``reduced_density`` wraps, from one einsum over amplitude vectors."""
+    n = len(states[0]).bit_length() - 1
+    ket, bra, out = _subsystem_subscripts(n, keep_sorted)
+    psi = np.stack(states).reshape((len(states),) + (2,) * n)
     traces = np.einsum(f"...{ket},...{bra}->...{out}", psi, psi.conj())
     return traces.reshape((len(states),) + (2 ** len(keep_sorted),) * 2)
 

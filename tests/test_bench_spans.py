@@ -4,7 +4,10 @@
 each label's calls.  A label whose methods no report reaches reads 0 on
 every workload, so the benchmark shows nothing for it.  These tests run
 one pass of each workload through ``cli.main`` with a counting wrapper on
-every listed method, and ask that each label count at least one call.
+every listed method, and ask that each label count at least one call;
+and that ``qrac.channel_branches``, whose span counts branches by
+``len()`` of its result, is reached on ``channel`` and ``rounds`` with
+a length equal to the branches its result yields.
 The table is the one ``test_bench_names.py`` reads with
 ``ast.literal_eval``, and the workloads are loaded from
 ``bench/workloads.py``.
@@ -21,6 +24,7 @@ from collections import Counter
 
 import pytest
 
+from qracbox import qrac
 from qracbox.cli import main
 from test_bench_names import BENCH, METHOD_SPANS
 
@@ -62,3 +66,42 @@ def span_calls() -> Counter:
 @pytest.mark.parametrize("label", sorted({span[0] for span in METHOD_SPANS}))
 def test_method_span_sees_traffic(span_calls, label):
     assert span_calls[label] > 0
+
+
+ENUMERATING = ("channel", "rounds")
+
+
+@pytest.fixture(scope="module")
+def enumerations() -> dict[str, list[tuple[int, int]]]:
+    """Per workload, (len(), branches iterated) of each ``channel_branches`` result of a pass.
+
+    The wrapper is bound in every package namespace that holds the
+    function, as ``bench/layers.py`` binds its span.
+    """
+    original = qrac.channel_branches
+    calls: dict[str, list[tuple[int, int]]] = {workload: [] for workload in ENUMERATING}
+    active = []
+
+    def recording(*args, **kwargs):
+        table = original(*args, **kwargs)
+        calls[active[-1]].append((len(table), sum(1 for _ in table)))
+        return table
+
+    with pytest.MonkeyPatch.context() as patch:
+        workloads = _workloads(patch)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qracbox" and vars(module).get("channel_branches") is original:
+                patch.setattr(module, "channel_branches", recording)
+        for workload in ENUMERATING:
+            active.append(workload)
+            for report in workloads.build(workload, 1):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(list(report.argv)) == 0, report.argv
+    return calls
+
+
+@pytest.mark.parametrize("workload", ENUMERATING)
+def test_channel_branches_span_sees_traffic_and_counts_branches(enumerations, workload):
+    # ``bench/layers.py`` counts ``qrac.channel_branches.branches`` as len() of each result
+    assert enumerations[workload]
+    assert all(length == branches > 0 for length, branches in enumerations[workload])

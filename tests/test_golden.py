@@ -16,6 +16,7 @@ from qracbox.cli import main
 
 STATES = ["--psi", "bloch:0.7,1.1", "--phi", "bloch:2.2,-0.4"]
 OMEGA = ["--omega", "amp:0.6,0,0,0.8"]
+AMP_STATES = ["--psi", "amp:0.6,0,0,0.8", "--phi", "amp:0,0.6,-0.8,0"]
 SEED = "11"
 
 # experiment -> argv without --mode, --seed and --csv
@@ -28,6 +29,10 @@ ARGV = {
     # sampled non-signaling at its floor of 1e4 trials
     "nonsignaling": ["verify-nonsignaling", "--trials", "10000", *STATES],
     "dilation": ["dilation", "--trials", "10", *STATES],
+    # a basis choice: the choice measurement prunes half the branches
+    "mixture-alpha-sq-0": ["mixture", "--alpha-sq", "0", *STATES],
+    "mixture-alpha-sq-1": ["mixture", "--alpha-sq", "1", *STATES],
+    "nonsignaling-amp": ["verify-nonsignaling", "--trials", "10000", *AMP_STATES],
 }
 
 # (experiment, mode) -> (exit code, sha256 of stdout + b"\0" + CSV bytes);
@@ -47,6 +52,9 @@ GOLDEN = {
     ("nonsignaling", "sampled"): (0, "5ada19b92d3babfb8a478c46737c192d7c1da26a618d3ec11ab25347706042ae"),
     ("dilation", "branch-exact"): (0, "6132009d04996c0c7fd7fafd449eaf630b5cc04ebe41164089620ecb3d233119"),
     ("dilation", "sampled"): (0, "ff24ebd6bb02da093391af8f1d0750bd2d58fc19f6173698450af98da8f1b469"),
+    ("mixture-alpha-sq-0", "branch-exact"): (0, "7ce49c5bce4a5b5fe4f0cbabf84fe581dceeded1ead0432ea31a542275e374e4"),
+    ("mixture-alpha-sq-1", "branch-exact"): (0, "732f62ce2f317233851fe45d364221c111ed4ac43de31d9225c894d69e1ea450"),
+    ("nonsignaling-amp", "branch-exact"): (0, "92fda0bcfd55dedf47b4b73d016224d77a595e8cc1f838e230842951b0b65852"),
 }
 
 

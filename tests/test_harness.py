@@ -344,6 +344,24 @@ class TestCanonicalJson:
         with pytest.raises(TypeError):
             canonical_json({"x": object()})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_in_a_float_list_raises_as_alone(self, value):
+        with pytest.raises(ValueError) as alone:
+            canonical_json({"x": value})
+        with pytest.raises(ValueError) as listed:
+            canonical_json({"x": [0.5, value, 1.5]})
+        message = f"cannot serialize non-finite float {value!r}"
+        assert str(listed.value) == str(alone.value) == message
+
+    def test_float_lists_with_numpy_floats_serialise_as_before(self):
+        mixed = [0.1, np.float64(1 / 3), 2.0, np.float32(0.5), 7, True]
+        assert canonical_json(mixed) == "[0.10000000000000001,0.33333333333333331,2,0.5,7,true]"
+        assert canonical_json([0.1, 1 / 3, 2.0]) == "[0.10000000000000001,0.33333333333333331,2]"
+        assert canonical_json((0.25, -0.0)) == canonical_json([0.25, -0.0]) == "[0.25,-0]"
+        assert canonical_json([]) == canonical_json(()) == "[]"
+        with pytest.raises(TypeError, match="^cannot serialize object in a report$"):
+            canonical_json([0.5, object()])
+
     def test_parses_as_json(self):
         report = _report("mixture", alpha=[1.0, 0.0], beta=[0.0, 0.0])
         parsed = json.loads(canonical_json(report))

@@ -5,7 +5,9 @@ call, takes one partial trace per target over the stacked leaves and
 relabels every correction in one call; the dilation report checks all
 its pairs with one V product, one einsum and one ``eigh``.  Each float
 must be the one the per-state and per-pair code gives, kept in
-``oracles``: these tests compare bytes.
+``oracles``, and an enumeration's ``BranchTable`` must reduce as the
+per-branch loop over its own ``ChannelBranch`` views: these tests
+compare bytes.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from qracbox.quantum import (
     KET1,
     KET_PLUS,
     PHI_PLUS,
-    OutcomeNode,
     StateVector,
     _state_vectors,
     basis_state,
@@ -70,15 +71,15 @@ def _register(kind, rng):
 
 
 def _recorded_enumeration(monkeypatch, joint, inputs, b):
-    """``channel_branches`` and the leaf states it built, in order."""
+    """``channel_branches`` and the leaf amplitudes it handed to ``_leaf_outputs``, in order."""
     leaves = []
+    leaf_outputs = qrac._leaf_outputs
 
-    class Recording(OutcomeNode):
-        def __init__(self, state, measurements=()):
-            leaves.append(state)
-            super().__init__(state, measurements)
+    def recording(amplitudes, *args):
+        leaves.extend(amplitudes)
+        return leaf_outputs(amplitudes, *args)
 
-    monkeypatch.setattr(qrac, "OutcomeNode", Recording)
+    monkeypatch.setattr(qrac, "_leaf_outputs", recording)
     return channel_branches(joint, inputs, b=b), leaves
 
 
@@ -90,7 +91,7 @@ class TestEnumerationEqualsNestedLoops:
         nested = oracles.nested_leaves(joint.amplitudes, inputs)
         assert len(leaves) == len(nested) and len(branches) == 4 * len(nested)
         for leaf, (w, first, second, probability, amps) in zip(leaves, nested):
-            assert leaf.amplitudes.tobytes() == amps.tobytes()
+            assert leaf.tobytes() == amps.tobytes()
         n = joint.num_qubits
         spectators = sorted(set(range(n)) - set(inputs))
         for index, branch in enumerate(branches):
@@ -126,6 +127,53 @@ class TestEnumerationEqualsNestedLoops:
         joint = _round_register(haar_random_qubit(rng), haar_random_qubit(rng), omega)
         branches = self._assert_same(monkeypatch, joint, (0, 1, 2), None)
         assert len(branches) == 64 and {br.w for br in branches} == {omega is KET1}
+
+
+def _sums_bytes(sums):
+    dist, total, parts = sums
+    return dist.tobytes(), total.tobytes(), [(bits, part.tobytes()) for bits, part in parts.items()]
+
+
+class TestBranchTable:
+    """The table's sums are the per-branch loop's over its own ``ChannelBranch`` views."""
+
+    @staticmethod
+    def _registers():
+        rng = make_rng(97)
+        psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
+        yield "probe", _entangled_probe(), (3, 4, 5)
+        for name, omega in (("alpha_sq_1", KET0), ("alpha_sq_0", KET1)):  # pruned choices
+            yield name, _round_register(psi, phi, omega), (0, 1, 2)
+        for kind in ("haar", "sparse", "basis"):  # a spectator, the inputs shuffled
+            yield kind, *_register(kind, rng)
+
+    @pytest.mark.parametrize("b", [None, (0, 0), (1, 1), (0, 1)])
+    def test_sums_equal_the_loop_over_the_views(self, b):
+        for name, joint, inputs in self._registers():
+            table = channel_branches(joint, inputs, b=b)
+            views = list(table)
+            assert len(table) == len(views) == 4 * len(table.probabilities), name
+            assert all(type(view) is qrac.ChannelBranch for view in views)
+            for scale in (1, 8):
+                got = _sums_bytes(branch_sums(table, scale))
+                assert got == _sums_bytes(oracles.loop_branch_sums(views, scale)), name
+
+    def test_indexing_builds_the_views_iteration_builds(self):
+        table = channel_branches(_entangled_probe(), (3, 4, 5), b=(1, 0))
+        views = list(table)
+        assert [table[i] for i in range(len(table))] == views
+        assert table[-1] == views[-1] and table[5:9] == views[5:9] and table[::-1] == views[::-1]
+        assert all(view.output is table.outputs[i] for view, i in zip(views, table.output))
+        with pytest.raises(IndexError):
+            table[len(table)]
+
+    def test_a_pruned_choice_keeps_only_its_leaves(self):
+        rng = make_rng(98)
+        joint = _round_register(haar_random_qubit(rng), haar_random_qubit(rng), KET1)
+        table = channel_branches(joint)
+        assert len(table) == 64 and set(table.w.tolist()) == {1}
+        assert table.probabilities.shape == (16,)
+        assert table.leaf.tolist() == sorted(4 * list(range(16)))
 
 
 class TestStackedProjections:
@@ -301,11 +349,11 @@ def test_branch_sums_start_from_zeros():
     # the off-diagonal terms are -0.25 - 0.0j: a sum started from the first term keeps -0.0
     matrix = np.array([[0.5, -0.25], [-0.25, 0.5]]) + 0j
     matrix.imag[:] = -0.0
-    output = SimpleNamespace(matrix=matrix)
-    branches = [
-        SimpleNamespace(alice=qrac._ALICE_OUTPUTS[i % 3], probability=0.125, output=output)
-        for i in range(8)
-    ]
+    zeros, pairs = np.zeros(8, dtype=np.intp), np.zeros((8, 2), dtype=np.intp)
+    branches = qrac.BranchTable(
+        np.full(8, 0.125), np.arange(8), zeros, pairs, pairs, np.arange(8) % 3, pairs, pairs,
+        zeros, [SimpleNamespace(matrix=matrix)],
+    )
     got, want = branch_sums(branches, 2), oracles.loop_branch_sums(branches, 2)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     assert all(got[2][bits].tobytes() == want[2][bits].tobytes() for bits in want[2])
