@@ -40,13 +40,13 @@ outputs out, from one ``PRBoxes`` pair.  The rows come two ways:
   every branch with its exact probability, so the suite can assert
   identities at 1e-10 instead of collecting statistics.  It runs on
   (K, 2^n) amplitude stacks from the register to the branch sums: one
-  stacked projection per measurement level (the choice, then each Bell
-  measurement), every float that of projecting each state alone
-  (``quantum.bell_projections``), and the leaves of the last level go
-  to ``_play`` as one stack.  It returns one ``BranchTable``: the leaf
-  probabilities, a row of ints per branch and the distinct outputs.
-  ``branch_sums`` reads those arrays; a ``ChannelBranch`` is built only
-  when the table is indexed or iterated.
+  stacked projection per measurement of ``_channel_round``'s schedule
+  (the choice, then each Bell measurement), every float that of
+  projecting each state alone (``quantum.bell_projections``), and the
+  leaves of the last level go to ``_play`` as one stack.  It returns
+  one ``BranchTable``: the leaf probabilities, a row of ints per branch
+  and the distinct outputs.  ``branch_sums`` reads those arrays; a
+  ``ChannelBranch`` is built only when the table is indexed or iterated.
 
 Bob's corrected outputs come from one function, ``_leaf_outputs``,
 which keeps each in a memo of its leaf: the ``OutcomeNode`` of a
@@ -67,20 +67,22 @@ coin branches of an enumerated leaf share one output.  Every exact
 claim reduces an enumeration through ``branch_sums``.
 
 The sampled executors walk an outcome tree (``quantum.OutcomeNode``)
-instead of redoing the linear algebra in every trial.  For fixed inputs
-a round reaches few states: at most 2 choice outcomes x 4 x 4 Bell
-outcomes, and each leaf few corrected outputs.  ``OutcomeNode.draw``
-takes one trial down the tree with one uniform per measurement;
-``OutcomeNode.walk`` takes a block of trials down it at once, picking
-the same outcomes from the same uniforms and grouping the trials by
-outcome.  The first trial that reaches a state computes it, and later
-trials, of either executor, reuse it, Bob's corrected output included.
-All roots share one cache, ``_tree``, keyed by a register's exact
-amplitude bytes and its measurement schedule: Alice's loaded register
-with her two Bell measurements, Bob's choice qubit omega with its
-computational measurement, the channel's register with the choice and
-both Bell measurements, and each dense-coded payload with its Bell
-decoding.  Results are bit-for-bit those of a fresh computation.
+instead of redoing the linear algebra in every trial; its nodes project
+through the enumeration's core, all but a Bell node's Born sum.  For
+fixed inputs a round reaches few states: at most 2 choice outcomes x 4 x
+4 Bell outcomes, and each leaf few corrected outputs.
+``OutcomeNode.draw`` takes one trial down the tree with one uniform per
+measurement; ``OutcomeNode.walk`` takes a block of trials down it at
+once, picking the same outcomes from the same uniforms and grouping the
+trials by outcome.  The first trial that reaches a state computes it,
+and later trials, of either executor, reuse it, Bob's corrected output
+included.  All roots share one cache, ``_tree``, keyed by a register's
+exact amplitude bytes and its measurement schedule: Alice's loaded
+register with her two Bell measurements, Bob's choice qubit omega with
+its computational measurement, the channel round of ``_channel_round``
+(the one ``channel_branches`` enumerates), and each dense-coded payload
+with its Bell decoding.  Results are bit-for-bit those of a fresh
+computation.
 """
 from __future__ import annotations
 
@@ -100,8 +102,8 @@ from .quantum import (
     DensityMatrix,
     OutcomeNode,
     StateVector,
-    _bell_stack,
-    _measure_stack,
+    _STACKS,
+    _checked_states,
     _reduced_matrices,
     apply_unitary,
     bell_measure,
@@ -231,33 +233,34 @@ def _spectators(n: int, inputs: tuple[int, int, int]) -> list[int]:
     return sorted(set(range(n)) - set(inputs))
 
 
-def _with_pairs(joint: StateVector) -> np.ndarray:
-    """The amplitudes of joint (x) both EPR pairs, as ``tensor`` builds them, unchecked."""
-    pair = PHI_PLUS.amplitudes
-    return np.multiply.outer(np.multiply.outer(joint.amplitudes, pair), pair).reshape(-1)
+def _channel_round(
+    joint: StateVector, inputs: tuple[int, int, int]
+) -> tuple[np.ndarray, tuple, list[int]]:
+    """A channel round on ``joint``: its register, its schedule and the qubits that ride along.
 
-
-def _register(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[StateVector, list[int]]:
-    """joint (x) both EPR pairs, and the qubits of ``joint`` that ride along.
-
-    The first pair lands on qubits (n, n+1) and the second on (n+2, n+3),
-    Alice's half first, where n is the size of ``joint``.
-    """
-    spectators = _spectators(joint.num_qubits, inputs)
-    return StateVector(joint.num_qubits + 4, _with_pairs(joint)), spectators
-
-
-def _channel_root(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[OutcomeNode, list[int]]:
-    """Choice, then both Bell measurements, on ``_register``'s register; and spectators.
-
-    Keyed like ``_alice_root``: by ``_with_pairs``'s amplitudes, left
-    unchecked until a ``_tree`` miss.
+    The register is joint (x) both EPR pairs, as ``tensor`` builds it,
+    left unchecked: the first pair lands on qubits (n, n+1) and the
+    second on (n+2, n+3), Alice's half first, where n is the size of
+    ``joint``.  The schedule is Bob's choice, then Alice's two Bell
+    measurements, first to last.
     """
     q_apr, q_adp, q_r = inputs
     n = joint.num_qubits
     spectators = _spectators(n, inputs)
+    pair = PHI_PLUS.amplitudes
+    register = np.multiply.outer(np.multiply.outer(joint.amplitudes, pair), pair).reshape(-1)
     schedule = (("computational", q_r), ("bell", (q_apr, n)), ("bell", (q_adp, n + 2)))
-    return _tree(n + 4, _with_pairs(joint).tobytes(), schedule), spectators
+    return register, schedule, spectators
+
+
+def _channel_root(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[OutcomeNode, list[int]]:
+    """The outcome tree of a ``_channel_round``, and its spectators.
+
+    Keyed like ``_alice_root``: by the register's amplitudes, left
+    unchecked until a ``_tree`` miss.
+    """
+    register, schedule, spectators = _channel_round(joint, inputs)
+    return _tree(joint.num_qubits + 4, register.tobytes(), schedule), spectators
 
 
 def _bell_bits(index):
@@ -574,17 +577,15 @@ def channel_branches(
     a fixed (b1, b0) models a Bob who never learned a.  Branch
     probabilities are exact and sum to 1.
     """
-    q_apr, q_adp, q_r = inputs
-    extended, spectators = _register(joint, inputs)
+    register, schedule, spectators = _channel_round(joint, inputs)
     n = joint.num_qubits
     fixed_b = None if b is None else _as_bits(b)
 
-    # one stacked projection per level: the choice, then each Bell measurement
-    leaves, paths, probabilities = extended.amplitudes[None], np.zeros((1, 0), np.intp), np.ones(1)
-    for project, target in (
-        (_measure_stack, q_r), (_bell_stack, (q_apr, n)), (_bell_stack, (q_adp, n + 2))
-    ):
-        probs, ks, outcomes, leaves = project(leaves, n + 4, target)
+    # one stacked projection per measurement of the schedule
+    leaves = _checked_states(n + 4, register[None])
+    paths, probabilities = np.zeros((1, 0), np.intp), np.ones(1)
+    for kind, target in schedule:
+        probs, ks, outcomes, leaves = _STACKS[kind](leaves, n + 4, target)
         paths = np.column_stack([paths[ks], outcomes])
         probabilities = probabilities[ks] * probs[outcomes, ks]
     ends = np.repeat(np.arange(len(paths)), 4)

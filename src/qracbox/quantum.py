@@ -12,6 +12,12 @@ Conventions shared by the whole package:
   partial trace.
 * States are compared through fidelity or trace distance, never by raw
   amplitudes: global phase carries no physics.
+* Every measurement projects through one stacked core, ``_projections``
+  (``_STACKS`` holds its Bell and computational forms): exact
+  enumerations, lone projections and each ``OutcomeNode`` alike, so an
+  outcome below ``PROB_FLOOR`` is impossible in all of them.  Only the
+  Born sum of a Bell outcome differs: <a|a> in an outcome tree, sum
+  |a|^2 everywhere else.
 
 Tolerances are fixed package-wide: 1e-12 for norms, 1e-10 for algebraic
 identities.  Statistical checks elsewhere always run on seeded generators.
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import cos, isfinite, sin, sqrt
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -271,30 +277,37 @@ def apply_unitary(
     return StateVector(state.num_qubits, out.reshape(-1))
 
 
-def _pair_overlaps(state: StateVector, pair: Sequence[int]) -> np.ndarray:
-    """Amplitude tensors <B(t,s)|state> for all four Bell outcomes.
-
-    Returns shape (4, ...) where the trailing axes are the unmeasured
-    qubits in their original relative order.
-    """
-    p0, p1 = pair
-    return np.tensordot(_BELL_TENSOR.conj(), state.as_tensor(), axes=([1, 2], [p0, p1]))
+def _squares(amps: np.ndarray) -> np.ndarray:
+    """sum |a|^2 of each outcome and state of an (outcomes, K, M) stack: the enumeration's sum."""
+    return np.add.reduce(np.abs(amps) ** 2, axis=2)
 
 
-def _projections(stack: np.ndarray, n: int, axes: tuple, outcome_amplitudes, collapse, only=None):
+def _inner_products(amps: np.ndarray) -> np.ndarray:
+    """<a|a> of each outcome and state of an (outcomes, K, M) stack, by einsum: a Bell node's."""
+    flat = amps.reshape(-1, amps.shape[2])
+    return np.einsum("ij,ij->i", flat, flat.conj()).real.reshape(amps.shape[:2])
+
+
+def _projections(
+    stack: np.ndarray, n: int, axes: tuple, outcome_amplitudes, collapse, only=None, born=_squares
+):
     """Every forced outcome of each state of a (K, 2^n) amplitude stack, as arrays.
 
-    Returns the (outcomes, K) Born probabilities and, state by state and
-    outcome by outcome, the state index ``ks``, the outcome index and
-    the collapsed amplitudes of each outcome at or above ``PROB_FLOOR``:
-    the kept rows of ``outcome_amplitudes``' (outcomes, K, M) stack, over
-    the roots of their probabilities, go to ``collapse`` as one stack,
-    which comes back checked and read-only.  With ``only`` set, no
-    outcome but that one is collapsed.
+    Returns the (outcomes, K) Born probabilities, each ``born`` of its
+    outcome's amplitudes, and, state by state and outcome by outcome,
+    the state index ``ks``, the outcome index and the collapsed
+    amplitudes of each outcome at or above ``PROB_FLOOR``: the kept rows
+    of ``outcome_amplitudes``' (outcomes, K, M) stack, over the roots of
+    their probabilities, go to ``collapse`` as one stack, which comes
+    back checked and read-only.  With ``only`` set, no outcome but that
+    one is collapsed.  ``born`` is ``_squares`` but in a Bell node of an
+    outcome tree, which passes ``_inner_products``: the two sums round
+    differently in the last bit, and each executor's reports are pinned
+    to its own.
     """
     _check_targets(n, axes)
     amps = outcome_amplitudes(stack, n, axes)
-    probs = np.add.reduce(np.abs(amps) ** 2, axis=2)
+    probs = born(amps)
     kept = ~(probs < PROB_FLOOR)  # a NaN probability is kept, and fails the check
     if only is not None:
         kept[:only] = kept[only + 1 :] = False
@@ -358,20 +371,21 @@ def _bell_collapse(n: int, pair: tuple, outcomes, scaled: np.ndarray) -> np.ndar
     return _checked_states(n, posts.reshape(len(outcomes), 2**n))
 
 
-def _bell_stack(stack: np.ndarray, n: int, pair: tuple, only=None):
+def _bell_stack(stack: np.ndarray, n: int, pair: tuple, only=None, born=_squares):
     """``_projections`` of a Bell measurement of ``pair`` on each state of the stack."""
-    return _projections(stack, n, pair, _bell_amplitudes, _bell_collapse, only)
+    return _projections(stack, n, pair, _bell_amplitudes, _bell_collapse, only, born)
 
 
 def bell_projections(states, pair: Sequence[int]) -> list:
     """Probability and collapsed state for each forced Bell outcome, by index.
 
     Entry ``i`` is for outcome 2*bit1 + bit0 = i; its state is ``None``
-    when the outcome has (numerically) zero probability.  A list of
+    when the outcome's probability is below ``PROB_FLOOR``.  A list of
     states gets one such list each, from one 4 x (K*M) operand laid out
     as a lone state's; each outcome is one ``np.dot(<B(i)| as 1x4,
-    operand)``, as ``np.tensordot`` projects one state (so a stack of 2-
-    or 3-qubit states may round differently), never one 4x4 product.
+    operand)``, never one 4x4 product, so a stack of 2- or 3-qubit
+    states may round differently from each state alone.  An
+    ``OutcomeNode`` projects its state through the same core.
     """
     return _projection_lists(states, _bell_stack, tuple(pair))
 
@@ -381,8 +395,8 @@ def bell_project(
 ) -> tuple[float, StateVector | None]:
     """Probability and collapsed state for one forced Bell outcome.
 
-    Returns ``(prob, None)`` when the outcome has (numerically) zero
-    probability.  The entry of ``bell_projections`` for ``outcome``.
+    Returns ``(prob, None)`` when the outcome's probability is below
+    ``PROB_FLOOR``.  The entry of ``bell_projections`` for ``outcome``.
     """
     index = outcome.index
     return _projection_lists(state, _bell_stack, tuple(pair), index)[index]
@@ -402,59 +416,25 @@ def _choose(rng: np.random.Generator, weights: list[float], total: float) -> int
     return len(weights) - 1
 
 
-_Born = tuple[np.ndarray, Callable[[int], StateVector]]
-
-
-def _bell_born(state: StateVector, pair: Sequence[int]) -> _Born:
-    """Born probabilities of a Bell measurement of ``pair``, and the collapse."""
-    _check_targets(state.num_qubits, pair)
-    overlaps = _pair_overlaps(state, pair)
-    flat = overlaps.reshape(4, -1)
-    probs = np.einsum("ij,ij->i", flat, flat.conj()).real
-
-    def collapse(index: int) -> StateVector:
-        scaled = overlaps[index].reshape(1, -1) / np.sqrt(probs[index : index + 1])[:, None]
-        posts = _bell_collapse(state.num_qubits, tuple(pair), [index], scaled)
-        return _wrap(StateVector, state.num_qubits, "amplitudes", posts)[0]
-
-    return probs, collapse
-
-
-def _computational_born(state: StateVector, qubit: int) -> _Born:
-    """Born probabilities of ``qubit`` in the computational basis, and the collapse."""
-    _check_targets(state.num_qubits, [qubit])
-    psi = state.as_tensor()
-    axes = tuple(i for i in range(state.num_qubits) if i != qubit)
-    probs = np.sum(np.abs(psi) ** 2, axis=axes)
-
-    def collapse(bit: int) -> StateVector:
-        _, post = measure_project(state, qubit, bit)
-        assert post is not None
-        return post
-
-    return probs, collapse
-
-
-_BORN = {"bell": _bell_born, "computational": _computational_born}
-
-
 class OutcomeNode:
     """A state in a lazily expanded tree of measurement outcomes.
 
     ``measurements`` lists the measurements still to come, first to
     last, as ``("bell", pair)`` or ``("computational", qubit)``.  The
-    first is made on ``state`` and ``probs`` holds its Born
-    probabilities, rounding noise below zero clipped to zero (``None``
-    on a leaf).  ``draw`` samples it and returns the child node of the
-    outcome drawn: a child is collapsed the first time its outcome is
-    drawn and reused from then on, so a walk repeated down the same path
-    costs one uniform draw per level.  ``walk`` takes a batch of trials
-    down the same tree with the same choices.  ``memo`` keeps what
-    callers derive from a node's state.  Every array in the tree is
-    read-only, so a tree may be shared by any number of walks.
+    first is made on ``state`` by the stacked core of ``_STACKS``, in
+    one projection that collapses every outcome it keeps, and ``probs``
+    holds its Born probabilities; outcomes the core does not keep are
+    zero, so no draw takes them (``probs`` is ``None`` on a leaf).
+    ``draw`` samples it and returns the child node of the outcome drawn:
+    a child is built the first time its outcome is drawn and reused from
+    then on, so a walk repeated down the same path costs one uniform
+    draw per level.  ``walk`` takes a batch of trials down the same tree
+    with the same choices.  ``memo`` keeps what callers derive from a
+    node's state.  Every array in the tree is read-only, so a tree may
+    be shared by any number of walks.
     """
 
-    __slots__ = ("state", "probs", "memo", "_total", "_collapse", "_rest", "_children")
+    __slots__ = ("state", "probs", "memo", "_total", "_posts", "_rest", "_children")
 
     def __init__(self, state: StateVector, measurements: Sequence[tuple[str, object]] = ()):
         self.state = state
@@ -463,15 +443,22 @@ class OutcomeNode:
         self._children: dict[int, OutcomeNode] = {}
         if measurements:
             (kind, target), *self._rest = measurements
-            probs, self._collapse = _BORN[kind](state, target)
-            self.probs = [max(p, 0.0) for p in probs.tolist()]
+            n = state.num_qubits
+            # a Bell node keeps the einsum sum the sampled reports are pinned to
+            born = _inner_products if kind == "bell" else _squares
+            probs, _, kept, posts = _STACKS[kind](state.amplitudes[None], n, target, born=born)
+            kept = kept.tolist()
+            self.probs = [0.0] * len(probs)
+            for index, p in zip(kept, probs[kept, 0].tolist()):
+                self.probs[index] = p
+            self._posts = dict(zip(kept, _wrap(StateVector, n, "amplitudes", posts)))
             self._total = sum(self.probs)
 
     def child(self, index: int) -> "OutcomeNode":
-        """The node of outcome ``index``, collapsed on first use."""
+        """The node of outcome ``index``, built on first use."""
         child = self._children.get(index)
         if child is None:
-            child = self._children[index] = OutcomeNode(self._collapse(index), self._rest)
+            child = self._children[index] = OutcomeNode(self._posts[index], self._rest)
         return child
 
     def draw(self, rng: np.random.Generator) -> tuple[int, "OutcomeNode"]:
@@ -528,7 +515,7 @@ def bell_measure(
     The measured qubits stay in the register, collapsed into the observed
     Bell state.
     """
-    index, child = OutcomeNode(state, [("bell", pair)]).draw(rng)
+    index, child = OutcomeNode(state, [("bell", tuple(pair))]).draw(rng)
     return _BELL_OUTCOMES[index], child.state
 
 
@@ -540,9 +527,9 @@ def _take_collapse(n: int, axes: tuple, bits, scaled: np.ndarray) -> np.ndarray:
     return _checked_states(n, posts.reshape(len(bits), 2**n))
 
 
-def _measure_stack(stack: np.ndarray, n: int, qubit: int, only=None):
+def _measure_stack(stack: np.ndarray, n: int, qubit: int, only=None, born=_squares):
     """``_projections`` of a computational measurement of ``qubit`` on each state of the stack."""
-    return _projections(stack, n, (qubit,), _axes_first, _take_collapse, only)
+    return _projections(stack, n, (qubit,), _axes_first, _take_collapse, only, born)
 
 
 def measure_projections(states, qubit: int) -> list:
@@ -557,6 +544,10 @@ def measure_project(
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
     return _projection_lists(state, _measure_stack, qubit, outcome)[outcome]
+
+
+# the stacked projector of each kind of measurement, as a schedule names it
+_STACKS = {"bell": _bell_stack, "computational": _measure_stack}
 
 
 def measure_computational(

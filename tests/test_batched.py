@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import warnings
 import weakref
+from math import asin, sqrt
 
 import numpy as np
 import pytest
@@ -33,9 +34,13 @@ from qracbox.quantum import (
     KET1,
     KET_PLUS,
     OutcomeNode,
+    StateVector,
     _choose,
+    bell_projections,
     fidelity,
     haar_random_qubit,
+    make_pure_qubit,
+    measure_projections,
     tensor,
 )
 from qracbox.rng import make_rng, stream_words, word_bits, word_uniform
@@ -126,6 +131,22 @@ class TestBatchedWalk:
         expected = [_choose(Fixed(u), node.probs, sum(node.probs)) for u in uniforms]
         assert expected == [0, 0, 1, 1]
         assert node.pick(np.array(uniforms)).tolist() == expected
+
+        # an outcome of 0 < p < PROB_FLOOR is as impossible as in an
+        # enumeration, which prunes it: computational, then Bell
+        small = 5e-15
+        qubit = make_pure_qubit(2 * asin(sqrt(small)), 0)
+        bell = StateVector(2, (sqrt(1 - small) * np.array([1, 0, 0, 1])
+                               + sqrt(small) * np.array([0, -1, 1, 0])) / sqrt(2))
+        for state, measurement, projections in (
+            (qubit, ("computational", 0), measure_projections(qubit, 0)),
+            (bell, ("bell", (0, 1)), bell_projections(bell, (0, 1))),
+        ):
+            assert 0 < projections[-1][0] < 1e-14 and projections[-1][1] is None
+            node = OutcomeNode(state, [measurement])
+            assert node.probs[-1] == 0.0
+            assert node.draw(Fixed(1 - 2e-15))[0] == 0
+            assert node.pick(np.array([1 - 2e-15, 1 - 2**-53])).tolist() == [0, 0]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_walk_is_draw_trial_by_trial(self, seed):

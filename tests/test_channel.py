@@ -14,6 +14,7 @@ import pytest
 import qracbox
 from qracbox import channel as channel_module
 from qracbox import qrac as qrac_module
+from qracbox import quantum as quantum_module
 from qracbox.boxes import tv_distance
 from qracbox.channel import (
     D_IN,
@@ -546,49 +547,62 @@ class TestClearBoxCaches:
         _default_contrast.cache_clear()  # no cached wiring is left to hide the mutant
         assert np.max(np.abs(tomography().matrix - exact_choi.matrix)) == pytest.approx(2.0)
 
+    @staticmethod
+    def _executor_outputs() -> dict:
+        """Outputs of each executor of the box on one fixed round: exact, probed, sampled."""
+        rng = make_rng(96)
+        psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
+        joint = tensor([psi, phi, KET_PLUS])
+        words = stream_words(96, np.arange(256), 4)
+        ids, outputs = sample_channel_block(joint, words)
+        _, _, round_ids, round_outputs = qrac_rounds(psi, phi, KET_PLUS, words)
+        return {
+            "channel_branches": [
+                br.output.matrix for br in channel_branches(joint) if br.correction[0]
+            ],
+            "tomography": tomography().matrix,
+            "sample_channel_block": [outputs[i].matrix for i in ids.tolist()],
+            "qrac_rounds": [round_outputs[i].matrix for i in round_ids.tolist()],
+        }
+
+    @staticmethod
+    def _changed(before: dict, after: dict) -> list:
+        return [
+            name for name in before
+            if not np.array_equal(np.stack(before[name]), np.stack(after[name]))
+        ]
+
     def test_a_relabelling_mutant_reaches_every_executor(self, monkeypatch, clear_box_caches):
         honest_relabelled = qrac_module._relabelled
 
         def no_z(rho, correction):  # Z^c1 X^c0 without its Z
             return honest_relabelled(rho, (0, correction[1]))
 
-        rng = make_rng(96)
-        psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
-        joint = tensor([psi, phi, KET_PLUS])
-        words = stream_words(96, np.arange(256), 4)
-
-        def run() -> dict:
-            ids, outputs = sample_channel_block(joint, words)
-            _, _, round_ids, round_outputs = qrac_rounds(psi, phi, KET_PLUS, words)
-            return {
-                "channel_branches": [
-                    br.output.matrix for br in channel_branches(joint) if br.correction[0]
-                ],
-                "tomography": tomography().matrix,
-                "sample_channel_block": [outputs[i].matrix for i in ids.tolist()],
-                "qrac_rounds": [round_outputs[i].matrix for i in round_ids.tolist()],
-            }
-
-        def changed(before: dict, after: dict) -> list:
-            return [
-                name for name in before
-                if not np.array_equal(np.stack(before[name]), np.stack(after[name]))
-            ]
-
-        honest = run()
+        honest = self._executor_outputs()
         monkeypatch.setattr(qrac_module, "_relabelled", no_z)
         # an enumeration builds its leaves afresh: no cache to clear
-        mutant = run()
-        assert changed(honest, mutant) == ["channel_branches"]
+        mutant = self._executor_outputs()
+        assert self._changed(honest, mutant) == ["channel_branches"]
         assert all(
             not np.array_equal(a, b)
             for a, b in zip(honest["channel_branches"], mutant["channel_branches"])
         )
         _probe_sums.cache_clear()
-        assert changed(honest, run()) == ["channel_branches", "tomography"]
+        assert self._changed(honest, self._executor_outputs()) == ["channel_branches", "tomography"]
         # the sampled executors read Bob's outputs from the cached trees' leaves
         qrac_module._tree.cache_clear()
-        assert changed(honest, run()) == list(honest)
+        assert self._changed(honest, self._executor_outputs()) == list(honest)
+
+    def test_a_projection_mutant_reaches_every_executor(self, monkeypatch, clear_box_caches):
+        honest_amplitudes = quantum_module._bell_amplitudes
+
+        def swapped(stack, n, pair):  # outcomes 1 and 2 trade their amplitudes
+            return honest_amplitudes(stack, n, pair)[[0, 2, 1, 3]]
+
+        honest = self._executor_outputs()
+        monkeypatch.setattr(quantum_module, "_bell_amplitudes", swapped)
+        clear_box_caches()
+        assert self._changed(honest, self._executor_outputs()) == list(honest)
 
     def test_teardown_restores_the_honest_box(self, exact_choi):
         # runs after the mutant test, whose teardown must leave no mutant result cached

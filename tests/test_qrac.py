@@ -24,9 +24,9 @@ from qracbox.qrac import (
     _ALICE_MEASUREMENTS,
     _alice_root,
     _channel_root,
+    _channel_round,
     _choice_root,
     _load_inputs,
-    _register,
     _round_register,
     _tree,
     branch_sums,
@@ -488,7 +488,7 @@ class TestOutcomeTreeCache:
         for joint, tree in zip(joints, trees):
             expected = tensor([joint, PHI_PLUS, PHI_PLUS]).amplitudes.tobytes()
             assert tree.state.amplitudes.tobytes() == expected
-            assert _register(joint, (0, 1, 2))[0].amplitudes.tobytes() == expected
+            assert _channel_round(joint, (0, 1, 2))[0].tobytes() == expected
         checked = []
         honest_check = StateVector.__post_init__
 
