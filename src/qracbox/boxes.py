@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
+from math import log, sqrt
 
 import numpy as np
 
@@ -166,6 +167,33 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.sum(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float))))
 
 
+# the false-alarm rate of every leaf-frequency check, stated in each report
+LEAF_DELTA = 1e-6
+
+
+def leaf_frequency_check(counts, probabilities, trials: int) -> tuple[dict, dict]:
+    """Check how often sampled rounds reached each leaf against its exact probability.
+
+    ``counts[i]`` of ``trials`` rounds reached leaf i, of exact outcome-table
+    probability ``probabilities[i]``; the value is max |counts[i]/trials -
+    probabilities[i]| over the L leaves.  Each frequency is a mean of
+    ``trials`` indicators, so by Hoeffding's inequality and a union bound a
+    correct sampler exceeds sqrt(ln(2L/delta) / (2 trials)) with probability
+    at most delta = ``LEAF_DELTA``.  Returns the check and the metrics that
+    state L and delta.
+    """
+    deviation = float(np.max(np.abs(np.asarray(counts) / trials - probabilities)))
+    tolerance = sqrt(log(2 * len(probabilities) / LEAF_DELTA) / (2 * trials))
+    metrics = {"leaf_count": len(probabilities), "leaf_false_alarm_rate": LEAF_DELTA}
+    return check("leaf-frequency", deviation <= tolerance, deviation, tolerance), metrics
+
+
+# the (a0, a1, w) of a sampled privacy trial's rounds, one box coin each:
+# Bob's view at w = 0 for a1 = 0, 1; Alice's at (a0, a1) = (0, 1) for
+# w = 0, 1; Bob's view at w = 1 for a0 = 0, 1
+_PRIVACY_ROUNDS = ((0, 0, 0), (0, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 1))
+
+
 def verify_rac_privacy(trials: int, seed: int) -> dict:
     """Check that the RAC leaks nothing it should not.
 
@@ -175,9 +203,10 @@ def verify_rac_privacy(trials: int, seed: int) -> dict:
     Alice's view (A) independent of w.  The same pass counts the cases
     whose output is a_w, as the metrics ``exhaustive_cases`` and
     ``exhaustive_correct``; the ``racbox`` report checks that count.
-    Sampled part: Bob's view at (w=0, a0=0) for either a1, and Alice's
-    at (a0=0, a1=1) for either w, from `trials` seeded rounds, with
-    total variation tolerance max(0.02, 6/sqrt(trials)).
+    Sampled part: Bob's view at (w=0, a0=0) for either a1 and at (w=1,
+    a1=0) for either a0, the larger of the two distances, and Alice's at
+    (a0=0, a1=1) for either w, from `trials` seeded rounds, with total
+    variation tolerance max(0.02, 6/sqrt(trials)).
     """
     trials = trial_count(trials, 10**3, "privacy verification")
 
@@ -202,21 +231,19 @@ def verify_rac_privacy(trials: int, seed: int) -> dict:
         for a1 in (0, 1)
     )
 
-    # sampled comparison at fixed (w=0, a0=0), varying the unasked bit a1;
-    # a trial plays four rounds on the four coins of two PCG64 words
-    bob_counts = {0: np.zeros(4), 1: np.zeros(4)}
-    alice_counts = {0: np.zeros(2), 1: np.zeros(2)}
+    # the sampled rounds: (m, B) counts of each, on its own coin of the
+    # six that a trial draws from three PCG64 words
+    counts = np.zeros((len(_PRIVACY_ROUNDS), 4))
     rng = np.random.default_rng(seed)
     for block in trial_blocks(trials):
-        coins = bit_columns(rng.bit_generator.random_raw(2 * len(block)).reshape(-1, 2))
-        for a1 in (0, 1):
-            message, output = rac_wiring(0, a1, 0, PRBoxes(coins[:, a1]))
-            bob_counts[a1] += np.bincount(2 * message + (message ^ output), minlength=4)
-        for w in (0, 1):
-            message, _ = rac_wiring(0, 1, w, PRBoxes(coins[:, 2 + w]))
-            alice_counts[w] += np.bincount(0 ^ message, minlength=2)
-    sampled_bob_tv = tv_distance(bob_counts[0] / trials, bob_counts[1] / trials)
-    sampled_alice_tv = tv_distance(alice_counts[0] / trials, alice_counts[1] / trials)
+        coins = bit_columns(rng.bit_generator.random_raw(3 * len(block)).reshape(-1, 3))
+        for row, (a0, a1, w), coin in zip(counts, _PRIVACY_ROUNDS, coins.T):
+            message, output = rac_wiring(a0, a1, w, PRBoxes(coin))
+            row += np.bincount(2 * message + (message ^ output), minlength=4)
+    bob = counts[[0, 1, 4, 5]] / trials
+    sampled_bob_tv = max(tv_distance(bob[0], bob[1]), tv_distance(bob[2], bob[3]))
+    alice = counts[2:4].reshape(2, 2, 2).sum(axis=2) / trials  # A = a0 XOR m = m
+    sampled_alice_tv = tv_distance(alice[0], alice[1])
     # 0.02 at the reference operating point of 1e5 trials; scaled above
     # that for smaller samples, where noise alone exceeds 0.02
     sampled_tol = max(0.02, 6.0 / float(np.sqrt(trials)))

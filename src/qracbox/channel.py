@@ -23,10 +23,15 @@ maximally entangled probe behind ``tomography()`` and ``subchannels()``
 and its arrays are shared read-only; every ``ChoiMatrix`` built from
 them is still a validated copy.  So the saving is for a process that
 makes several exact reports.  These two are not the only caches the
-box's wiring feeds (``qrac._tree`` keeps outcome trees, with Bob's
-outputs on their leaves), so a test that changes the box must clear
-all three, as the suite's ``clear_box_caches`` fixture
-(``tests/conftest.py``) does.
+box's wiring feeds (``qrac._tree`` keeps the sampled executors' outcome
+tables, with Bob's outputs in their leaves' memos), so a test that
+changes the box must clear all three, as the suite's
+``clear_box_caches`` fixture (``tests/conftest.py``) does.
+
+The sampled reports also check their sampler: sampled tomography and
+sampled non-signaling count how often their trials reached each leaf
+of the outcome table they walk, and ``boxes.leaf_frequency_check``
+compares those frequencies with the table's exact leaf probabilities.
 
 Choi convention: index (i*d_out + o), i.e. J = sum_ij |i><j| (x)
 L(|i><j|), so the partial trace over the output equals the identity on
@@ -41,14 +46,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .boxes import check, tv_distance
+from .boxes import check, leaf_frequency_check, tv_distance
 from .qrac import (
+    _alice_block,
+    _channel_block,
     _check_qubits,
     _round_register,
     branch_sums,
     channel_branches,
-    sample_alice_outputs,
-    sample_channel_block,
 )
 from .quantum import KET0, KET1, KET_MINUS, KET_PLUS, StateVector, trace_distance
 from .rng import TRIAL_BLOCK, make_rng, stream_words, trial_blocks, trial_count
@@ -164,16 +169,23 @@ def tomography(
     if mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled tomography needs trials and seed")
-        trials = trial_count(trials, 1, "sampled tomography")
-        probe = _entangled_probe()
-        total = np.zeros((D_IN * D_OUT, D_IN * D_OUT), dtype=complex)
-        for block in trial_blocks(trials):
-            ids, outputs = sample_channel_block(probe, stream_words(seed, block, 4), (3, 4, 5))
-            terms = [D_IN * rho.matrix / trials for rho in outputs]
-            for k in ids.tolist():  # in trial order, so every float is the same
-                total += terms[k]
-        return ChoiMatrix(D_IN, D_OUT, total)
+        return _sampled_tomography(trials, seed)[0]
     raise ValueError(f"unknown tomography mode {mode!r}")
+
+
+def _sampled_tomography(trials: int, seed: int) -> tuple[ChoiMatrix, np.ndarray, np.ndarray]:
+    """Sampled ``tomography``, then each probe-table leaf's trial count and exact probability."""
+    trials = trial_count(trials, 1, "sampled tomography")
+    probe = _entangled_probe()
+    total = np.zeros((D_IN * D_OUT, D_IN * D_OUT), dtype=complex)
+    counts = 0
+    for block in trial_blocks(trials):
+        ids, outputs, ends, table = _channel_block(probe, stream_words(seed, block, 4), (3, 4, 5))
+        counts = counts + np.bincount(ends, minlength=len(table.paths))
+        terms = [D_IN * rho.matrix / trials for rho in outputs]
+        for k in ids.tolist():  # in trial order, so every float is the same
+            total += terms[k]
+    return ChoiMatrix(D_IN, D_OUT, total), counts, table.probabilities
 
 
 def subchannels() -> SubchannelSet:
@@ -372,7 +384,9 @@ def verify_nonsignaling(
     pairs, (psi, phi) and the fixed contrast pair (|+>, |->).  To check
     the withheld marginal of another pair, pass it as (psi, phi).
     Sampled part (mode="sampled", trials >= 1e4):
-    the Alice comparison re-done statistically with tolerance 0.02.
+    the Alice comparison re-done statistically with tolerance 0.02, and
+    how often each w's trials reached each leaf of Alice's outcome table
+    against its exact probability (``boxes.leaf_frequency_check``).
     """
     if mode not in ("branch-exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -400,14 +414,21 @@ def verify_nonsignaling(
     if mode == "sampled":
         # trial t with choice w plays words 3t .. 3t+2 of stream (seed, w)
         counts = {0: np.zeros(4), 1: np.zeros(4)}
+        leaf_counts = {0: 0, 1: 0}
         for w in (0, 1):
             raw = make_rng(seed, w).bit_generator
             for block in trial_blocks(trials):
                 words = raw.random_raw(3 * len(block)).reshape(-1, 3)
-                counts[w] += np.bincount(sample_alice_outputs(psi, phi, words), minlength=4)
+                alice, ends, table = _alice_block(psi, phi, words)
+                counts[w] += np.bincount(alice, minlength=4)
+                leaf_counts[w] = leaf_counts[w] + np.bincount(ends, minlength=len(table.paths))
         sampled_tv = tv_distance(counts[0] / trials, counts[1] / trials)
         checks.append(check("alice-distribution-sampled", sampled_tv <= 0.02, sampled_tv, 0.02))
-        metrics["sampled_alice_tv"] = sampled_tv
-        metrics["sampled_trials"] = trials
+        # both samples' leaves, each against the table: 2L frequencies of n trials
+        leaf, leaf_metrics = leaf_frequency_check(
+            np.concatenate([leaf_counts[0], leaf_counts[1]]), np.tile(table.probabilities, 2), trials
+        )
+        checks.append(leaf)
+        metrics.update(leaf_metrics, sampled_alice_tv=sampled_tv, sampled_trials=trials)
 
     return {"metrics": metrics, "checks": checks}

@@ -31,6 +31,7 @@ from ._version import __version__
 from .boxes import (
     PRBoxes,
     check,
+    leaf_frequency_check,
     rac_round,
     rac_wiring,
     tv_distance,
@@ -39,6 +40,7 @@ from .boxes import (
 from .channel import (
     _omega_from_amplitudes,
     _residual_overlaps,
+    _sampled_tomography,
     build_dilation,
     mixture_check,
     subchannels,
@@ -61,6 +63,7 @@ from .qrac import (
     QracResources,
     _choice_root,
     _round_register,
+    _sampled_rounds,
     branch_sums,
     channel_branches,
     dense_decode,
@@ -68,7 +71,6 @@ from .qrac import (
     dense_encode,
     qrac_alice,
     qrac_bob,
-    qrac_rounds,
 )
 from .quantum import (
     KET0,
@@ -198,9 +200,7 @@ class ExperimentConfig:
         return 1.0 + 0j, 0j
 
     def resolved_omega(self) -> StateVector:
-        alpha, beta = self.resolved_omega_amplitudes()
-        amps = np.array([alpha, beta])
-        return StateVector(1, amps / np.linalg.norm(amps))
+        return _omega_from_amplitudes(*self.resolved_omega_amplitudes())
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -253,7 +253,8 @@ def run_qrac_protocol(
     """
     rng = make_rng(seed, trial)
     res = QracResources(rng)
-    w, _ = _choice_root(omega).draw(rng)
+    choice = _choice_root(omega)
+    w = int(choice.paths[choice.draw(rng), 0])
     alice = qrac_alice(psi, phi, res)
     channel = MeteredChannel()
     if dense:
@@ -340,18 +341,19 @@ def _qrac_block(
     seed: int,
     trials: np.ndarray,
     dense: bool,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, Tally]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, Tally, tuple]:
     """Rounds ``trials`` of a qrac report at once: ``run_qrac_protocol`` on arrays.
 
     Each trial draws the raw words of its stream that its lone round
     draws (see ``rng``), so each trial is the round that
     ``run_qrac_protocol(..., trial=i)`` replays.  Every round is metered
     and held to the budget.  Returns w, Alice's bits (a1, a0), the
-    recovery fidelity per trial and the block's tally.
+    recovery fidelity per trial, the block's tally, and how many trials
+    reached each leaf of the round with the leaves' exact probabilities.
     """
     label = "qrac-qubit-only" if dense else "qrac"
     words = stream_words(seed, trials, 5 if dense else 4)
-    w, alice, ids, outputs = qrac_rounds(psi, phi, omega, words)
+    w, alice, ids, outputs, leaves, probabilities = _sampled_rounds(psi, phi, omega, words)
     channel = MeteredChannel(trials)
     if dense:
         sent = 2 * alice[0] + alice[1]
@@ -370,7 +372,8 @@ def _qrac_block(
     choices = np.empty(len(outputs), dtype=np.intp)
     choices[ids] = w
     values = [fidelity(out, psi if c == 0 else phi) for out, c in zip(outputs, choices.tolist())]
-    return w, alice, np.array(values)[ids], tally
+    leaf_counts = np.bincount(leaves, minlength=len(probabilities))
+    return w, alice, np.array(values)[ids], tally, (leaf_counts, probabilities)
 
 
 def _exp_qrac(
@@ -382,10 +385,14 @@ def _exp_qrac(
     tallies = Tally()
     fidelities = []
     histogram = np.zeros(4, dtype=np.int64)
+    leaf_counts = 0
     rows = []
     for trials in trial_blocks(rounds):
-        w, (a1, a0), f, tally = _qrac_block(psi, phi, omega, config.seed, trials, dense)
+        w, (a1, a0), f, tally, (counts, probabilities) = _qrac_block(
+            psi, phi, omega, config.seed, trials, dense
+        )
         tallies = tallies + tally
+        leaf_counts = leaf_counts + counts
         fidelities.append(f)
         histogram += np.bincount(2 * a1 + a0, minlength=4)
         if with_rows:
@@ -395,15 +402,14 @@ def _exp_qrac(
     histogram = histogram.tolist()
 
     min_f = float(fidelities.min())
-    checks = [
-        check("budget-every-round", True, 0.0, 0.0),
-        check("recovery-fidelity", min_f >= 1 - 1e-10, min_f, 1e-10),
-    ]
+    leaf, leaf_metrics = leaf_frequency_check(leaf_counts, probabilities, rounds)
+    checks = [check("recovery-fidelity", min_f >= 1 - 1e-10, min_f, 1e-10), leaf]
     metrics = {
         "rounds": rounds,
         "min_fidelity": min_f,
         "mean_fidelity": float(np.mean(fidelities)),
         "alice_histogram": histogram,
+        **leaf_metrics,
     }
     sampled_tv = tv_distance([h / rounds for h in histogram], [0.25] * 4)
     metrics["alice_uniformity_tv"] = sampled_tv
@@ -452,7 +458,6 @@ def _exp_racbox(
     checks = [
         check("rac-exhaustive-correct", correct == 16, float(correct), None),
         check("rac-sampled-correct", sampled_correct == config.trials, float(sampled_correct), None),
-        check("budget-every-round", True, 0.0, 0.0),
         *privacy["checks"],
     ]
     metrics = {"rounds": config.trials, **privacy["metrics"]}
@@ -462,16 +467,19 @@ def _exp_racbox(
 
 def _exp_tomography(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list]:
     if config.mode == "sampled":
-        choi = tomography(mode="sampled", trials=config.trials, seed=config.seed)
+        choi, leaf_counts, probabilities = _sampled_tomography(config.trials, config.seed)
         tolerance = max(1e-8, 64 / sqrt(config.trials))
         exact = tomography()
         deviation = float(np.max(np.abs(choi.matrix - exact.matrix)))
         tp_defect = choi.tp_defect()
+        leaf, leaf_metrics = leaf_frequency_check(leaf_counts, probabilities, config.trials)
         checks = [
             check("sampled-trials-sufficient", config.trials >= 1000, float(config.trials), 1000.0),
             check("choi-trace-preserving", tp_defect <= tolerance, tp_defect, tolerance),
+            leaf,
         ]
         metrics = {
+            **leaf_metrics,
             "mode": "sampled",
             "trials": config.trials,
             "min_eigenvalue": choi.min_eigenvalue(),
@@ -540,7 +548,6 @@ def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, li
 
     checks = [
         check("isometry", defect <= 1e-8, defect, 1e-8),
-        check("environment-dimension", dil.env_dim <= 16, float(dil.env_dim), 16.0),
         check("residual-orthogonality-max", max_overlap <= 1e-6, max_overlap, 1e-6),
         check("residual-purity-min", min_purity >= 1 - 1e-6, min_purity, 1e-6),
     ]

@@ -28,29 +28,39 @@ single-trial references (``qrac_alice`` / ``qrac_bob``,
 each outcome drawn from an rng.  Every other round runs through one
 pass, ``_play``: rows of (leaf, w, Bell outcome indices, coins) in,
 Alice's bits, Bob's box outputs and corrections and his distinct
-outputs out, from one ``PRBoxes`` pair.  The rows come two ways:
+outputs out, from one ``PRBoxes`` pair.
+
+Both executors read one kind of object, a ``quantum.OutcomeTable``
+built by ``quantum.outcome_table``: a register taken through its
+measurement schedule level by level, one stacked projection a level
+(every float that of projecting each state alone), with each parent's
+running sum of outcome probabilities, each leaf's path, probability
+and amplitudes, and a memo per leaf.  The rows of ``_play`` come two
+ways:
 
 * sampled (``qrac_rounds``, ``sample_channel_block``): a block of
   trials at once, from the raw Philox words each trial's lone round
   would draw (the word map is in ``rng``), so every trial equals its
-  single-trial replay bit for bit.  The reports run these, and
-  ``sample_alice_outputs`` and ``dense_decode_block``, which need no
-  output of Bob's and read the same words the same way;
-* enumerated (``channel_branches``): each leaf x the four coin pairs,
-  every branch with its exact probability, so the suite can assert
-  identities at 1e-10 instead of collecting statistics.  It runs on
-  (K, 2^n) amplitude stacks from the register to the branch sums: one
-  stacked projection per measurement of ``_channel_round``'s schedule
-  (the choice, then each Bell measurement), every float that of
-  projecting each state alone (``quantum.bell_projections``), and the
-  leaves of the last level go to ``_play`` as one stack.  It returns
-  one ``BranchTable``: the leaf probabilities, a row of ints per branch
-  and the distinct outputs.  ``branch_sums`` reads those arrays; a
-  ``ChannelBranch`` is built only when the table is indexed or iterated.
+  single-trial replay bit for bit.  ``OutcomeTable.walk`` maps each
+  trial's uniforms to its leaf, one inverse-CDF lookup over the running
+  sums a level, and the single-trial references draw from the same
+  rows with ``quantum._choose``, the same rule.  The reports run these,
+  and ``sample_alice_outputs`` and ``dense_decode_block``, which need no
+  output of Bob's and read the same words the same way.  The private
+  ``_sampled_rounds``, ``_channel_block`` and ``_alice_block`` also
+  return each trial's leaf, for the reports' leaf-frequency checks;
+* enumerated (``channel_branches``): each leaf of a fresh table of
+  ``_channel_round``'s schedule (the choice, then each Bell
+  measurement) x the four coin pairs, every branch with its exact
+  probability, so the suite can assert identities at 1e-10 instead of
+  collecting statistics.  It returns one ``BranchTable``: the leaf
+  probabilities, a row of ints per branch and the distinct outputs.
+  ``branch_sums`` reads those arrays; a ``ChannelBranch`` is built only
+  when the table is indexed or iterated.
 
 Bob's corrected outputs come from one function, ``_leaf_outputs``,
-which keeps each in a memo of its leaf: the ``OutcomeNode`` of a
-sampled walk, or a fresh dict per leaf of an enumeration.  It takes
+which keeps each in the memo of its table leaf: a cached table's for a
+sampled walk, a fresh one's for an enumeration.  It takes
 one stacked partial trace per target, a row per leaf, and builds each
 corrected output Z^c1 X^c0 rho X^c0 Z^c1 by an exact signed
 relabelling of the stack (``_relabelled``): entry (r, c) is
@@ -66,20 +76,15 @@ bits wired to Bob the coins cancel out of his correction, so the four
 coin branches of an enumerated leaf share one output.  Every exact
 claim reduces an enumeration through ``branch_sums``.
 
-The sampled executors walk an outcome tree (``quantum.OutcomeNode``)
-instead of redoing the linear algebra in every trial; its nodes project
-through the enumeration's core, all but a Bell node's Born sum.  For
-fixed inputs a round reaches few states: at most 2 choice outcomes x 4 x
-4 Bell outcomes, and each leaf few corrected outputs.
-``OutcomeNode.draw`` takes one trial down the tree with one uniform per
-measurement; ``OutcomeNode.walk`` takes a block of trials down it at
-once, picking the same outcomes from the same uniforms and grouping the
-trials by outcome.  The first trial that reaches a state computes it,
-and later trials, of either executor, reuse it, Bob's corrected output
-included.  All roots share one cache, ``_tree``, keyed by a register's
-exact amplitude bytes and its measurement schedule: Alice's loaded
-register with her two Bell measurements, Bob's choice qubit omega with
-its computational measurement, the channel round of ``_channel_round``
+The sampled executors walk a cached table instead of redoing the
+linear algebra in every trial.  For fixed inputs a round reaches few
+states: at most 2 choice outcomes x 4 x 4 Bell outcomes, and each leaf
+few corrected outputs.  The first trial that reaches a leaf output
+computes it, and later trials, of either executor, reuse it.  All
+sampled tables share one cache, ``_tree``, keyed by a register's exact
+amplitude bytes and its measurement schedule: Alice's loaded register
+with her two Bell measurements, Bob's choice qubit omega with its
+computational measurement, the channel round of ``_channel_round``
 (the one ``channel_branches`` enumerates), and each dense-coded payload
 with its Bell decoding.  Results are bit-for-bit those of a fresh
 computation.
@@ -100,15 +105,15 @@ from .quantum import (
     _BELL_OUTCOMES,
     BellOutcome,
     DensityMatrix,
-    OutcomeNode,
+    OutcomeTable,
     StateVector,
-    _STACKS,
     _checked_states,
     _reduced_matrices,
     apply_unitary,
     bell_measure,
     density_matrices,
     pauli_correction,
+    outcome_table,
     tensor,
 )
 from .rng import bit_columns, word_uniform
@@ -117,7 +122,7 @@ A_PRIME, A_DPRIME, EPR1_ALICE, EPR1_BOB, EPR2_ALICE, EPR2_BOB = range(6)
 
 _EPR_PAIRS = tensor([PHI_PLUS, PHI_PLUS])
 
-# the measurement schedules of the cached outcome trees, first to last
+# the measurement schedules of the cached outcome tables, first to last
 _ALICE_MEASUREMENTS = (("bell", (A_PRIME, EPR1_ALICE)), ("bell", (A_DPRIME, EPR2_ALICE)))
 _CHOICE_MEASUREMENT = (("computational", 0),)
 _DENSE_DECODING = (("bell", (0, 1)),)
@@ -132,21 +137,21 @@ def _load_inputs(psi: StateVector, phi: StateVector) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _tree(num_qubits: int, amplitudes: bytes, measurements: tuple) -> OutcomeNode:
-    """The outcome tree of ``measurements`` on the register of these exact amplitudes.
+def _tree(num_qubits: int, amplitudes: bytes, measurements: tuple) -> OutcomeTable:
+    """The outcome table of ``measurements`` on the register of these exact amplitudes.
 
-    A tree holds at most 43 states (a choice, then two Bell
-    measurements: 1 + 2 + 8 + 32), and the largest sampled register is
-    the channel's 10-qubit probe register, at 16 KiB a state, so the 16
-    trees kept take at most about 11 MiB.  The benchmark's sampled
-    reports reach 10 (3 Alice, 2 choice, 1 probe and 4 payload trees);
+    A table keeps at most 32 leaf states (a choice, then two Bell
+    measurements: 2 x 4 x 4), and the largest sampled register is the
+    channel's 10-qubit probe register, at 16 KiB a state, so the 16
+    tables kept take at most about 8 MiB.  The benchmark's sampled
+    reports reach 10 (3 Alice, 2 choice, 1 probe and 4 payload tables);
     a smaller cache would miss on every pass.
     """
-    register = StateVector(num_qubits, np.frombuffer(amplitudes, dtype=complex))
-    return OutcomeNode(register, measurements)
+    root = _checked_states(num_qubits, np.frombuffer(amplitudes, dtype=complex)[None])
+    return outcome_table(num_qubits, root, measurements)
 
 
-def _root(register: StateVector, measurements: tuple) -> OutcomeNode:
+def _root(register: StateVector, measurements: tuple) -> OutcomeTable:
     """The cached ``_tree`` of ``register`` and ``measurements``."""
     return _tree(register.num_qubits, register.amplitudes.tobytes(), measurements)
 
@@ -185,16 +190,17 @@ class QracResources:
     """Shared one-round resources: two EPR pairs and two fresh PR-boxes.
 
     The register (both inputs and both exact |Phi+> pairs) is loaded when
-    Alice's side runs; ``leaf`` then holds it collapsed by her two Bell
-    measurements, for Bob's side.  Each side runs once: a set ``leaf``
-    means Alice's side has run, and the boxes refuse Bob's side twice.
+    Alice's side runs; ``leaf`` then holds her outcome table and the
+    leaf her two Bell measurements reached, for Bob's side.  Each side
+    runs once: a set ``leaf`` means Alice's side has run, and the boxes
+    refuse Bob's side twice.
     """
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
         self.box0 = PRBox(rng)
         self.box1 = PRBox(rng)
-        self.leaf: OutcomeNode | None = None
+        self.leaf: tuple[OutcomeTable, int] | None = None
 
 
 def _check_qubits(**states: StateVector) -> None:
@@ -204,14 +210,14 @@ def _check_qubits(**states: StateVector) -> None:
             raise ValueError(f"{name} must be a single-qubit state")
 
 
-def _alice_root(psi: StateVector, phi: StateVector) -> OutcomeNode:
+def _alice_root(psi: StateVector, phi: StateVector) -> OutcomeTable:
     """Alice's two Bell measurements on the loaded register of checked (psi, phi)."""
     _check_qubits(psi=psi, phi=phi)
     # a product of checked states: ``_tree`` checks the register on a miss
     return _tree(6, _load_inputs(psi, phi).tobytes(), _ALICE_MEASUREMENTS)
 
 
-def _choice_root(omega: StateVector) -> OutcomeNode:
+def _choice_root(omega: StateVector) -> OutcomeTable:
     """Bob's computational measurement of a checked choice state omega."""
     _check_qubits(omega=omega)
     return _root(omega, _CHOICE_MEASUREMENT)
@@ -253,8 +259,10 @@ def _channel_round(
     return register, schedule, spectators
 
 
-def _channel_root(joint: StateVector, inputs: tuple[int, int, int]) -> tuple[OutcomeNode, list[int]]:
-    """The outcome tree of a ``_channel_round``, and its spectators.
+def _channel_root(
+    joint: StateVector, inputs: tuple[int, int, int]
+) -> tuple[OutcomeTable, list[int]]:
+    """The outcome table of a ``_channel_round``, and its spectators.
 
     Keyed like ``_alice_root``: by the register's amplitudes, left
     unchecked until a ``_tree`` miss.
@@ -319,21 +327,20 @@ def _relabelled(rho: np.ndarray, correction) -> np.ndarray:
 
 
 def _leaf_outputs(
-    amplitudes, memos: list[dict], ends: np.ndarray, target, correction, spectators: list[int]
+    table: OutcomeTable, ends: np.ndarray, target, correction, spectators: list[int]
 ) -> tuple[np.ndarray, list[DensityMatrix]]:
     """The state of ``spectators`` + corrected ``target`` of each row, once per distinct one.
 
-    Row t ends on leaf ``ends[t]``, whose amplitudes are
-    ``amplitudes[ends[t]]`` (a row of a leaf stack, or of a list) and
-    whose outputs are kept in ``memos[ends[t]]`` by (target,
-    correction); ``target`` and the (bit1, bit0) ``correction`` are ints
-    or one entry a row.  Returns each row's index into the list of
-    distinct outputs, and that list.  Missing outputs are computed raw,
-    one stacked partial trace per target over the leaves that need it
-    and one signed relabelling of the stack of their corrections, then
-    checked as one stack.  The leaves belong to one register, so to one
-    set of spectators.
+    Row t ends on leaf ``ends[t]`` of ``table``, whose outputs are kept
+    in its memo by (target, correction); ``target`` and the (bit1, bit0)
+    ``correction`` are ints or one entry a row.  Returns each row's
+    index into the list of distinct outputs, and that list.  Missing
+    outputs are computed raw, one stacked partial trace per target over
+    the leaves that need it and one signed relabelling of the stack of
+    their corrections, then checked as one stack.  The leaves belong to
+    one register, so to one set of spectators.
     """
+    memos = table.memos
     shape = (len(memos), np.max(target, initial=0) + 1, 2, 2)  # leaf, target, bit1, bit0
     keys = np.ravel_multi_index((ends, target, *correction), shape)  # sort as the tuples do
     distinct, inverse = np.unique(keys, return_inverse=True)
@@ -347,7 +354,7 @@ def _leaf_outputs(
     for qubit in sorted({qubit for (_, qubit), rho in base.items() if rho is None}):
         assert all(q < qubit for q in spectators), "target must be the last kept qubit"
         ends_q = [end for (end, q), rho in base.items() if q == qubit and rho is None]
-        traces = _reduced_matrices([amplitudes[end] for end in ends_q], spectators + [qubit])
+        traces = _reduced_matrices([table.leaves[end] for end in ends_q], spectators + [qubit])
         for end, trace in zip(ends_q, traces):
             base[end, qubit] = raw[end, (qubit, (0, 0))] = trace
     relabel = [(end, key) for end, key in missing if key[1] != (0, 0)]
@@ -361,24 +368,19 @@ def _leaf_outputs(
     return inverse.reshape(-1), [memos[end][key] for end, key in distinct]
 
 
-def _node_leaves(nodes: list[OutcomeNode]) -> tuple[list[np.ndarray], list[dict]]:
-    """The amplitudes and memos ``_leaf_outputs`` reads, of outcome-tree leaves."""
-    return [node.state.amplitudes for node in nodes], [node.memo for node in nodes]
+def _leaf_output(table: OutcomeTable, end: int, target: int, correction, spectators):
+    """Correct ``target`` on leaf ``end`` and keep it: ``_leaf_outputs`` of one row."""
+    ends = np.full(1, end, dtype=np.intp)
+    return _leaf_outputs(table, ends, target, correction, spectators)[1][0]
 
 
-def _leaf_output(leaf: OutcomeNode, target: int, correction, spectators) -> DensityMatrix:
-    """Correct ``target`` and keep it: ``_leaf_outputs`` of one row."""
-    ends = np.zeros(1, dtype=np.intp)
-    return _leaf_outputs(*_node_leaves([leaf]), ends, target, correction, spectators)[1][0]
-
-
-def _play(amplitudes, memos, ends, w, bells, coins, epr: int, spectators, b=None):
+def _play(table, ends, w, bells, coins, epr: int, spectators, b=None):
     """Rows of rounds with every outcome and coin given: the wiring and Bob's outputs.
 
-    Row t ends on leaf ``ends[t]`` of ``_leaf_outputs``' ``amplitudes``
-    and ``memos``, reached by Bob's choice ``w[t]`` and Alice's Bell
-    outcome indices ``bells[t]`` (first, second), with box coins
-    ``coins[t]``; ``epr`` is the first qubit of the first EPR pair.
+    Row t ends on leaf ``ends[t]`` of ``table``, reached by Bob's choice
+    ``w[t]`` and Alice's Bell outcome indices ``bells[t]`` (first,
+    second), with box coins ``coins[t]``; ``epr`` is the first qubit of
+    the first EPR pair.
     ``b=None`` wires Alice's bits to Bob; a fixed (b1, b0) of ints
     models a Bob who never learned them.  Returns Alice's bits (a1, a0),
     Bob's box outputs (B0, B1) and correction (bit1, bit0), one array
@@ -388,7 +390,7 @@ def _play(amplitudes, memos, ends, w, bells, coins, epr: int, spectators, b=None
     box0, box1 = PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1])
     alice = _alice_side(bells[:, 0], bells[:, 1], box0, box1)
     pr_outputs, correction, target = _bob_side(epr, w, alice if b is None else b, box0, box1)
-    ids, outputs = _leaf_outputs(amplitudes, memos, ends, target, correction, spectators)
+    ids, outputs = _leaf_outputs(table, ends, target, correction, spectators)
     return alice, pr_outputs, correction, ids, outputs
 
 
@@ -402,11 +404,11 @@ def qrac_alice(
     returns the masked two-bit output.  The output is uniform on
     {00, 01, 10, 11} whatever the inputs.
     """
-    root = _alice_root(psi, phi)
+    table = _alice_root(psi, phi)
     if res.leaf is not None:
         raise ProtocolError("Alice's side of these resources was already used")
-    first, node = root.draw(res.rng)
-    second, res.leaf = node.draw(res.rng)
+    res.leaf = table, table.draw(res.rng)
+    first, second = table.paths[res.leaf[1]].tolist()
     return AliceClassicalOutput(*_alice_side(first, second, res.box0, res.box1))
 
 
@@ -423,7 +425,7 @@ def qrac_bob(w: int, b, res: QracResources) -> DensityMatrix:
     if res.leaf is None:
         raise ProtocolError("Bob's side needs Alice's measurements on record")
     _, correction, target = _bob_side(EPR1_ALICE, w, bits, res.box0, res.box1)
-    return _leaf_output(res.leaf, target, correction, [])
+    return _leaf_output(*res.leaf, target, correction, [])
 
 
 def qrac_rounds(
@@ -437,14 +439,25 @@ def qrac_rounds(
     Returns Bob's choices w, Alice's bits (a1, a0) and each trial's
     index into the list of distinct outputs, Bob's chosen qubit.
     """
-    root = _alice_root(psi, phi)
+    return _sampled_rounds(psi, phi, omega, words)[:4]
+
+
+def _sampled_rounds(psi: StateVector, phi: StateVector, omega: StateVector, words: np.ndarray):
+    """``qrac_rounds``, then each trial's leaf of the round and the round's leaf probabilities.
+
+    A round's leaves are the pairs (leaf of Bob's choice table, leaf of
+    Alice's table), choice-major, each of probability the product of its
+    two leaves' probabilities.
+    """
+    table, choice = _alice_root(psi, phi), _choice_root(omega)
     uniforms = word_uniform(words[:, 1:4])
-    w = _choice_root(omega).walk(uniforms[:, :1])[0][:, 0]
-    bells, ends, leaves = root.walk(uniforms[:, 1:])
+    choices, ends = choice.walk(uniforms[:, :1]), table.walk(uniforms[:, 1:])
+    w = choice.paths[choices, 0]
     alice, _, _, ids, outputs = _play(
-        *_node_leaves(leaves), ends, w, bells, bit_columns(words[:, :1]), EPR1_ALICE, []
+        table, ends, w, table.paths[ends], bit_columns(words[:, :1]), EPR1_ALICE, []
     )
-    return w, alice, ids, outputs
+    probabilities = np.outer(choice.probabilities, table.probabilities).ravel()
+    return w, alice, ids, outputs, choices * len(table.paths) + ends, probabilities
 
 
 class DenseCodingPair:
@@ -490,7 +503,8 @@ def dense_decode_block(index: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     decoded = np.empty_like(index)
     for value in np.flatnonzero(np.bincount(index)).tolist():
         rows = index == value
-        decoded[rows] = _root(_PAYLOADS[value], _DENSE_DECODING).pick(uniforms[rows])
+        table = _root(_PAYLOADS[value], _DENSE_DECODING)
+        decoded[rows] = table.paths[table.walk(uniforms[rows, None]), 0]
     return decoded
 
 
@@ -580,21 +594,15 @@ def channel_branches(
     register, schedule, spectators = _channel_round(joint, inputs)
     n = joint.num_qubits
     fixed_b = None if b is None else _as_bits(b)
-
-    # one stacked projection per measurement of the schedule
-    leaves = _checked_states(n + 4, register[None])
-    paths, probabilities = np.zeros((1, 0), np.intp), np.ones(1)
-    for kind, target in schedule:
-        probs, ks, outcomes, leaves = _STACKS[kind](leaves, n + 4, target)
-        paths = np.column_stack([paths[ks], outcomes])
-        probabilities = probabilities[ks] * probs[outcomes, ks]
+    table = outcome_table(n + 4, _checked_states(n + 4, register[None]), schedule)
+    paths = table.paths
     ends = np.repeat(np.arange(len(paths)), 4)
     w, bells, coins = paths[ends, 0], paths[ends, 1:], np.tile(_COIN_PAIRS, (len(paths), 1))
     alice, pr_outputs, correction, ids, outputs = _play(
-        leaves, [{} for _ in paths], ends, w, bells, coins, n, spectators, fixed_b
+        table, ends, w, bells, coins, n, spectators, fixed_b
     )
     return BranchTable(
-        probabilities * 0.25, ends, w, bells, coins, 2 * alice[0] + alice[1],
+        table.probabilities * 0.25, ends, w, bells, coins, 2 * alice[0] + alice[1],
         np.column_stack(pr_outputs), np.column_stack(correction), ids, outputs,
     )
 
@@ -629,15 +637,13 @@ def sample_channel(
     each outcome from the rng (choice, both Bell measurements, then the
     coins); used by the sampled (statistical) verification paths.
     """
-    n = joint.num_qubits
-    tree, spectators = _channel_root(joint, inputs)
-    w, node = tree.draw(rng)
-    first, node = node.draw(rng)
-    second, leaf = node.draw(rng)
+    table, spectators = _channel_root(joint, inputs)
+    end = table.draw(rng)
+    w, first, second = table.paths[end].tolist()
     box0, box1 = PRBox(rng), PRBox(rng)
     alice_out = AliceClassicalOutput(*_alice_side(first, second, box0, box1))
-    _, correction, target = _bob_side(n, w, alice_out.bits, box0, box1)
-    return w, alice_out, _leaf_output(leaf, target, correction, spectators)
+    _, correction, target = _bob_side(joint.num_qubits, w, alice_out.bits, box0, box1)
+    return w, alice_out, _leaf_output(table, end, target, correction, spectators)
 
 
 def sample_channel_block(
@@ -649,14 +655,19 @@ def sample_channel_block(
     ``sample_channel`` makes: the choice, both Bell measurements, the
     coins.  Returns each trial's index into the list of distinct outputs.
     """
-    n = joint.num_qubits
-    tree, spectators = _channel_root(joint, inputs)
-    outcomes, ends, leaves = tree.walk(word_uniform(words[:, :3]))
+    return _channel_block(joint, words, inputs)[:2]
+
+
+def _channel_block(joint: StateVector, words: np.ndarray, inputs: tuple[int, int, int]):
+    """``sample_channel_block``, then each trial's leaf and the round's outcome table."""
+    table, spectators = _channel_root(joint, inputs)
+    ends = table.walk(word_uniform(words[:, :3]))
+    outcomes = table.paths[ends]
     *_, ids, outputs = _play(
-        *_node_leaves(leaves), ends, outcomes[:, 0], outcomes[:, 1:], bit_columns(words[:, 3:]),
-        n, spectators,
+        table, ends, outcomes[:, 0], outcomes[:, 1:], bit_columns(words[:, 3:]),
+        joint.num_qubits, spectators,
     )
-    return ids, outputs
+    return ids, outputs, ends, table
 
 
 def sample_alice_output(
@@ -681,7 +692,13 @@ def sample_alice_outputs(psi: StateVector, phi: StateVector, words: np.ndarray) 
     coins and Alice's two Bell measurements.  Bob's choice changes none
     of Alice's bits, so it is not needed.
     """
-    bells, _, _ = _alice_root(psi, phi).walk(word_uniform(words[:, 1:3]))
-    coins = bit_columns(words[:, :1])
+    return _alice_block(psi, phi, words)[0]
+
+
+def _alice_block(psi: StateVector, phi: StateVector, words: np.ndarray):
+    """``sample_alice_outputs``, then each trial's leaf and Alice's outcome table."""
+    table = _alice_root(psi, phi)
+    ends = table.walk(word_uniform(words[:, 1:3]))
+    bells, coins = table.paths[ends], bit_columns(words[:, :1])
     a1, a0 = _alice_side(bells[:, 0], bells[:, 1], PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1]))
-    return 2 * a1 + a0
+    return 2 * a1 + a0, ends, table

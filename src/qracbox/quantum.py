@@ -13,11 +13,13 @@ Conventions shared by the whole package:
 * States are compared through fidelity or trace distance, never by raw
   amplitudes: global phase carries no physics.
 * Every measurement projects through one stacked core, ``_projections``
-  (``_STACKS`` holds its Bell and computational forms): exact
-  enumerations, lone projections and each ``OutcomeNode`` alike, so an
-  outcome below ``PROB_FLOOR`` is impossible in all of them.  Only the
-  Born sum of a Bell outcome differs: <a|a> in an outcome tree, sum
-  |a|^2 everywhere else.
+  (``_STACKS`` holds its Bell and computational forms), with one Born
+  sum, sum |a|^2: lone projections, and every ``OutcomeTable``, so an
+  outcome below ``PROB_FLOOR`` is impossible in all of them.  One
+  function, ``outcome_table``, takes a register through a schedule of
+  measurements level by level, and both executors read its table: an
+  exact enumeration its leaves and their probabilities, a sampled run
+  its running sums, walked by the inverse-CDF rule of ``_choose``.
 
 Tolerances are fixed package-wide: 1e-12 for norms, 1e-10 for algebraic
 identities.  Statistical checks elsewhere always run on seeded generators.
@@ -25,7 +27,6 @@ identities.  Statistical checks elsewhere always run on seeded generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import cos, isfinite, sin, sqrt
 from typing import Iterable, Sequence
 
@@ -277,37 +278,21 @@ def apply_unitary(
     return StateVector(state.num_qubits, out.reshape(-1))
 
 
-def _squares(amps: np.ndarray) -> np.ndarray:
-    """sum |a|^2 of each outcome and state of an (outcomes, K, M) stack: the enumeration's sum."""
-    return np.add.reduce(np.abs(amps) ** 2, axis=2)
-
-
-def _inner_products(amps: np.ndarray) -> np.ndarray:
-    """<a|a> of each outcome and state of an (outcomes, K, M) stack, by einsum: a Bell node's."""
-    flat = amps.reshape(-1, amps.shape[2])
-    return np.einsum("ij,ij->i", flat, flat.conj()).real.reshape(amps.shape[:2])
-
-
-def _projections(
-    stack: np.ndarray, n: int, axes: tuple, outcome_amplitudes, collapse, only=None, born=_squares
-):
+def _projections(stack: np.ndarray, n: int, axes: tuple, outcome_amplitudes, collapse, only=None):
     """Every forced outcome of each state of a (K, 2^n) amplitude stack, as arrays.
 
-    Returns the (outcomes, K) Born probabilities, each ``born`` of its
-    outcome's amplitudes, and, state by state and outcome by outcome,
+    Returns the (outcomes, K) Born probabilities, each sum |a|^2 of its
+    outcome's amplitudes a, and, state by state and outcome by outcome,
     the state index ``ks``, the outcome index and the collapsed
     amplitudes of each outcome at or above ``PROB_FLOOR``: the kept rows
     of ``outcome_amplitudes``' (outcomes, K, M) stack, over the roots of
     their probabilities, go to ``collapse`` as one stack, which comes
     back checked and read-only.  With ``only`` set, no outcome but that
-    one is collapsed.  ``born`` is ``_squares`` but in a Bell node of an
-    outcome tree, which passes ``_inner_products``: the two sums round
-    differently in the last bit, and each executor's reports are pinned
-    to its own.
+    one is collapsed.
     """
     _check_targets(n, axes)
     amps = outcome_amplitudes(stack, n, axes)
-    probs = born(amps)
+    probs = np.add.reduce(np.abs(amps) ** 2, axis=2)
     kept = ~(probs < PROB_FLOOR)  # a NaN probability is kept, and fails the check
     if only is not None:
         kept[:only] = kept[only + 1 :] = False
@@ -371,9 +356,9 @@ def _bell_collapse(n: int, pair: tuple, outcomes, scaled: np.ndarray) -> np.ndar
     return _checked_states(n, posts.reshape(len(outcomes), 2**n))
 
 
-def _bell_stack(stack: np.ndarray, n: int, pair: tuple, only=None, born=_squares):
+def _bell_stack(stack: np.ndarray, n: int, pair: tuple, only=None):
     """``_projections`` of a Bell measurement of ``pair`` on each state of the stack."""
-    return _projections(stack, n, pair, _bell_amplitudes, _bell_collapse, only, born)
+    return _projections(stack, n, pair, _bell_amplitudes, _bell_collapse, only)
 
 
 def bell_projections(states, pair: Sequence[int]) -> list:
@@ -385,7 +370,7 @@ def bell_projections(states, pair: Sequence[int]) -> list:
     as a lone state's; each outcome is one ``np.dot(<B(i)| as 1x4,
     operand)``, never one 4x4 product, so a stack of 2- or 3-qubit
     states may round differently from each state alone.  An
-    ``OutcomeNode`` projects its state through the same core.
+    ``OutcomeTable`` projects its levels through the same core.
     """
     return _projection_lists(states, _bell_stack, tuple(pair))
 
@@ -402,109 +387,97 @@ def bell_project(
     return _projection_lists(state, _bell_stack, tuple(pair), index)[index]
 
 
-def _choose(rng: np.random.Generator, weights: list[float], total: float) -> int:
-    """Sample an index with the given non-negative weights summing to ``total``.
+def _choose(rng: np.random.Generator, sums: list[float]) -> int:
+    """Sample an outcome from the running sums of its weights, in outcome order.
 
+    The first outcome whose running sum exceeds u * total, for one
+    uniform draw u and the total ``sums[-1]``; the last if none does.
     One uniform draw per call, so streams stay cheap and replayable.
     """
-    u = rng.random() * total
-    acc = 0.0
-    for i, p in enumerate(weights):
-        acc += p
+    u = rng.random() * sums[-1]
+    for i, acc in enumerate(sums):
         if u < acc:
             return i
-    return len(weights) - 1
+    return len(sums) - 1
 
 
-class OutcomeNode:
-    """A state in a lazily expanded tree of measurement outcomes.
+@dataclass(frozen=True, eq=False)
+class OutcomeTable:
+    """Every outcome of a measurement schedule on one register, level by level.
 
-    ``measurements`` lists the measurements still to come, first to
-    last, as ``("bell", pair)`` or ``("computational", qubit)``.  The
-    first is made on ``state`` by the stacked core of ``_STACKS``, in
-    one projection that collapses every outcome it keeps, and ``probs``
-    holds its Born probabilities; outcomes the core does not keep are
-    zero, so no draw takes them (``probs`` is ``None`` on a leaf).
-    ``draw`` samples it and returns the child node of the outcome drawn:
-    a child is built the first time its outcome is drawn and reused from
-    then on, so a walk repeated down the same path costs one uniform
-    draw per level.  ``walk`` takes a batch of trials down the same tree
-    with the same choices.  ``memo`` keeps what callers derive from a
-    node's state.  Every array in the tree is read-only, so a tree may
-    be shared by any number of walks.
+    Level l measures the states the level before kept (its parents; the
+    root alone at level 0).  ``sums[l]`` holds each parent's running sum
+    of Born probabilities, in outcome order, an outcome the core does not
+    keep adding 0, so no draw takes it; ``children[l]`` holds the index of
+    each kept (parent, outcome)'s state among the next level's parents,
+    or among the leaves after the last level, and -1 for a pruned one.
+    Leaf i, in path order, is reached by the outcomes ``paths[i]`` with
+    probability ``probabilities[i]``; its amplitudes are row i of the
+    ``leaves`` stack, and ``memos[i]`` keeps what callers derive from
+    them.  Every array is read-only, so a table may be shared by any
+    number of walks.
     """
 
-    __slots__ = ("state", "probs", "memo", "_total", "_posts", "_rest", "_children")
+    sums: tuple[np.ndarray, ...]
+    children: tuple[np.ndarray, ...]
+    paths: np.ndarray
+    probabilities: np.ndarray
+    leaves: np.ndarray
+    memos: list[dict]
 
-    def __init__(self, state: StateVector, measurements: Sequence[tuple[str, object]] = ()):
-        self.state = state
-        self.probs = None
-        self.memo: dict = {}
-        self._children: dict[int, OutcomeNode] = {}
-        if measurements:
-            (kind, target), *self._rest = measurements
-            n = state.num_qubits
-            # a Bell node keeps the einsum sum the sampled reports are pinned to
-            born = _inner_products if kind == "bell" else _squares
-            probs, _, kept, posts = _STACKS[kind](state.amplitudes[None], n, target, born=born)
-            kept = kept.tolist()
-            self.probs = [0.0] * len(probs)
-            for index, p in zip(kept, probs[kept, 0].tolist()):
-                self.probs[index] = p
-            self._posts = dict(zip(kept, _wrap(StateVector, n, "amplitudes", posts)))
-            self._total = sum(self.probs)
+    def walk(self, uniforms: np.ndarray) -> np.ndarray:
+        """The leaf each trial reaches, from row t of ``uniforms``: trial t's draw per level.
 
-    def child(self, index: int) -> "OutcomeNode":
-        """The node of outcome ``index``, built on first use."""
-        child = self._children.get(index)
-        if child is None:
-            child = self._children[index] = OutcomeNode(self._posts[index], self._rest)
-        return child
-
-    def draw(self, rng: np.random.Generator) -> tuple[int, "OutcomeNode"]:
-        """Sample the measurement with one uniform draw; (outcome, child)."""
-        index = _choose(rng, self.probs, self._total)
-        return index, self.child(index)
-
-    def pick(self, uniforms: np.ndarray) -> np.ndarray:
-        """The outcome ``_choose`` takes on each uniform draw, as an index array.
-
-        The first index whose running sum of ``probs``, added in order,
-        exceeds u * total; the last index if none does.
+        At each level every trial takes the outcome ``_choose`` takes on
+        its draw, by one comparison with its parent's running sums.
         """
-        acc = np.array(list(accumulate(self.probs)))
-        picks = np.searchsorted(acc, uniforms * self._total, side="right")
-        return np.minimum(picks, len(acc) - 1)
+        ends = np.zeros(len(uniforms), dtype=np.intp)
+        for level, (sums, children) in enumerate(zip(self.sums, self.children)):
+            rows = sums[ends]
+            picks = np.count_nonzero(rows <= (uniforms[:, level] * rows[:, -1])[:, None], axis=1)
+            ends = children[ends, np.minimum(picks, rows.shape[1] - 1)]
+        return ends
 
-    def walk(self, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, list["OutcomeNode"]]:
-        """Walk a batch of trials down the tree at once.
+    def draw(self, rng: np.random.Generator) -> int:
+        """The leaf of one trial, drawn by ``_choose`` with one uniform per level."""
+        end = 0
+        for sums, children in zip(self.sums, self.children):
+            end = int(children[end, _choose(rng, sums[end].tolist())])
+        return end
 
-        Row t of ``uniforms`` holds trial t's uniform draw for each
-        measurement to come, first to last, and trial t takes exactly
-        the path ``draw`` takes on those draws.  Trials are grouped by
-        outcome, so each node on the way is visited once for all of
-        them.  Returns every trial's outcomes (one column per
-        measurement), the index of its end node and the end nodes.
-        """
-        trials, depth = uniforms.shape
-        outcomes = np.zeros((trials, depth), dtype=np.intp)
-        ends = np.zeros(trials, dtype=np.intp)
-        nodes: list[OutcomeNode] = []
-        # depth first, lowest outcome first; a loop, not a recursive
-        # closure, whose reference cycle would hold the block's arrays
-        # until the cyclic garbage collector ran
-        stack = [(self, np.arange(trials), 0)]
-        while stack:
-            node, rows, level = stack.pop()
-            if level == depth:
-                ends[rows] = len(nodes)
-                nodes.append(node)
-                continue
-            picks = node.pick(uniforms[rows, level])
-            outcomes[rows, level] = picks
-            for index in reversed(np.flatnonzero(np.bincount(picks)).tolist()):
-                stack.append((node.child(index), rows[picks == index], level + 1))
-        return outcomes, ends, nodes
+
+def outcome_table(num_qubits: int, root: np.ndarray, schedule: Sequence[tuple]) -> OutcomeTable:
+    """The ``OutcomeTable`` of ``schedule`` on a checked (1, 2^n) amplitude stack.
+
+    ``schedule`` lists the measurements first to last, as ``("bell",
+    pair)`` or ``("computational", qubit)``; each level is one call of
+    its ``_STACKS`` projector on the stack of every state the level
+    before kept.
+    """
+    leaves, paths, probabilities = root, np.zeros((1, 0), dtype=np.intp), np.ones(1)
+    sums, children = [], []
+    for kind, target in schedule:
+        probs, ks, outcomes, leaves = _STACKS[kind](leaves, num_qubits, target)
+        kept = np.zeros(probs.T.shape)
+        kept[ks, outcomes] = probs[outcomes, ks]
+        child = np.full(probs.T.shape, -1, dtype=np.intp)
+        child[ks, outcomes] = np.arange(len(ks))
+        sums.append(np.cumsum(kept, axis=1))
+        children.append(child)
+        paths = np.column_stack([paths[ks], outcomes])
+        probabilities = probabilities[ks] * probs[outcomes, ks]
+    for array in (*sums, *children, paths, probabilities):
+        array.setflags(write=False)
+    return OutcomeTable(tuple(sums), tuple(children), paths, probabilities, leaves,
+                        [{} for _ in paths])
+
+
+def _measured(state: StateVector, measurement: tuple, rng: np.random.Generator):
+    """One sampled ``measurement`` of ``state``: (outcome index, collapsed state)."""
+    table = outcome_table(state.num_qubits, state.amplitudes[None], (measurement,))
+    end = table.draw(rng)
+    (post,) = _wrap(StateVector, state.num_qubits, "amplitudes", table.leaves[end : end + 1])
+    return int(table.paths[end, 0]), post
 
 
 def bell_measure(
@@ -515,8 +488,8 @@ def bell_measure(
     The measured qubits stay in the register, collapsed into the observed
     Bell state.
     """
-    index, child = OutcomeNode(state, [("bell", tuple(pair))]).draw(rng)
-    return _BELL_OUTCOMES[index], child.state
+    index, post = _measured(state, ("bell", tuple(pair)), rng)
+    return _BELL_OUTCOMES[index], post
 
 
 def _take_collapse(n: int, axes: tuple, bits, scaled: np.ndarray) -> np.ndarray:
@@ -527,9 +500,9 @@ def _take_collapse(n: int, axes: tuple, bits, scaled: np.ndarray) -> np.ndarray:
     return _checked_states(n, posts.reshape(len(bits), 2**n))
 
 
-def _measure_stack(stack: np.ndarray, n: int, qubit: int, only=None, born=_squares):
+def _measure_stack(stack: np.ndarray, n: int, qubit: int, only=None):
     """``_projections`` of a computational measurement of ``qubit`` on each state of the stack."""
-    return _projections(stack, n, (qubit,), _axes_first, _take_collapse, only, born)
+    return _projections(stack, n, (qubit,), _axes_first, _take_collapse, only)
 
 
 def measure_projections(states, qubit: int) -> list:
@@ -554,8 +527,7 @@ def measure_computational(
     state: StateVector, qubit: int, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Born-rule sample of one qubit; returns (bit, renormalized state)."""
-    bit, child = OutcomeNode(state, [("computational", qubit)]).draw(rng)
-    return bit, child.state
+    return _measured(state, ("computational", qubit), rng)
 
 
 def _subsystem_subscripts(num_qubits: int, keep: Sequence[int]) -> tuple[str, str, str]:

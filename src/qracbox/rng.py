@@ -20,7 +20,8 @@ one generator per trial.  Which raw word feeds which draw:
   Alice's two Bell measurements;
 * the sampled privacy check of ``racbox`` (``boxes.verify_rac_privacy``)
   draws from ``np.random.default_rng(seed)``, a PCG64 generator, not a
-  Philox stream: words 2t and 2t+1 hold trial t's four box coins;
+  Philox stream: words 3t, 3t+1 and 3t+2 hold trial t's six box coins,
+  two a word (Bob's view at w = 0, Alice's, Bob's view at w = 1);
 * ``dilation`` draws its random input pairs from stream (seed, 0).
 
 A word becomes two fair bits by ``word_bits`` (PR-box coins and the

@@ -20,8 +20,8 @@ def _box_caches() -> list:
 def clear_box_caches():
     """Clear every cache of ``quantum``, ``qrac`` and ``channel`` around a test.
 
-    The caches are ``qrac._tree`` (outcome trees, with Bob's outputs on
-    their leaves) and ``channel._probe_sums`` and ``_default_contrast``
+    The caches are ``qrac._tree`` (the sampled executors' outcome tables,
+    with Bob's outputs in their leaves' memos) and ``channel._probe_sums`` and ``_default_contrast``
     (whole enumerations), so a test that changes the box would otherwise
     read the honest box from them.  Yields the clearing function, which
     returns the caches it cleared; call it after the change.  Teardown

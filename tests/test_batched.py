@@ -1,9 +1,10 @@
 """Tests for the batched executors: the vectorised Philox streams, the
-batched outcome-tree walk, and every batched report path against the
+batched outcome-table walk, and every batched report path against the
 single-trial reference executor it replaces, trial for trial."""
 from __future__ import annotations
 
 import gc
+import json
 import warnings
 import weakref
 from math import asin, sqrt
@@ -11,7 +12,7 @@ from math import asin, sqrt
 import numpy as np
 import pytest
 
-from qracbox import harness
+from qracbox import harness, quantum
 from qracbox import rng as rng_module
 from qracbox.channel import D_IN, D_OUT, _entangled_probe, tomography, verify_nonsignaling
 from qracbox.cli import main
@@ -33,7 +34,7 @@ from qracbox.quantum import (
     KET0,
     KET1,
     KET_PLUS,
-    OutcomeNode,
+    OutcomeTable,
     StateVector,
     _choose,
     bell_projections,
@@ -41,6 +42,7 @@ from qracbox.quantum import (
     haar_random_qubit,
     make_pure_qubit,
     measure_projections,
+    outcome_table,
     tensor,
 )
 from qracbox.rng import make_rng, stream_words, word_bits, word_uniform
@@ -103,34 +105,45 @@ class TestWordRules:
         assert np.stack([low, high], axis=1).reshape(-1).tolist() == expected
 
 
+def _picks(table: OutcomeTable, uniforms) -> list[int]:
+    """The outcome a one-level table's walk takes on each uniform."""
+    return table.paths[table.walk(np.array(uniforms)[:, None]), 0].tolist()
+
+
+class Fixed:
+    """An rng whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 class TestBatchedWalk:
     def test_pick_is_choose(self):
-        node = _alice_root(*_states(1)[:2])
+        table = _alice_root(*_states(1)[:2])
         words = make_rng(2).bit_generator.random_raw(4000)
         rng = make_rng(2)
-        expected = [_choose(rng, node.probs, sum(node.probs)) for _ in range(4000)]
-        assert node.pick(word_uniform(words)).tolist() == expected
+        expected = [_choose(rng, table.sums[0][0].tolist()) for _ in range(4000)]
+        uniforms = np.stack([word_uniform(words), np.zeros(4000)], axis=1)
+        assert table.paths[table.walk(uniforms), 0].tolist() == expected
 
     def test_pick_edges(self):
         # zero-weight outcomes are never picked; u * total equal to a
         # running sum goes past it, as in _choose
-        node = OutcomeNode(KET0, [("computational", 0)])
-        assert node.probs == [1.0, 0.0]
-        assert node.pick(np.array([0.0, 0.5, 1 - 2**-53])).tolist() == [0, 0, 0]
-        node = OutcomeNode(KET_PLUS, [("computational", 0)])
-        assert 0.5 * sum(node.probs) == node.probs[0]  # a tie at u = 0.5
-
-        class Fixed:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
+        table = outcome_table(1, KET0.amplitudes[None], [("computational", 0)])
+        assert table.sums[0].tolist() == [[1.0, 1.0]]
+        assert _picks(table, [0.0, 0.5, 1 - 2**-53]) == [0, 0, 0]
+        table = outcome_table(1, KET_PLUS.amplitudes[None], [("computational", 0)])
+        sums = table.sums[0][0].tolist()
+        assert 0.5 * sums[-1] == sums[0]  # a tie at u = 0.5
 
         uniforms = [0.0, 0.5 - 2**-53, 0.5, 1 - 2**-53]
-        expected = [_choose(Fixed(u), node.probs, sum(node.probs)) for u in uniforms]
+        expected = [_choose(Fixed(u), sums) for u in uniforms]
         assert expected == [0, 0, 1, 1]
-        assert node.pick(np.array(uniforms)).tolist() == expected
+        assert _picks(table, uniforms) == expected
+        assert [int(table.paths[table.draw(Fixed(u)), 0]) for u in uniforms] == expected
 
         # an outcome of 0 < p < PROB_FLOOR is as impossible as in an
         # enumeration, which prunes it: computational, then Bell
@@ -143,40 +156,74 @@ class TestBatchedWalk:
             (bell, ("bell", (0, 1)), bell_projections(bell, (0, 1))),
         ):
             assert 0 < projections[-1][0] < 1e-14 and projections[-1][1] is None
-            node = OutcomeNode(state, [measurement])
-            assert node.probs[-1] == 0.0
-            assert node.draw(Fixed(1 - 2e-15))[0] == 0
-            assert node.pick(np.array([1 - 2e-15, 1 - 2**-53])).tolist() == [0, 0]
+            table = outcome_table(state.num_qubits, state.amplitudes[None], [measurement])
+            sums = table.sums[0][0].tolist()
+            assert sums[-1] == sums[-2] and table.children[0][0, -1] == -1
+            assert table.paths[table.draw(Fixed(1 - 2e-15)), 0] == 0
+            assert _picks(table, [1 - 2e-15, 1 - 2**-53]) == [0, 0]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_walk_is_draw_trial_by_trial(self, seed):
         probe = tensor([*_states(seed), KET1])
-        tree, _ = _channel_root(probe, (0, 1, 2))
+        table, _ = _channel_root(probe, (0, 1, 2))
         words = stream_words(seed, np.arange(300, dtype=np.uint64), 3)
-        outcomes, ends, leaves = tree.walk(word_uniform(words))
+        ends = table.walk(word_uniform(words))
         for trial in range(300):
-            rng, node, path = make_rng(seed, trial), tree, []
-            for _ in range(3):
-                index, node = node.draw(rng)
-                path.append(index)
-            assert outcomes[trial].tolist() == path
-            assert leaves[ends[trial]] is node  # the scalar walk's cached leaf
+            rng = make_rng(seed, trial)
+            assert ends[trial] == table.draw(rng)
+            # one uniform per measurement, as the walk reads
+            reference = make_rng(seed, trial)
+            assert rng.random() == [reference.random() for _ in range(4)][-1]
 
-    def test_walk_is_depth_first_and_frees_its_arrays_without_gc(self):
+    def test_walk_is_in_path_order_and_frees_its_arrays_without_gc(self):
         probe = tensor([*_states(3), KET_PLUS])
-        tree, _ = _channel_root(probe, (0, 1, 2))
+        table, _ = _channel_root(probe, (0, 1, 2))
         uniforms = word_uniform(stream_words(3, np.arange(500, dtype=np.uint64), 3))
         gc.disable()
         try:
-            outcomes, ends, leaves = tree.walk(uniforms)
-            paths = [tuple(outcomes[ends == i][0].tolist()) for i in range(len(leaves))]
-            assert len(paths) > 1 and paths == sorted(set(paths))
+            ends = table.walk(uniforms)
+            paths = [tuple(path) for path in table.paths.tolist()]
+            assert len(set(ends.tolist())) > 1 and paths == sorted(set(paths))
             # no reference cycle keeps a block's arrays until a collection
-            refs = [weakref.ref(array) for array in (uniforms, outcomes, ends)]
-            del uniforms, outcomes, ends
-            assert [ref() for ref in refs] == [None, None, None]
+            refs = [weakref.ref(array) for array in (uniforms, ends)]
+            del uniforms, ends
+            assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+class TestSkewedSampler:
+    """A sampler that draws u^3 for u keeps recovery exact and Alice's bits
+    padded, so only the reports' leaf-frequency checks can see it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--experiment", "qrac", "--trials", "10000"],
+            ["run", "--experiment", "qrac-qubit-only", "--trials", "10000"],
+            ["tomography", "--mode", "sampled", "--trials", "10000"],
+            ["verify-nonsignaling", "--mode", "sampled", "--trials", "10000"],
+        ],
+        ids=["qrac", "qrac-qubit-only", "tomography", "nonsignaling"],
+    )
+    def test_every_sampled_report_fails_its_leaf_check(self, argv, monkeypatch, capsys):
+        walk, choose = OutcomeTable.walk, quantum._choose
+
+        class Cubed:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self):
+                return self.rng.random() ** 3
+
+        monkeypatch.setattr(OutcomeTable, "walk", lambda table, uniforms: walk(table, uniforms**3))
+        monkeypatch.setattr(quantum, "_choose", lambda rng, sums: choose(Cubed(rng), sums))
+        assert main([*argv, "--seed", "7"]) == 2
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failed = [check["name"] for check in checks if not check["pass"]]
+        assert "leaf-frequency" in failed
+        if argv[0] == "run":  # recovery and the padded bits do not see it
+            assert failed == ["leaf-frequency"]
 
 
 def _scalar_qrac(config: ExperimentConfig, dense: bool):
@@ -371,7 +418,7 @@ class TestReportsRunBatched:
         def per_trial(*args, **kwargs):
             raise AssertionError("a report reached the single-trial path")
 
-        monkeypatch.setattr(OutcomeNode, "draw", per_trial)
+        monkeypatch.setattr(OutcomeTable, "draw", per_trial)
         monkeypatch.setattr(harness, "run_qrac_protocol", per_trial)
         monkeypatch.setattr(harness, "run_rac_protocol", per_trial)
         argv = ["run", "--experiment", experiment, "--mode", mode, "--seed", "7"]

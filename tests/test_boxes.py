@@ -1,6 +1,7 @@
 """Tests for the PR-box and the one-bit classical random access code."""
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from itertools import product
 
@@ -13,6 +14,7 @@ from qracbox.boxes import (
     PRBox,
     PRBoxes,
     enumerate_pr_outputs,
+    leaf_frequency_check,
     rac_all_cases,
     rac_round,
     tv_distance,
@@ -125,7 +127,8 @@ class TestRacPrivacy:
         assert report["metrics"]["sampled_alice_tv"] <= 0.02
         assert all(c["pass"] for c in report["checks"])
 
-    def test_exact_check_catches_a_correct_but_leaking_box(self, monkeypatch):
+    @staticmethod
+    def _constant_coins(monkeypatch):
         # every coin held at 0: the box still obeys A XOR B = x*y, so the
         # RAC stays correct, but A no longer pads m, and at w = 1 Bob's m is a0
         class ConstantCoinBox(PRBox):
@@ -137,9 +140,21 @@ class TestRacPrivacy:
         monkeypatch.setattr(boxes_module, "PRBox", ConstantCoinBox)
         monkeypatch.setattr(boxes_module, "PRBoxes", lambda coin: PRBoxes(np.zeros_like(coin)))
         assert all(r.output == (r.a0 if r.w == 0 else r.a1) for r in rac_all_cases())
+
+    def test_exact_check_catches_a_correct_but_leaking_box(self, monkeypatch):
+        self._constant_coins(monkeypatch)
         checks = {c["name"]: c for c in verify_rac_privacy(trials=1000, seed=3)["checks"]}
         assert not checks["rac-privacy-bob-exact"]["pass"]
         assert checks["rac-privacy-bob-exact"]["value"] == 1.0
+
+    def test_sampled_check_catches_a_correct_but_leaking_box(self, monkeypatch, capsys):
+        # at w = 1, a1 = 0, Bob's sampled (m, B) is (a0, a0): a whole leak
+        self._constant_coins(monkeypatch)
+        assert main(["racbox", "--trials", "1000", "--seed", "3"]) == 2
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        failed = sorted(name for name, c in checks.items() if not c["pass"])
+        assert failed == ["rac-privacy-bob-exact", "rac-privacy-bob-sampled"]
+        assert checks["rac-privacy-bob-sampled"]["value"] == 1.0
 
     def test_the_privacy_pass_counts_the_correct_cases(self):
         metrics = verify_rac_privacy(trials=1000, seed=3)["metrics"]
@@ -185,6 +200,21 @@ class TestRacPrivacy:
     def test_non_integer_trial_count_rejected(self, trials):
         with pytest.raises(ValueError, match="integer number of trials >= 1000"):
             verify_rac_privacy(trials, 0)
+
+
+class TestLeafFrequencyCheck:
+    def test_hoeffding_tolerance_over_the_leaves(self):
+        # 32 leaves of 1e4 rounds at a false-alarm rate of 1e-6
+        counts = np.array([313] * 16 + [312] * 16)
+        entry, metrics = leaf_frequency_check(counts, np.full(32, 1 / 32), 10**4)
+        assert metrics == {"leaf_count": 32, "leaf_false_alarm_rate": 1e-6}
+        assert entry["name"] == "leaf-frequency" and entry["pass"]
+        assert entry["value"] == pytest.approx(0.0313 - 1 / 32)
+        assert entry["tolerance"] == pytest.approx(0.0299787, abs=1e-7)
+
+    def test_a_skewed_leaf_fails(self):
+        entry, _ = leaf_frequency_check(np.array([700, 300]), np.array([0.5, 0.5]), 1000)
+        assert not entry["pass"] and entry["value"] == pytest.approx(0.2)
 
 
 class TestTvDistance:

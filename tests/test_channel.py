@@ -105,10 +105,13 @@ class TestTomography:
         # estimate has eigenvalue -0.08: far inside 64 / sqrt(1000) = 2.02
         output = SimpleNamespace(matrix=np.diag([1.01, -0.01] + [0.0] * 14))
 
-        def block(joint, words, inputs):
-            return np.zeros(len(words), dtype=np.intp), [output]
+        table = SimpleNamespace(paths=np.zeros((1, 3), dtype=np.intp), probabilities=np.ones(1))
 
-        monkeypatch.setattr(channel_module, "sample_channel_block", block)
+        def block(joint, words, inputs):
+            ends = np.zeros(len(words), dtype=np.intp)
+            return ends, [output], ends, table
+
+        monkeypatch.setattr(channel_module, "_channel_block", block)
         with pytest.raises(ValueError, match="^Choi matrix is not PSD"):
             tomography(mode="sampled", trials=1000, seed=5)
 
@@ -589,7 +592,7 @@ class TestClearBoxCaches:
         )
         _probe_sums.cache_clear()
         assert self._changed(honest, self._executor_outputs()) == ["channel_branches", "tomography"]
-        # the sampled executors read Bob's outputs from the cached trees' leaves
+        # the sampled executors read Bob's outputs from the cached tables' leaves
         qrac_module._tree.cache_clear()
         assert self._changed(honest, self._executor_outputs()) == list(honest)
 

@@ -19,8 +19,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 DIGESTS = {
     "01_pr_box.py": "2887db9bce7eadc8e42e000f3268d02f8708e00cbb46cce5958b1b4c188c9f6c",
-    "02_classical_rac.py": "66c5d83061cdcf7baa4f9d456cf0be71c3285efd549ee018e2976f0649c41c56",
-    "03_qrac_round.py": "7f2b5f1094891cf759ce6eeeb2f2378a9db4669de6920ac230fd5a011982329e",
+    "02_classical_rac.py": "bc78845ab7b5353a32db5b3f03ef4288330402dc8974424ec8607661fdf4778c",
+    "03_qrac_round.py": "5ba272cdd953d75fa692ef0326354996ce50163695a593a65190df094b461c20",
     "04_superposed_choice.py": "b550d142dc05dd9a2de3266a2bf81566e24a33f8debde5b1ebb3388ce0ea1cfb",
     "05_dense_coding.py": "19d2394748d9364bd90987222092419a5bdbc986611096a4b77e21c089855632",
     "06_channel_analysis.py": "e2ec83f845965ff3652793ec6d3bd1298ecc01c3000acd37f29e365bff581bc2",

@@ -35,7 +35,6 @@ from qracbox.quantum import (
     PROB_FLOOR,
     KET_PLUS,
     DensityMatrix,
-    OutcomeNode,
     StateVector,
     apply_unitary,
     basis_state,
@@ -44,6 +43,7 @@ from qracbox.quantum import (
     density_matrices,
     haar_random_state,
     measure_project,
+    outcome_table,
     pauli_correction,
     reduced_density,
     tensor,
@@ -62,6 +62,11 @@ BELL_TENSOR = np.stack(
 def _fresh_output(state, target, correction, spectators):
     corrected = apply_unitary(state, pauli_correction(*correction), (target,))
     return reduced_density(corrected, spectators + [target])
+
+
+def _leaf(state):
+    """A table of no measurement: its one leaf is ``state``."""
+    return outcome_table(state.num_qubits, state.amplitudes[None], ())
 
 
 def _sparse_state(num_qubits, rng):
@@ -90,9 +95,9 @@ class TestRelabelledOutputs:
                 for target in range(n):
                     size = int(rng.integers(target + 1))
                     spectators = sorted(rng.choice(target, size=size, replace=False).tolist())
-                    leaf = OutcomeNode(state)
+                    leaf = _leaf(state)
                     for correction in CORRECTIONS:
-                        out = _leaf_output(leaf, target, correction, spectators)
+                        out = _leaf_output(leaf, 0, target, correction, spectators)
                         fresh = _fresh_output(state, target, correction, spectators)
                         assert np.array_equal(out.matrix, fresh.matrix)
                         compared += 1
@@ -100,16 +105,16 @@ class TestRelabelledOutputs:
 
     def test_uncorrected_output_is_the_partial_trace_itself(self):
         state = haar_random_state(4, make_rng(72))
-        leaf = OutcomeNode(state)
-        outputs = {c: _leaf_output(leaf, 3, c, [0, 1]) for c in CORRECTIONS}
-        assert leaf.memo[(3, (0, 0))] is outputs[(0, 0)]
-        assert all(_leaf_output(leaf, 3, c, [0, 1]) is outputs[c] for c in CORRECTIONS)
+        leaf = _leaf(state)
+        outputs = {c: _leaf_output(leaf, 0, 3, c, [0, 1]) for c in CORRECTIONS}
+        assert leaf.memos[0][(3, (0, 0))] is outputs[(0, 0)]
+        assert all(_leaf_output(leaf, 0, 3, c, [0, 1]) is outputs[c] for c in CORRECTIONS)
         assert len({id(out) for out in outputs.values()}) == 4
 
     def test_target_must_be_the_last_kept_qubit(self):
-        leaf = OutcomeNode(haar_random_state(3, make_rng(73)))
+        leaf = _leaf(haar_random_state(3, make_rng(73)))
         with pytest.raises(AssertionError):
-            _leaf_output(leaf, 1, (1, 1), [0, 2])
+            _leaf_output(leaf, 0, 1, (1, 1), [0, 2])
 
     @pytest.mark.parametrize("b", [None, (0, 0), (0, 1), (1, 0), (1, 1)])
     def test_ten_qubit_probe_layout(self, b):

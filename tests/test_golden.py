@@ -40,23 +40,23 @@ ARGV = {
 # (experiment, mode) -> (exit code, sha256 of stdout + b"\0" + CSV bytes);
 # tomography at 200 sampled trials is below its sufficiency floor and exits 2
 GOLDEN = {
-    ("qrac", "branch-exact"): (0, "c42a99cbe07c618b4875cd50a95579a405598fb6b458b9d1a0706988e5b87756"),
-    ("qrac", "sampled"): (0, "0810c97eae8e846fbd4e3a3c403bb30d15abc6dbcc39e79dd5a10ddb95fb3131"),
-    ("qrac-qubit-only", "branch-exact"): (0, "308489a407a1cbe57e10bf694c405bc365b8f9231d90f04563a5c02ed3107ace"),
-    ("qrac-qubit-only", "sampled"): (0, "ee698508cf9098de3dda36e193bc4adeae912934b32c160fcc45b277e34b39d7"),
-    ("racbox", "branch-exact"): (0, "af663ba6a0d9620adf18109caf29d4bdbce6c5c6e6fbbcb1c07db5e2cb4c030b"),
-    ("racbox", "sampled"): (0, "449975e1f94018f15ac91987034b55409d01d26973dedae076690ecfdef359a6"),
-    ("tomography", "branch-exact"): (0, "7b3bb157bafbe41078ea119b5564394d45f6fdeff35f4ab6be76f93cf09bd078"),
-    ("tomography", "sampled"): (2, "2db7b25eb28125251bf49301a2300adb1c08bcefe22bb3655e823e8074b3bb5d"),
-    ("mixture", "branch-exact"): (0, "6b026176dda19ee430e1728a8fdf5d9c7d7e0ecd0992cd94bc53939b8538466d"),
-    ("mixture", "sampled"): (0, "3d09e336c12074222bb537d2ee30e6daf3e19e535a0e5f8fd5f334e692192631"),
-    ("nonsignaling", "branch-exact"): (0, "5d9fca9011a4da3f95b1794e5fac22c03f8d3d18381f4bba619fc0f62a788b8a"),
-    ("nonsignaling", "sampled"): (0, "5ada19b92d3babfb8a478c46737c192d7c1da26a618d3ec11ab25347706042ae"),
-    ("dilation", "branch-exact"): (0, "6132009d04996c0c7fd7fafd449eaf630b5cc04ebe41164089620ecb3d233119"),
-    ("dilation", "sampled"): (0, "ff24ebd6bb02da093391af8f1d0750bd2d58fc19f6173698450af98da8f1b469"),
-    ("mixture-alpha-sq-0", "branch-exact"): (0, "7ce49c5bce4a5b5fe4f0cbabf84fe581dceeded1ead0432ea31a542275e374e4"),
-    ("mixture-alpha-sq-1", "branch-exact"): (0, "732f62ce2f317233851fe45d364221c111ed4ac43de31d9225c894d69e1ea450"),
-    ("nonsignaling-amp", "branch-exact"): (0, "92fda0bcfd55dedf47b4b73d016224d77a595e8cc1f838e230842951b0b65852"),
+    ("qrac", "branch-exact"): (0, "f1a0eedc98a22359de9058e0b1168cb3c1378f31300bba56b979874dac579fd5"),
+    ("qrac", "sampled"): (0, "3536de614ab4c79df5e92866eb3cec6fbd504c5976f8069cc34369751d15181d"),
+    ("qrac-qubit-only", "branch-exact"): (0, "941b9df67da77272dd61112b220e1f76a1ca686c816deb4be39f7288cba67a73"),
+    ("qrac-qubit-only", "sampled"): (0, "a1a74bdeb575991565a2df82b57d4a3db917482d2d70976907456d617c04be19"),
+    ("racbox", "branch-exact"): (0, "19dc589f71512464b8c42a83d359ad9e8f0b5238e23cb42615f050e09075c1ef"),
+    ("racbox", "sampled"): (0, "71bbebb8e8853e27a4ade809b43ce20db1f0d12ce35916ae342172227cd3391e"),
+    ("tomography", "branch-exact"): (0, "a37f1febe3b8b6dccd2c7a02a8d6acedc0ef6401b7fec6931f77a7b7accb3a62"),
+    ("tomography", "sampled"): (2, "8f8ac9dee2c2d41af262d9cc789608001c7ff1eae21fb79fb01feabd20282dd1"),
+    ("mixture", "branch-exact"): (0, "1dfe8a029a37eafdfdf255a3fd85f1e127cc699d4e50a01abbf104746f5d2eb8"),
+    ("mixture", "sampled"): (0, "9f015bba386f98b3bd0c8648405a06137d90442b89a674f6a7372fc97ff92fbc"),
+    ("nonsignaling", "branch-exact"): (0, "c4947043d225caa6774838cb66c79fd31b36bec699c312167779e2e6018cf039"),
+    ("nonsignaling", "sampled"): (0, "1dd2c2a1ec95c41e34fa0153605a5fe41cdb1df47005d43fba82ee521d34bcf9"),
+    ("dilation", "branch-exact"): (0, "a341f9db06b4f7c67c727ee31a337c621934b3dc0d1040990d1da512aaf449ab"),
+    ("dilation", "sampled"): (0, "41480c0df613b29398404cd4b7242aab399da318f524d8e6f8fb64335d001332"),
+    ("mixture-alpha-sq-0", "branch-exact"): (0, "e382b235d4ddcd9965276c324eff93f00cd98fc4f5a4b772100ab782e940b3a3"),
+    ("mixture-alpha-sq-1", "branch-exact"): (0, "cd8e5bba4a0f25b75253f47f81086b989f608fd2f4e0e0a81982aa75952be7de"),
+    ("nonsignaling-amp", "branch-exact"): (0, "4620d835594caef5c9bb90247c4012a7dfedca9eeaf7cacad1de1eae82c0bdac"),
 }
 
 
@@ -79,20 +79,20 @@ SWEEP_ARGV = {
 
 # (experiment, mode) -> sha256 of the sweep's "<exit code> <run digest>" lines, in order
 SWEEP = {
-    ("qrac", "branch-exact"): "64ce2afd6d66e902b359ddaafae25d79bb0e855ca4ddf0b24840618dae57b66a",
-    ("qrac", "sampled"): "fc47d72081cef1e5cd0b109d39afdded0f6ee182433afa96e937983fa1dfdd57",
-    ("qrac-qubit-only", "branch-exact"): "52d0dbe883e7e096730b76a4ff1789854bdc0a111d92eba9da444a5e9ba39ab3",
-    ("qrac-qubit-only", "sampled"): "d76f17e33fcc0f8440ec369b8ab16ac231b36fa66a1f6f10e041947e6b3468f7",
-    ("racbox", "branch-exact"): "74605a25d8cfa7122f261bfc53050611d15f4184bf78ea485acfc3469df37632",
-    ("racbox", "sampled"): "61d3c49a488536f73287c3f27af7184900a67d62cfd24ee76ccdaed2ca48c0f3",
-    ("tomography", "branch-exact"): "daed220dc3a151659ca21d0299e8bd478f6122d68555890171cb48c430d97880",
-    ("tomography", "sampled"): "485eafd114dec70db1fb6bf16a6eaacfa261b5138a9ba05f222aca114b4de148",
-    ("mixture", "branch-exact"): "6616898434d2c57859f12522386a0d7b53d05e3de87dc32e161a03496ddb59c5",
-    ("mixture", "sampled"): "9caf51f250d1ebb1ba6a942eac07794e01e994c4c490d414199923069250f753",
-    ("nonsignaling", "branch-exact"): "4c9c0995210d54363b9eb15c6131681049c334dab31c4d6188d0974c7fc2c0b8",
-    ("nonsignaling", "sampled"): "01d90acfa6d5c18a2dce21cc1f4b7a9981ca19832bbcd5ad2ded9ac334c209d1",
-    ("dilation", "branch-exact"): "1411b749f19848ae5ac751a4fc15cb32bdba185571dd9cae7678cca03675675f",
-    ("dilation", "sampled"): "9534dd8894495063904a732c2d9b0c45bc1db0f24f38785f944d951a7331b371",
+    ("qrac", "branch-exact"): "ea19f07e9c84892bbe79a7519e439d10fd35a5d37c8e62ce5ac882d6f8f5f012",
+    ("qrac", "sampled"): "b0d545985fa5ce91679018736558b72d308a1cf293c18b38005e5b023214962d",
+    ("qrac-qubit-only", "branch-exact"): "186d2fd32924878eb4ccce9e1649cf7da1a393e6fbc914fbf413da553f790f35",
+    ("qrac-qubit-only", "sampled"): "c8b2110347b36c75acd05e6a8bf756800301c4af905d87e238d13bafa7cf9255",
+    ("racbox", "branch-exact"): "bdbe4e804f8f26b353fdaebfbe69b17fa3e93118d58e9bf8635f7566c600fd32",
+    ("racbox", "sampled"): "8e9fd28c29cba7dadb5fcf20511a4963e4c86cb9175c91f97f8f228955030f99",
+    ("tomography", "branch-exact"): "34f959a38d8df99a0c514a99c22f7c94dcc1d778ebe19a5f754d6594ba52cbef",
+    ("tomography", "sampled"): "3927b6f366a789c430b6930fb5135f0bded8e29b291185e8ba9d8c233b498f89",
+    ("mixture", "branch-exact"): "cdba1203fb3a5ce24998d2b63487f1de38169a7ff1e01fee7192542792eb83c6",
+    ("mixture", "sampled"): "26df23b847ee42fa653c1e8fa0b3ae71c237d17c417f8dc61ea100854ca26d76",
+    ("nonsignaling", "branch-exact"): "960bd3d20650a5e2781f4a374c8c6f0d04ad6e22b95b45c33a767274c7867f78",
+    ("nonsignaling", "sampled"): "f9dad5b3251b3baeebfadbe0d09dc2851724381fc0d8ab37ff4b54bb8f734f40",
+    ("dilation", "branch-exact"): "2673a62a938568b45a5e34dd2e283e7df71f536eae342ab19a4a67e76733803b",
+    ("dilation", "sampled"): "0f7e6ad484f607361f61ca86c30b04809dbec875a8c260fd850179eb7f078439",
 }
 
 

@@ -57,6 +57,7 @@ from qracbox.quantum import (
     haar_random_state,
     measure_computational,
     measure_project,
+    outcome_table,
     pauli_correction,
     reduced_density,
     tensor,
@@ -382,7 +383,7 @@ class TestAliceClassicalOutput:
 
 
 def _fresh_sample_channel(joint, rng, inputs=(0, 1, 2)):
-    """sample_channel computed from scratch, with no outcome tree.
+    """sample_channel computed from scratch, with no outcome table.
 
     Same measurements, rng draws and PR-box wiring as the executor, built
     from the public quantum primitives: the reference the cached path must
@@ -420,7 +421,7 @@ def _report_bytes(argv) -> tuple[int, str]:
 
 
 class TestOutcomeTreeCache:
-    """The sampled executor's cached outcome trees never change a result."""
+    """The sampled executor's cached outcome tables never change a result."""
 
     STATES = ["--psi", "bloch:0.7,1.1", "--phi", "bloch:2.2,-0.4", "--omega", "amp:0.6,0,0,0.8"]
     ARGV = {
@@ -484,11 +485,13 @@ class TestOutcomeTreeCache:
     ):
         rng = make_rng(37, num_qubits)
         joints = [haar_random_state(num_qubits, rng) for _ in range(5)]
-        trees = [_channel_root(joint, (0, 1, 2))[0] for joint in joints]
-        for joint, tree in zip(joints, trees):
-            expected = tensor([joint, PHI_PLUS, PHI_PLUS]).amplitudes.tobytes()
-            assert tree.state.amplitudes.tobytes() == expected
-            assert _channel_round(joint, (0, 1, 2))[0].tobytes() == expected
+        tables = [_channel_root(joint, (0, 1, 2))[0] for joint in joints]
+        for joint, table in zip(joints, tables):
+            register, schedule, _ = _channel_round(joint, (0, 1, 2))
+            expected = tensor([joint, PHI_PLUS, PHI_PLUS]).amplitudes
+            assert register.tobytes() == expected.tobytes()
+            fresh = outcome_table(num_qubits + 4, expected[None], schedule)
+            assert table.leaves.tobytes() == fresh.leaves.tobytes()
         checked = []
         honest_check = StateVector.__post_init__
 
@@ -497,8 +500,8 @@ class TestOutcomeTreeCache:
             honest_check(state)
 
         monkeypatch.setattr(StateVector, "__post_init__", counting_check)
-        for joint, tree in zip(joints, trees):
-            assert _channel_root(joint, (0, 1, 2))[0] is tree
+        for joint, table in zip(joints, tables):
+            assert _channel_root(joint, (0, 1, 2))[0] is table
         assert checked == []
 
     def test_inputs_one_bit_apart_never_share_a_tree(self):
@@ -507,22 +510,22 @@ class TestOutcomeTreeCache:
         nudged = _flip_lowest_bit(psi)
         assert nudged.amplitudes.tobytes() != psi.amplitudes.tobytes()
         copy = StateVector(1, psi.amplitudes.copy())
-        tree = _alice_root(psi, phi)
-        assert _alice_root(copy, phi) is tree
-        assert _alice_root(nudged, phi) is not tree
-        assert _alice_root(phi, psi) is not tree
+        table = _alice_root(psi, phi)
+        assert _alice_root(copy, phi) is table
+        assert _alice_root(nudged, phi) is not table
+        assert _alice_root(phi, psi) is not table
         # the same register under another schedule
-        assert _tree(6, _load_inputs(psi, phi).tobytes(), _ALICE_MEASUREMENTS[::-1]) is not tree
+        assert _tree(6, _load_inputs(psi, phi).tobytes(), _ALICE_MEASUREMENTS[::-1]) is not table
 
-        tree = _choice_root(psi)
-        assert _choice_root(copy) is tree
-        assert _choice_root(nudged) is not tree
+        table = _choice_root(psi)
+        assert _choice_root(copy) is table
+        assert _choice_root(nudged) is not table
 
         joint = tensor([psi, phi, KET_PLUS])
-        tree, _ = _channel_root(joint, (0, 1, 2))
-        assert _channel_root(joint, (0, 1, 2))[0] is tree
-        assert _channel_root(_flip_lowest_bit(joint), (0, 1, 2))[0] is not tree
-        assert _channel_root(joint, (1, 0, 2))[0] is not tree
+        table, _ = _channel_root(joint, (0, 1, 2))
+        assert _channel_root(joint, (0, 1, 2))[0] is table
+        assert _channel_root(_flip_lowest_bit(joint), (0, 1, 2))[0] is not table
+        assert _channel_root(joint, (1, 0, 2))[0] is not table
 
 
 def _fresh_branch_output(joint, inputs, branch):

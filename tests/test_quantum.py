@@ -16,7 +16,6 @@ from qracbox.quantum import (
     _BELL,
     BellOutcome,
     DensityMatrix,
-    OutcomeNode,
     StateVector,
     UnitaryMatrix,
     apply_unitary,
@@ -32,6 +31,7 @@ from qracbox.quantum import (
     make_pure_qubit,
     measure_computational,
     measure_project,
+    outcome_table,
     partial_trace,
     pauli_correction,
     reduced_density,
@@ -316,43 +316,45 @@ class TestBellMeasurement:
             measure((1, 1))
 
 
-class TestOutcomeNode:
+class TestOutcomeTable:
+    SCHEDULE = [("bell", (0, 1)), ("computational", 2)]
+
     def test_probabilities_are_the_born_rule(self):
         state = tensor([haar_random_qubit(rng_for(40)), PHI_PLUS])
-        node = OutcomeNode(state, [("bell", (0, 1)), ("computational", 2)])
+        table = outcome_table(3, state.amplitudes[None], self.SCHEDULE)
         expected = oracles.bell_probabilities(state.amplitudes, (0, 1), 3)
-        np.testing.assert_allclose(node.probs, expected, atol=1e-12)
-        assert sum(node.probs) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(np.diff(table.sums[0][0], prepend=0.0), expected, atol=1e-12)
+        by_first = np.bincount(table.paths[:, 0], weights=table.probabilities, minlength=4)
+        np.testing.assert_allclose(by_first, expected, atol=1e-12)
+        assert table.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_draw_matches_bell_measure_and_reuses_children(self):
+    def test_draw_matches_bell_measure_one_uniform_a_level(self):
         state = tensor([haar_random_qubit(rng_for(41)), PHI_PLUS])
-        node = OutcomeNode(state, [("bell", (0, 1)), ("computational", 2)])
-        seen = {}
+        table = outcome_table(3, state.amplitudes[None], self.SCHEDULE)
+        first_level = outcome_table(3, state.amplitudes[None], self.SCHEDULE[:1])
+        seen = set()
         for seed in range(40):
             outcome, post = bell_measure(state, (0, 1), rng_for(seed))
+            end = first_level.draw(rng_for(seed))
+            assert first_level.paths[end, 0] == outcome.index
+            assert np.array_equal(first_level.leaves[end], post.amplitudes)
             rng = rng_for(seed)
-            index, child = node.draw(rng)
-            assert index == outcome.index
-            assert np.array_equal(child.state.amplitudes, post.amplitudes)
+            end = table.draw(rng)
+            assert table.paths[end, 0] == outcome.index
             # one uniform per measurement, as bell_measure draws
             reference = rng_for(seed)
-            reference.random()
-            assert rng.random() == reference.random()
-            assert seen.setdefault(index, child) is child
-            assert child.probs is not None  # the computational measurement is next
-            _, leaf = child.draw(rng_for(seed))
-            assert leaf.probs is None
-            assert child.draw(rng_for(seed))[1] is leaf
+            assert rng.random() == [reference.random() for _ in range(3)][-1]
+            seen.add(outcome.index)
         assert len(seen) > 1
 
     def test_computational_draw_matches_measure_computational(self):
         state = haar_random_state(3, rng_for(42))
-        node = OutcomeNode(state, [("computational", 1)])
+        table = outcome_table(3, state.amplitudes[None], [("computational", 1)])
         for seed in range(20):
             bit, post = measure_computational(state, 1, rng_for(seed))
-            index, child = node.draw(rng_for(seed))
-            assert index == bit
-            assert np.array_equal(child.state.amplitudes, post.amplitudes)
+            end = table.draw(rng_for(seed))
+            assert table.paths[end, 0] == bit
+            assert np.array_equal(table.leaves[end], post.amplitudes)
 
 
 class TestTeleportationIdentity:

@@ -116,6 +116,8 @@ def _old_privacy_rounds(trials: int, seed: int) -> list[RacRound]:
             rounds.append(rac_round(0, a1, 0, rng))
         for w in (0, 1):
             rounds.append(rac_round(0, 1, w, rng))
+        for a0 in (0, 1):
+            rounds.append(rac_round(a0, 0, 1, rng))
     return rounds
 
 
@@ -158,9 +160,9 @@ class TestExecutorsMatchPerCallDraws:
         }
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("trials", [1000, 2500])  # 4 000 and 10 000 coins
+    @pytest.mark.parametrize("trials", [1000, 2500])  # 6 000 and 15 000 coins
     def test_privacy_check_plays_the_old_rounds(self, seed, trials, monkeypatch):
-        batches = []  # the sampled part wires a block's rounds four ways at once
+        batches = []  # the sampled part wires a block's rounds six ways at once
         wiring = boxes.rac_wiring
 
         def recording(a0, a1, w, box):
@@ -173,23 +175,25 @@ class TestExecutorsMatchPerCallDraws:
         monkeypatch.setattr(rng_module, "TRIAL_BLOCK", 300)  # several blocks
         report = verify_rac_privacy(trials, seed)
         played = []
-        for start in range(0, len(batches), 4):
-            four = batches[start:start + 4]
-            for t in range(len(four[0][3])):  # trial by trial, its four rounds in turn
-                for a0, a1, w, coins, messages, outputs in four:
+        for start in range(0, len(batches), 6):
+            six = batches[start:start + 6]
+            for t in range(len(six[0][3])):  # trial by trial, its six rounds in turn
+                for a0, a1, w, coins, messages, outputs in six:
                     played.append(RacRound(a0, a1, w, coins[t], messages[t], outputs[t]))
         reference = _old_privacy_rounds(trials, seed)
         assert played == reference
 
-        bob = {a1: np.zeros(4) for a1 in (0, 1)}
+        bob = {(w, bit): np.zeros(4) for w in (0, 1) for bit in (0, 1)}
         alice = {w: np.zeros(2) for w in (0, 1)}
         for i, r in enumerate(reference):
-            if i % 4 < 2:
-                bob[r.a1][2 * r.message + (r.message ^ r.output)] += 1
-            else:
+            if i % 6 in (2, 3):
                 alice[r.w][r.a0 ^ r.message] += 1
+            else:  # the unasked bit varies: a1 at w = 0, a0 at w = 1
+                bob[r.w, r.a1 if r.w == 0 else r.a0][2 * r.message + (r.message ^ r.output)] += 1
         metrics = report["metrics"]
-        assert metrics["sampled_bob_tv"] == tv_distance(bob[0] / trials, bob[1] / trials)
+        assert metrics["sampled_bob_tv"] == max(
+            tv_distance(bob[w, 0] / trials, bob[w, 1] / trials) for w in (0, 1)
+        )
         assert metrics["sampled_alice_tv"] == tv_distance(alice[0] / trials, alice[1] / trials)
 
     @pytest.mark.parametrize("seed", SEEDS)

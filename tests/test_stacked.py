@@ -71,13 +71,13 @@ def _register(kind, rng):
 
 
 def _recorded_enumeration(monkeypatch, joint, inputs, b):
-    """``channel_branches`` and the leaf amplitudes it handed to ``_leaf_outputs``, in order."""
+    """``channel_branches`` and the leaf amplitudes of the table it handed to ``_leaf_outputs``."""
     leaves = []
     leaf_outputs = qrac._leaf_outputs
 
-    def recording(amplitudes, *args):
-        leaves.extend(amplitudes)
-        return leaf_outputs(amplitudes, *args)
+    def recording(table, *args):
+        leaves.extend(table.leaves)
+        return leaf_outputs(table, *args)
 
     monkeypatch.setattr(qrac, "_leaf_outputs", recording)
     return channel_branches(joint, inputs, b=b), leaves
