@@ -114,6 +114,8 @@ def parse_state_spec(spec: str) -> StateVector:
             norm = float(np.linalg.norm(amps))
         if not isfinite(norm):
             raise ConfigError(f"amp spec norm overflows double precision: {spec!r}")
+        if norm == 0.0 and any(values):
+            raise ConfigError(f"amp spec norm underflows double precision: {spec!r}")
         if norm == 0.0:
             raise ConfigError(f"amp spec norm must be non-zero: {spec!r}")
         if abs(norm - 1.0) > 1e-6:

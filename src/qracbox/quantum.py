@@ -429,13 +429,22 @@ class OutcomeTable:
         """The leaf each trial reaches, from row t of ``uniforms``: trial t's draw per level.
 
         At each level every trial takes the outcome ``_choose`` takes on
-        its draw, by one comparison with its parent's running sums.
+        its draw u: x = u * its parent's total, then one gather and
+        compare per outcome column, counting the running sums <= x.  The
+        sums never decrease, so that count over every column but the
+        last is the first outcome whose sum exceeds x, or the last
+        outcome if none does.  Counted onto the parent's row offset, it
+        indexes the flattened ``children``.  No (trials x outcomes)
+        array is built.
         """
         ends = np.zeros(len(uniforms), dtype=np.intp)
         for level, (sums, children) in enumerate(zip(self.sums, self.children)):
-            rows = sums[ends]
-            picks = np.count_nonzero(rows <= (uniforms[:, level] * rows[:, -1])[:, None], axis=1)
-            ends = children[ends, np.minimum(picks, rows.shape[1] - 1)]
+            columns = sums.T
+            x = uniforms[:, level] * columns[-1].take(ends)
+            picks = ends * len(columns)
+            for column in columns[:-1]:
+                picks += column.take(ends) <= x
+            ends = children.take(picks)
         return ends
 
     def draw(self, rng: np.random.Generator) -> int:

@@ -7,10 +7,13 @@ import gc
 import json
 import warnings
 import weakref
+from itertools import product
 from math import asin, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from qracbox import harness, quantum
 from qracbox import rng as rng_module
@@ -190,6 +193,92 @@ class TestBatchedWalk:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+class Feed:
+    """An rng whose uniform draws are ``us``, in order."""
+
+    def __init__(self, us):
+        self.random = iter(us).__next__
+
+
+# the extreme uniforms a raw word can make
+EXTREMES = [0.0, 1 - 2**-53]
+
+
+@st.composite
+def synthetic_tables(draw):
+    """An ``OutcomeTable`` of 1-3 levels, 1-8 parents a level, 2 or 4 outcomes.
+
+    Weights are multiples of 1/8, zeros included, so running sums are
+    exact: an outcome of weight 0 is pruned (child -1) and a uniform of
+    sum/total ties u * total with that running sum.  Returns the table
+    and the ties, level by level.
+    """
+    parents, sums, children, ties = 1, [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        width, after = draw(st.sampled_from([2, 4])), draw(st.integers(1, 8))
+        row = st.lists(st.integers(0, 3), min_size=width, max_size=width).filter(any)
+        weights = np.array([draw(row) for _ in range(parents)]) / 8
+        child = np.array(draw(st.lists(st.integers(0, after - 1), min_size=weights.size,
+                                       max_size=weights.size))).reshape(weights.shape)
+        child[weights == 0] = -1
+        sums.append(np.cumsum(weights, axis=1))
+        children.append(child)
+        ties.append(sorted({float(s) for s in (sums[-1] / sums[-1][:, -1:]).ravel()}))
+        parents = after
+    leaves = np.arange(parents)
+    table = OutcomeTable(tuple(sums), tuple(children), leaves[:, None], leaves / parents,
+                         leaves[:, None], [{} for _ in leaves])
+    return table, ties
+
+
+class TestWalkKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_walk_is_draw_on_synthetic_tables(self, data):
+        table, ties = data.draw(synthetic_tables())
+        levels = len(table.sums)
+        grid = [u / 16 for u in range(16)]
+        trials = data.draw(st.lists(
+            st.tuples(*(st.sampled_from(EXTREMES + grid + tie)
+                        | st.floats(0, 1, exclude_max=True) for tie in ties)),
+            min_size=1, max_size=24,
+        ))
+        uniforms = np.array([[u] * levels for u in EXTREMES] + trials)
+        ends = table.walk(uniforms)
+        assert ends.dtype == np.intp
+        assert ends.tolist() == [table.draw(Feed(row)) for row in uniforms.tolist()]
+
+    def test_synthetic_tables_prune_and_tie_below_the_root(self):
+        # the property above is as strong as its tables: some prune an
+        # outcome below the first level and tie u * total with a running sum there
+        def deep_tie_and_prune(example):
+            table, ties = example
+            return any(
+                (children == -1).any() and any(u * row[-1] in row[:-1] for row in sums for u in us)
+                for sums, children, us in zip(table.sums[1:], table.children[1:], ties[1:])
+            )
+
+        table, ties = find(synthetic_tables(), deep_tie_and_prune, settings=settings(database=None))
+        uniforms = np.array(list(product(*(EXTREMES + us for us in ties))))
+        assert table.walk(uniforms).tolist() == [table.draw(Feed(row)) for row in uniforms.tolist()]
+
+    def test_no_trials(self):
+        table = _alice_root(*_states(2)[:2])
+        for uniforms in (np.zeros((0, 2)), np.zeros((5, 2))[5:]):
+            ends = table.walk(uniforms)
+            assert ends.dtype == np.intp and ends.shape == (0,)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_strided_uniforms_walk_as_a_copy(self, seed):
+        probe = tensor([*_states(seed), KET1])
+        table, _ = _channel_root(probe, (0, 1, 2))
+        words = stream_words(seed, np.arange(600, dtype=np.uint64), 5)
+        block = word_uniform(words)
+        for view in (block[:, 1:4], block[::2, 2:], block[::-1, :3], np.asfortranarray(block)):
+            assert not view.flags.c_contiguous
+            assert np.array_equal(table.walk(view), table.walk(np.ascontiguousarray(view)))
 
 
 class TestSkewedSampler:
@@ -461,6 +550,24 @@ class TestOverflowingAmpSpec:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "overflows double precision" in err[0]
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            # |1e-170|^2 is below the smallest subnormal, so the norm reads 0.0
+            ("amp:1e-200,0,0,0", "amp spec norm underflows double precision"),
+            ("amp:1e-170,0,0,0", "amp spec norm underflows double precision"),
+            ("amp:0,1e-170,0,-1e-200", "amp spec norm underflows double precision"),
+            ("amp:0,0,0,0", "amp spec norm must be non-zero"),
+            ("amp:0,-0,0,0", "amp spec norm must be non-zero"),
+        ],
+    )
+    def test_underflow_is_not_a_zero_norm(self, spec, message, capsys):
+        code = main(["run", "--experiment", "qrac", "--psi", spec, "--seed", "1"])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert message in err[0]
 
     def test_large_finite_norm_still_accepted(self):
         with pytest.warns(UserWarning, match="renormalized"):
