@@ -180,7 +180,8 @@ def _sampled_tomography(trials: int, seed: int) -> tuple[ChoiMatrix, np.ndarray,
     total = np.zeros((D_IN * D_OUT, D_IN * D_OUT), dtype=complex)
     counts = 0
     for block in trial_blocks(trials):
-        ids, outputs, ends, table = _channel_block(probe, stream_words(seed, block, 4), (3, 4, 5))
+        words = stream_words(seed, block, 4)
+        _, ids, outputs, ends, table = _channel_block(probe, words, (3, 4, 5))
         counts = counts + np.bincount(ends, minlength=len(table.paths))
         terms = [D_IN * rho.matrix / trials for rho in outputs]
         for k in ids.tolist():  # in trial order, so every float is the same

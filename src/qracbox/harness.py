@@ -1,10 +1,12 @@
 """Two-party metered execution and the experiment front end.
 
-A metered round is straight-line code: Bob measures his choice, Alice
-runs her side and sends her output through a MeteredChannel, Bob runs
-his side on what arrived.  Every message flows Alice to Bob, and the
-channel log is the round's transcript.  Budgets are asserted as hard
-equalities; a violation is a protocol bug and aborts the run.
+Rounds are played and metered a block of trials at a time: Bob
+measures his choice, Alice runs her side and sends her output through
+one MeteredChannel for the block, Bob runs his side on what arrived.  A
+lone round (``run_qrac_protocol``) is a block of one trial.  Every
+message flows Alice to Bob, and the channel log is each round's
+transcript.  Budgets are asserted as hard equalities; a violation is a
+protocol bug and aborts the run.
 
 Experiments are described by a plain config (JSON-mirrored), always
 carry a seed, and produce a report with a fixed shape::
@@ -23,7 +25,7 @@ import json
 import warnings
 from dataclasses import dataclass, fields
 from math import isfinite, sqrt
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -59,18 +61,11 @@ from .metering import (
 )
 from .qrac import (
     AliceClassicalOutput,
-    DenseCodingPair,
-    QracResources,
-    _choice_root,
     _round_register,
     _sampled_rounds,
     branch_sums,
     channel_branches,
-    dense_decode,
     dense_decode_block,
-    dense_encode,
-    qrac_alice,
-    qrac_bob,
 )
 from .quantum import (
     KET0,
@@ -118,12 +113,13 @@ def parse_state_spec(spec: str) -> StateVector:
             raise ConfigError(f"amp spec norm underflows double precision: {spec!r}")
         if norm == 0.0:
             raise ConfigError(f"amp spec norm must be non-zero: {spec!r}")
-        if abs(norm - 1.0) > 1e-6:
-            warnings.warn(f"state spec {spec!r} renormalized (norm was {norm!r})")
         try:
-            return StateVector(1, amps / norm)
+            state = StateVector(1, amps / norm)
         except ValueError as exc:  # too small to normalize in double precision
             raise ConfigError(f"amp spec cannot be normalized: {spec!r}: {exc}") from None
+        if abs(norm - 1.0) > 1e-6:  # warned only once the spec is accepted
+            warnings.warn(f"state spec {spec!r} renormalized (norm was {norm!r})")
+        return state
     raise ConfigError(f"unknown state spec scheme {scheme!r}")
 
 
@@ -247,30 +243,15 @@ def run_qrac_protocol(
     """One metered round: Bob measures omega, Alice sends, Bob decodes.
 
     Alice's two bits cross the channel as two classical bits, or with
-    ``dense`` as one dense-coded qubit.  Randomness is drawn from the
-    (seed, trial) stream in the order box coins, omega, both Bell
-    measurements, dense decoding.  This is the single-trial reference
-    executor: trial i of a ``qrac`` report, computed in a block by
-    ``_qrac_block``, is this round at ``trial=i``.
+    ``dense`` as one dense-coded qubit.  The round is trial ``trial`` of
+    a ``qrac`` report of this seed (``qrac-qubit-only`` with ``dense``):
+    ``_qrac_block`` on that trial alone, from the first words of stream
+    (seed, trial); its output and transcript are row 0's.
     """
-    rng = make_rng(seed, trial)
-    res = QracResources(rng)
-    choice = _choice_root(omega)
-    w = int(choice.paths[choice.draw(rng), 0])
-    alice = qrac_alice(psi, phi, res)
-    channel = MeteredChannel()
-    if dense:
-        payload = dense_encode(alice.a1, alice.a0, DenseCodingPair())
-        channel.send("A->B", "qubit", "dense-coded-output", payload)
-        received = dense_decode(payload, rng).bits
-        if received != alice.bits:
-            raise ProtocolError("dense decoding disagreed with Alice's output")
-    else:
-        channel.send("A->B", "classical-bit", "a1", alice.a1)
-        channel.send("A->B", "classical-bit", "a0", alice.a0)
-        received = alice.bits
-    output = qrac_bob(w, received, res)
-    return RoundResult(output, channel.transcript(), w, alice)
+    words = make_rng(seed, trial).bit_generator.random_raw((1, 5 if dense else 4))
+    w, (a1, a0), ids, outputs, channel, _ = _qrac_block(psi, phi, omega, [trial], words, dense)
+    alice = AliceClassicalOutput(int(a1[0]), int(a0[0]))
+    return RoundResult(outputs[ids[0]], channel.transcript(0), int(w[0]), alice)
 
 
 @dataclass(frozen=True)
@@ -340,21 +321,21 @@ def _qrac_block(
     psi: StateVector,
     phi: StateVector,
     omega: StateVector,
-    seed: int,
-    trials: np.ndarray,
+    trials: Sequence[int],
+    words: np.ndarray,
     dense: bool,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, Tally, tuple]:
-    """Rounds ``trials`` of a qrac report at once: ``run_qrac_protocol`` on arrays.
+) -> tuple[np.ndarray, tuple, np.ndarray, list[DensityMatrix], MeteredChannel, tuple]:
+    """Rounds ``trials`` of a qrac report at once, each metered and held to the budget.
 
-    Each trial draws the raw words of its stream that its lone round
-    draws (see ``rng``), so each trial is the round that
-    ``run_qrac_protocol(..., trial=i)`` replays.  Every round is metered
-    and held to the budget.  Returns w, Alice's bits (a1, a0), the
-    recovery fidelity per trial, the block's tally, and how many trials
-    reached each leaf of the round with the leaves' exact probabilities.
+    Row t of ``words`` holds raw words 0-3 of trial t's stream, and with
+    ``dense`` word 4, the dense decoding (see ``rng``); a block of trial
+    i alone, ``run_qrac_protocol(..., trial=i)``, replays trial i.
+    Returns w, Alice's bits (a1, a0), each trial's index into the list
+    of distinct outputs (Bob's chosen qubit) and that list, the block's
+    channel, and how many trials reached each leaf of the round with the
+    leaves' exact probabilities.
     """
     label = "qrac-qubit-only" if dense else "qrac"
-    words = stream_words(seed, trials, 5 if dense else 4)
     w, alice, ids, outputs, leaves, probabilities = _sampled_rounds(psi, phi, omega, words)
     channel = MeteredChannel(trials)
     if dense:
@@ -369,13 +350,9 @@ def _qrac_block(
     else:
         channel.send("A->B", "classical-bit", "a1", alice[0])
         channel.send("A->B", "classical-bit", "a0", alice[1])
-    tally = _assert_block_budget(channel, QUBIT_ONLY_BUDGET if dense else QRAC_BUDGET, label)
-    # an output is Bob's qubit of one pair, so it belongs to one choice
-    choices = np.empty(len(outputs), dtype=np.intp)
-    choices[ids] = w
-    values = [fidelity(out, psi if c == 0 else phi) for out, c in zip(outputs, choices.tolist())]
+    _assert_block_budget(channel, QUBIT_ONLY_BUDGET if dense else QRAC_BUDGET, label)
     leaf_counts = np.bincount(leaves, minlength=len(probabilities))
-    return w, alice, np.array(values)[ids], tally, (leaf_counts, probabilities)
+    return w, alice, ids, outputs, channel, (leaf_counts, probabilities)
 
 
 def _exp_qrac(
@@ -390,11 +367,17 @@ def _exp_qrac(
     leaf_counts = 0
     rows = []
     for trials in trial_blocks(rounds):
-        w, (a1, a0), f, tally, (counts, probabilities) = _qrac_block(
-            psi, phi, omega, config.seed, trials, dense
+        words = stream_words(config.seed, trials, 5 if dense else 4)
+        w, (a1, a0), ids, outputs, channel, (counts, probabilities) = _qrac_block(
+            psi, phi, omega, trials, words, dense
         )
-        tallies = tallies + tally
+        tallies = tallies + channel.totals()
         leaf_counts = leaf_counts + counts
+        # an output is Bob's qubit of one pair, so it belongs to one choice
+        choices = np.empty(len(outputs), dtype=np.intp)
+        choices[ids] = w
+        values = [fidelity(out, (psi, phi)[c]) for out, c in zip(outputs, choices.tolist())]
+        f = np.array(values)[ids]
         fidelities.append(f)
         histogram += np.bincount(2 * a1 + a0, minlength=4)
         if with_rows:

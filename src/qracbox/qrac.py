@@ -22,13 +22,11 @@ than a superposition of the two inputs.
 
 The PR-box wiring of a round is written once, in ``_alice_side`` and
 ``_bob_side``, as XOR/AND expressions on the outcome bits and the boxes
-(``boxes.PRBox``, or ``boxes.PRBoxes`` for int arrays).  The
-single-trial references (``qrac_alice`` / ``qrac_bob``,
-``sample_channel``, ``sample_alice_output``) run it on ``PRBox``es,
-each outcome drawn from an rng.  Every other round runs through one
-pass, ``_play``: rows of (leaf, w, Bell outcome indices, coins) in,
-Alice's bits, Bob's box outputs and corrections and his distinct
-outputs out, from one ``PRBoxes`` pair.
+(``boxes.PRBox``, or ``boxes.PRBoxes`` for int arrays).  The two-party
+API, ``qrac_alice`` / ``qrac_bob``, runs it on one-shot ``PRBox``es.
+Every other round runs through one pass, ``_play``: rows of (leaf, w,
+Bell outcome indices, coins) in, Alice's bits, Bob's box outputs and
+corrections and his distinct outputs out, from one ``PRBoxes`` pair.
 
 Both executors read one kind of object, a ``quantum.OutcomeTable``
 built by ``quantum.outcome_table``: a register taken through its
@@ -38,17 +36,18 @@ running sum of outcome probabilities, each leaf's path, probability
 and amplitudes, and a memo per leaf.  The rows of ``_play`` come two
 ways:
 
-* sampled (``qrac_rounds``, ``sample_channel_block``): a block of
-  trials at once, from the raw Philox words each trial's lone round
-  would draw (the word map is in ``rng``), so every trial equals its
-  single-trial replay bit for bit.  ``OutcomeTable.walk`` maps each
-  trial's uniforms to its leaf, one inverse-CDF lookup over the running
-  sums a level, and the single-trial references draw from the same
-  rows with ``quantum._choose``, the same rule.  The reports run these,
-  and ``sample_alice_outputs`` and ``dense_decode_block``, which need no
-  output of Bob's and read the same words the same way.  The private
-  ``_sampled_rounds``, ``_channel_block`` and ``_alice_block`` also
-  return each trial's leaf, for the reports' leaf-frequency checks;
+* sampled (``_sampled_rounds``, ``_channel_block``): a block of
+  trials at once, from the raw Philox words of each trial's stream (the
+  word map is in ``rng``).  ``OutcomeTable.walk``, the one sampler,
+  maps each trial's uniforms to its leaf, one inverse-CDF lookup over
+  the running sums a level.  The reports run these, and ``_alice_block``
+  and ``dense_decode_block``, which need no output of Bob's and read the
+  same words the same way; each also returns every trial's leaf, for the
+  reports' leaf-frequency checks.  A single trial is a one-row block:
+  ``sample_channel`` and ``sample_alice_output`` are row 0 of a block on
+  their rng's next raw words, and ``harness.run_qrac_protocol`` is the
+  report's block on one trial, so a replay of trial i is trial i of its
+  report;
 * enumerated (``channel_branches``): each leaf of a fresh table of
   ``_channel_round``'s schedule (the choice, then each Bell
   measurement) x the four coin pairs, every branch with its exact
@@ -368,12 +367,6 @@ def _leaf_outputs(
     return inverse.reshape(-1), [memos[end][key] for end, key in distinct]
 
 
-def _leaf_output(table: OutcomeTable, end: int, target: int, correction, spectators):
-    """Correct ``target`` on leaf ``end`` and keep it: ``_leaf_outputs`` of one row."""
-    ends = np.full(1, end, dtype=np.intp)
-    return _leaf_outputs(table, ends, target, correction, spectators)[1][0]
-
-
 def _play(table, ends, w, bells, coins, epr: int, spectators, b=None):
     """Rows of rounds with every outcome and coin given: the wiring and Bob's outputs.
 
@@ -402,12 +395,14 @@ def qrac_alice(
     Loads the input registers, Bell-measures (A', first pair) and
     (A'', second pair), feeds the XORed outcome bits into the boxes and
     returns the masked two-bit output.  The output is uniform on
-    {00, 01, 10, 11} whatever the inputs.
+    {00, 01, 10, 11} whatever the inputs.  Her Bell outcomes are a
+    one-row walk of her outcome table on the rng's next two raw words.
     """
     table = _alice_root(psi, phi)
     if res.leaf is not None:
         raise ProtocolError("Alice's side of these resources was already used")
-    res.leaf = table, table.draw(res.rng)
+    uniforms = word_uniform(res.rng.bit_generator.random_raw((1, 2)))
+    res.leaf = table, int(table.walk(uniforms)[0])
     first, second = table.paths[res.leaf[1]].tolist()
     return AliceClassicalOutput(*_alice_side(first, second, res.box0, res.box1))
 
@@ -424,30 +419,22 @@ def qrac_bob(w: int, b, res: QracResources) -> DensityMatrix:
     bits = _as_bits(b)
     if res.leaf is None:
         raise ProtocolError("Bob's side needs Alice's measurements on record")
+    table, end = res.leaf
     _, correction, target = _bob_side(EPR1_ALICE, w, bits, res.box0, res.box1)
-    return _leaf_output(*res.leaf, target, correction, [])
-
-
-def qrac_rounds(
-    psi: StateVector, phi: StateVector, omega: StateVector, words: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, list[DensityMatrix]]:
-    """Standard rounds on fixed inputs, one per trial, all at once.
-
-    Row t of ``words`` holds raw words 0-3 of trial t's stream, the draws
-    of a round of ``harness.run_qrac_protocol``: the box coins, omega,
-    Alice's two Bell measurements.  Bob decodes Alice's bits as sent.
-    Returns Bob's choices w, Alice's bits (a1, a0) and each trial's
-    index into the list of distinct outputs, Bob's chosen qubit.
-    """
-    return _sampled_rounds(psi, phi, omega, words)[:4]
+    return _leaf_outputs(table, np.full(1, end), target, correction, [])[1][0]
 
 
 def _sampled_rounds(psi: StateVector, phi: StateVector, omega: StateVector, words: np.ndarray):
-    """``qrac_rounds``, then each trial's leaf of the round and the round's leaf probabilities.
+    """Standard rounds on fixed inputs, one per trial, all at once.
 
-    A round's leaves are the pairs (leaf of Bob's choice table, leaf of
-    Alice's table), choice-major, each of probability the product of its
-    two leaves' probabilities.
+    Row t of ``words`` holds raw words 0-3 of trial t's stream: the box
+    coins, omega, Alice's two Bell measurements.  Bob decodes Alice's
+    bits as sent.  Returns Bob's choices w, Alice's bits (a1, a0), each
+    trial's index into the list of distinct outputs (Bob's chosen qubit)
+    and that list, then each trial's leaf of the round and the round's
+    leaf probabilities.  A round's leaves are the pairs (leaf of Bob's
+    choice table, leaf of Alice's table), choice-major, each of
+    probability the product of its two leaves' probabilities.
     """
     table, choice = _alice_root(psi, phi), _choice_root(omega)
     uniforms = word_uniform(words[:, 1:4])
@@ -633,41 +620,31 @@ def sample_channel(
 ) -> tuple[int, AliceClassicalOutput, DensityMatrix]:
     """One sampled execution of the box on registers of ``joint``.
 
-    Mirrors channel_branches with Alice's output wired to Bob, but draws
-    each outcome from the rng (choice, both Bell measurements, then the
-    coins); used by the sampled (statistical) verification paths.
+    Row 0 of a one-row ``_channel_block`` on the rng's next four raw
+    words: Bob's choice, Alice's output and Bob's output.
     """
-    table, spectators = _channel_root(joint, inputs)
-    end = table.draw(rng)
-    w, first, second = table.paths[end].tolist()
-    box0, box1 = PRBox(rng), PRBox(rng)
-    alice_out = AliceClassicalOutput(*_alice_side(first, second, box0, box1))
-    _, correction, target = _bob_side(joint.num_qubits, w, alice_out.bits, box0, box1)
-    return w, alice_out, _leaf_output(table, end, target, correction, spectators)
-
-
-def sample_channel_block(
-    joint: StateVector, words: np.ndarray, inputs: tuple[int, int, int] = (0, 1, 2)
-) -> tuple[np.ndarray, list[DensityMatrix]]:
-    """``sample_channel`` rounds with Alice's bits wired to Bob, all at once.
-
-    Row t of ``words`` holds raw words 0-3 of trial t's stream, the draws
-    ``sample_channel`` makes: the choice, both Bell measurements, the
-    coins.  Returns each trial's index into the list of distinct outputs.
-    """
-    return _channel_block(joint, words, inputs)[:2]
+    (a1, a0), ids, outputs, ends, table = _channel_block(
+        joint, rng.bit_generator.random_raw((1, 4)), inputs
+    )
+    return int(table.paths[ends[0], 0]), _ALICE_OUTPUTS[2 * a1[0] + a0[0]], outputs[ids[0]]
 
 
 def _channel_block(joint: StateVector, words: np.ndarray, inputs: tuple[int, int, int]):
-    """``sample_channel_block``, then each trial's leaf and the round's outcome table."""
+    """Channel rounds with Alice's bits wired to Bob, one per trial, all at once.
+
+    Row t of ``words`` holds raw words 0-3 of trial t's stream: the
+    choice, both Bell measurements, the coins.  Returns Alice's bits
+    (a1, a0), each trial's index into the list of distinct outputs and
+    that list, then each trial's leaf and the round's outcome table.
+    """
     table, spectators = _channel_root(joint, inputs)
     ends = table.walk(word_uniform(words[:, :3]))
     outcomes = table.paths[ends]
-    *_, ids, outputs = _play(
+    alice, _, _, ids, outputs = _play(
         table, ends, outcomes[:, 0], outcomes[:, 1:], bit_columns(words[:, 3:]),
         joint.num_qubits, spectators,
     )
-    return ids, outputs, ends, table
+    return alice, ids, outputs, ends, table
 
 
 def sample_alice_output(
@@ -675,28 +652,22 @@ def sample_alice_output(
 ) -> AliceClassicalOutput:
     """Alice's output from one sampled round with Bob choosing ``w``.
 
-    Bob's inputs are fed to the boxes to complete the round, but his
-    output state is not needed for distribution checks and is skipped.
+    Row 0 of a one-row ``_alice_block`` on the rng's next three raw
+    words.  Bob's choice changes none of Alice's bits, so it is only
+    checked.
     """
-    res = QracResources(rng)
-    alice_out = qrac_alice(psi, phi, res)
-    res.box0.bob(w)
-    res.box1.bob(w)
-    return alice_out
-
-
-def sample_alice_outputs(psi: StateVector, phi: StateVector, words: np.ndarray) -> np.ndarray:
-    """Alice's output index 2*a1 + a0 of ``sample_alice_output`` rounds, at once.
-
-    Row t of ``words`` holds the three raw words round t draws: the
-    coins and Alice's two Bell measurements.  Bob's choice changes none
-    of Alice's bits, so it is not needed.
-    """
-    return _alice_block(psi, phi, words)[0]
+    _check_bit(w, "w")
+    alice, _, _ = _alice_block(psi, phi, rng.bit_generator.random_raw((1, 3)))
+    return _ALICE_OUTPUTS[alice[0]]
 
 
 def _alice_block(psi: StateVector, phi: StateVector, words: np.ndarray):
-    """``sample_alice_outputs``, then each trial's leaf and Alice's outcome table."""
+    """Alice's output index 2*a1 + a0 of rounds on fixed inputs, one per trial, at once.
+
+    Row t of ``words`` holds the three raw words round t draws: the
+    coins and Alice's two Bell measurements.  Returns the indices, then
+    each trial's leaf and Alice's outcome table.
+    """
     table = _alice_root(psi, phi)
     ends = table.walk(word_uniform(words[:, 1:3]))
     bells, coins = table.paths[ends], bit_columns(words[:, :1])

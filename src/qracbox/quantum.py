@@ -19,7 +19,10 @@ Conventions shared by the whole package:
   function, ``outcome_table``, takes a register through a schedule of
   measurements level by level, and both executors read its table: an
   exact enumeration its leaves and their probabilities, a sampled run
-  its running sums, walked by the inverse-CDF rule of ``_choose``.
+  its running sums, walked by ``OutcomeTable.walk``.  That walk is the
+  one sampler: a lone sampled measurement (``bell_measure``,
+  ``measure_computational``) is a one-row walk of the uniform its rng's
+  next raw word makes (``rng.word_uniform``).
 
 Tolerances are fixed package-wide: 1e-12 for norms, 1e-10 for algebraic
 identities.  Statistical checks elsewhere always run on seeded generators.
@@ -31,6 +34,8 @@ from math import cos, isfinite, sin, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .rng import word_uniform
 
 NORM_ATOL = 1e-12
 ALGEBRA_ATOL = 1e-10
@@ -301,27 +306,16 @@ def _projections(stack: np.ndarray, n: int, axes: tuple, outcome_amplitudes, col
     return probs, ks, outcomes, posts
 
 
-def _projection_lists(states, project, target, only=None) -> list:
-    """(probability, collapsed state or None) per outcome, for one state or each of a list.
+def _projection(state: StateVector, project, target, only: int):
+    """(probability, collapsed state or None) of outcome ``only`` of one state.
 
-    ``project`` is ``_bell_stack`` or ``_measure_stack``, run on one stack of the states.
+    ``project`` is ``_bell_stack`` or ``_measure_stack``, run on the
+    one-row stack of the state; no other outcome is collapsed.
     """
-    lone = isinstance(states, StateVector)
-    if lone:
-        n, stack = states.num_qubits, states.amplitudes[None]
-    else:
-        states = list(states)
-        n = states[0].num_qubits
-        if any(state.num_qubits != n for state in states):
-            raise ValueError("stacked states must have one number of qubits")
-        stack = np.stack([state.amplitudes for state in states])
-    probs, ks, outcomes, posts = project(stack, n, target, only)
-    rows = probs.T.tolist()
-    projections = [[(p, None) for p in row] for row in rows]
+    n = state.num_qubits
+    probs, _, _, posts = project(state.amplitudes[None], n, target, only)
     posts = _wrap(StateVector, n, "amplitudes", posts)
-    for k, i, post in zip(ks.tolist(), outcomes.tolist(), posts):
-        projections[k][i] = (rows[k][i], post)
-    return projections[0] if lone else projections
+    return float(probs[only, 0]), (posts[0] if posts else None)
 
 
 def _axes_first(stack: np.ndarray, n: int, axes: tuple) -> np.ndarray:
@@ -361,44 +355,16 @@ def _bell_stack(stack: np.ndarray, n: int, pair: tuple, only=None):
     return _projections(stack, n, pair, _bell_amplitudes, _bell_collapse, only)
 
 
-def bell_projections(states, pair: Sequence[int]) -> list:
-    """Probability and collapsed state for each forced Bell outcome, by index.
-
-    Entry ``i`` is for outcome 2*bit1 + bit0 = i; its state is ``None``
-    when the outcome's probability is below ``PROB_FLOOR``.  A list of
-    states gets one such list each, from one 4 x (K*M) operand laid out
-    as a lone state's; each outcome is one ``np.dot(<B(i)| as 1x4,
-    operand)``, never one 4x4 product, so a stack of 2- or 3-qubit
-    states may round differently from each state alone.  An
-    ``OutcomeTable`` projects its levels through the same core.
-    """
-    return _projection_lists(states, _bell_stack, tuple(pair))
-
-
 def bell_project(
     state: StateVector, pair: Sequence[int], outcome: BellOutcome
 ) -> tuple[float, StateVector | None]:
     """Probability and collapsed state for one forced Bell outcome.
 
     Returns ``(prob, None)`` when the outcome's probability is below
-    ``PROB_FLOOR``.  The entry of ``bell_projections`` for ``outcome``.
+    ``PROB_FLOOR``.  Each outcome is one ``np.dot(<B(i)| as 1x4,
+    operand)``, the projection an ``OutcomeTable`` level makes.
     """
-    index = outcome.index
-    return _projection_lists(state, _bell_stack, tuple(pair), index)[index]
-
-
-def _choose(rng: np.random.Generator, sums: list[float]) -> int:
-    """Sample an outcome from the running sums of its weights, in outcome order.
-
-    The first outcome whose running sum exceeds u * total, for one
-    uniform draw u and the total ``sums[-1]``; the last if none does.
-    One uniform draw per call, so streams stay cheap and replayable.
-    """
-    u = rng.random() * sums[-1]
-    for i, acc in enumerate(sums):
-        if u < acc:
-            return i
-    return len(sums) - 1
+    return _projection(state, _bell_stack, tuple(pair), outcome.index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,12 +394,12 @@ class OutcomeTable:
     def walk(self, uniforms: np.ndarray) -> np.ndarray:
         """The leaf each trial reaches, from row t of ``uniforms``: trial t's draw per level.
 
-        At each level every trial takes the outcome ``_choose`` takes on
-        its draw u: x = u * its parent's total, then one gather and
-        compare per outcome column, counting the running sums <= x.  The
-        sums never decrease, so that count over every column but the
-        last is the first outcome whose sum exceeds x, or the last
-        outcome if none does.  Counted onto the parent's row offset, it
+        At each level every trial takes, for its draw u, the first
+        outcome whose running sum exceeds x = u * its parent's total, or
+        the last outcome if none does: one gather and compare per
+        outcome column, counting the running sums <= x.  The sums never
+        decrease, so that count over every column but the last is that
+        outcome.  Counted onto the parent's row offset, it
         indexes the flattened ``children``.  No (trials x outcomes)
         array is built.
         """
@@ -446,13 +412,6 @@ class OutcomeTable:
                 picks += column.take(ends) <= x
             ends = children.take(picks)
         return ends
-
-    def draw(self, rng: np.random.Generator) -> int:
-        """The leaf of one trial, drawn by ``_choose`` with one uniform per level."""
-        end = 0
-        for sums, children in zip(self.sums, self.children):
-            end = int(children[end, _choose(rng, sums[end].tolist())])
-        return end
 
 
 def outcome_table(num_qubits: int, root: np.ndarray, schedule: Sequence[tuple]) -> OutcomeTable:
@@ -482,9 +441,13 @@ def outcome_table(num_qubits: int, root: np.ndarray, schedule: Sequence[tuple]) 
 
 
 def _measured(state: StateVector, measurement: tuple, rng: np.random.Generator):
-    """One sampled ``measurement`` of ``state``: (outcome index, collapsed state)."""
+    """One sampled ``measurement`` of ``state``: (outcome index, collapsed state).
+
+    A one-row walk of the table of ``measurement``, on the uniform of
+    the rng's next raw word.
+    """
     table = outcome_table(state.num_qubits, state.amplitudes[None], (measurement,))
-    end = table.draw(rng)
+    end = int(table.walk(word_uniform(rng.bit_generator.random_raw((1, 1))))[0])
     (post,) = _wrap(StateVector, state.num_qubits, "amplitudes", table.leaves[end : end + 1])
     return int(table.paths[end, 0]), post
 
@@ -514,18 +477,13 @@ def _measure_stack(stack: np.ndarray, n: int, qubit: int, only=None):
     return _projections(stack, n, (qubit,), _axes_first, _take_collapse, only)
 
 
-def measure_projections(states, qubit: int) -> list:
-    """Both forced outcomes of ``qubit``, stacked as ``bell_projections``; each a ``np.take``."""
-    return _projection_lists(states, _measure_stack, qubit)
-
-
 def measure_project(
     state: StateVector, qubit: int, outcome: int
 ) -> tuple[float, StateVector | None]:
-    """Probability and collapsed state for a forced outcome, as ``measure_projections`` gives it."""
+    """Probability and collapsed state for a forced outcome, each a ``np.take``."""
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    return _projection_lists(state, _measure_stack, qubit, outcome)[outcome]
+    return _projection(state, _measure_stack, qubit, outcome)
 
 
 # the stacked projector of each kind of measurement, as a schedule names it
@@ -550,30 +508,11 @@ def _subsystem_subscripts(num_qubits: int, keep: Sequence[int]) -> tuple[str, st
     return "".join(row), "".join(col), out
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix | float:
-    """Reduced state on the ``keep`` qubits (ascending original order).
-
-    An empty ``keep`` collapses to the scalar trace, returned as a float.
-    """
-    keep_sorted = sorted(set(keep))
-    for q in keep_sorted:
-        if not 0 <= q < rho.num_qubits:
-            raise ValueError(f"qubit index {q} out of range")
-    if not keep_sorted:
-        return float(np.real(np.trace(rho.matrix)))
-    n = rho.num_qubits
-    row, col, out = _subsystem_subscripts(n, keep_sorted)
-    t = rho.matrix.reshape((2,) * (2 * n))
-    k = len(keep_sorted)
-    reduced = np.einsum(f"{row}{col}->{out}", t).reshape(2**k, 2**k)
-    return DensityMatrix(k, reduced)
-
-
 def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Density matrix of the ``keep`` qubits of a pure state.
 
-    Equivalent to ``partial_trace(density(state), keep)`` without forming
-    the full outer product.
+    The partial trace of ``density(state)`` over the other qubits,
+    without forming the full outer product.
     """
     keep_sorted = sorted(set(keep))
     if not keep_sorted:

@@ -31,16 +31,22 @@ in numpy 2: ``integers(2)`` takes the top bit of the next 32-bit draw,
 a bit generator spends a word low half first, and ``random()`` keeps
 the top 53 bits of a whole word.
 
-Reports are computed in blocks of ``TRIAL_BLOCK`` trials, and any trial
-of a per-trial stream can be replayed alone by the single-trial
-executors (``harness.run_qrac_protocol``, ``harness.run_rac_protocol``,
-``qrac.sample_channel``) on ``make_rng(seed, i)``.  Those are plain
-reference code: they draw through numpy's ``Generator`` API, a coin
-with ``integers(2)`` and a measurement with ``random()``, and share no
-word rule with the batched executors.  The tests pin ``stream_words`` to
-``np.random.Philox`` and the two word rules to those draws, so a numpy
-that changed Philox would fail a test instead of silently changing
-reports.
+Reports are computed in blocks of ``TRIAL_BLOCK`` trials, and there is
+one word rule: a measurement reads the uniform of one whole raw word,
+and ``quantum.OutcomeTable.walk``, the one sampler, turns it into an
+outcome; two coins read one word.  A single-trial call is a one-row
+block on the next raw words of its rng (``rng.bit_generator.random_raw``):
+``qrac.sample_channel`` reads four, ``qrac.sample_alice_output`` three,
+``qrac.qrac_alice`` two after the coin word of its ``QracResources``,
+and ``quantum.bell_measure``, ``measure_computational`` and
+``qrac.dense_decode`` one each.  So any trial of a per-trial stream
+replays as a block of that trial alone on ``make_rng(seed, i)``:
+``harness.run_qrac_protocol(..., trial=i)`` is trial i of a ``qrac``
+report, and ``harness.run_rac_protocol`` plays trial i of a ``racbox``
+report after three ``int(rng.integers(2))`` draws, (a0, a1, w).  The
+tests pin ``stream_words`` to ``np.random.Philox`` and the two word
+rules to numpy's ``integers(2)`` and ``random()``, so a numpy that
+changed Philox would fail a test instead of silently changing reports.
 """
 from __future__ import annotations
 

@@ -6,11 +6,17 @@ full unitaries, Bell vectors and probabilities, the loop partial trace,
 a Choi matrix applied to an input, the Choi matrix of the ideal channel,
 a dilation's output, and Haar-random unitaries as test data.
 
-The last section keeps the exact channel layer as it ran one state and
-one pair at a time: the nested enumeration with its per-state
-projections, partial traces and relabellings, the branch-sum loop, the
-dilation report's per-pair loop and sequential Haar draws.  The stacked
-layer must give their floats bit for bit.
+The exact channel layer is kept as it ran one state and one pair at a
+time: the nested enumeration with its per-state projections, partial
+traces and relabellings, the branch-sum loop, the dilation report's
+per-pair loop and sequential Haar draws.  The stacked layer must give
+their floats bit for bit.
+
+The last section is the single-trial sampler as it ran before every draw
+became a walk of raw words: one ``rng.random()`` a measurement and one
+``rng.integers(2)`` a coin, through numpy's ``Generator`` API, so the
+package's one sampler, ``OutcomeTable.walk``, is held to a rule it does
+not share code with.
 """
 from __future__ import annotations
 
@@ -285,3 +291,61 @@ def haar_states(num_qubits: int, count: int, rng: np.random.Generator) -> list[n
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         states.append(vec / np.linalg.norm(vec))
     return states
+
+
+# ---------------------------------------------------------------------------
+# the single-trial sampler, drawing through numpy's Generator API
+# ---------------------------------------------------------------------------
+
+def choose(rng, sums: list[float]) -> int:
+    """Sample an outcome from the running sums of its weights, in outcome order.
+
+    The first outcome whose running sum exceeds u * total, for one
+    uniform draw u = ``rng.random()`` and the total ``sums[-1]``; the
+    last if none does.
+    """
+    u = rng.random() * sums[-1]
+    for i, acc in enumerate(sums):
+        if u < acc:
+            return i
+    return len(sums) - 1
+
+
+def draw(table, rng) -> int:
+    """The leaf of one trial of an ``OutcomeTable``, by ``choose`` with one uniform a level."""
+    end = 0
+    for sums, children in zip(table.sums, table.children):
+        end = int(children[end, choose(rng, sums[end].tolist())])
+    return end
+
+
+def sample_channel(joint: np.ndarray, rng, inputs: tuple[int, int, int]):
+    """One channel round on ``joint`` with Alice's bits wired to Bob: (w, (a1, a0), output).
+
+    Bob's choice, then Alice's two Bell measurements, each drawn by
+    ``choose`` over the running sums of the outcomes that
+    ``measure_project`` and ``bell_projections`` keep; then the two box
+    coins, ``rng.integers(2)`` each, wired by the PR-box law written
+    out.  The output is ``corrected_output`` of the leaf.
+    """
+    n = joint.size.bit_length() - 1
+    q_apr, q_adp, q_r = inputs
+    phi_plus = bell_vector(0, 0)
+    state = np.multiply.outer(np.multiply.outer(joint, phi_plus), phi_plus).reshape(-1)
+    picks = []
+    for measure in (
+        lambda amps: [measure_project(amps, q_r, bit) for bit in (0, 1)],
+        lambda amps: bell_projections(amps, (q_apr, n)),
+        lambda amps: bell_projections(amps, (q_adp, n + 2)),
+    ):
+        projections = measure(state)
+        weights = [0.0 if post is None else prob for prob, post in projections]
+        picks.append(choose(rng, np.cumsum(weights).tolist()))
+        state = projections[picks[-1]][1]
+    w, first, second = picks
+    coin0, coin1 = int(rng.integers(2)), int(rng.integers(2))
+    a1, a0 = (first >> 1) ^ coin1, (first & 1) ^ coin0  # Alice's output: A = coin
+    xor = first ^ second  # what Alice fed box1 (bit 1) and box0 (bit 0)
+    b1, b0 = coin1 ^ ((xor >> 1) & w), coin0 ^ (xor & w)  # Bob's output: B = coin ^ x*y
+    spectators = [q for q in range(n) if q not in inputs]
+    return w, (a1, a0), corrected_output(state, spectators + [n + 1 + 2 * w], (a1 ^ b1, a0 ^ b0))

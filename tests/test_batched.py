@@ -1,6 +1,8 @@
 """Tests for the batched executors: the vectorised Philox streams, the
-batched outcome-table walk, and every batched report path against the
-single-trial reference executor it replaces, trial for trial."""
+batched outcome-table walk, and every batched report path against a
+single-trial reference, trial for trial: the two-party ``qrac_alice`` /
+``qrac_bob`` path, or the ``oracles`` sampler that draws through numpy's
+``Generator`` API."""
 from __future__ import annotations
 
 import gc
@@ -15,23 +17,28 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from qracbox import harness, quantum
+from qracbox import harness, qrac, quantum
 from qracbox import rng as rng_module
+from qracbox.boxes import PRBox
 from qracbox.channel import D_IN, D_OUT, _entangled_probe, tomography, verify_nonsignaling
 from qracbox.cli import main
 from qracbox.harness import (
     ExperimentConfig,
     parse_state_spec,
-    run_qrac_protocol,
     run_rac_protocol,
 )
 from qracbox.metering import MeteredChannel, ProtocolError, Tally
 from qracbox.qrac import (
+    DenseCodingPair,
+    QracResources,
+    _alice_block,
     _alice_root,
+    _alice_side,
     _channel_root,
-    sample_alice_output,
-    sample_alice_outputs,
-    sample_channel,
+    dense_decode,
+    dense_encode,
+    qrac_alice,
+    qrac_bob,
 )
 from qracbox.quantum import (
     KET0,
@@ -39,16 +46,18 @@ from qracbox.quantum import (
     KET_PLUS,
     OutcomeTable,
     StateVector,
-    _choose,
-    bell_projections,
+    _bell_stack,
+    _measure_stack,
     fidelity,
     haar_random_qubit,
     make_pure_qubit,
-    measure_projections,
+    measure_computational,
     outcome_table,
     tensor,
 )
 from qracbox.rng import make_rng, stream_words, word_bits, word_uniform
+
+import oracles
 
 KEYS = [0, 1, 2**32, 2**63, 2**64 - 1]
 SEEDS = [0, 5, 2**64 - 1]
@@ -128,13 +137,13 @@ class TestBatchedWalk:
         table = _alice_root(*_states(1)[:2])
         words = make_rng(2).bit_generator.random_raw(4000)
         rng = make_rng(2)
-        expected = [_choose(rng, table.sums[0][0].tolist()) for _ in range(4000)]
+        expected = [oracles.choose(rng, table.sums[0][0].tolist()) for _ in range(4000)]
         uniforms = np.stack([word_uniform(words), np.zeros(4000)], axis=1)
         assert table.paths[table.walk(uniforms), 0].tolist() == expected
 
     def test_pick_edges(self):
         # zero-weight outcomes are never picked; u * total equal to a
-        # running sum goes past it, as in _choose
+        # running sum goes past it, as in oracles.choose
         table = outcome_table(1, KET0.amplitudes[None], [("computational", 0)])
         assert table.sums[0].tolist() == [[1.0, 1.0]]
         assert _picks(table, [0.0, 0.5, 1 - 2**-53]) == [0, 0, 0]
@@ -143,10 +152,10 @@ class TestBatchedWalk:
         assert 0.5 * sums[-1] == sums[0]  # a tie at u = 0.5
 
         uniforms = [0.0, 0.5 - 2**-53, 0.5, 1 - 2**-53]
-        expected = [_choose(Fixed(u), sums) for u in uniforms]
+        expected = [oracles.choose(Fixed(u), sums) for u in uniforms]
         assert expected == [0, 0, 1, 1]
         assert _picks(table, uniforms) == expected
-        assert [int(table.paths[table.draw(Fixed(u)), 0]) for u in uniforms] == expected
+        assert [int(table.paths[oracles.draw(table, Fixed(u)), 0]) for u in uniforms] == expected
 
         # an outcome of 0 < p < PROB_FLOOR is as impossible as in an
         # enumeration, which prunes it: computational, then Bell
@@ -154,15 +163,17 @@ class TestBatchedWalk:
         qubit = make_pure_qubit(2 * asin(sqrt(small)), 0)
         bell = StateVector(2, (sqrt(1 - small) * np.array([1, 0, 0, 1])
                                + sqrt(small) * np.array([0, -1, 1, 0])) / sqrt(2))
-        for state, measurement, projections in (
-            (qubit, ("computational", 0), measure_projections(qubit, 0)),
-            (bell, ("bell", (0, 1)), bell_projections(bell, (0, 1))),
+        for state, measurement, project in (
+            (qubit, ("computational", 0), _measure_stack),
+            (bell, ("bell", (0, 1)), _bell_stack),
         ):
-            assert 0 < projections[-1][0] < 1e-14 and projections[-1][1] is None
+            amps, n = state.amplitudes[None], state.num_qubits
+            probs, _, outcomes, _ = project(amps, n, measurement[1])
+            assert 0 < probs[-1, 0] < 1e-14 and len(probs) - 1 not in outcomes.tolist()
             table = outcome_table(state.num_qubits, state.amplitudes[None], [measurement])
             sums = table.sums[0][0].tolist()
             assert sums[-1] == sums[-2] and table.children[0][0, -1] == -1
-            assert table.paths[table.draw(Fixed(1 - 2e-15)), 0] == 0
+            assert table.paths[oracles.draw(table, Fixed(1 - 2e-15)), 0] == 0
             assert _picks(table, [1 - 2e-15, 1 - 2**-53]) == [0, 0]
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -173,7 +184,7 @@ class TestBatchedWalk:
         ends = table.walk(word_uniform(words))
         for trial in range(300):
             rng = make_rng(seed, trial)
-            assert ends[trial] == table.draw(rng)
+            assert ends[trial] == oracles.draw(table, rng)
             # one uniform per measurement, as the walk reads
             reference = make_rng(seed, trial)
             assert rng.random() == [reference.random() for _ in range(4)][-1]
@@ -248,7 +259,7 @@ class TestWalkKernel:
         uniforms = np.array([[u] * levels for u in EXTREMES] + trials)
         ends = table.walk(uniforms)
         assert ends.dtype == np.intp
-        assert ends.tolist() == [table.draw(Feed(row)) for row in uniforms.tolist()]
+        assert ends.tolist() == [oracles.draw(table, Feed(row)) for row in uniforms.tolist()]
 
     def test_synthetic_tables_prune_and_tie_below_the_root(self):
         # the property above is as strong as its tables: some prune an
@@ -262,7 +273,9 @@ class TestWalkKernel:
 
         table, ties = find(synthetic_tables(), deep_tie_and_prune, settings=settings(database=None))
         uniforms = np.array(list(product(*(EXTREMES + us for us in ties))))
-        assert table.walk(uniforms).tolist() == [table.draw(Feed(row)) for row in uniforms.tolist()]
+        assert table.walk(uniforms).tolist() == [
+            oracles.draw(table, Feed(row)) for row in uniforms.tolist()
+        ]
 
     def test_no_trials(self):
         table = _alice_root(*_states(2)[:2])
@@ -296,17 +309,8 @@ class TestSkewedSampler:
         ids=["qrac", "qrac-qubit-only", "tomography", "nonsignaling"],
     )
     def test_every_sampled_report_fails_its_leaf_check(self, argv, monkeypatch, capsys):
-        walk, choose = OutcomeTable.walk, quantum._choose
-
-        class Cubed:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def random(self):
-                return self.rng.random() ** 3
-
+        walk = OutcomeTable.walk
         monkeypatch.setattr(OutcomeTable, "walk", lambda table, uniforms: walk(table, uniforms**3))
-        monkeypatch.setattr(quantum, "_choose", lambda rng, sums: choose(Cubed(rng), sums))
         assert main([*argv, "--seed", "7"]) == 2
         checks = json.loads(capsys.readouterr().out)["checks"]
         failed = [check["name"] for check in checks if not check["pass"]]
@@ -316,17 +320,43 @@ class TestSkewedSampler:
 
 
 def _scalar_qrac(config: ExperimentConfig, dense: bool):
-    """The report loop of the single-trial executor: rows, tallies, histogram, fidelities."""
+    """The report loop, played round by round by the two parties.
+
+    Returns rows, tallies, histogram and fidelities.  Trial i's stream
+    feeds the box coins, Bob's measurement of omega, Alice's side and the
+    dense decoding, in that order, each round metered on a channel of its
+    own.
+    """
     psi, phi, omega = config.resolved_psi(), config.resolved_phi(), config.resolved_omega()
     tallies, rows, histogram, fidelities = Tally(), [], [0, 0, 0, 0], []
     for trial in range(max(config.trials, 1)):
-        result = run_qrac_protocol(psi, phi, omega, config.seed, trial=trial, dense=dense)
-        tallies = tallies + result.transcript.totals
-        f = fidelity(result.output, psi if result.w == 0 else phi)
+        rng = make_rng(config.seed, trial)
+        res = QracResources(rng)
+        w, _ = measure_computational(omega, 0, rng)
+        alice = qrac_alice(psi, phi, res)
+        channel = MeteredChannel()
+        if dense:
+            payload = dense_encode(alice.a1, alice.a0, DenseCodingPair())
+            channel.send("A->B", "qubit", "dense-coded-output", payload)
+            assert dense_decode(payload, rng).bits == alice.bits
+        else:
+            channel.send("A->B", "classical-bit", "a1", alice.a1)
+            channel.send("A->B", "classical-bit", "a0", alice.a0)
+        tallies = tallies + channel.transcript().totals
+        f = fidelity(qrac_bob(w, alice.bits, res), psi if w == 0 else phi)
         fidelities.append(f)
-        histogram[result.alice.index] += 1
-        rows.append([trial, result.w, result.alice.a1, result.alice.a0, f])
+        histogram[alice.index] += 1
+        rows.append([trial, w, alice.a1, alice.a0, f])
     return rows, tallies, histogram, fidelities
+
+
+def _scalar_alice_output(psi, phi, rng) -> int:
+    """Alice's output index of one round: the coins, then her table's leaf by ``oracles.draw``."""
+    box0, box1 = PRBox(rng), PRBox(rng)
+    table = _alice_root(psi, phi)
+    first, second = table.paths[oracles.draw(table, rng)].tolist()
+    a1, a0 = _alice_side(first, second, box0, box1)
+    return 2 * a1 + a0
 
 
 def _spec(state) -> str:
@@ -393,8 +423,8 @@ class TestReportsEqualTheScalarExecutor:
         probe = _entangled_probe()
         total = np.zeros((D_IN * D_OUT, D_IN * D_OUT), dtype=complex)
         for trial in range(trials):
-            _, _, rho = sample_channel(probe, make_rng(seed, trial), (3, 4, 5))
-            total += D_IN * rho.matrix / trials
+            _, _, rho = oracles.sample_channel(probe.amplitudes, make_rng(seed, trial), (3, 4, 5))
+            total += D_IN * rho / trials
         choi = tomography(mode="sampled", trials=trials, seed=seed)
         assert np.array_equal(choi.matrix, total)
 
@@ -404,9 +434,9 @@ class TestReportsEqualTheScalarExecutor:
         psi, phi, _ = _states(seed)
         trials = 2 * BLOCK + 3
         ref = make_rng(seed, w)
-        expected = [sample_alice_output(psi, phi, w, ref).index for _ in range(trials)]
+        expected = [_scalar_alice_output(psi, phi, ref) for _ in range(trials)]
         words = make_rng(seed, w).bit_generator.random_raw(3 * trials).reshape(-1, 3)
-        assert sample_alice_outputs(psi, phi, words).tolist() == expected
+        assert _alice_block(psi, phi, words)[0].tolist() == expected
 
     def test_sampled_nonsignaling_counts(self, monkeypatch):
         monkeypatch.setattr(rng_module, "TRIAL_BLOCK", 3001)  # the floor is 1e4 trials
@@ -418,7 +448,7 @@ class TestReportsEqualTheScalarExecutor:
             rng = make_rng(seed, w)
             counts[w] = np.zeros(4)
             for _ in range(trials):
-                counts[w][sample_alice_output(psi, phi, w, rng).index] += 1
+                counts[w][_scalar_alice_output(psi, phi, rng)] += 1
         report = verify_nonsignaling(trials, seed, "sampled", psi=psi, phi=phi)
         expected = harness.tv_distance(counts[0] / trials, counts[1] / trials)
         assert report["metrics"]["sampled_alice_tv"] == expected
@@ -496,8 +526,8 @@ REPORT_TRIALS = {
 
 
 class TestReportsRunBatched:
-    """No report plays a round on the single-trial path: those executors are
-    references for the tests, so a report must not depend on them."""
+    """No report plays a round on the single-trial path: a report runs whole
+    blocks, never a lone rng-taking draw or a lone metered round."""
 
     @pytest.mark.parametrize("mode", ["branch-exact", "sampled"])
     @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
@@ -507,7 +537,9 @@ class TestReportsRunBatched:
         def per_trial(*args, **kwargs):
             raise AssertionError("a report reached the single-trial path")
 
-        monkeypatch.setattr(OutcomeTable, "draw", per_trial)
+        monkeypatch.setattr(quantum, "_measured", per_trial)
+        for name in ("qrac_alice", "sample_channel", "sample_alice_output"):
+            monkeypatch.setattr(qrac, name, per_trial)
         monkeypatch.setattr(harness, "run_qrac_protocol", per_trial)
         monkeypatch.setattr(harness, "run_rac_protocol", per_trial)
         argv = ["run", "--experiment", experiment, "--mode", mode, "--seed", "7"]
@@ -568,6 +600,16 @@ class TestOverflowingAmpSpec:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert message in err[0]
+
+    @pytest.mark.parametrize("spec", ["amp:1e-160,0,0,0", "amp:0,0,0,-1e-157"])
+    def test_a_spec_that_cannot_be_normalized_is_not_warned_about(self, spec, capsys):
+        # |a|^2 is subnormal: the norm is finite and non-zero, but a / norm is off unit norm
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--experiment", "qrac", "--psi", spec, "--seed", "1"])
+        assert code == 3 and caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: amp spec cannot be normalized")
 
     def test_large_finite_norm_still_accepted(self):
         with pytest.warns(UserWarning, match="renormalized"):

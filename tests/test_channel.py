@@ -32,10 +32,10 @@ from qracbox.channel import (
     verify_nonsignaling,
 )
 from qracbox.qrac import (
+    _channel_block,
+    _sampled_rounds,
     branch_sums,
     channel_branches,
-    qrac_rounds,
-    sample_channel_block,
 )
 from qracbox.quantum import (
     KET0,
@@ -109,7 +109,7 @@ class TestTomography:
 
         def block(joint, words, inputs):
             ends = np.zeros(len(words), dtype=np.intp)
-            return ends, [output], ends, table
+            return (ends, ends), ends, [output], ends, table
 
         monkeypatch.setattr(channel_module, "_channel_block", block)
         with pytest.raises(ValueError, match="^Choi matrix is not PSD"):
@@ -557,15 +557,15 @@ class TestClearBoxCaches:
         psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
         joint = tensor([psi, phi, KET_PLUS])
         words = stream_words(96, np.arange(256), 4)
-        ids, outputs = sample_channel_block(joint, words)
-        _, _, round_ids, round_outputs = qrac_rounds(psi, phi, KET_PLUS, words)
+        _, ids, outputs, _, _ = _channel_block(joint, words, (0, 1, 2))
+        _, _, round_ids, round_outputs, _, _ = _sampled_rounds(psi, phi, KET_PLUS, words)
         return {
             "channel_branches": [
                 br.output.matrix for br in channel_branches(joint) if br.correction[0]
             ],
             "tomography": tomography().matrix,
-            "sample_channel_block": [outputs[i].matrix for i in ids.tolist()],
-            "qrac_rounds": [round_outputs[i].matrix for i in round_ids.tolist()],
+            "_channel_block": [outputs[i].matrix for i in ids.tolist()],
+            "_sampled_rounds": [round_outputs[i].matrix for i in round_ids.tolist()],
         }
 
     @staticmethod

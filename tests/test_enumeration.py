@@ -3,7 +3,7 @@
 ``channel_branches`` takes one partial trace per (leaf, target) and
 builds each Pauli-corrected output from it by a signed relabelling,
 projects all four Bell outcomes of a pair from one transposed operand
-(``quantum.bell_projections``) and wires each leaf's four coin branches
+(``quantum._bell_stack``) and wires each leaf's four coin branches
 in the same pass as the sampled blocks.  Every float must be the one
 the direct computation gives: these tests compare with
 ``np.array_equal`` against ``apply_unitary`` + ``reduced_density`` and
@@ -24,11 +24,11 @@ from qracbox.channel import _entangled_probe
 from qracbox.qrac import (
     _alice_side,
     _bob_side,
-    _leaf_output,
+    _channel_block,
+    _leaf_outputs,
     _relabelled,
     _round_register,
     channel_branches,
-    sample_channel_block,
 )
 from qracbox.quantum import (
     PHI_PLUS,
@@ -38,8 +38,8 @@ from qracbox.quantum import (
     StateVector,
     apply_unitary,
     basis_state,
+    _bell_stack,
     bell_project,
-    bell_projections,
     density_matrices,
     haar_random_state,
     measure_project,
@@ -67,6 +67,18 @@ def _fresh_output(state, target, correction, spectators):
 def _leaf(state):
     """A table of no measurement: its one leaf is ``state``."""
     return outcome_table(state.num_qubits, state.amplitudes[None], ())
+
+
+def _leaf_output(table, target, correction, spectators):
+    """The corrected output of leaf 0 of ``table``: ``_leaf_outputs`` of one row."""
+    return _leaf_outputs(table, np.zeros(1, dtype=np.intp), target, correction, spectators)[1][0]
+
+
+def _bell_outcomes(state, pair):
+    """(probability, collapsed amplitudes or None) of each Bell outcome, by ``_bell_stack``."""
+    probs, _, outcomes, posts = _bell_stack(state.amplitudes[None], state.num_qubits, pair)
+    kept = dict(zip(outcomes.tolist(), posts))
+    return [(prob, kept.get(index)) for index, prob in enumerate(probs[:, 0].tolist())]
 
 
 def _sparse_state(num_qubits, rng):
@@ -97,7 +109,7 @@ class TestRelabelledOutputs:
                     spectators = sorted(rng.choice(target, size=size, replace=False).tolist())
                     leaf = _leaf(state)
                     for correction in CORRECTIONS:
-                        out = _leaf_output(leaf, 0, target, correction, spectators)
+                        out = _leaf_output(leaf, target, correction, spectators)
                         fresh = _fresh_output(state, target, correction, spectators)
                         assert np.array_equal(out.matrix, fresh.matrix)
                         compared += 1
@@ -106,15 +118,15 @@ class TestRelabelledOutputs:
     def test_uncorrected_output_is_the_partial_trace_itself(self):
         state = haar_random_state(4, make_rng(72))
         leaf = _leaf(state)
-        outputs = {c: _leaf_output(leaf, 0, 3, c, [0, 1]) for c in CORRECTIONS}
+        outputs = {c: _leaf_output(leaf, 3, c, [0, 1]) for c in CORRECTIONS}
         assert leaf.memos[0][(3, (0, 0))] is outputs[(0, 0)]
-        assert all(_leaf_output(leaf, 0, 3, c, [0, 1]) is outputs[c] for c in CORRECTIONS)
+        assert all(_leaf_output(leaf, 3, c, [0, 1]) is outputs[c] for c in CORRECTIONS)
         assert len({id(out) for out in outputs.values()}) == 4
 
     def test_target_must_be_the_last_kept_qubit(self):
         leaf = _leaf(haar_random_state(3, make_rng(73)))
         with pytest.raises(AssertionError):
-            _leaf_output(leaf, 0, 1, (1, 1), [0, 2])
+            _leaf_output(leaf, 1, (1, 1), [0, 2])
 
     @pytest.mark.parametrize("b", [None, (0, 0), (0, 1), (1, 0), (1, 1)])
     def test_ten_qubit_probe_layout(self, b):
@@ -221,7 +233,7 @@ class TestStackedValidation:
         with pytest.raises(ValueError, match="^matrix has a negative eigenvalue$"):
             channel_branches(joint)
         with pytest.raises(ValueError, match="^matrix has a negative eigenvalue$"):
-            sample_channel_block(joint, stream_words(78, np.arange(64), 4))
+            _channel_block(joint, stream_words(78, np.arange(64), 4), (0, 1, 2))
 
 
 class TestBellProjections:
@@ -250,7 +262,7 @@ class TestBellProjections:
                 for pair in [(0, 1), (1, 0), (n - 1, 0), (n - 2, n - 1)]:
                     if pair[0] == pair[1]:
                         continue
-                    projections = bell_projections(state, pair)
+                    projections = _bell_outcomes(state, pair)
                     assert len(projections) == 4
                     for index, (prob, post) in enumerate(projections):
                         single = bell_project(state, pair, quantum._BELL_OUTCOMES[index])
@@ -260,22 +272,23 @@ class TestBellProjections:
                             pruned += 1
                             assert post is None and single[1] is None
                         else:
-                            assert np.array_equal(post.amplitudes, ref_post)
+                            assert np.array_equal(post, ref_post)
                             assert np.array_equal(single[1].amplitudes, ref_post)
         if kind == "basis":
             assert pruned > 0
 
     def test_bad_pairs_rejected(self):
         state = haar_random_state(3, make_rng(76))
+        stack = np.stack([state.amplitudes, state.amplitudes])
         with pytest.raises(ValueError):
-            bell_projections(state, (1, 1))
+            _bell_outcomes(state, (1, 1))
         with pytest.raises(ValueError):
-            bell_projections(state, (0, 3))
+            _bell_outcomes(state, (0, 3))
         for pair in [(0,), (0, 1, 2)]:
             with pytest.raises(ValueError, match="needs two qubits"):
-                bell_projections(state, pair)
+                _bell_outcomes(state, pair)
             with pytest.raises(ValueError, match="needs two qubits"):
-                bell_projections([state, state], pair)
+                _bell_stack(stack, 3, pair)
 
     def test_shared_operands_are_read_only(self):
         assert not quantum._BELL_BRAS.flags.writeable

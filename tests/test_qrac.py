@@ -22,12 +22,15 @@ from qracbox.qrac import (
     DenseCodingPair,
     QracResources,
     _ALICE_MEASUREMENTS,
+    _alice_block,
     _alice_root,
+    _channel_block,
     _channel_root,
     _channel_round,
     _choice_root,
     _load_inputs,
     _round_register,
+    _sampled_rounds,
     _tree,
     branch_sums,
     channel_branches,
@@ -35,11 +38,8 @@ from qracbox.qrac import (
     dense_encode,
     qrac_alice,
     qrac_bob,
-    qrac_rounds,
     sample_alice_output,
-    sample_alice_outputs,
     sample_channel,
-    sample_channel_block,
 )
 from qracbox.quantum import (
     KET0,
@@ -47,6 +47,7 @@ from qracbox.quantum import (
     KET_PLUS,
     PHI_PLUS,
     BellOutcome,
+    OutcomeTable,
     StateVector,
     apply_unitary,
     basis_state,
@@ -113,11 +114,11 @@ class TestAliceOutput:
             assert np.max(np.abs(dist - 0.25)) < 1e-12
 
     def test_sampled_distribution_is_uniform(self):
-        rng = make_rng(5)
-        counts = np.zeros(4)
+        # the rounds of 10**5 sample_alice_output calls on one stream, as one
+        # block: a call is row 0 of a block on its next three raw words
         trials = 10**5
-        for _ in range(trials):
-            counts[sample_alice_output(KET0, KET1, 0, rng).index] += 1
+        words = make_rng(5).bit_generator.random_raw((trials, 3))
+        counts = np.bincount(_alice_block(KET0, KET1, words)[0], minlength=4)
         assert tv_distance(counts / trials, np.full(4, 0.25)) <= 0.02
 
     def test_same_seed_same_output(self):
@@ -127,12 +128,12 @@ class TestAliceOutput:
         assert len(runs) == 1
 
     def test_distribution_independent_of_inputs(self):
+        # 10**5 sample_alice_output calls on each of two streams, as two blocks
         trials = 10**5
-        counts = {0: np.zeros(4), 1: np.zeros(4)}
-        rng_a, rng_b = make_rng(6, 0), make_rng(6, 1)
-        for _ in range(trials):
-            counts[0][sample_alice_output(KET0, KET0, 0, rng_a).index] += 1
-            counts[1][sample_alice_output(KET_PLUS, KET1, 0, rng_b).index] += 1
+        counts = {}
+        for stream, (psi, phi) in enumerate([(KET0, KET0), (KET_PLUS, KET1)]):
+            words = make_rng(6, stream).bit_generator.random_raw((trials, 3))
+            counts[stream] = np.bincount(_alice_block(psi, phi, words)[0], minlength=4)
         assert tv_distance(counts[0] / trials, counts[1] / trials) <= 0.02
 
 
@@ -196,10 +197,10 @@ class TestResourceContracts:
             lambda omega: channel_branches(_round_register(KET0, KET1, omega)),
             lambda omega: run_qrac_protocol(KET0, KET1, omega, 3),
             lambda omega: run_qrac_protocol(KET0, KET1, omega, 3, dense=True),
-            lambda omega: qrac_rounds(KET0, KET1, omega, stream_words(3, np.arange(5), 4)),
+            lambda omega: _sampled_rounds(KET0, KET1, omega, stream_words(3, np.arange(5), 4)),
         ],
         ids=["channel_branches", "run_qrac_protocol", "run_qrac_protocol_dense",
-             "qrac_rounds"],
+             "_sampled_rounds"],
     )
     def test_multi_qubit_choice_rejected(self, run, omega):
         with pytest.raises(ValueError, match="^omega must be a single-qubit state$"):
@@ -571,20 +572,20 @@ class TestSharedOutputPath:
 def _every_executor() -> dict:
     """What each executor of a round makes of fixed inputs and draws.
 
-    Alice's a1 bits (her output index from ``sample_alice_outputs``), or
-    Bob's outputs trial by trial from ``sample_channel_block``.
+    Alice's a1 bits (her output index from ``_alice_block``), or Bob's
+    outputs trial by trial from ``_channel_block``.
     """
     rng = make_rng(91)
     psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
     words = stream_words(92, np.arange(64, dtype=np.uint64), 4)
     probe = _entangled_probe()
     register = _round_register(psi, phi, KET_PLUS)
-    ids, outputs = sample_channel_block(probe, words, (3, 4, 5))
+    _, ids, outputs, _, _ = _channel_block(probe, words, (3, 4, 5))
     return {
         "channel_branches": [branch.alice.a1 for branch in channel_branches(register)],
-        "qrac_rounds": qrac_rounds(psi, phi, KET_PLUS, words)[1][0],
-        "sample_alice_outputs": sample_alice_outputs(psi, phi, words[:, :3]),
-        "sample_channel_block": np.stack([outputs[i].matrix for i in ids]),
+        "_sampled_rounds": _sampled_rounds(psi, phi, KET_PLUS, words)[1][0],
+        "_alice_block": _alice_block(psi, phi, words[:, :3])[0],
+        "_channel_block": np.stack([outputs[i].matrix for i in ids]),
         "qrac_alice": qrac_alice(psi, phi, QracResources(make_rng(93))).a1,
         "sample_channel": sample_channel(probe, make_rng(94), (3, 4, 5))[1].a1,
         "sample_alice_output": sample_alice_output(psi, phi, 1, make_rng(95)).a1,
@@ -607,3 +608,36 @@ class TestOneWiringOwner:
         mutant = _every_executor()
         changed = [name for name in honest if not np.array_equal(honest[name], mutant[name])]
         assert changed == list(honest)
+
+
+def _single_trial_draws() -> dict:
+    """What each rng-taking single-trial function draws on fixed inputs, stream by stream."""
+    rng = make_rng(97)
+    psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
+    pair, probe = haar_random_state(2, rng), _entangled_probe()
+    streams = range(64)
+    return {
+        "bell_measure": [bell_measure(pair, (0, 1), make_rng(98, s))[0] for s in streams],
+        "measure_computational": [measure_computational(KET_PLUS, 0, make_rng(99, s))[0]
+                                  for s in streams],
+        "sample_channel": [sample_channel(probe, make_rng(100, s), (3, 4, 5))[:2]
+                           for s in streams],
+        "run_qrac_protocol": [
+            (result.w, result.alice)
+            for result in (run_qrac_protocol(psi, phi, KET_PLUS, 101, trial=s) for s in streams)
+        ],
+        "qrac_alice": [qrac_alice(psi, phi, QracResources(make_rng(102, s))) for s in streams],
+        "sample_alice_output": [sample_alice_output(psi, phi, 0, make_rng(103, s))
+                                for s in streams],
+    }
+
+
+class TestOneSampler:
+    """``OutcomeTable.walk`` draws every sampled outcome, a lone call's as a report's."""
+
+    def test_a_skewed_walk_reaches_every_single_trial_draw(self, monkeypatch):
+        honest = _single_trial_draws()
+        walk = OutcomeTable.walk
+        monkeypatch.setattr(OutcomeTable, "walk", lambda table, uniforms: walk(table, uniforms**3))
+        skewed = _single_trial_draws()
+        assert [name for name in honest if honest[name] != skewed[name]] == list(honest)

@@ -22,7 +22,6 @@ from qracbox.quantum import (
     basis_state,
     bell_measure,
     bell_project,
-    bell_projections,
     density,
     density_matrices,
     fidelity,
@@ -32,12 +31,12 @@ from qracbox.quantum import (
     measure_computational,
     measure_project,
     outcome_table,
-    partial_trace,
     pauli_correction,
     reduced_density,
     tensor,
     trace_distance,
 )
+from qracbox.rng import word_uniform
 
 import oracles
 
@@ -308,8 +307,8 @@ class TestBellMeasurement:
     @pytest.mark.parametrize(
         "measure",
         [lambda pair: bell_measure(PHI_PLUS, pair, rng_for(0)),
-         lambda pair: bell_projections(PHI_PLUS, pair)],
-        ids=["bell_measure", "bell_projections"],
+         lambda pair: bell_project(PHI_PLUS, pair, BellOutcome(0, 0))],
+        ids=["bell_measure", "bell_project"],
     )
     def test_coincident_indices_rejected(self, measure):
         with pytest.raises(ValueError, match=r"^duplicate qubit indices in "):
@@ -335,11 +334,11 @@ class TestOutcomeTable:
         seen = set()
         for seed in range(40):
             outcome, post = bell_measure(state, (0, 1), rng_for(seed))
-            end = first_level.draw(rng_for(seed))
+            end = oracles.draw(first_level, rng_for(seed))
             assert first_level.paths[end, 0] == outcome.index
             assert np.array_equal(first_level.leaves[end], post.amplitudes)
             rng = rng_for(seed)
-            end = table.draw(rng)
+            end = oracles.draw(table, rng)
             assert table.paths[end, 0] == outcome.index
             # one uniform per measurement, as bell_measure draws
             reference = rng_for(seed)
@@ -352,7 +351,7 @@ class TestOutcomeTable:
         table = outcome_table(3, state.amplitudes[None], [("computational", 1)])
         for seed in range(20):
             bit, post = measure_computational(state, 1, rng_for(seed))
-            end = table.draw(rng_for(seed))
+            end = oracles.draw(table, rng_for(seed))
             assert table.paths[end, 0] == bit
             assert np.array_equal(table.leaves[end], post.amplitudes)
 
@@ -385,13 +384,13 @@ class TestComputationalMeasurement:
         assert p1 == pytest.approx(0.7, abs=1e-12)
 
     def test_born_frequency(self):
+        # the draws of 10**5 measure_computational calls on one stream, as one
+        # block: a call is a one-row walk of the uniform of the next raw word
         state = StateVector(1, np.array([1, 1j]) / sqrt(2))
-        rng = rng_for(2024)
-        zeros = 0
         trials = 10**5
-        for _ in range(trials):
-            bit, _ = measure_computational(state, 0, rng)
-            zeros += bit == 0
+        words = rng_for(2024).bit_generator.random_raw((trials, 1))
+        table = outcome_table(1, state.amplitudes[None], [("computational", 0)])
+        zeros = int(np.count_nonzero(table.paths[table.walk(word_uniform(words)), 0] == 0))
         assert abs(zeros / trials - 0.5) < 0.01
 
     def test_out_of_range_rejected(self):
@@ -402,34 +401,32 @@ class TestComputationalMeasurement:
 class TestPartialTrace:
     def test_half_of_phi_plus_is_maximally_mixed(self):
         rho = density(PHI_PLUS)
-        reduced = partial_trace(rho, [0])
+        reduced = reduced_density(PHI_PLUS, [0])
         expected = oracles.loop_partial_trace(rho.matrix, [0], 2)
         np.testing.assert_allclose(reduced.matrix, expected, atol=1e-12)
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
 
     def test_keep_everything_is_identity(self):
         rho = density(PHI_PLUS)
-        np.testing.assert_allclose(partial_trace(rho, [0, 1]).matrix, rho.matrix)
+        np.testing.assert_allclose(reduced_density(PHI_PLUS, [0, 1]).matrix, rho.matrix)
 
     def test_product_state_factorizes(self):
         rng = rng_for(4)
         a, b = haar_random_qubit(rng), haar_random_state(2, rng)
-        rho = density(tensor([a, b]))
         np.testing.assert_allclose(
-            partial_trace(rho, [0]).matrix, density(a).matrix, atol=1e-12
+            reduced_density(tensor([a, b]), [0]).matrix, density(a).matrix, atol=1e-12
         )
 
-    def test_empty_keep_returns_scalar_trace(self):
-        assert partial_trace(density(PHI_PLUS), []) == pytest.approx(1.0)
+    def test_empty_keep_rejected(self):
+        with pytest.raises(ValueError, match="keep set must not be empty"):
+            reduced_density(PHI_PLUS, [])
 
     def test_matches_loop_oracle_on_random_states(self):
         rng = rng_for(9)
         for _ in range(5):
             state = haar_random_state(4, rng)
             keep = sorted(rng.permutation(4)[:2].tolist())
-            rho = density(state)
-            expected = oracles.loop_partial_trace(rho.matrix, keep, 4)
-            np.testing.assert_allclose(partial_trace(rho, keep).matrix, expected, atol=1e-12)
+            expected = oracles.loop_partial_trace(density(state).matrix, keep, 4)
             np.testing.assert_allclose(reduced_density(state, keep).matrix, expected, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -438,8 +435,7 @@ class TestPartialTrace:
         rng = rng_for(seed)
         a = haar_random_state(2, rng)
         b = haar_random_qubit(rng)
-        rho = density(tensor([a, b]))
-        out = partial_trace(rho, [0, 1])
+        out = reduced_density(tensor([a, b]), [0, 1])
         assert np.max(np.abs(out.matrix - density(a).matrix)) < 1e-12
 
 

@@ -10,8 +10,24 @@ from qracbox import rng as rng_module
 from qracbox.boxes import PRBoxes, RacRound, rac_round, tv_distance, verify_rac_privacy
 from qracbox.harness import ExperimentConfig, run_qrac_protocol, run_rac_protocol
 from qracbox.metering import MeteredChannel
-from qracbox.qrac import QracResources, qrac_alice, qrac_bob, sample_alice_output
-from qracbox.quantum import haar_random_qubit, measure_computational
+from qracbox.qrac import (
+    DenseCodingPair,
+    QracResources,
+    dense_decode,
+    dense_encode,
+    qrac_alice,
+    qrac_bob,
+    sample_alice_output,
+    sample_channel,
+)
+from qracbox.quantum import (
+    KET_PLUS,
+    PHI_PLUS,
+    bell_measure,
+    haar_random_qubit,
+    measure_computational,
+    tensor,
+)
 from qracbox.rng import bit_columns, make_rng
 
 WORDS = [0, 1, 2**32, 2**63, 2**64 - 1]
@@ -219,4 +235,44 @@ class TestExecutorsMatchPerCallDraws:
             out = sample_alice_output(psi, phi, 1, ours)
             res = QracResources(ref)
             assert out == qrac_alice(psi, phi, res)
+        _assert_same_state(ours, ref)
+
+
+# rng-taking single-trial call -> the raw words it spends
+SINGLE_TRIAL_WORDS = {
+    "sample_channel": (lambda psi, phi, rng: sample_channel(tensor([psi, phi, KET_PLUS]), rng), 4),
+    "sample_alice_output": (lambda psi, phi, rng: sample_alice_output(psi, phi, 1, rng), 3),
+    "bell_measure": (lambda psi, phi, rng: bell_measure(tensor([psi, PHI_PLUS]), (0, 1), rng), 1),
+    "measure_computational": (lambda psi, phi, rng: measure_computational(phi, 0, rng), 1),
+    "dense_decode": (
+        lambda psi, phi, rng: dense_decode(dense_encode(1, 0, DenseCodingPair()), rng), 1
+    ),
+}
+
+
+class TestRawWordContract:
+    """A single-trial call reads its uniforms and coins as whole raw words:
+    the stream it leaves is a fresh one advanced by ``random_raw(k)``."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("name", sorted(SINGLE_TRIAL_WORDS))
+    def test_a_call_spends_whole_raw_words(self, name, seed):
+        call, words = SINGLE_TRIAL_WORDS[name]
+        states = make_rng(seed, 2**40)
+        psi, phi = haar_random_qubit(states), haar_random_qubit(states)
+        ours, ref = make_rng(seed, 3), make_rng(seed, 3)
+        call(psi, phi, ours)
+        ref.bit_generator.random_raw(words)
+        _assert_same_state(ours, ref)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_qrac_alice_spends_two_words_after_the_coin_word(self, seed):
+        states = make_rng(seed, 2**40)
+        psi, phi = haar_random_qubit(states), haar_random_qubit(states)
+        ours, ref = make_rng(seed, 3), make_rng(seed, 3)
+        res = QracResources(ours)
+        ref.bit_generator.random_raw(1)
+        _assert_same_state(ours, ref)  # its closing draws advance both streams alike
+        qrac_alice(psi, phi, res)
+        ref.bit_generator.random_raw(2)
         _assert_same_state(ours, ref)

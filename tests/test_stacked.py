@@ -31,16 +31,16 @@ from qracbox.quantum import (
     KET_PLUS,
     PHI_PLUS,
     StateVector,
+    _bell_stack,
+    _measure_stack,
     _state_vectors,
     basis_state,
     bell_project,
-    bell_projections,
     haar_random_qubit,
     haar_random_state,
     haar_random_states,
     make_pure_qubit,
     measure_project,
-    measure_projections,
 )
 from qracbox.rng import make_rng
 
@@ -176,6 +176,20 @@ class TestBranchTable:
         assert table.leaf.tolist() == sorted(4 * list(range(16)))
 
 
+def _rows(project, states, target) -> list:
+    """Each state's (probability, collapsed amplitude bytes or None) per outcome.
+
+    From one call of the stacked core ``project`` (``_bell_stack`` or
+    ``_measure_stack``) on the stack of ``states``.
+    """
+    stack = np.stack([state.amplitudes for state in states])
+    probs, ks, outcomes, posts = project(stack, states[0].num_qubits, target)
+    rows = [[(p, None) for p in row] for row in probs.T.tolist()]
+    for k, i, post in zip(ks.tolist(), outcomes.tolist(), posts):
+        rows[k][i] = (rows[k][i][0], post.tobytes())
+    return rows
+
+
 class TestStackedProjections:
     """Each row of a stacked projection is the projection of its state alone."""
 
@@ -185,29 +199,28 @@ class TestStackedProjections:
         for n in range(4, 11):
             for pair in [(0, 1), (n - 2, n - 1), (n - 1, 0), (1, n - 2), (2, n - 1)]:
                 states = [_state(kind, n, rng) for _ in range(int(rng.integers(1, 9)))]
-                stacked = bell_projections(states, pair)
+                stacked = _rows(_bell_stack, states, pair)
                 assert len(stacked) == len(states)
                 for state, rows in zip(states, stacked):
-                    alone = bell_projections(state, pair)
+                    (alone,) = _rows(_bell_stack, [state], pair)
                     reference = oracles.bell_projections(state.amplitudes, pair)
                     for (p, post), (p1, post1), (p2, post2) in zip(rows, alone, reference):
                         assert p == p1 == p2
                         assert (post is None) == (post1 is None) == (post2 is None)
                         if post is not None:
-                            assert post.amplitudes.tobytes() == post1.amplitudes.tobytes()
-                            assert post.amplitudes.tobytes() == post2.tobytes()
+                            assert post == post1 == post2.tobytes()
 
     def test_computational_rows_equal_lone_states(self):
         rng = make_rng(84)
         for n in range(1, 11):
             states = [haar_random_state(n, rng), basis_state(n, int(rng.integers(2**n)))]
             for qubit in range(n):
-                for state, rows in zip(states, measure_projections(states, qubit)):
+                for state, rows in zip(states, _rows(_measure_stack, states, qubit)):
                     for outcome, (p, post) in enumerate(rows):
                         p1, post1 = oracles.measure_project(state.amplitudes, qubit, outcome)
                         assert p == p1 and (post is None) == (post1 is None)
                         if post is not None:
-                            assert post.amplitudes.tobytes() == post1.tobytes()
+                            assert post == post1.tobytes()
 
     def test_a_lone_outcome_collapses_only_itself(self, monkeypatch):
         collapsed = []
@@ -225,20 +238,15 @@ class TestStackedProjections:
         state = haar_random_state(4, make_rng(94))
         for index, outcome in enumerate(quantum._BELL_OUTCOMES):
             lone = key(bell_project(state, (2, 0), outcome))
-            assert lone == key(bell_projections(state, (2, 0))[index])
+            assert lone == _rows(_bell_stack, [state], (2, 0))[0][index]
         for bit in (0, 1):
-            assert key(measure_project(state, 3, bit)) == key(measure_projections(state, 3)[bit])
+            assert key(measure_project(state, 3, bit)) == _rows(_measure_stack, [state], 3)[0][bit]
         every = [[0, 1, 2, 3], [0, 1]]
         assert collapsed == [[0], every[0], [1], every[0], [2], every[0], [3], every[0],
                              [0], every[1], [1], every[1]]
         # an outcome of probability 0 collapses nothing
         assert bell_project(PHI_PLUS, (0, 1), quantum._BELL_OUTCOMES[1]) == (0.0, None)
         assert measure_project(basis_state(2, 0), 1, 1) == (0.0, None)
-
-    def test_stacked_states_must_have_one_size(self):
-        with pytest.raises(ValueError, match="one number of qubits"):
-            states = [haar_random_state(4, make_rng(85)), haar_random_state(3, make_rng(86))]
-            bell_projections(states, (0, 1))
 
 
 class TestStateVectors:
