@@ -10,23 +10,27 @@ and machine-checks the structural claims: complete positivity, trace
 preservation, the subchannel decomposition, the mixture law for a
 superposed choice, and orthogonality of the dilation residuals.  Every
 exact claim comes from one enumeration of the box's branches
-(``qrac.channel_branches``, a ``qrac.BranchTable`` of arrays) reduced
-by ``qrac.branch_sums``, which reads the table's arrays and builds no
-per-branch object.  The dilation's pairs are checked as stacks, a
-block of pairs at a time (``_residual_overlaps``).
+(``qrac.channel_branches``, a ``qrac.BranchTable`` of arrays, its
+distinct outputs one matrix stack) reduced by ``qrac.branch_sums``,
+which indexes the table's arrays and builds no per-branch or
+per-output object.  Non-signaling's three withheld enumerations, one
+per choice omega, run as one stack of three registers
+(``qrac._stacked_branches``, in ``_withheld``).  The dilation's pairs
+are checked as stacks, a block of pairs at a time
+(``_residual_overlaps``).
 
 Two of those enumerations have inputs that depend on nothing: the
 maximally entangled probe behind ``tomography()`` and ``subchannels()``
 (``_probe_sums``), and the fixed (|+>, |->) contrast pair of
 ``verify_nonsignaling`` with omega in {|0>, |1>, |+>}
-(``_default_contrast``).  Each is made once per process, on first use,
-and its arrays are shared read-only; every ``ChoiMatrix`` built from
-them is still a validated copy.  So the saving is for a process that
-makes several exact reports.  These two are not the only caches the
-box's wiring feeds (``qrac._tree`` keeps the sampled executors' outcome
-tables, with Bob's outputs in their leaves' memos), so a test that
-changes the box must clear all three, as the suite's
-``clear_box_caches`` fixture (``tests/conftest.py``) does.
+(``_default_contrast``, a ``_withheld`` stack too).  Each is made once
+per process, on first use, and its arrays are shared read-only; every
+``ChoiMatrix`` built from them is still a validated copy.  So the
+saving is for a process that makes several exact reports.  These two
+are not the only caches the box's wiring feeds (``qrac._tree`` keeps
+the sampled executors' outcome tables, with Bob's outputs in their
+memos), so a test that changes the box must clear all three, as the
+suite's ``clear_box_caches`` fixture (``tests/conftest.py``) does.
 
 The sampled reports also check their sampler: sampled tomography and
 sampled non-signaling count how often their trials reached each leaf
@@ -52,6 +56,7 @@ from .qrac import (
     _channel_block,
     _check_qubits,
     _round_register,
+    _stacked_branches,
     branch_sums,
     channel_branches,
 )
@@ -183,7 +188,7 @@ def _sampled_tomography(trials: int, seed: int) -> tuple[ChoiMatrix, np.ndarray,
         words = stream_words(seed, block, 4)
         _, ids, outputs, ends, table = _channel_block(probe, words, (3, 4, 5))
         counts = counts + np.bincount(ends, minlength=len(table.paths))
-        terms = [D_IN * rho.matrix / trials for rho in outputs]
+        terms = D_IN * outputs / trials
         for k in ids.tolist():  # in trial order, so every float is the same
             total += terms[k]
     return ChoiMatrix(D_IN, D_OUT, total), counts, table.probabilities
@@ -353,12 +358,11 @@ def environment_orthogonality_check(
 def _withheld(pair: tuple[StateVector, StateVector]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Alice's distribution and Bob's output for ``pair`` with Bob's bits fixed.
 
-    One (distribution, output) per choice omega in |0>, |1>, |+>.
+    One (distribution, output) per choice omega in |0>, |1>, |+>, the
+    three registers enumerated as one stack (``qrac._stacked_branches``).
     """
-    return tuple(
-        branch_sums(channel_branches(_round_register(*pair, omega), b=(0, 0)))[:2]
-        for omega in (KET0, KET1, KET_PLUS)
-    )
+    registers = [_round_register(*pair, omega) for omega in (KET0, KET1, KET_PLUS)]
+    return tuple(branch_sums(table)[:2] for table in _stacked_branches(registers, b=(0, 0)))
 
 
 @lru_cache(maxsize=1)

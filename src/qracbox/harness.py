@@ -61,6 +61,7 @@ from .metering import (
 )
 from .qrac import (
     AliceClassicalOutput,
+    _density,
     _round_register,
     _sampled_rounds,
     branch_sums,
@@ -251,7 +252,7 @@ def run_qrac_protocol(
     words = make_rng(seed, trial).bit_generator.random_raw((1, 5 if dense else 4))
     w, (a1, a0), ids, outputs, channel, _ = _qrac_block(psi, phi, omega, [trial], words, dense)
     alice = AliceClassicalOutput(int(a1[0]), int(a0[0]))
-    return RoundResult(outputs[ids[0]], channel.transcript(0), int(w[0]), alice)
+    return RoundResult(_density(outputs, ids[0]), channel.transcript(0), int(w[0]), alice)
 
 
 @dataclass(frozen=True)
@@ -324,14 +325,14 @@ def _qrac_block(
     trials: Sequence[int],
     words: np.ndarray,
     dense: bool,
-) -> tuple[np.ndarray, tuple, np.ndarray, list[DensityMatrix], MeteredChannel, tuple]:
+) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray, MeteredChannel, tuple]:
     """Rounds ``trials`` of a qrac report at once, each metered and held to the budget.
 
     Row t of ``words`` holds raw words 0-3 of trial t's stream, and with
     ``dense`` word 4, the dense decoding (see ``rng``); a block of trial
     i alone, ``run_qrac_protocol(..., trial=i)``, replays trial i.
-    Returns w, Alice's bits (a1, a0), each trial's index into the list
-    of distinct outputs (Bob's chosen qubit) and that list, the block's
+    Returns w, Alice's bits (a1, a0), each trial's index into the stack
+    of distinct outputs (Bob's chosen qubit) and that stack, the block's
     channel, and how many trials reached each leaf of the round with the
     leaves' exact probabilities.
     """
@@ -518,7 +519,9 @@ def _exp_nonsignaling(config: ExperimentConfig) -> tuple[dict, list, Tally, list
     return report["metrics"], report["checks"], Tally(), [], []
 
 
-def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, list]:
+def _exp_dilation(
+    config: ExperimentConfig, with_rows: bool = True
+) -> tuple[dict, list, Tally, list, list]:
     dil = build_dilation(tomography())
     defect = dil.isometry_defect()
     # the configured pair, one orthogonal pair, plus random pairs
@@ -529,7 +532,8 @@ def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, li
     for index, (overlap, purity, inputs) in enumerate(_residual_overlaps(dil, psis, phis)):
         max_overlap = max(max_overlap, overlap)
         min_purity = min(min_purity, purity)
-        rows.append([index, inputs, overlap])
+        if with_rows:
+            rows.append([index, inputs, overlap])
 
     checks = [
         check("isometry", defect <= 1e-8, defect, 1e-8),
@@ -547,8 +551,8 @@ def _exp_dilation(config: ExperimentConfig) -> tuple[dict, list, Tally, list, li
     return metrics, checks, Tally(), header, rows
 
 
-# experiment -> f(config, with_rows); the per-trial CSV rows of qrac,
-# qrac-qubit-only and racbox are built only when with_rows is true
+# experiment -> f(config, with_rows); the CSV rows of qrac, qrac-qubit-only,
+# racbox and dilation are built only when with_rows is true
 _DISPATCH = {
     "qrac": lambda cfg, with_rows: _exp_qrac(cfg, False, with_rows),
     "qrac-qubit-only": lambda cfg, with_rows: _exp_qrac(cfg, True, with_rows),
@@ -556,7 +560,7 @@ _DISPATCH = {
     "tomography": lambda cfg, _: _exp_tomography(cfg),
     "mixture": lambda cfg, _: _exp_mixture(cfg),
     "nonsignaling": lambda cfg, _: _exp_nonsignaling(cfg),
-    "dilation": lambda cfg, _: _exp_dilation(cfg),
+    "dilation": _exp_dilation,
 }
 EXPERIMENTS = tuple(_DISPATCH)
 

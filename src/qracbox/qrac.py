@@ -29,12 +29,12 @@ Bell outcome indices, coins) in, Alice's bits, Bob's box outputs and
 corrections and his distinct outputs out, from one ``PRBoxes`` pair.
 
 Both executors read one kind of object, a ``quantum.OutcomeTable``
-built by ``quantum.outcome_table``: a register taken through its
+built by ``quantum.outcome_table``: K registers taken through their
 measurement schedule level by level, one stacked projection a level
 (every float that of projecting each state alone), with each parent's
 running sum of outcome probabilities, each leaf's path, probability
-and amplitudes, and a memo per leaf.  The rows of ``_play`` come two
-ways:
+and amplitudes, and a memo of Bob's outputs.  The rows of ``_play``
+come two ways:
 
 * sampled (``_sampled_rounds``, ``_channel_block``): a block of
   trials at once, from the raw Philox words of each trial's stream (the
@@ -53,46 +53,58 @@ ways:
   measurement) x the four coin pairs, every branch with its exact
   probability, so the suite can assert identities at 1e-10 instead of
   collecting statistics.  It returns one ``BranchTable``: the leaf
-  probabilities, a row of ints per branch and the distinct outputs.
-  ``branch_sums`` reads those arrays; a ``ChannelBranch`` is built only
-  when the table is indexed or iterated.
+  probabilities, a row of ints per branch and the distinct outputs as
+  one (N, d, d) matrix stack.  ``branch_sums`` indexes that stack; a
+  ``DensityMatrix`` per output and a ``ChannelBranch`` are built only
+  when a caller asks for them.  ``channel_branches`` is the
+  one-register view of ``_stacked_branches``, which enumerates K
+  registers of one size and schedule in one pass: one table with K
+  roots, so one projection a level, one partial trace a target and
+  one density check for all K, and each register's ``BranchTable`` a
+  run of slices, equal to its lone enumeration bit for bit.
 
 Bob's corrected outputs come from one function, ``_leaf_outputs``,
-which keeps each in the memo of its table leaf: a cached table's for a
-sampled walk, a fresh one's for an enumeration.  It takes
-one stacked partial trace per target, a row per leaf, and builds each
-corrected output Z^c1 X^c0 rho X^c0 Z^c1 by an exact signed
-relabelling of the stack (``_relabelled``): entry (r, c) is
-rho[r ^ c0, c ^ c0] times (-1)^(c1 * (r & 1)) (-1)^(c1 * (c & 1)),
-the target being the last kept qubit.  No unitary is applied.  The
-Pauli entries are 0 and +-1, so correcting the state and tracing it
-out sums the same products in the same order, up to sign, and
-negation commutes with rounding: every output is that of
-``apply_unitary`` + ``reduced_density`` bit for bit, except possibly
-the sign of an exact zero, which no report sees.  The new outputs of a
-call are checked as one stack by ``density_matrices``.  With Alice's
-bits wired to Bob the coins cancel out of his correction, so the four
-coin branches of an enumerated leaf share one output.  Every exact
-claim reduces an enumeration through ``branch_sums``.
+which keeps them in the memo of their table: a cached table's for a
+sampled walk, a fresh one's for an enumeration.  It returns each row's
+index into the distinct outputs and those outputs as one stack.  The
+missing ones (``_corrected_outputs``) take one fancy-indexed slice of
+the table's leaves and one stacked partial trace per target, then one
+exact signed relabelling of the stack (``_relabelled``) for the
+corrections Z^c1 X^c0 rho X^c0 Z^c1: entry (r, c) is rho[r ^ c0,
+c ^ c0] times (-1)^(c1 * (r & 1)) (-1)^(c1 * (c & 1)), the target
+being the last kept qubit.  No unitary is applied.  The Pauli entries
+are 0 and +-1, so correcting the state and tracing it out sums the
+same products in the same order, up to sign, and negation commutes
+with rounding: every output is that of ``apply_unitary`` +
+``reduced_density`` bit for bit, except possibly the sign of an exact
+zero, which no report sees.  The new outputs of a call are checked as
+one stack by ``quantum._checked_matrices``, with the checks and
+messages of ``DensityMatrix``.  A ``DensityMatrix`` is built only
+where a public API returns one: ``qrac_bob``, ``sample_channel``,
+``harness.run_qrac_protocol`` and ``BranchTable.outputs``.  With
+Alice's bits wired to Bob the coins cancel out of his correction, so
+the four coin branches of an enumerated leaf share one output.  Every
+exact claim reduces an enumeration through ``branch_sums``.
 
 The sampled executors walk a cached table instead of redoing the
 linear algebra in every trial.  For fixed inputs a round reaches few
 states: at most 2 choice outcomes x 4 x 4 Bell outcomes, and each leaf
 few corrected outputs.  The first trial that reaches a leaf output
-computes it, and later trials, of either executor, reuse it.  All
-sampled tables share one cache, ``_tree``, keyed by a register's exact
-amplitude bytes and its measurement schedule: Alice's loaded register
-with her two Bell measurements, Bob's choice qubit omega with its
-computational measurement, the channel round of ``_channel_round``
-(the one ``channel_branches`` enumerates), and each dense-coded payload
-with its Bell decoding.  Results are bit-for-bit those of a fresh
-computation.
+computes it, and later trials, of either executor, reuse it: the memo
+is one stack in key order, and a block's outputs one fancy index of
+it.  All sampled tables share one cache, ``_tree``, keyed by a
+register's exact amplitude bytes and its measurement schedule: Alice's
+loaded register with her two Bell measurements, Bob's choice qubit
+omega with its computational measurement, the channel round of
+``_channel_round`` (the one ``channel_branches`` enumerates), and each
+dense-coded payload with its Bell decoding.  Results are bit-for-bit
+those of a fresh computation.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -106,11 +118,12 @@ from .quantum import (
     DensityMatrix,
     OutcomeTable,
     StateVector,
+    _checked_matrices,
     _checked_states,
     _reduced_matrices,
+    _wrap,
     apply_unitary,
     bell_measure,
-    density_matrices,
     pauli_correction,
     outcome_table,
     tensor,
@@ -327,44 +340,62 @@ def _relabelled(rho: np.ndarray, correction) -> np.ndarray:
 
 def _leaf_outputs(
     table: OutcomeTable, ends: np.ndarray, target, correction, spectators: list[int]
-) -> tuple[np.ndarray, list[DensityMatrix]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The state of ``spectators`` + corrected ``target`` of each row, once per distinct one.
 
-    Row t ends on leaf ``ends[t]`` of ``table``, whose outputs are kept
-    in its memo by (target, correction); ``target`` and the (bit1, bit0)
-    ``correction`` are ints or one entry a row.  Returns each row's
-    index into the list of distinct outputs, and that list.  Missing
-    outputs are computed raw, one stacked partial trace per target over
-    the leaves that need it and one signed relabelling of the stack of
-    their corrections, then checked as one stack.  The leaves belong to
-    one register, so to one set of spectators.
+    Row t ends on leaf ``ends[t]`` of ``table``; ``target`` and the
+    (bit1, bit0) ``correction`` are ints or one entry a row.  Returns
+    each row's index into the distinct outputs, and those outputs as one
+    read-only (N, d, d) stack in the order of their (leaf, target, bit1,
+    bit0) keys.  The table's memo keeps every output computed for these
+    spectators, as one stack in key order with its keys; the missing
+    ones are computed by ``_corrected_outputs`` and merged in.
     """
-    memos = table.memos
-    shape = (len(memos), np.max(target, initial=0) + 1, 2, 2)  # leaf, target, bit1, bit0
+    shape = (len(table.paths), table.leaves.shape[1].bit_length() - 1, 2, 2)
     keys = np.ravel_multi_index((ends, target, *correction), shape)  # sort as the tuples do
     distinct, inverse = np.unique(keys, return_inverse=True)
-    distinct = np.stack(np.unravel_index(distinct, shape), axis=1).tolist()
-    distinct = [(end, (qubit, (c1, c0))) for end, qubit, c1, c0 in distinct]
-    missing = [(end, key) for end, key in distinct if key not in memos[end]]
-    # (leaf index, target) -> the uncorrected output's matrix, or None
-    base = {(end, q): memos[end].get((q, (0, 0))) for end, (q, _) in missing}
-    base = {key: getattr(rho, "matrix", None) for key, rho in base.items()}
-    raw = {}  # keyed by (leaf index, (target, correction))
-    for qubit in sorted({qubit for (_, qubit), rho in base.items() if rho is None}):
-        assert all(q < qubit for q in spectators), "target must be the last kept qubit"
-        ends_q = [end for (end, q), rho in base.items() if q == qubit and rho is None]
-        traces = _reduced_matrices([table.leaves[end] for end in ends_q], spectators + [qubit])
-        for end, trace in zip(ends_q, traces):
-            base[end, qubit] = raw[end, (qubit, (0, 0))] = trace
-    relabel = [(end, key) for end, key in missing if key[1] != (0, 0)]
-    if relabel:
-        bits = np.array([bits for _, (_, bits) in relabel])
-        bases = np.stack([base[end, qubit] for end, (qubit, _) in relabel])
-        raw.update(zip(relabel, _relabelled(bases, (bits[:, 0], bits[:, 1]))))
-    outputs = density_matrices(len(spectators) + 1, list(raw.values())) if raw else []
-    for (end, key), output in zip(raw, outputs):
-        memos[end][key] = output
-    return inverse.reshape(-1), [memos[end][key] for end, key in distinct]
+    memo = table.memos.get(tuple(spectators))
+    missing = distinct if memo is None else np.setdiff1d(distinct, memo[0], assume_unique=True)
+    if missing.size:
+        fresh = _corrected_outputs(table.leaves, np.unravel_index(missing, shape), spectators)
+        if memo is not None:  # merged in key order
+            merged = np.concatenate([memo[0], missing])
+            order = np.argsort(merged)
+            missing, fresh = merged[order], np.concatenate([memo[1], fresh])[order]
+            fresh.setflags(write=False)
+        memo = table.memos[tuple(spectators)] = missing, fresh
+    known, outputs = memo
+    if len(known) > len(distinct):
+        outputs = outputs[np.searchsorted(known, distinct)]
+    return inverse.reshape(-1), outputs
+
+
+def _corrected_outputs(leaves: np.ndarray, keys: tuple, spectators: list[int]) -> np.ndarray:
+    """The outputs of (leaf, target, bit1, bit0) ``keys``, computed raw and checked as one stack.
+
+    ``keys`` holds one array of each.  For each target, one fancy-indexed
+    slice of ``leaves`` (each leaf once) and one stacked partial trace of
+    it; then one signed relabelling of every corrected output's trace,
+    and one ``_checked_matrices`` of the stack.  The leaves belong to
+    one set of spectators.
+    """
+    leaf, qubit, c1, c0 = keys
+    dim = 2 ** (len(spectators) + 1)
+    raw = np.empty((len(leaf), dim, dim), dtype=complex)
+    for q in np.flatnonzero(np.bincount(qubit)).tolist():  # np.unique would import numpy.ma
+        assert all(s < q for s in spectators), "target must be the last kept qubit"
+        rows = qubit == q
+        ends, base = np.unique(leaf[rows], return_inverse=True)
+        raw[rows] = _reduced_matrices(leaves[ends], spectators + [q])[base]
+    moved = (c1 | c0) != 0  # an uncorrected output is its partial trace itself
+    raw[moved] = _relabelled(raw[moved], (c1[moved], c0[moved]))
+    return _checked_matrices(len(spectators) + 1, raw)
+
+
+def _density(outputs: np.ndarray, index: int) -> DensityMatrix:
+    """Row ``index`` of a checked stack of outputs as the ``DensityMatrix`` a public API returns."""
+    num_qubits = outputs.shape[-1].bit_length() - 1
+    return _wrap(DensityMatrix, num_qubits, "matrix", outputs[index : index + 1])[0]
 
 
 def _play(table, ends, w, bells, coins, epr: int, spectators, b=None):
@@ -377,8 +408,8 @@ def _play(table, ends, w, bells, coins, epr: int, spectators, b=None):
     ``b=None`` wires Alice's bits to Bob; a fixed (b1, b0) of ints
     models a Bob who never learned them.  Returns Alice's bits (a1, a0),
     Bob's box outputs (B0, B1) and correction (bit1, bit0), one array
-    each, then each row's index into the list of distinct outputs and
-    that list.
+    each, then each row's index into the stack of distinct outputs and
+    that stack (``_leaf_outputs``).
     """
     box0, box1 = PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1])
     alice = _alice_side(bells[:, 0], bells[:, 1], box0, box1)
@@ -421,7 +452,7 @@ def qrac_bob(w: int, b, res: QracResources) -> DensityMatrix:
         raise ProtocolError("Bob's side needs Alice's measurements on record")
     table, end = res.leaf
     _, correction, target = _bob_side(EPR1_ALICE, w, bits, res.box0, res.box1)
-    return _leaf_outputs(table, np.full(1, end), target, correction, [])[1][0]
+    return _density(_leaf_outputs(table, np.full(1, end), target, correction, [])[1], 0)
 
 
 def _sampled_rounds(psi: StateVector, phi: StateVector, omega: StateVector, words: np.ndarray):
@@ -430,8 +461,8 @@ def _sampled_rounds(psi: StateVector, phi: StateVector, omega: StateVector, word
     Row t of ``words`` holds raw words 0-3 of trial t's stream: the box
     coins, omega, Alice's two Bell measurements.  Bob decodes Alice's
     bits as sent.  Returns Bob's choices w, Alice's bits (a1, a0), each
-    trial's index into the list of distinct outputs (Bob's chosen qubit)
-    and that list, then each trial's leaf of the round and the round's
+    trial's index into the stack of distinct outputs (Bob's chosen qubit)
+    and that stack, then each trial's leaf of the round and the round's
     leaf probabilities.  A round's leaves are the pairs (leaf of Bob's
     choice table, leaf of Alice's table), choice-major, each of
     probability the product of its two leaves' probabilities.
@@ -523,9 +554,11 @@ class BranchTable(Sequence):
     Row t holds branch t's leaf, Bob's choice, Alice's two Bell outcome
     indices, the coins (coin0, coin1), Alice's output index 2*a1 + a0,
     Bob's box outputs (B0, B1) and correction (bit1, bit0), and the
-    index of its output in ``outputs``, the distinct outputs.  A
-    ``ChannelBranch`` is built only when the table is indexed or
-    iterated.
+    index of its output in ``_stack``, the distinct outputs as one
+    read-only (N, d, d) array, which ``branch_sums`` indexes.  The
+    ``DensityMatrix`` of each distinct output (``outputs``) and a
+    ``ChannelBranch`` are built only when asked for: the outputs once,
+    a branch each time the table is indexed or iterated.
     """
 
     probabilities: np.ndarray
@@ -537,7 +570,12 @@ class BranchTable(Sequence):
     pr_outputs: np.ndarray
     correction: np.ndarray
     output: np.ndarray
-    outputs: list[DensityMatrix]
+    _stack: np.ndarray
+
+    @cached_property
+    def outputs(self) -> list[DensityMatrix]:
+        """The distinct outputs, a row of ``_stack`` each, wrapped once."""
+        return _wrap(DensityMatrix, self._stack.shape[-1].bit_length() - 1, "matrix", self._stack)
 
     def __len__(self) -> int:
         return len(self.leaf)
@@ -576,22 +614,55 @@ def channel_branches(
     ride along untouched, so the channel can be probed with one half of
     an entangled state.  ``b=None`` wires Alice's output to Bob's input;
     a fixed (b1, b0) models a Bob who never learned a.  Branch
-    probabilities are exact and sum to 1.
+    probabilities are exact and sum to 1.  The one-register view of
+    ``_stacked_branches``.
     """
-    register, schedule, spectators = _channel_round(joint, inputs)
-    n = joint.num_qubits
+    return _stacked_branches([joint], inputs, b=b)[0]
+
+
+def _stacked_branches(
+    joints: Sequence[StateVector],
+    inputs: tuple[int, int, int] = (0, 1, 2),
+    *,
+    b: tuple[int, int] | None = None,
+) -> list[BranchTable]:
+    """``channel_branches`` of each of K registers of one size, from one pass.
+
+    One outcome table has the K rounds' registers as its roots, so each
+    level is one stacked projection of every register's states, and one
+    ``_play`` wires every branch of all K, with one partial trace a
+    target, one relabelling and one density check for the whole stack.
+    Each register's leaves, branches and distinct outputs are one run of
+    the table's, so its ``BranchTable`` is made of slices, every array
+    and output that of its own enumeration, bit for bit.
+    """
+    rounds = [_channel_round(joint, inputs) for joint in joints]
+    _, schedule, spectators = rounds[0]
+    n = joints[0].num_qubits
     fixed_b = None if b is None else _as_bits(b)
-    table = outcome_table(n + 4, _checked_states(n + 4, register[None]), schedule)
+    registers = np.stack([register for register, _, _ in rounds])
+    table = outcome_table(n + 4, _checked_states(n + 4, registers), schedule)
     paths = table.paths
     ends = np.repeat(np.arange(len(paths)), 4)
     w, bells, coins = paths[ends, 0], paths[ends, 1:], np.tile(_COIN_PAIRS, (len(paths), 1))
     alice, pr_outputs, correction, ids, outputs = _play(
         table, ends, w, bells, coins, n, spectators, fixed_b
     )
-    return BranchTable(
-        table.probabilities * 0.25, ends, w, bells, coins, 2 * alice[0] + alice[1],
-        np.column_stack(pr_outputs), np.column_stack(correction), ids, outputs,
-    )
+    columns = (w, bells, coins, 2 * alice[0] + alice[1],
+               np.column_stack(pr_outputs), np.column_stack(correction))
+    register = np.arange(len(joints))  # of each parent, level by level, then of each leaf
+    for children in table.children:
+        register = np.repeat(register, np.count_nonzero(children >= 0, axis=1))
+    leaves = np.searchsorted(register, np.arange(len(joints) + 1)).tolist()
+    tables = []
+    for lo, hi in zip(leaves[:-1], leaves[1:]):
+        rows = slice(4 * lo, 4 * hi)
+        first, last = int(ids[rows].min()), int(ids[rows].max()) + 1  # its outputs, in key order
+        tables.append(BranchTable(
+            table.probabilities[lo:hi] * 0.25, ends[rows] - lo, *(c[rows] for c in columns),
+            ids[rows] - first, outputs[first:last],
+        ))
+    return tables
 
 
 def branch_sums(
@@ -605,7 +676,7 @@ def branch_sums(
     zeros, so the same enumeration always gives the same floats.
     """
     probabilities = branches.probabilities[branches.leaf]
-    terms = np.stack([output.matrix for output in branches.outputs])[branches.output]
+    terms = branches._stack[branches.output]
     np.multiply((scale * probabilities)[:, None, None], terms, out=terms)
     parts = {
         bits: np.add.reduce(terms[branches.alice == 2 * bits[0] + bits[1]], axis=0, initial=0)
@@ -626,7 +697,8 @@ def sample_channel(
     (a1, a0), ids, outputs, ends, table = _channel_block(
         joint, rng.bit_generator.random_raw((1, 4)), inputs
     )
-    return int(table.paths[ends[0], 0]), _ALICE_OUTPUTS[2 * a1[0] + a0[0]], outputs[ids[0]]
+    w, alice = int(table.paths[ends[0], 0]), _ALICE_OUTPUTS[2 * a1[0] + a0[0]]
+    return w, alice, _density(outputs, ids[0])
 
 
 def _channel_block(joint: StateVector, words: np.ndarray, inputs: tuple[int, int, int]):
@@ -634,8 +706,8 @@ def _channel_block(joint: StateVector, words: np.ndarray, inputs: tuple[int, int
 
     Row t of ``words`` holds raw words 0-3 of trial t's stream: the
     choice, both Bell measurements, the coins.  Returns Alice's bits
-    (a1, a0), each trial's index into the list of distinct outputs and
-    that list, then each trial's leaf and the round's outcome table.
+    (a1, a0), each trial's index into the stack of distinct outputs and
+    that stack, then each trial's leaf and the round's outcome table.
     """
     table, spectators = _channel_root(joint, inputs)
     ends = table.walk(word_uniform(words[:, :3]))

@@ -16,13 +16,14 @@ Conventions shared by the whole package:
   (``_STACKS`` holds its Bell and computational forms), with one Born
   sum, sum |a|^2: lone projections, and every ``OutcomeTable``, so an
   outcome below ``PROB_FLOOR`` is impossible in all of them.  One
-  function, ``outcome_table``, takes a register through a schedule of
-  measurements level by level, and both executors read its table: an
-  exact enumeration its leaves and their probabilities, a sampled run
-  its running sums, walked by ``OutcomeTable.walk``.  That walk is the
-  one sampler: a lone sampled measurement (``bell_measure``,
-  ``measure_computational``) is a one-row walk of the uniform its rng's
-  next raw word makes (``rng.word_uniform``).
+  function, ``outcome_table``, takes a stack of K registers through a
+  schedule of measurements level by level, and both executors read its
+  table: an exact enumeration its leaves and their probabilities, a
+  sampled run (K = 1) its running sums, walked by
+  ``OutcomeTable.walk``.  That walk is the one sampler: a lone sampled
+  measurement (``bell_measure``, ``measure_computational``) is a
+  one-row walk of the uniform its rng's next raw word makes
+  (``rng.word_uniform``).
 
 Tolerances are fixed package-wide: 1e-12 for norms, 1e-10 for algebraic
 identities.  Statistical checks elsewhere always run on seeded generators.
@@ -130,12 +131,18 @@ class DensityMatrix:
 
 
 def density_matrices(num_qubits: int, matrices) -> list[DensityMatrix]:
-    """``DensityMatrix(num_qubits, m)`` for each matrix m of a copied stack, checked at once.
+    """``DensityMatrix(num_qubits, m)`` for each matrix m of a copied stack, checked at once."""
+    stack = _checked_matrices(num_qubits, np.array(matrices, dtype=complex))
+    return _wrap(DensityMatrix, num_qubits, "matrix", stack)
+
+
+def _checked_matrices(num_qubits: int, stack: np.ndarray) -> np.ndarray:
+    """An (N, d, d) stack, each matrix checked as ``DensityMatrix`` checks it, made read-only.
 
     Each check runs once over the whole stack (one ``eigvalsh`` call), so
     a bad matrix raises the message it raises alone, whatever its place.
+    Pass only a fresh complex stack: it is taken over.
     """
-    stack = np.array(matrices, dtype=complex)
     if stack.ndim != 3 or stack.shape[1:] != (2**num_qubits,) * 2:
         raise ValueError(f"expected a stack of {num_qubits}-qubit matrices, got {stack.shape}")
     if not np.isfinite(stack).all():
@@ -152,7 +159,8 @@ def density_matrices(num_qubits: int, matrices) -> list[DensityMatrix]:
     off = np.flatnonzero(np.abs(traces.real - 1.0) > ALGEBRA_ATOL)
     if off.size:
         raise ValueError(f"trace is not 1: {float(traces.real[off[0]])!r}")
-    return _wrap(DensityMatrix, num_qubits, "matrix", stack)
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,19 +377,20 @@ def bell_project(
 
 @dataclass(frozen=True, eq=False)
 class OutcomeTable:
-    """Every outcome of a measurement schedule on one register, level by level.
+    """Every outcome of a measurement schedule on K registers, level by level.
 
     Level l measures the states the level before kept (its parents; the
-    root alone at level 0).  ``sums[l]`` holds each parent's running sum
+    K roots at level 0).  ``sums[l]`` holds each parent's running sum
     of Born probabilities, in outcome order, an outcome the core does not
     keep adding 0, so no draw takes it; ``children[l]`` holds the index of
     each kept (parent, outcome)'s state among the next level's parents,
     or among the leaves after the last level, and -1 for a pruned one.
-    Leaf i, in path order, is reached by the outcomes ``paths[i]`` with
-    probability ``probabilities[i]``; its amplitudes are row i of the
-    ``leaves`` stack, and ``memos[i]`` keeps what callers derive from
-    them.  Every array is read-only, so a table may be shared by any
-    number of walks.
+    Children are numbered parent by parent, so each root's leaves are
+    one run, in root order.  Leaf i, in path order, is reached by the
+    outcomes ``paths[i]`` with probability ``probabilities[i]``; its
+    amplitudes are row i of the ``leaves`` stack.  ``memos`` keeps what
+    callers derive from the leaves, each under a key of its own.  Every
+    array is read-only, so a table may be shared by any number of walks.
     """
 
     sums: tuple[np.ndarray, ...]
@@ -389,10 +398,10 @@ class OutcomeTable:
     paths: np.ndarray
     probabilities: np.ndarray
     leaves: np.ndarray
-    memos: list[dict]
+    memos: dict
 
     def walk(self, uniforms: np.ndarray) -> np.ndarray:
-        """The leaf each trial reaches, from row t of ``uniforms``: trial t's draw per level.
+        """The leaf each trial reaches from root 0; row t of ``uniforms`` is trial t's draws.
 
         At each level every trial takes, for its draw u, the first
         outcome whose running sum exceeds x = u * its parent's total, or
@@ -415,14 +424,16 @@ class OutcomeTable:
 
 
 def outcome_table(num_qubits: int, root: np.ndarray, schedule: Sequence[tuple]) -> OutcomeTable:
-    """The ``OutcomeTable`` of ``schedule`` on a checked (1, 2^n) amplitude stack.
+    """The ``OutcomeTable`` of ``schedule`` on a checked (K, 2^n) stack of root amplitudes.
 
     ``schedule`` lists the measurements first to last, as ``("bell",
     pair)`` or ``("computational", qubit)``; each level is one call of
     its ``_STACKS`` projector on the stack of every state the level
-    before kept.
+    before kept, of every root at once.  Each projection is that of its
+    state alone, so the leaves of root k are those of root k's own
+    table, bit for bit.
     """
-    leaves, paths, probabilities = root, np.zeros((1, 0), dtype=np.intp), np.ones(1)
+    leaves, paths, probabilities = root, np.zeros((len(root), 0), dtype=np.intp), np.ones(len(root))
     sums, children = [], []
     for kind, target in schedule:
         probs, ks, outcomes, leaves = _STACKS[kind](leaves, num_qubits, target)
@@ -436,8 +447,7 @@ def outcome_table(num_qubits: int, root: np.ndarray, schedule: Sequence[tuple]) 
         probabilities = probabilities[ks] * probs[outcomes, ks]
     for array in (*sums, *children, paths, probabilities):
         array.setflags(write=False)
-    return OutcomeTable(tuple(sums), tuple(children), paths, probabilities, leaves,
-                        [{} for _ in paths])
+    return OutcomeTable(tuple(sums), tuple(children), paths, probabilities, leaves, {})
 
 
 def _measured(state: StateVector, measurement: tuple, rng: np.random.Generator):
@@ -520,14 +530,15 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     for q in keep_sorted:
         if not 0 <= q < state.num_qubits:
             raise ValueError(f"qubit index {q} out of range")
-    return DensityMatrix(len(keep_sorted), _reduced_matrices([state.amplitudes], keep_sorted)[0])
+    (matrix,) = _reduced_matrices(state.amplitudes[None], keep_sorted)
+    return DensityMatrix(len(keep_sorted), matrix)
 
 
-def _reduced_matrices(states: Sequence[np.ndarray], keep_sorted: list[int]) -> np.ndarray:
-    """The unchecked matrices ``reduced_density`` wraps, from one einsum over amplitude vectors."""
-    n = len(states[0]).bit_length() - 1
+def _reduced_matrices(states: np.ndarray, keep_sorted: list[int]) -> np.ndarray:
+    """The unchecked matrices ``reduced_density`` wraps, one einsum over an (N, 2^n) stack."""
+    n = states.shape[1].bit_length() - 1
     ket, bra, out = _subsystem_subscripts(n, keep_sorted)
-    psi = np.stack(states).reshape((len(states),) + (2,) * n)
+    psi = states.reshape((len(states),) + (2,) * n)
     traces = np.einsum(f"...{ket},...{bra}->...{out}", psi, psi.conj())
     return traces.reshape((len(states),) + (2 ** len(keep_sorted),) * 2)
 
@@ -537,15 +548,16 @@ def density(state: StateVector) -> DensityMatrix:
     return DensityMatrix(state.num_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
-def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
-    """<psi|rho|psi>, in [0, 1] for a normalized rho."""
-    if rho.num_qubits != psi.num_qubits:
-        raise ValueError("dimension mismatch between state and density matrix")
-    return float(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes))
-
-
 def _as_matrix(x: DensityMatrix | np.ndarray) -> np.ndarray:
     return x.matrix if isinstance(x, DensityMatrix) else np.asarray(x)
+
+
+def fidelity(rho: DensityMatrix | np.ndarray, psi: StateVector) -> float:
+    """<psi|rho|psi>, in [0, 1] for a normalized rho."""
+    matrix = _as_matrix(rho)
+    if matrix.shape != (len(psi.amplitudes),) * 2:
+        raise ValueError("dimension mismatch between state and density matrix")
+    return float(np.real(psi.amplitudes.conj() @ matrix @ psi.amplitudes))
 
 
 def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:

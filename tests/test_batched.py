@@ -240,7 +240,7 @@ def synthetic_tables(draw):
         parents = after
     leaves = np.arange(parents)
     table = OutcomeTable(tuple(sums), tuple(children), leaves[:, None], leaves / parents,
-                         leaves[:, None], [{} for _ in leaves])
+                         leaves[:, None], {})
     return table, ties
 
 

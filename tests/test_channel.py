@@ -34,6 +34,7 @@ from qracbox.channel import (
 from qracbox.qrac import (
     _channel_block,
     _sampled_rounds,
+    _stacked_branches,
     branch_sums,
     channel_branches,
 )
@@ -103,13 +104,13 @@ class TestTomography:
     def test_sampled_mode_is_checked_at_the_exact_tolerance(self, monkeypatch):
         # every trial gets one Hermitian output with eigenvalue -0.01, so the
         # estimate has eigenvalue -0.08: far inside 64 / sqrt(1000) = 2.02
-        output = SimpleNamespace(matrix=np.diag([1.01, -0.01] + [0.0] * 14))
+        outputs = np.diag([1.01, -0.01] + [0.0] * 14)[None]
 
         table = SimpleNamespace(paths=np.zeros((1, 3), dtype=np.intp), probabilities=np.ones(1))
 
         def block(joint, words, inputs):
             ends = np.zeros(len(words), dtype=np.intp)
-            return (ends, ends), ends, [output], ends, table
+            return (ends, ends), ends, outputs, ends, table
 
         monkeypatch.setattr(channel_module, "_channel_block", block)
         with pytest.raises(ValueError, match="^Choi matrix is not PSD"):
@@ -507,11 +508,19 @@ class TestConstantEnumerations:
         report()
         assert spy == []
 
-    def test_default_contrast_is_enumerated_once(self, spy):
+    def test_default_contrast_is_enumerated_once(self, spy, monkeypatch):
+        # warm: one stacked enumeration of its own three registers, none of the contrast pair
+        stacks = []
+
+        def stacked(joints, *args, **kwargs):
+            stacks.append([joint.amplitudes.tobytes() for joint in joints])
+            return _stacked_branches(joints, *args, **kwargs)
+
         verify_nonsignaling(0, 0)
-        spy.clear()
+        monkeypatch.setattr(channel_module, "_stacked_branches", stacked)
         verify_nonsignaling(0, 0)
-        assert len(spy) == 3
+        own = [tensor([KET0, KET1, omega]).amplitudes.tobytes() for omega in (KET0, KET1, KET_PLUS)]
+        assert stacks == [own] and spy == []
 
     def test_nothing_is_enumerated_at_import(self):
         src = str(Path(qracbox.__file__).resolve().parents[1])
@@ -564,8 +573,8 @@ class TestClearBoxCaches:
                 br.output.matrix for br in channel_branches(joint) if br.correction[0]
             ],
             "tomography": tomography().matrix,
-            "_channel_block": [outputs[i].matrix for i in ids.tolist()],
-            "_sampled_rounds": [round_outputs[i].matrix for i in round_ids.tolist()],
+            "_channel_block": outputs[ids],
+            "_sampled_rounds": round_outputs[round_ids],
         }
 
     @staticmethod

@@ -40,7 +40,6 @@ from qracbox.quantum import (
     basis_state,
     _bell_stack,
     bell_project,
-    density_matrices,
     haar_random_state,
     measure_project,
     outcome_table,
@@ -70,7 +69,7 @@ def _leaf(state):
 
 
 def _leaf_output(table, target, correction, spectators):
-    """The corrected output of leaf 0 of ``table``: ``_leaf_outputs`` of one row."""
+    """The corrected output matrix of leaf 0 of ``table``: ``_leaf_outputs`` of one row."""
     return _leaf_outputs(table, np.zeros(1, dtype=np.intp), target, correction, spectators)[1][0]
 
 
@@ -111,17 +110,24 @@ class TestRelabelledOutputs:
                     for correction in CORRECTIONS:
                         out = _leaf_output(leaf, target, correction, spectators)
                         fresh = _fresh_output(state, target, correction, spectators)
-                        assert np.array_equal(out.matrix, fresh.matrix)
+                        assert np.array_equal(out, fresh.matrix)
                         compared += 1
         assert compared > 100
 
-    def test_uncorrected_output_is_the_partial_trace_itself(self):
+    def test_uncorrected_output_is_the_partial_trace_itself(self, monkeypatch):
         state = haar_random_state(4, make_rng(72))
         leaf = _leaf(state)
         outputs = {c: _leaf_output(leaf, 3, c, [0, 1]) for c in CORRECTIONS}
-        assert leaf.memos[0][(3, (0, 0))] is outputs[(0, 0)]
-        assert all(_leaf_output(leaf, 3, c, [0, 1]) is outputs[c] for c in CORRECTIONS)
-        assert len({id(out) for out in outputs.values()}) == 4
+        trace = quantum._reduced_matrices(state.amplitudes[None], [0, 1, 3])[0]
+        assert outputs[(0, 0)].tobytes() == trace.tobytes()
+        # the memo holds the four outputs of these spectators, in key order, read-only
+        keys, stack = leaf.memos[(0, 1)]
+        assert len(keys) == 4 and not stack.flags.writeable
+        assert all(row.tobytes() == outputs[c].tobytes() for row, c in zip(stack, CORRECTIONS))
+        # a second call reads the memo: nothing is traced again
+        monkeypatch.setattr(qrac, "_reduced_matrices", None)
+        assert all(_leaf_output(leaf, 3, c, [0, 1]).tobytes() == outputs[c].tobytes()
+                   for c in CORRECTIONS)
 
     def test_target_must_be_the_last_kept_qubit(self):
         leaf = _leaf(haar_random_state(3, make_rng(73)))
@@ -143,6 +149,18 @@ class TestRelabelledOutputs:
             fresh = _fresh_output(state, target, branch.correction, [0, 1, 2])
             assert np.array_equal(branch.output.matrix, fresh.matrix)
 
+    def test_a_sampled_block_merges_new_outputs_into_the_memo(self):
+        joint = tensor([haar_random_state(1, make_rng(75, q)) for q in range(3)])
+        words = stream_words(75, np.arange(200), 4)
+        whole = _channel_block(joint, words, (0, 1, 2))
+        qrac._tree.cache_clear()
+        for block in (words[:3], words[150:], words):  # later blocks add to a filled memo
+            parts = _channel_block(joint, block, (0, 1, 2))
+        keys, stack = parts[4].memos[()]
+        assert np.all(np.diff(keys) > 0) and not stack.flags.writeable
+        assert np.array_equal(parts[1], whole[1])
+        assert parts[2].tobytes() == whole[2].tobytes()
+
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_relabelled_is_the_pauli_conjugation(self, dim):
         state = haar_random_state(5, make_rng(79, dim))
@@ -161,11 +179,10 @@ class TestEnumerationCost:
     @pytest.mark.parametrize("b", [(0, 0), (1, 1)])
     @pytest.mark.parametrize("inputs", [(0, 1, 2), (2, 0, 3)])
     def test_one_reduced_density_per_leaf_target_and_no_unitary(self, monkeypatch, inputs, b):
-        traced, applied, held, calls = [], [], [], []
+        traced, applied, calls = [], [], []
 
         def spy_reduce(states, keep):
-            held.extend(states)  # so that no later state can reuse its id
-            traced.extend((id(state), tuple(keep)) for state in states)
+            traced.extend((state.tobytes(), tuple(keep)) for state in states)
             calls.append(tuple(keep))
             return reduce(states, keep)
 
@@ -198,26 +215,21 @@ class TestStackedValidation:
 
         def spy_stack(num_qubits, matrices):
             stacks.append(len(matrices))
-            return density_matrices(num_qubits, matrices)
+            return checked(num_qubits, matrices)
 
         def spy_single(rho):
             singles.append(rho)
             post_init(rho)
 
-        monkeypatch.setattr(qrac, "density_matrices", spy_stack)
+        checked = quantum._checked_matrices
+        monkeypatch.setattr(qrac, "_checked_matrices", spy_stack)
         monkeypatch.setattr(DensityMatrix, "__post_init__", spy_single)
         joint = tensor([haar_random_state(1, make_rng(77, q)) for q in range(4)])
         branches = channel_branches(joint, inputs, b=b)
         assert singles == []
-        # what checking each output alone built: the base partial trace of
-        # each leaf, and each other correction of it
-        leaves = {(br.w, br.first_bell, br.second_bell) for br in branches}
-        relabelled = {
-            (br.w, br.first_bell, br.second_bell, br.correction)
-            for br in branches
-            if br.correction != (0, 0)
-        }
-        assert stacks == [len(leaves) + len(relabelled)]
+        # each distinct output once: one per leaf and correction it is corrected by
+        distinct = {(br.w, br.first_bell, br.second_bell, br.correction) for br in branches}
+        assert stacks == [len(distinct)] == [len(branches.outputs)]
 
     def test_every_collapsed_state_is_checked(self, monkeypatch):
         # a Bell collapse off unit norm, the projections left honest

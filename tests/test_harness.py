@@ -300,10 +300,13 @@ class TestRunExperiment:
         assert lines[0] == "trial,w,a1,a0,fidelity"
         assert len(lines) == 5
 
-    @pytest.mark.parametrize(
-        "experiment,trials", [("qrac", 5), ("qrac-qubit-only", 5), ("racbox", 1000)]
-    )
-    def test_rows_built_only_for_a_csv(self, monkeypatch, tmp_path, experiment, trials):
+    @staticmethod
+    def _rows_bare_and_with_csv(monkeypatch, tmp_path, experiment, trials) -> int:
+        """Run a report without and with ``--csv``; returns the CSV's row count.
+
+        Asserts the same report bytes, no rows built without the CSV, and
+        every built row written.
+        """
         seen = []
         run = harness._DISPATCH[experiment]
 
@@ -320,8 +323,18 @@ class TestRunExperiment:
         assert canonical_json(bare) == canonical_json(with_csv)
         (bare_flag, bare_rows), (csv_flag, csv_rows) = seen
         assert (bare_flag, bare_rows, csv_flag) == (False, [], True)
-        assert len(csv_rows) == trials
-        assert len(path.read_text().splitlines()) == trials + 1
+        assert len(path.read_text().splitlines()) == len(csv_rows) + 1
+        return len(csv_rows)
+
+    @pytest.mark.parametrize(
+        "experiment,trials", [("qrac", 5), ("qrac-qubit-only", 5), ("racbox", 1000)]
+    )
+    def test_rows_built_only_for_a_csv(self, monkeypatch, tmp_path, experiment, trials):
+        assert self._rows_bare_and_with_csv(monkeypatch, tmp_path, experiment, trials) == trials
+
+    def test_dilation_rows_built_only_for_a_csv(self, monkeypatch, tmp_path):
+        # a row per pair: the configured one, |0>|1> and at least 50 Haar pairs
+        assert self._rows_bare_and_with_csv(monkeypatch, tmp_path, "dilation", 60) == 62
 
 
 class TestCanonicalJson:

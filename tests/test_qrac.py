@@ -585,7 +585,7 @@ def _every_executor() -> dict:
         "channel_branches": [branch.alice.a1 for branch in channel_branches(register)],
         "_sampled_rounds": _sampled_rounds(psi, phi, KET_PLUS, words)[1][0],
         "_alice_block": _alice_block(psi, phi, words[:, :3])[0],
-        "_channel_block": np.stack([outputs[i].matrix for i in ids]),
+        "_channel_block": outputs[ids],
         "qrac_alice": qrac_alice(psi, phi, QracResources(make_rng(93))).a1,
         "sample_channel": sample_channel(probe, make_rng(94), (3, 4, 5))[1].a1,
         "sample_alice_output": sample_alice_output(psi, phi, 1, make_rng(95)).a1,

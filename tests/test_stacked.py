@@ -11,8 +11,6 @@ compare bytes.
 """
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,7 @@ from qracbox.channel import (
     environment_orthogonality_check,
     tomography,
 )
-from qracbox.qrac import _round_register, branch_sums, channel_branches
+from qracbox.qrac import _round_register, _stacked_branches, branch_sums, channel_branches
 from qracbox.quantum import (
     KET0,
     KET1,
@@ -174,6 +172,98 @@ class TestBranchTable:
         assert len(table) == 64 and set(table.w.tolist()) == {1}
         assert table.probabilities.shape == (16,)
         assert table.leaf.tolist() == sorted(4 * list(range(16)))
+
+
+
+_COLUMNS = ("probabilities", "leaf", "w", "bells", "coins", "alice", "pr_outputs", "correction",
+            "output", "_stack")
+
+
+def _forged(joint, scale):
+    """``joint`` with its amplitudes times ``scale``, built without the check."""
+    forged = object.__new__(StateVector)
+    object.__setattr__(forged, "num_qubits", joint.num_qubits)
+    object.__setattr__(forged, "amplitudes", joint.amplitudes * scale)
+    return forged
+
+
+class TestStackedRegisters:
+    """K registers enumerated as one stack give each register's lone enumeration, bit for bit."""
+
+    @staticmethod
+    def _assert_each_alone(joints, inputs, b):
+        tables = _stacked_branches(joints, inputs, b=b)
+        assert len(tables) == len(joints)
+        n = joints[0].num_qubits
+        spectators = sorted(set(range(n)) - set(inputs))
+        for joint, table in zip(joints, tables):
+            lone = channel_branches(joint, inputs, b=b)
+            for name in _COLUMNS:
+                got, want = getattr(table, name), getattr(lone, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
+            assert [rho.matrix.tobytes() for rho in table.outputs] == [
+                rho.matrix.tobytes() for rho in lone.outputs
+            ]
+            for scale in (1, 8):
+                assert _sums_bytes(branch_sums(table, scale)) == _sums_bytes(branch_sums(lone, scale))
+                assert _sums_bytes(branch_sums(table, scale)) == _sums_bytes(
+                    oracles.loop_branch_sums(list(table), scale)
+                )
+            nested = oracles.nested_leaves(joint.amplitudes, inputs)
+            assert len(table) == 4 * len(nested)
+            for branch, (w, first, second, probability, amps) in zip(
+                table, (leaf for leaf in nested for _ in range(4))
+            ):
+                assert (branch.w, branch.first_bell.index, branch.second_bell.index) == (w, first, second)
+                assert branch.probability == probability * 0.25
+                keep = spectators + [n + 1 + 2 * w]
+                want = oracles.corrected_output(amps, keep, branch.correction)
+                assert branch.output.matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("b", [None, (0, 0), (1, 0)])
+    def test_haar_registers(self, b):
+        rng = make_rng(99, 0)
+        joints = [haar_random_state(3, rng) for _ in range(3)]
+        self._assert_each_alone(joints, (0, 1, 2), b)
+
+    @pytest.mark.parametrize("b", [None, (0, 0), (1, 0)])
+    def test_pruned_registers_among_haar_ones(self, b):
+        # omega = |0> and |1> (alpha^2 = 1 and 0) keep half the leaves of a Haar choice
+        rng = make_rng(99, 1)
+        psi, phi = haar_random_qubit(rng), haar_random_qubit(rng)
+        joints = [_round_register(psi, phi, omega) for omega in (KET0, haar_random_qubit(rng), KET1)]
+        tables = _stacked_branches(joints, b=b)
+        assert [len(table) for table in tables] == [64, 128, 64]
+        self._assert_each_alone(joints, (0, 1, 2), b)
+
+    @pytest.mark.parametrize("b", [None, (0, 0), (1, 0)])
+    def test_shuffled_inputs_with_a_spectator(self, b):
+        rng = make_rng(99, 2)
+        joints = [_state(kind, 4, rng) for kind in ("haar", "sparse", "basis", "haar")]
+        self._assert_each_alone(joints, (2, 0, 3), b)
+
+    @pytest.mark.parametrize("b", [None, (1, 0)])
+    def test_ten_qubit_probe_with_spectators(self, b):
+        probe = _entangled_probe()
+        other = haar_random_state(6, make_rng(99, 3))
+        self._assert_each_alone([other, probe], (3, 4, 5), b)
+
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "scale, message",
+        [(1.1, r"^state not normalized: sum \|amp\|\^2 = "), (np.nan, "^state has a non-finite amplitude$")],
+        ids=["unnormalized", "non-finite"],
+    )
+    def test_a_bad_register_raises_the_lone_message(self, place, scale, message):
+        rng = make_rng(99, 4)
+        joints = [haar_random_state(3, rng) for _ in range(3)]
+        joints[place] = _forged(joints[place], scale)
+        with pytest.raises(ValueError, match=message) as alone:
+            channel_branches(joints[place])
+        with pytest.raises(ValueError, match=message) as stacked:
+            _stacked_branches(joints)
+        assert str(stacked.value) == str(alone.value)
 
 
 def _rows(project, states, target) -> list:
@@ -360,7 +450,7 @@ def test_branch_sums_start_from_zeros():
     zeros, pairs = np.zeros(8, dtype=np.intp), np.zeros((8, 2), dtype=np.intp)
     branches = qrac.BranchTable(
         np.full(8, 0.125), np.arange(8), zeros, pairs, pairs, np.arange(8) % 3, pairs, pairs,
-        zeros, [SimpleNamespace(matrix=matrix)],
+        zeros, matrix[None],
     )
     got, want = branch_sums(branches, 2), oracles.loop_branch_sums(branches, 2)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
