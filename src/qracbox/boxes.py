@@ -24,7 +24,7 @@ from math import log, sqrt
 import numpy as np
 
 from .metering import ProtocolError
-from .rng import bit_columns, trial_blocks, trial_count
+from .rng import trial_blocks, trial_count, word_bits
 
 
 def check(name: str, passed: bool, value: float | None, tolerance: float | None) -> dict:
@@ -194,6 +194,33 @@ def leaf_frequency_check(counts, probabilities, trials: int) -> tuple[dict, dict
 _PRIVACY_ROUNDS = ((0, 0, 0), (0, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 1))
 
 
+def _privacy_counts(trials: int, seed: int) -> np.ndarray:
+    """How often each of ``_PRIVACY_ROUNDS`` showed each (m, B), index 2*m + B, in ``trials`` trials.
+
+    A round's inputs are fixed, so its (m, B) depends on its coin alone:
+    each round is wired once, on coins (0, 1), and a trial's round shows
+    the row of its coin.  The coins are the six a trial draws from three
+    PCG64 words, drawn a block at a time; of n trials, a round's coin-0
+    row is shown n - k times and its coin-1 row k times, k being how many
+    of its n coins came up 1.
+    """
+    keys = np.array([
+        2 * message + (message ^ output)
+        for message, output in (
+            rac_wiring(a0, a1, w, PRBoxes(np.arange(2))) for a0, a1, w in _PRIVACY_ROUNDS
+        )
+    ])
+    ones = 0  # round 2j reads the low half of word j, round 2j + 1 its high half
+    rng = np.random.default_rng(seed)
+    for block in trial_blocks(trials):
+        low, high = word_bits(rng.bit_generator.random_raw(3 * len(block)).reshape(-1, 3))
+        ones = ones + np.column_stack([low.sum(axis=0), high.sum(axis=0)]).ravel()
+    counts = np.zeros((len(_PRIVACY_ROUNDS), 4))
+    rows = np.arange(len(_PRIVACY_ROUNDS))[:, None]
+    np.add.at(counts, (rows, keys), np.column_stack([trials - ones, ones]))
+    return counts
+
+
 def verify_rac_privacy(trials: int, seed: int) -> dict:
     """Check that the RAC leaks nothing it should not.
 
@@ -206,7 +233,10 @@ def verify_rac_privacy(trials: int, seed: int) -> dict:
     Sampled part: Bob's view at (w=0, a0=0) for either a1 and at (w=1,
     a1=0) for either a0, the larger of the two distances, and Alice's at
     (a0=0, a1=1) for either w, from `trials` seeded rounds, with total
-    variation tolerance max(0.02, 6/sqrt(trials)).
+    variation tolerance max(0.02, 6/sqrt(trials)).  Each of those six
+    rounds has fixed inputs, so it is wired once per coin value and its
+    trials are counted by coin (``_privacy_counts``): the counts of
+    wiring every trial, from the same PCG64 words.
     """
     trials = trial_count(trials, 10**3, "privacy verification")
 
@@ -231,15 +261,7 @@ def verify_rac_privacy(trials: int, seed: int) -> dict:
         for a1 in (0, 1)
     )
 
-    # the sampled rounds: (m, B) counts of each, on its own coin of the
-    # six that a trial draws from three PCG64 words
-    counts = np.zeros((len(_PRIVACY_ROUNDS), 4))
-    rng = np.random.default_rng(seed)
-    for block in trial_blocks(trials):
-        coins = bit_columns(rng.bit_generator.random_raw(3 * len(block)).reshape(-1, 3))
-        for row, (a0, a1, w), coin in zip(counts, _PRIVACY_ROUNDS, coins.T):
-            message, output = rac_wiring(a0, a1, w, PRBoxes(coin))
-            row += np.bincount(2 * message + (message ^ output), minlength=4)
+    counts = _privacy_counts(trials, seed)
     bob = counts[[0, 1, 4, 5]] / trials
     sampled_bob_tv = max(tv_distance(bob[0], bob[1]), tv_distance(bob[2], bob[3]))
     alice = counts[2:4].reshape(2, 2, 2).sum(axis=2) / trials  # A = a0 XOR m = m

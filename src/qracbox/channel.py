@@ -52,7 +52,7 @@ import numpy as np
 
 from .boxes import check, leaf_frequency_check, tv_distance
 from .qrac import (
-    _alice_block,
+    _alice_rows,
     _channel_block,
     _check_qubits,
     _round_register,
@@ -417,16 +417,17 @@ def verify_nonsignaling(
     }
 
     if mode == "sampled":
-        # trial t with choice w plays words 3t .. 3t+2 of stream (seed, w)
+        # trial t with choice w plays words 3t .. 3t+2 of stream (seed, w); a block
+        # counts its branch rows, each weighing its trial count
         counts = {0: np.zeros(4), 1: np.zeros(4)}
         leaf_counts = {0: 0, 1: 0}
         for w in (0, 1):
             raw = make_rng(seed, w).bit_generator
             for block in trial_blocks(trials):
                 words = raw.random_raw(3 * len(block)).reshape(-1, 3)
-                alice, ends, table = _alice_block(psi, phi, words)
-                counts[w] += np.bincount(alice, minlength=4)
-                leaf_counts[w] = leaf_counts[w] + np.bincount(ends, minlength=len(table.paths))
+                table, _, reached, hits, _, alice = _alice_rows(psi, phi, words)
+                counts[w] += np.bincount(alice, weights=hits[reached], minlength=4)
+                leaf_counts[w] = leaf_counts[w] + hits.reshape(-1, 4).sum(axis=1)
         sampled_tv = tv_distance(counts[0] / trials, counts[1] / trials)
         checks.append(check("alice-distribution-sampled", sampled_tv <= 0.02, sampled_tv, 0.02))
         # both samples' leaves, each against the table: 2L frequencies of n trials

@@ -129,6 +129,9 @@ class ExperimentConfig:
     """Complete, replayable description of one experiment run.
 
     Checked on construction, however built; alpha and beta are kept as floats.
+    Each state spec is parsed once, there, and ``resolved_*`` return the
+    validated states it gave; they are not fields, so they take no part
+    in ``to_dict``, ``from_dict`` or equality.
     """
 
     experiment: str
@@ -173,33 +176,31 @@ class ExperimentConfig:
         if self.alpha is not None:
             if not all(isfinite(x) for x in (*self.alpha, *self.beta)):
                 raise ConfigError("alpha and beta must be finite")
+            amplitudes = complex(*self.alpha), complex(*self.beta)
             try:
-                _omega_from_amplitudes(complex(*self.alpha), complex(*self.beta))
+                omega = _omega_from_amplitudes(*amplitudes)
             except ValueError:
                 raise ConfigError("|alpha|^2 + |beta|^2 must be 1 within 1e-10") from None
-        # parse eagerly so bad specs fail at config time
-        parse_state_spec(self.psi)
-        parse_state_spec(self.phi)
-        if self.omega is not None:
-            parse_state_spec(self.omega)
+        # parsed eagerly, so bad specs fail at config time
+        psi, phi = parse_state_spec(self.psi), parse_state_spec(self.phi)
+        if self.alpha is None:
+            spec = (1, 0) if self.omega is None else parse_state_spec(self.omega).amplitudes
+            amplitudes = complex(spec[0]), complex(spec[1])
+            omega = _omega_from_amplitudes(*amplitudes)
+        object.__setattr__(self, "_states", (psi, phi, amplitudes, omega))
 
     def resolved_psi(self) -> StateVector:
-        return parse_state_spec(self.psi)
+        return self._states[0]
 
     def resolved_phi(self) -> StateVector:
-        return parse_state_spec(self.phi)
+        return self._states[1]
 
     def resolved_omega_amplitudes(self) -> tuple[complex, complex]:
         """(alpha, beta) of Bob's choice qubit, default |0>."""
-        if self.alpha is not None:
-            return complex(*self.alpha), complex(*self.beta)
-        if self.omega is not None:
-            amps = parse_state_spec(self.omega).amplitudes
-            return complex(amps[0]), complex(amps[1])
-        return 1.0 + 0j, 0j
+        return self._states[2]
 
     def resolved_omega(self) -> StateVector:
-        return _omega_from_amplitudes(*self.resolved_omega_amplitudes())
+        return self._states[3]
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -40,16 +40,24 @@ come two ways:
   trials at once, from the raw Philox words of each trial's stream (the
   word map is in ``rng``).  ``OutcomeTable.walk``, the one sampler,
   maps each trial's uniforms to its leaf, one inverse-CDF lookup over
-  the running sums a level.  The reports run these, and ``_alice_block``
-  and ``dense_decode_block``, which need no output of Bob's and read the
-  same words the same way; each also returns every trial's leaf, for the
-  reports' leaf-frequency checks.  A single trial is a one-row block:
+  the running sums a level.  With its coin word, a trial's leaf gives
+  its branch row, 4*leaf + 2*coin0 + coin1 (``_branch_rows``), numbered
+  as ``_stacked_branches`` numbers its branches; for ``_sampled_rounds``
+  the leaf is the pair (choice leaf, Alice's leaf), so at most 128
+  rows.  One ``bincount`` finds the rows a block reached
+  (``_reached``); ``_play`` wires those rows, once each, and each trial
+  takes its row's bits and output index.  The reports run these, and
+  ``_alice_rows`` (with ``_alice_block``, its results taken trial by
+  trial) and ``dense_decode_block``, which need no output of Bob's and
+  read the same words the same way; each also returns every trial's
+  leaf, or row, for the reports' leaf-frequency checks.  A single trial
+  is a one-row block:
   ``sample_channel`` and ``sample_alice_output`` are row 0 of a block on
   their rng's next raw words, and ``harness.run_qrac_protocol`` is the
   report's block on one trial, so a replay of trial i is trial i of its
   report;
-* enumerated (``channel_branches``): each leaf of a fresh table of
-  ``_channel_round``'s schedule (the choice, then each Bell
+* enumerated (``channel_branches``): every row, each leaf of a fresh
+  table of ``_channel_round``'s schedule (the choice, then each Bell
   measurement) x the four coin pairs, every branch with its exact
   probability, so the suite can assert identities at 1e-10 instead of
   collecting statistics.  It returns one ``BranchTable``: the leaf
@@ -128,11 +136,14 @@ from .quantum import (
     outcome_table,
     tensor,
 )
-from .rng import bit_columns, word_uniform
+from .rng import word_bits, word_uniform
 
 A_PRIME, A_DPRIME, EPR1_ALICE, EPR1_BOB, EPR2_ALICE, EPR2_BOB = range(6)
 
 _EPR_PAIRS = tensor([PHI_PLUS, PHI_PLUS])
+
+# the box coins (coin0, coin1) of branch row 4*leaf + 2*coin0 + coin1, by row % 4
+_COIN_PAIRS = np.array(list(product((0, 1), repeat=2)))
 
 # the measurement schedules of the cached outcome tables, first to last
 _ALICE_MEASUREMENTS = (("bell", (A_PRIME, EPR1_ALICE)), ("bell", (A_DPRIME, EPR2_ALICE)))
@@ -398,6 +409,27 @@ def _density(outputs: np.ndarray, index: int) -> DensityMatrix:
     return _wrap(DensityMatrix, num_qubits, "matrix", outputs[index : index + 1])[0]
 
 
+def _branch_rows(leaves: np.ndarray, coin_words: np.ndarray) -> np.ndarray:
+    """Each trial's branch row 4*leaf + 2*coin0 + coin1, in ``_COIN_PAIRS`` order.
+
+    ``coin_words`` holds each trial's coin word; coin0 and coin1 are its
+    two fair bits (``word_bits``), bits 31 and 63.
+    """
+    coin0, coin1 = word_bits(coin_words)
+    return 4 * leaves + (2 * coin0 + coin1).astype(np.intp)
+
+
+def _reached(rows: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The branch rows a block reached, from one ``bincount`` of its trials' rows.
+
+    Returns the rows reached, in row order, the trial count of each of
+    the ``size`` rows, and each row's place among the reached ones, so a
+    trial's results are ``lookup[rows]`` of the reached rows' results.
+    """
+    hits = np.bincount(rows, minlength=size)
+    return hits.nonzero()[0], hits, (hits != 0).cumsum() - 1
+
+
 def _play(table, ends, w, bells, coins, epr: int, spectators, b=None):
     """Rows of rounds with every outcome and coin given: the wiring and Bob's outputs.
 
@@ -465,17 +497,22 @@ def _sampled_rounds(psi: StateVector, phi: StateVector, omega: StateVector, word
     and that stack, then each trial's leaf of the round and the round's
     leaf probabilities.  A round's leaves are the pairs (leaf of Bob's
     choice table, leaf of Alice's table), choice-major, each of
-    probability the product of its two leaves' probabilities.
+    probability the product of its two leaves' probabilities.  The
+    wiring plays the branch rows (round leaf, coins) the block reached.
     """
     table, choice = _alice_root(psi, phi), _choice_root(omega)
     uniforms = word_uniform(words[:, 1:4])
-    choices, ends = choice.walk(uniforms[:, :1]), table.walk(uniforms[:, 1:])
+    leaves = choice.walk(uniforms[:, :1]) * len(table.paths) + table.walk(uniforms[:, 1:])
+    rows = _branch_rows(leaves, words[:, 0])
+    reached, _, lookup = _reached(rows, 4 * len(choice.paths) * len(table.paths))
+    choices, ends = np.divmod(reached >> 2, len(table.paths))
     w = choice.paths[choices, 0]
     alice, _, _, ids, outputs = _play(
-        table, ends, w, table.paths[ends], bit_columns(words[:, :1]), EPR1_ALICE, []
+        table, ends, w, table.paths[ends], _COIN_PAIRS[reached & 3], EPR1_ALICE, []
     )
+    place = lookup[rows]
     probabilities = np.outer(choice.probabilities, table.probabilities).ravel()
-    return w, alice, ids, outputs, choices * len(table.paths) + ends, probabilities
+    return w[place], (alice[0][place], alice[1][place]), ids[place], outputs, leaves, probabilities
 
 
 class DenseCodingPair:
@@ -599,9 +636,6 @@ class BranchTable(Sequence):
         return iter(self._views(slice(None)))
 
 
-_COIN_PAIRS = np.array(list(product((0, 1), repeat=2)))
-
-
 def channel_branches(
     joint: StateVector,
     inputs: tuple[int, int, int] = (0, 1, 2),
@@ -708,15 +742,19 @@ def _channel_block(joint: StateVector, words: np.ndarray, inputs: tuple[int, int
     choice, both Bell measurements, the coins.  Returns Alice's bits
     (a1, a0), each trial's index into the stack of distinct outputs and
     that stack, then each trial's leaf and the round's outcome table.
+    The wiring plays the branch rows (leaf, coins) the block reached.
     """
     table, spectators = _channel_root(joint, inputs)
     ends = table.walk(word_uniform(words[:, :3]))
-    outcomes = table.paths[ends]
+    rows = _branch_rows(ends, words[:, 3])
+    reached, _, lookup = _reached(rows, 4 * len(table.paths))
+    outcomes = table.paths[reached >> 2]
     alice, _, _, ids, outputs = _play(
-        table, ends, outcomes[:, 0], outcomes[:, 1:], bit_columns(words[:, 3:]),
+        table, reached >> 2, outcomes[:, 0], outcomes[:, 1:], _COIN_PAIRS[reached & 3],
         joint.num_qubits, spectators,
     )
-    return alice, ids, outputs, ends, table
+    place = lookup[rows]
+    return (alice[0][place], alice[1][place]), ids[place], outputs, ends, table
 
 
 def sample_alice_output(
@@ -733,15 +771,29 @@ def sample_alice_output(
     return _ALICE_OUTPUTS[alice[0]]
 
 
+def _alice_rows(psi: StateVector, phi: StateVector, words: np.ndarray):
+    """Alice's side of rounds on fixed inputs, one per trial, played once per branch row.
+
+    Row t of ``words`` holds the three raw words round t draws: the
+    coins and Alice's two Bell measurements.  Returns Alice's outcome
+    table, each trial's branch row (leaf, coins), then ``_reached`` of
+    those rows: the rows reached, every row's trial count and each row's
+    place among the reached ones, and Alice's output index 2*a1 + a0 of
+    each reached row.
+    """
+    table = _alice_root(psi, phi)
+    rows = _branch_rows(table.walk(word_uniform(words[:, 1:3])), words[:, 0])
+    reached, hits, lookup = _reached(rows, 4 * len(table.paths))
+    bells, coins = table.paths[reached >> 2], _COIN_PAIRS[reached & 3]
+    a1, a0 = _alice_side(bells[:, 0], bells[:, 1], PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1]))
+    return table, rows, reached, hits, lookup, 2 * a1 + a0
+
+
 def _alice_block(psi: StateVector, phi: StateVector, words: np.ndarray):
     """Alice's output index 2*a1 + a0 of rounds on fixed inputs, one per trial, at once.
 
-    Row t of ``words`` holds the three raw words round t draws: the
-    coins and Alice's two Bell measurements.  Returns the indices, then
-    each trial's leaf and Alice's outcome table.
+    ``_alice_rows`` taken trial by trial: returns the indices, then each
+    trial's leaf and Alice's outcome table.
     """
-    table = _alice_root(psi, phi)
-    ends = table.walk(word_uniform(words[:, 1:3]))
-    bells, coins = table.paths[ends], bit_columns(words[:, :1])
-    a1, a0 = _alice_side(bells[:, 0], bells[:, 1], PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1]))
-    return 2 * a1 + a0, ends, table
+    table, rows, _, _, lookup, alice = _alice_rows(psi, phi, words)
+    return alice[lookup[rows]], rows >> 2, table

@@ -47,6 +47,17 @@ report after three ``int(rng.integers(2))`` draws, (a0, a1, w).  The
 tests pin ``stream_words`` to ``np.random.Philox`` and the two word
 rules to numpy's ``integers(2)`` and ``random()``, so a numpy that
 changed Philox would fail a test instead of silently changing reports.
+
+A block's trials land on few branch rows: a row is a leaf of the
+outcome table walked and the two coins of the coin word, 4*leaf +
+2*coin0 + coin1.  The sampled executors wire each row a block reached
+once, and give each trial its row's results (``qrac._reached``); the
+privacy check wires each of its rounds once per coin value and counts
+coins.  The words drawn, and how each is read, are the same.
+
+``stream_words`` folds Philox's first round, the one no stream
+changes but through the key word k1, into one product per counter on
+Python ints; the other nine run on uint64 arrays.
 """
 from __future__ import annotations
 
@@ -117,15 +128,31 @@ def trial_blocks(count: int) -> Iterator[np.ndarray]:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
+# each multiplier as uint64 (low limb, high limb, whole), and the stream key's increment
+_LIMBS = tuple((np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), np.uint64(m)) for m in _PHILOX_M)
+_STEP1 = np.uint64(_PHILOX_W[1])
 
 
-def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of m * b, from 32-bit limbs."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+def _mulhilo(limbs: tuple, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of m * b, from 32-bit limbs; ``limbs`` is m's ``_LIMBS``.
+
+    t = m_hi*b_lo + (m_lo*b_lo >> 32) and u = m_lo*b_hi + (t & 0xFFFFFFFF)
+    fit in 64 bits; the high half is m_hi*b_hi + (t >> 32) + (u >> 32).
+    Each sum is made in place in a fresh product.
+    """
+    m_lo, m_hi, m = limbs
     b_lo, b_hi = b & _LOW32, b >> 32
-    t = m_hi * b_lo + ((m_lo * b_lo) >> 32)
-    u = m_lo * b_hi + (t & _LOW32)
-    return m_hi * b_hi + (t >> 32) + (u >> 32), np.uint64(m) * b
+    t = m_lo * b_lo
+    t >>= 32
+    t += m_hi * b_lo
+    u = t & _LOW32
+    u += m_lo * b_hi
+    u >>= 32
+    t >>= 32
+    hi = m_hi * b_hi
+    hi += t
+    hi += u
+    return hi, m * b
 
 
 def stream_words(seed: int, streams: np.ndarray, count: int) -> np.ndarray:
@@ -134,18 +161,26 @@ def stream_words(seed: int, streams: np.ndarray, count: int) -> np.ndarray:
     Row j equals ``make_rng(seed, streams[j]).bit_generator.random_raw(count)``.
     A stream's counter starts at 1 and each counter gives four words;
     numpy uint64 arithmetic wraps modulo 2**64, as Philox does.
+
+    Round 0 is folded: it starts from counters (c, 0, 0, 0) and meets the
+    stream only through the key's k1, so its output is (k0, 0, hi(M0*c)
+    XOR k1, lo(M0*c)), the product taken on Python ints once per counter.
+    Rounds 1-9 run on arrays, a stream a row and a counter a column;
+    round 1's first word is the seed for every stream, so it broadcasts.
     """
-    seed = _word(seed, "seed")
+    k0 = _word(seed, "seed")
     blocks = -(-count // 4)
-    shape = (len(streams), blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    k0, k1 = seed, np.asarray(streams, dtype=np.uint64)[:, None]
-    for r in range(10):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) % 2**64
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    products = [_PHILOX_M[0] * c for c in range(1, blocks + 1)]
+    hi = np.array([p >> 64 for p in products], dtype=np.uint64)
+    k1 = np.asarray(streams, dtype=np.uint64)[:, None]
+    c0, c1, c2 = np.full((1, 1), k0, dtype=np.uint64), np.uint64(0), hi ^ k1
+    c3 = np.array([p % 2**64 for p in products], dtype=np.uint64)
+    for _ in range(9):
+        k0 = (k0 + _PHILOX_W[0]) % 2**64
+        k1 = k1 + _STEP1
+        hi0, lo0 = _mulhilo(_LIMBS[0], c0)
+        hi1, lo1 = _mulhilo(_LIMBS[1], c2)
+        hi1 ^= c1
+        hi1 ^= np.uint64(k0)
+        c0, c1, c2, c3 = hi1, lo1, hi0 ^ c3 ^ k1, lo0
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(streams), 4 * blocks)[:, :count]

@@ -16,7 +16,9 @@ The last section is the single-trial sampler as it ran before every draw
 became a walk of raw words: one ``rng.random()`` a measurement and one
 ``rng.integers(2)`` a coin, through numpy's ``Generator`` API, so the
 package's one sampler, ``OutcomeTable.walk``, is held to a rule it does
-not share code with.
+not share code with.  It plays a channel round, a standard round and
+Alice's side of one, each trial on its own, with the PR-box wiring
+written out, so the package's branch rows are held to it trial by trial.
 """
 from __future__ import annotations
 
@@ -344,8 +346,56 @@ def sample_channel(joint: np.ndarray, rng, inputs: tuple[int, int, int]):
         state = projections[picks[-1]][1]
     w, first, second = picks
     coin0, coin1 = int(rng.integers(2)), int(rng.integers(2))
+    (a1, a0), correction = wired(first, second, (coin0, coin1), w)
+    spectators = [q for q in range(n) if q not in inputs]
+    return w, (a1, a0), corrected_output(state, spectators + [n + 1 + 2 * w], correction)
+
+
+def wired(first: int, second: int, coins: tuple[int, int], w: int):
+    """Alice's output (a1, a0) and Bob's correction of one round, by the PR-box law written out.
+
+    ``first`` and ``second`` are Alice's Bell outcome indices, ``coins``
+    (coin0, coin1) the boxes' coins and ``w`` Bob's choice; Alice's bits
+    reach Bob as sent.
+    """
+    coin0, coin1 = coins
     a1, a0 = (first >> 1) ^ coin1, (first & 1) ^ coin0  # Alice's output: A = coin
     xor = first ^ second  # what Alice fed box1 (bit 1) and box0 (bit 0)
     b1, b0 = coin1 ^ ((xor >> 1) & w), coin0 ^ (xor & w)  # Bob's output: B = coin ^ x*y
-    spectators = [q for q in range(n) if q not in inputs]
-    return w, (a1, a0), corrected_output(state, spectators + [n + 1 + 2 * w], (a1 ^ b1, a0 ^ b0))
+    return (a1, a0), (a1 ^ b1, a0 ^ b0)
+
+
+def _bell_draws(psi: np.ndarray, phi: np.ndarray, rng):
+    """Alice's two Bell outcomes on psi (x) phi (x) both pairs, by ``choose``: (first, second, leaf)."""
+    pairs = kron_all([bell_vector(0, 0), bell_vector(0, 0)])
+    state = np.einsum("i,j,k->ijk", psi, phi, pairs).reshape(-1)
+    picks = []
+    for pair in ((0, 2), (1, 4)):
+        projections = bell_projections(state, pair)
+        weights = [0.0 if post is None else prob for prob, post in projections]
+        picks.append(choose(rng, np.cumsum(weights).tolist()))
+        state = projections[picks[-1]][1]
+    return picks[0], picks[1], state
+
+
+def sample_alice(psi: np.ndarray, phi: np.ndarray, rng) -> tuple[int, int]:
+    """Alice's output (a1, a0) of one standard round: the two coins, then her two Bell outcomes."""
+    coins = int(rng.integers(2)), int(rng.integers(2))
+    first, second, _ = _bell_draws(psi, phi, rng)
+    return wired(first, second, coins, 0)[0]
+
+
+def sample_round(psi: np.ndarray, phi: np.ndarray, omega: np.ndarray, rng):
+    """One standard round, Alice's bits sent to Bob: (w, (a1, a0), Bob's chosen qubit).
+
+    The two coins, Bob's measurement of omega, then Alice's two Bell
+    measurements on psi (x) phi (x) both pairs (qubits 2-3 and 4-5,
+    Alice's half first); Bob keeps his half of pair w, corrected.
+    """
+    coins = int(rng.integers(2)), int(rng.integers(2))
+    w = choose(rng, np.cumsum([0.0 if post is None else prob for prob, post in (
+        measure_project(omega, 0, bit) for bit in (0, 1)
+    )]).tolist())
+    first, second, leaf = _bell_draws(psi, phi, rng)
+    alice, correction = wired(first, second, coins, w)
+    return w, alice, corrected_output(leaf, [3 + 2 * w], correction)

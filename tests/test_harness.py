@@ -22,7 +22,7 @@ import jsonschema
 import qracbox
 from qracbox import harness, metering
 from qracbox.boxes import verify_rac_privacy
-from qracbox.channel import tomography, verify_nonsignaling
+from qracbox.channel import _omega_from_amplitudes, tomography, verify_nonsignaling
 from qracbox.cli import build_parser, main
 from qracbox.harness import (
     ConfigError,
@@ -158,6 +158,30 @@ class TestExperimentConfig:
         assert beta == pytest.approx(1j * sqrt(0.5))
         omega = config.resolved_omega()
         assert abs(np.linalg.norm(omega.amplitudes) - 1) < 1e-12
+
+    def test_each_spec_is_parsed_once(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            argv = ["run", "--experiment", "qrac", "--psi", "amp:2,0,0,0", "--seed", "1"]
+            assert main([*argv, "--trials", "10"]) == 0
+        assert [str(w.message) for w in caught] == [
+            "state spec 'amp:2,0,0,0' renormalized (norm was 2.0)"
+        ]
+
+    @pytest.mark.filterwarnings("ignore:state spec")
+    def test_resolved_states_are_the_parsed_ones(self):
+        data = {"experiment": "qrac", "seed": 1, "psi": "amp:0,0,3,4", "omega": "bloch:1,2"}
+        config = ExperimentConfig.from_dict(data)
+        for resolved, spec in [(config.resolved_psi(), data["psi"]),
+                               (config.resolved_phi(), "amp:0,0,1,0")]:
+            assert np.array_equal(resolved.amplitudes, parse_state_spec(spec).amplitudes)
+        amplitudes = parse_state_spec(data["omega"]).amplitudes
+        assert config.resolved_omega_amplitudes() == (complex(amplitudes[0]), complex(amplitudes[1]))
+        fresh = _omega_from_amplitudes(*config.resolved_omega_amplitudes())
+        assert np.array_equal(config.resolved_omega().amplitudes, fresh.amplitudes)
+        assert config.resolved_psi() is config.resolved_psi()
+        assert config.to_dict() == {**ExperimentConfig(experiment="qrac", seed=1).to_dict(), **data}
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
 class TestPartyMachines:

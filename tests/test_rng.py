@@ -178,26 +178,35 @@ class TestExecutorsMatchPerCallDraws:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("trials", [1000, 2500])  # 6 000 and 15 000 coins
     def test_privacy_check_plays_the_old_rounds(self, seed, trials, monkeypatch):
-        batches = []  # the sampled part wires a block's rounds six ways at once
+        wired = []  # the sampled part wires each of its six rounds once, on coins (0, 1)
         wiring = boxes.rac_wiring
 
         def recording(a0, a1, w, box):
             message, output = wiring(a0, a1, w, box)
             if isinstance(box, PRBoxes):
-                batches.append((a0, a1, w, box.coin.tolist(), message.tolist(), output.tolist()))
+                wired.append((a0, a1, w, box.coin.tolist(), message.tolist(), output.tolist()))
             return message, output
 
         monkeypatch.setattr(boxes, "rac_wiring", recording)
         monkeypatch.setattr(rng_module, "TRIAL_BLOCK", 300)  # several blocks
+        counts = boxes._privacy_counts(trials, seed)
+        rows = [
+            RacRound(a0, a1, w, coin, message, output)
+            for a0, a1, w, coins, messages, outputs in wired
+            for coin, message, output in zip(coins, messages, outputs, strict=True)
+        ]
+        assert rows == [
+            rac_round(a0, a1, w, coin=coin) for a0, a1, w in boxes._PRIVACY_ROUNDS for coin in (0, 1)
+        ]
         report = verify_rac_privacy(trials, seed)
-        played = []
-        for start in range(0, len(batches), 6):
-            six = batches[start:start + 6]
-            for t in range(len(six[0][3])):  # trial by trial, its six rounds in turn
-                for a0, a1, w, coins, messages, outputs in six:
-                    played.append(RacRound(a0, a1, w, coins[t], messages[t], outputs[t]))
+        assert len(wired) == 2 * len(boxes._PRIVACY_ROUNDS)  # once more, for the report
+
         reference = _old_privacy_rounds(trials, seed)
-        assert played == reference
+        assert [(r.a0, r.a1, r.w) for r in reference[:6]] == list(boxes._PRIVACY_ROUNDS)
+        expected = np.zeros((6, 4))
+        for i, r in enumerate(reference):  # trial by trial, its six rounds in turn
+            expected[i % 6, 2 * r.message + (r.message ^ r.output)] += 1
+        assert np.array_equal(counts, expected)
 
         bob = {(w, bit): np.zeros(4) for w in (0, 1) for bit in (0, 1)}
         alice = {w: np.zeros(2) for w in (0, 1)}
