@@ -28,9 +28,10 @@ per process, on first use, and its arrays are shared read-only; every
 ``ChoiMatrix`` built from them is still a validated copy.  So the
 saving is for a process that makes several exact reports.  These two
 are not the only caches the box's wiring feeds (``qrac._tree`` keeps
-the sampled executors' outcome tables, with Bob's outputs in their
-memos), so a test that changes the box must clear all three, as the
-suite's ``clear_box_caches`` fixture (``tests/conftest.py``) does.
+the sampled executors' outcome tables, each with its one full play in
+its memos, walked and gathered by every later block), so a test that
+changes the box must clear all three, as the suite's
+``clear_box_caches`` fixture (``tests/conftest.py``) does.
 
 The sampled reports also check their sampler: sampled tomography and
 sampled non-signaling count how often their trials reached each leaf
@@ -157,29 +158,19 @@ def _probe_sums() -> tuple[np.ndarray, MappingProxyType]:
     return _read_only(total), MappingProxyType({k: _read_only(m) for k, m in parts.items()})
 
 
-def tomography(
-    mode: str = "branch-exact",
-    *,
-    trials: int | None = None,
-    seed: int | None = None,
-) -> ChoiMatrix:
-    """Reconstruct the channel's Choi matrix.
+def tomography() -> ChoiMatrix:
+    """Reconstruct the channel's Choi matrix from every measurement outcome and box coin.
 
-    Branch-exact mode enumerates every measurement outcome and box coin
-    with its exact probability; sampled mode averages ``trials`` seeded
-    runs and exists to exercise the statistical harness.
+    Each branch of the probe enumeration counts with its exact probability.
     """
-    if mode == "branch-exact":
-        return ChoiMatrix(D_IN, D_OUT, _probe_sums()[0])
-    if mode == "sampled":
-        if trials is None or seed is None:
-            raise ValueError("sampled tomography needs trials and seed")
-        return _sampled_tomography(trials, seed)[0]
-    raise ValueError(f"unknown tomography mode {mode!r}")
+    return ChoiMatrix(D_IN, D_OUT, _probe_sums()[0])
 
 
 def _sampled_tomography(trials: int, seed: int) -> tuple[ChoiMatrix, np.ndarray, np.ndarray]:
-    """Sampled ``tomography``, then each probe-table leaf's trial count and exact probability."""
+    """The Choi matrix averaged over ``trials`` seeded runs, a statistical check of the sampler.
+
+    Returns it, then each probe-table leaf's trial count and exact probability.
+    """
     trials = trial_count(trials, 1, "sampled tomography")
     probe = _entangled_probe()
     total = np.zeros((D_IN * D_OUT, D_IN * D_OUT), dtype=complex)
@@ -425,8 +416,9 @@ def verify_nonsignaling(
             raw = make_rng(seed, w).bit_generator
             for block in trial_blocks(trials):
                 words = raw.random_raw(3 * len(block)).reshape(-1, 3)
-                table, _, reached, hits, _, alice = _alice_rows(psi, phi, words)
-                counts[w] += np.bincount(alice, weights=hits[reached], minlength=4)
+                table, rows, alice = _alice_rows(psi, phi, words)
+                hits = np.bincount(rows, minlength=len(alice))
+                counts[w] += np.bincount(alice, weights=hits, minlength=4)
                 leaf_counts[w] = leaf_counts[w] + hits.reshape(-1, 4).sum(axis=1)
         sampled_tv = tv_distance(counts[0] / trials, counts[1] / trials)
         checks.append(check("alice-distribution-sampled", sampled_tv <= 0.02, sampled_tv, 0.02))

@@ -333,9 +333,9 @@ def _qrac_block(
     ``dense`` word 4, the dense decoding (see ``rng``); a block of trial
     i alone, ``run_qrac_protocol(..., trial=i)``, replays trial i.
     Returns w, Alice's bits (a1, a0), each trial's index into the stack
-    of distinct outputs (Bob's chosen qubit) and that stack, the block's
-    channel, and how many trials reached each leaf of the round with the
-    leaves' exact probabilities.
+    of distinct outputs (Bob's chosen qubit) of the full play of Alice's
+    table and that stack, the block's channel, and how many trials
+    reached each leaf of the round with the leaves' exact probabilities.
     """
     label = "qrac-qubit-only" if dense else "qrac"
     w, alice, ids, outputs, leaves, probabilities = _sampled_rounds(psi, phi, omega, words)
@@ -375,11 +375,12 @@ def _exp_qrac(
         )
         tallies = tallies + channel.totals()
         leaf_counts = leaf_counts + counts
-        # an output is Bob's qubit of one pair, so it belongs to one choice
-        choices = np.empty(len(outputs), dtype=np.intp)
-        choices[ids] = w
-        values = [fidelity(out, (psi, phi)[c]) for out, c in zip(outputs, choices.tolist())]
-        f = np.array(values)[ids]
+        # an output is Bob's qubit of one pair, so it belongs to one choice;
+        # one fidelity for each output the block reached
+        values = np.zeros(len(outputs))
+        for k, c in dict(zip(ids.tolist(), w.tolist())).items():
+            values[k] = fidelity(outputs[k], (psi, phi)[c])
+        f = values[ids]
         fidelities.append(f)
         histogram += np.bincount(2 * a1 + a0, minlength=4)
         if with_rows:

@@ -27,86 +27,84 @@ API, ``qrac_alice`` / ``qrac_bob``, runs it on one-shot ``PRBox``es.
 Every other round runs through one pass, ``_play``: rows of (leaf, w,
 Bell outcome indices, coins) in, Alice's bits, Bob's box outputs and
 corrections and his distinct outputs out, from one ``PRBoxes`` pair.
+Its one caller, ``_full_play``, plays every branch row of an outcome
+table once, row 4*leaf + 2*coin0 + coin1, and keeps that play in the
+table's memos.
 
 Both executors read one kind of object, a ``quantum.OutcomeTable``
 built by ``quantum.outcome_table``: K registers taken through their
 measurement schedule level by level, one stacked projection a level
 (every float that of projecting each state alone), with each parent's
-running sum of outcome probabilities, each leaf's path, probability
-and amplitudes, and a memo of Bob's outputs.  The rows of ``_play``
-come two ways:
+running sum of outcome probabilities and each leaf's path, probability
+and amplitudes.  A round runs two ways, both on a table's one full
+play:
 
 * sampled (``_sampled_rounds``, ``_channel_block``): a block of
   trials at once, from the raw Philox words of each trial's stream (the
   word map is in ``rng``).  ``OutcomeTable.walk``, the one sampler,
   maps each trial's uniforms to its leaf, one inverse-CDF lookup over
   the running sums a level.  With its coin word, a trial's leaf gives
-  its branch row, 4*leaf + 2*coin0 + coin1 (``_branch_rows``), numbered
-  as ``_stacked_branches`` numbers its branches; for ``_sampled_rounds``
-  the leaf is the pair (choice leaf, Alice's leaf), so at most 128
-  rows.  One ``bincount`` finds the rows a block reached
-  (``_reached``); ``_play`` wires those rows, once each, and each trial
-  takes its row's bits and output index.  The reports run these, and
-  ``_alice_rows`` (with ``_alice_block``, its results taken trial by
-  trial) and ``dense_decode_block``, which need no output of Bob's and
-  read the same words the same way; each also returns every trial's
-  leaf, or row, for the reports' leaf-frequency checks.  A single trial
-  is a one-row block:
-  ``sample_channel`` and ``sample_alice_output`` are row 0 of a block on
-  their rng's next raw words, and ``harness.run_qrac_protocol`` is the
-  report's block on one trial, so a replay of trial i is trial i of its
-  report;
-* enumerated (``channel_branches``): every row, each leaf of a fresh
-  table of ``_channel_round``'s schedule (the choice, then each Bell
-  measurement) x the four coin pairs, every branch with its exact
-  probability, so the suite can assert identities at 1e-10 instead of
-  collecting statistics.  It returns one ``BranchTable``: the leaf
-  probabilities, a row of ints per branch and the distinct outputs as
-  one (N, d, d) matrix stack.  ``branch_sums`` indexes that stack; a
-  ``DensityMatrix`` per output and a ``ChannelBranch`` are built only
-  when a caller asks for them.  ``channel_branches`` is the
-  one-register view of ``_stacked_branches``, which enumerates K
-  registers of one size and schedule in one pass: one table with K
-  roots, so one projection a level, one partial trace a target and
-  one density check for all K, and each register's ``BranchTable`` a
-  run of slices, equal to its lone enumeration bit for bit.
+  its branch row (``_branch_rows``), and the trial gathers that row's
+  bits and output index from the full play of its cached table.  A
+  ``qrac`` round's table is Alice's own, which has no choice level: its
+  play covers each w in {0, 1} with every leaf of hers, rows
+  4*(w*L + leaf) + coins, at most 128, and a trial's w is the choice
+  table's.  ``_alice_rows`` (with ``_alice_block``, its results
+  gathered trial by trial) and ``dense_decode_block`` need no output of
+  Bob's and read the same words the same way; each also returns every
+  trial's leaf, or row, for the reports' leaf-frequency checks.  A
+  single trial is a one-row block: ``sample_channel`` and
+  ``sample_alice_output`` are row 0 of a block on their rng's next raw
+  words, and ``harness.run_qrac_protocol`` is the report's block on one
+  trial, so a replay of trial i is trial i of its report;
+* enumerated (``channel_branches``): the full play of a fresh table of
+  ``_channel_round``'s schedule (the choice, then each Bell
+  measurement), every branch with its exact probability, so the suite
+  can assert identities at 1e-10 instead of collecting statistics.  It
+  returns one ``BranchTable``: the leaf probabilities, a row of ints
+  per branch and the distinct outputs as one (N, d, d) matrix stack.
+  ``branch_sums`` indexes that stack; a ``DensityMatrix`` per output
+  and a ``ChannelBranch`` are built only when a caller asks for them.
+  ``channel_branches`` is the one-register view of
+  ``_stacked_branches``, which enumerates K registers of one size and
+  schedule in one pass: one table with K roots, so one projection a
+  level, one partial trace a target and one density check for all K,
+  and each register's ``BranchTable`` a run of slices, equal to its
+  lone enumeration bit for bit.
 
-Bob's corrected outputs come from one function, ``_leaf_outputs``,
-which keeps them in the memo of their table: a cached table's for a
-sampled walk, a fresh one's for an enumeration.  It returns each row's
-index into the distinct outputs and those outputs as one stack.  The
-missing ones (``_corrected_outputs``) take one fancy-indexed slice of
-the table's leaves and one stacked partial trace per target, then one
-exact signed relabelling of the stack (``_relabelled``) for the
-corrections Z^c1 X^c0 rho X^c0 Z^c1: entry (r, c) is rho[r ^ c0,
-c ^ c0] times (-1)^(c1 * (r & 1)) (-1)^(c1 * (c & 1)), the target
-being the last kept qubit.  No unitary is applied.  The Pauli entries
-are 0 and +-1, so correcting the state and tracing it out sums the
-same products in the same order, up to sign, and negation commutes
-with rounding: every output is that of ``apply_unitary`` +
+Bob's corrected outputs come from one function, ``_leaf_outputs``.  It
+returns each row's index into the distinct outputs and those outputs as
+one stack in key order.  They are computed by ``_corrected_outputs``:
+one fancy-indexed slice of the table's leaves and one stacked partial
+trace per target, then one exact signed relabelling of the stack
+(``_relabelled``) for the corrections Z^c1 X^c0 rho X^c0 Z^c1: entry
+(r, c) is rho[r ^ c0, c ^ c0] times (-1)^(c1 * (r & 1)) (-1)^(c1 * (c &
+1)), the target being the last kept qubit.  No unitary is applied.  The
+Pauli entries are 0 and +-1, so correcting the state and tracing it out
+sums the same products in the same order, up to sign, and negation
+commutes with rounding: every output is that of ``apply_unitary`` +
 ``reduced_density`` bit for bit, except possibly the sign of an exact
-zero, which no report sees.  The new outputs of a call are checked as
-one stack by ``quantum._checked_matrices``, with the checks and
-messages of ``DensityMatrix``.  A ``DensityMatrix`` is built only
-where a public API returns one: ``qrac_bob``, ``sample_channel``,
+zero, which no report sees.  The outputs of a call are checked as one
+stack by ``quantum._checked_matrices``, with the checks and messages of
+``DensityMatrix``.  A ``DensityMatrix`` is built only where a public API
+returns one: ``qrac_bob``, ``sample_channel``,
 ``harness.run_qrac_protocol`` and ``BranchTable.outputs``.  With
 Alice's bits wired to Bob the coins cancel out of his correction, so
-the four coin branches of an enumerated leaf share one output.  Every
-exact claim reduces an enumeration through ``branch_sums``.
+the four coin branches of a leaf share one output.  Every exact claim
+reduces an enumeration through ``branch_sums``.
 
 The sampled executors walk a cached table instead of redoing the
 linear algebra in every trial.  For fixed inputs a round reaches few
 states: at most 2 choice outcomes x 4 x 4 Bell outcomes, and each leaf
-few corrected outputs.  The first trial that reaches a leaf output
-computes it, and later trials, of either executor, reuse it: the memo
-is one stack in key order, and a block's outputs one fancy index of
-it.  All sampled tables share one cache, ``_tree``, keyed by a
-register's exact amplitude bytes and its measurement schedule: Alice's
-loaded register with her two Bell measurements, Bob's choice qubit
-omega with its computational measurement, the channel round of
-``_channel_round`` (the one ``channel_branches`` enumerates), and each
-dense-coded payload with its Bell decoding.  Results are bit-for-bit
-those of a fresh computation.
+few corrected outputs.  The first block on a table plays all of its
+rows, and later blocks, of either executor, gather from that play.
+All sampled tables share one cache, ``_tree``, keyed by a register's
+exact amplitude bytes and its measurement schedule: Alice's loaded
+register with her two Bell measurements, Bob's choice qubit omega with
+its computational measurement, the channel round of ``_channel_round``
+(the one ``channel_branches`` enumerates), and each dense-coded payload
+with its Bell decoding.  Results are bit-for-bit those of a fresh
+computation.
 """
 from __future__ import annotations
 
@@ -165,8 +163,9 @@ def _tree(num_qubits: int, amplitudes: bytes, measurements: tuple) -> OutcomeTab
 
     A table keeps at most 32 leaf states (a choice, then two Bell
     measurements: 2 x 4 x 4), and the largest sampled register is the
-    channel's 10-qubit probe register, at 16 KiB a state, so the 16
-    tables kept take at most about 8 MiB.  The benchmark's sampled
+    channel's 10-qubit probe register, at 16 KiB a state; its play adds
+    one 4 KiB output a leaf, so the 16 tables kept take at most about
+    10 MiB.  The benchmark's sampled
     reports reach 10 (3 Alice, 2 choice, 1 probe and 4 payload tables);
     a smaller cache would miss on every pass.
     """
@@ -356,28 +355,14 @@ def _leaf_outputs(
 
     Row t ends on leaf ``ends[t]`` of ``table``; ``target`` and the
     (bit1, bit0) ``correction`` are ints or one entry a row.  Returns
-    each row's index into the distinct outputs, and those outputs as one
-    read-only (N, d, d) stack in the order of their (leaf, target, bit1,
-    bit0) keys.  The table's memo keeps every output computed for these
-    spectators, as one stack in key order with its keys; the missing
-    ones are computed by ``_corrected_outputs`` and merged in.
+    each row's index into the distinct outputs, and those outputs, from
+    ``_corrected_outputs``, as one read-only (N, d, d) stack in the
+    order of their (leaf, target, bit1, bit0) keys.
     """
     shape = (len(table.paths), table.leaves.shape[1].bit_length() - 1, 2, 2)
     keys = np.ravel_multi_index((ends, target, *correction), shape)  # sort as the tuples do
     distinct, inverse = np.unique(keys, return_inverse=True)
-    memo = table.memos.get(tuple(spectators))
-    missing = distinct if memo is None else np.setdiff1d(distinct, memo[0], assume_unique=True)
-    if missing.size:
-        fresh = _corrected_outputs(table.leaves, np.unravel_index(missing, shape), spectators)
-        if memo is not None:  # merged in key order
-            merged = np.concatenate([memo[0], missing])
-            order = np.argsort(merged)
-            missing, fresh = merged[order], np.concatenate([memo[1], fresh])[order]
-            fresh.setflags(write=False)
-        memo = table.memos[tuple(spectators)] = missing, fresh
-    known, outputs = memo
-    if len(known) > len(distinct):
-        outputs = outputs[np.searchsorted(known, distinct)]
+    outputs = _corrected_outputs(table.leaves, np.unravel_index(distinct, shape), spectators)
     return inverse.reshape(-1), outputs
 
 
@@ -419,17 +404,6 @@ def _branch_rows(leaves: np.ndarray, coin_words: np.ndarray) -> np.ndarray:
     return 4 * leaves + (2 * coin0 + coin1).astype(np.intp)
 
 
-def _reached(rows: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The branch rows a block reached, from one ``bincount`` of its trials' rows.
-
-    Returns the rows reached, in row order, the trial count of each of
-    the ``size`` rows, and each row's place among the reached ones, so a
-    trial's results are ``lookup[rows]`` of the reached rows' results.
-    """
-    hits = np.bincount(rows, minlength=size)
-    return hits.nonzero()[0], hits, (hits != 0).cumsum() - 1
-
-
 def _play(table, ends, w, bells, coins, epr: int, spectators, b=None):
     """Rows of rounds with every outcome and coin given: the wiring and Bob's outputs.
 
@@ -448,6 +422,30 @@ def _play(table, ends, w, bells, coins, epr: int, spectators, b=None):
     pr_outputs, correction, target = _bob_side(epr, w, alice if b is None else b, box0, box1)
     ids, outputs = _leaf_outputs(table, ends, target, correction, spectators)
     return alice, pr_outputs, correction, ids, outputs
+
+
+def _full_play(table: OutcomeTable, epr: int, spectators, both_choices=False, b=None):
+    """``_play`` of every branch row of ``table``, once, kept in the table's memos.
+
+    Row 4*leaf + 2*coin0 + coin1, numbered as ``_branch_rows`` numbers a
+    trial's.  A leaf's path begins with Bob's choice, unless
+    ``both_choices``: a table without a choice level (Alice's) is played
+    for w = 0 and w = 1, w-major, so its row leaf is w*L + leaf of its L
+    leaves.  ``b`` is ``_play``'s; the play of each ``b`` is computed on
+    the first call and every later call returns it.
+    """
+    key = ("play", b)
+    if key not in table.memos:
+        paths = table.paths
+        if both_choices:
+            paths = np.column_stack([np.repeat([0, 1], len(paths)), np.tile(paths, (2, 1))])
+        rows = np.arange(4 * len(paths))
+        leaves = rows >> 2
+        table.memos[key] = _play(
+            table, leaves % len(table.paths), paths[leaves, 0], paths[leaves, 1:],
+            _COIN_PAIRS[rows & 3], epr, spectators, b,
+        )
+    return table.memos[key]
 
 
 def qrac_alice(
@@ -497,22 +495,19 @@ def _sampled_rounds(psi: StateVector, phi: StateVector, omega: StateVector, word
     and that stack, then each trial's leaf of the round and the round's
     leaf probabilities.  A round's leaves are the pairs (leaf of Bob's
     choice table, leaf of Alice's table), choice-major, each of
-    probability the product of its two leaves' probabilities.  The
-    wiring plays the branch rows (round leaf, coins) the block reached.
+    probability the product of its two leaves' probabilities.  Each
+    trial gathers its results from row (w, Alice's leaf, coins) of the
+    full play of Alice's table, and the stack is that play's.
     """
     table, choice = _alice_root(psi, phi), _choice_root(omega)
     uniforms = word_uniform(words[:, 1:4])
-    leaves = choice.walk(uniforms[:, :1]) * len(table.paths) + table.walk(uniforms[:, 1:])
-    rows = _branch_rows(leaves, words[:, 0])
-    reached, _, lookup = _reached(rows, 4 * len(choice.paths) * len(table.paths))
-    choices, ends = np.divmod(reached >> 2, len(table.paths))
-    w = choice.paths[choices, 0]
-    alice, _, _, ids, outputs = _play(
-        table, ends, w, table.paths[ends], _COIN_PAIRS[reached & 3], EPR1_ALICE, []
-    )
-    place = lookup[rows]
+    picks, ends = choice.walk(uniforms[:, :1]), table.walk(uniforms[:, 1:])
+    w = choice.paths[picks, 0]
+    rows = _branch_rows(w * len(table.paths) + ends, words[:, 0])
+    (a1, a0), _, _, ids, outputs = _full_play(table, EPR1_ALICE, [], both_choices=True)
     probabilities = np.outer(choice.probabilities, table.probabilities).ravel()
-    return w[place], (alice[0][place], alice[1][place]), ids[place], outputs, leaves, probabilities
+    leaves = picks * len(table.paths) + ends
+    return w, (a1[rows], a0[rows]), ids[rows], outputs, leaves, probabilities
 
 
 class DenseCodingPair:
@@ -664,7 +659,7 @@ def _stacked_branches(
 
     One outcome table has the K rounds' registers as its roots, so each
     level is one stacked projection of every register's states, and one
-    ``_play`` wires every branch of all K, with one partial trace a
+    ``_full_play`` wires every branch of all K, with one partial trace a
     target, one relabelling and one density check for the whole stack.
     Each register's leaves, branches and distinct outputs are one run of
     the table's, so its ``BranchTable`` is made of slices, every array
@@ -676,14 +671,11 @@ def _stacked_branches(
     fixed_b = None if b is None else _as_bits(b)
     registers = np.stack([register for register, _, _ in rounds])
     table = outcome_table(n + 4, _checked_states(n + 4, registers), schedule)
+    alice, pr_outputs, correction, ids, outputs = _full_play(table, n, spectators, b=fixed_b)
     paths = table.paths
     ends = np.repeat(np.arange(len(paths)), 4)
-    w, bells, coins = paths[ends, 0], paths[ends, 1:], np.tile(_COIN_PAIRS, (len(paths), 1))
-    alice, pr_outputs, correction, ids, outputs = _play(
-        table, ends, w, bells, coins, n, spectators, fixed_b
-    )
-    columns = (w, bells, coins, 2 * alice[0] + alice[1],
-               np.column_stack(pr_outputs), np.column_stack(correction))
+    columns = (paths[ends, 0], paths[ends, 1:], np.tile(_COIN_PAIRS, (len(paths), 1)),
+               2 * alice[0] + alice[1], np.column_stack(pr_outputs), np.column_stack(correction))
     register = np.arange(len(joints))  # of each parent, level by level, then of each leaf
     for children in table.children:
         register = np.repeat(register, np.count_nonzero(children >= 0, axis=1))
@@ -742,19 +734,14 @@ def _channel_block(joint: StateVector, words: np.ndarray, inputs: tuple[int, int
     choice, both Bell measurements, the coins.  Returns Alice's bits
     (a1, a0), each trial's index into the stack of distinct outputs and
     that stack, then each trial's leaf and the round's outcome table.
-    The wiring plays the branch rows (leaf, coins) the block reached.
+    Each trial gathers its results from its branch row of the table's
+    full play, and the stack is that play's.
     """
     table, spectators = _channel_root(joint, inputs)
     ends = table.walk(word_uniform(words[:, :3]))
     rows = _branch_rows(ends, words[:, 3])
-    reached, _, lookup = _reached(rows, 4 * len(table.paths))
-    outcomes = table.paths[reached >> 2]
-    alice, _, _, ids, outputs = _play(
-        table, reached >> 2, outcomes[:, 0], outcomes[:, 1:], _COIN_PAIRS[reached & 3],
-        joint.num_qubits, spectators,
-    )
-    place = lookup[rows]
-    return (alice[0][place], alice[1][place]), ids[place], outputs, ends, table
+    (a1, a0), _, _, ids, outputs = _full_play(table, joint.num_qubits, spectators)
+    return (a1[rows], a0[rows]), ids[rows], outputs, ends, table
 
 
 def sample_alice_output(
@@ -772,28 +759,25 @@ def sample_alice_output(
 
 
 def _alice_rows(psi: StateVector, phi: StateVector, words: np.ndarray):
-    """Alice's side of rounds on fixed inputs, one per trial, played once per branch row.
+    """Alice's side of rounds on fixed inputs, one per trial, from the full play of her table.
 
     Row t of ``words`` holds the three raw words round t draws: the
     coins and Alice's two Bell measurements.  Returns Alice's outcome
-    table, each trial's branch row (leaf, coins), then ``_reached`` of
-    those rows: the rows reached, every row's trial count and each row's
-    place among the reached ones, and Alice's output index 2*a1 + a0 of
-    each reached row.
+    table, each trial's branch row (leaf, coins), and Alice's output
+    index 2*a1 + a0 of every row.  Her bits do not depend on Bob's
+    choice, so these are the rows of w = 0.
     """
     table = _alice_root(psi, phi)
     rows = _branch_rows(table.walk(word_uniform(words[:, 1:3])), words[:, 0])
-    reached, hits, lookup = _reached(rows, 4 * len(table.paths))
-    bells, coins = table.paths[reached >> 2], _COIN_PAIRS[reached & 3]
-    a1, a0 = _alice_side(bells[:, 0], bells[:, 1], PRBoxes(coins[:, 0]), PRBoxes(coins[:, 1]))
-    return table, rows, reached, hits, lookup, 2 * a1 + a0
+    (a1, a0), *_ = _full_play(table, EPR1_ALICE, [], both_choices=True)
+    return table, rows, (2 * a1 + a0)[: 4 * len(table.paths)]
 
 
 def _alice_block(psi: StateVector, phi: StateVector, words: np.ndarray):
     """Alice's output index 2*a1 + a0 of rounds on fixed inputs, one per trial, at once.
 
-    ``_alice_rows`` taken trial by trial: returns the indices, then each
-    trial's leaf and Alice's outcome table.
+    ``_alice_rows`` gathered trial by trial: returns the indices, then
+    each trial's leaf and Alice's outcome table.
     """
-    table, rows, _, _, lookup, alice = _alice_rows(psi, phi, words)
-    return alice[lookup[rows]], rows >> 2, table
+    table, rows, alice = _alice_rows(psi, phi, words)
+    return alice[rows], rows >> 2, table

@@ -388,9 +388,10 @@ class OutcomeTable:
     Children are numbered parent by parent, so each root's leaves are
     one run, in root order.  Leaf i, in path order, is reached by the
     outcomes ``paths[i]`` with probability ``probabilities[i]``; its
-    amplitudes are row i of the ``leaves`` stack.  ``memos`` keeps what
-    callers derive from the leaves, each under a key of its own.  Every
-    array is read-only, so a table may be shared by any number of walks.
+    amplitudes are row i of the ``leaves`` stack.  ``memos`` keeps the
+    table's one full play (``qrac._full_play``), which every walk of a
+    cached table gathers from.  Every array is read-only, so a table may
+    be shared by any number of walks.
     """
 
     sums: tuple[np.ndarray, ...]

@@ -50,10 +50,11 @@ changed Philox would fail a test instead of silently changing reports.
 
 A block's trials land on few branch rows: a row is a leaf of the
 outcome table walked and the two coins of the coin word, 4*leaf +
-2*coin0 + coin1.  The sampled executors wire each row a block reached
-once, and give each trial its row's results (``qrac._reached``); the
-privacy check wires each of its rounds once per coin value and counts
-coins.  The words drawn, and how each is read, are the same.
+2*coin0 + coin1.  The sampled executors walk a cached table and gather
+each trial's row from the table's one full play
+(``qrac._full_play``); the privacy check wires each of its rounds once
+per coin value and counts coins.  The words drawn, and how each is
+read, are the same.
 
 ``stream_words`` folds Philox's first round, the one no stream
 changes but through the key word k1, into one product per counter on

@@ -21,8 +21,8 @@ def clear_box_caches():
     """Clear every cache of ``quantum``, ``qrac`` and ``channel`` around a test.
 
     The caches are ``qrac._tree`` (the sampled executors' outcome tables,
-    with Bob's outputs in their memos) and ``channel._probe_sums`` and ``_default_contrast``
-    (whole enumerations), so a test that changes the box would otherwise
+    each with its one full play in its memos) and ``channel._probe_sums``
+    and ``_default_contrast`` (whole enumerations), so a test that changes the box would otherwise
     read the honest box from them.  Yields the clearing function, which
     returns the caches it cleared; call it after the change.  Teardown
     clears them again, so later tests rebuild from the honest box.

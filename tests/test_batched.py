@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from qracbox import harness, qrac, quantum
 from qracbox import rng as rng_module
 from qracbox.boxes import PRBox
-from qracbox.channel import D_IN, D_OUT, _entangled_probe, tomography, verify_nonsignaling
+from qracbox.channel import D_IN, D_OUT, _entangled_probe, _sampled_tomography, verify_nonsignaling
 from qracbox.cli import main
 from qracbox.harness import (
     ExperimentConfig,
@@ -425,7 +425,7 @@ class TestReportsEqualTheScalarExecutor:
         for trial in range(trials):
             _, _, rho = oracles.sample_channel(probe.amplitudes, make_rng(seed, trial), (3, 4, 5))
             total += D_IN * rho / trials
-        choi = tomography(mode="sampled", trials=trials, seed=seed)
+        choi = _sampled_tomography(trials, seed)[0]
         assert np.array_equal(choi.matrix, total)
 
     @pytest.mark.parametrize("seed", SEEDS)

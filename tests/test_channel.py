@@ -96,7 +96,7 @@ class TestTomography:
             )
 
     def test_sampled_mode_roughly_agrees(self, exact_choi):
-        sampled = tomography(mode="sampled", trials=3000, seed=5)
+        sampled = channel_module._sampled_tomography(3000, 5)[0]
         assert np.max(np.abs(sampled.matrix - exact_choi.matrix)) < 0.5
         # a weighted sum of checked outputs passes the exact 1e-8 check
         assert sampled.min_eigenvalue() >= -1e-8
@@ -114,20 +114,12 @@ class TestTomography:
 
         monkeypatch.setattr(channel_module, "_channel_block", block)
         with pytest.raises(ValueError, match="^Choi matrix is not PSD"):
-            tomography(mode="sampled", trials=1000, seed=5)
-
-    def test_sampled_mode_needs_trials_and_seed(self):
-        with pytest.raises(ValueError):
-            tomography(mode="sampled")
+            channel_module._sampled_tomography(1000, 5)
 
     @pytest.mark.parametrize("trials", [0, -5, 2.5, True])
     def test_sampled_mode_rejects_a_bad_trial_count(self, trials):
         with pytest.raises(ValueError, match="trials >= 1"):
-            tomography(mode="sampled", trials=trials, seed=0)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            tomography(mode="exactish")
+            channel_module._sampled_tomography(trials, 0)
 
     def test_json_round_trip(self, exact_choi):
         data = exact_choi.to_json_dict()

@@ -114,20 +114,11 @@ class TestRelabelledOutputs:
                         compared += 1
         assert compared > 100
 
-    def test_uncorrected_output_is_the_partial_trace_itself(self, monkeypatch):
+    def test_uncorrected_output_is_the_partial_trace_itself(self):
         state = haar_random_state(4, make_rng(72))
-        leaf = _leaf(state)
-        outputs = {c: _leaf_output(leaf, 3, c, [0, 1]) for c in CORRECTIONS}
+        output = _leaf_output(_leaf(state), 3, (0, 0), [0, 1])
         trace = quantum._reduced_matrices(state.amplitudes[None], [0, 1, 3])[0]
-        assert outputs[(0, 0)].tobytes() == trace.tobytes()
-        # the memo holds the four outputs of these spectators, in key order, read-only
-        keys, stack = leaf.memos[(0, 1)]
-        assert len(keys) == 4 and not stack.flags.writeable
-        assert all(row.tobytes() == outputs[c].tobytes() for row, c in zip(stack, CORRECTIONS))
-        # a second call reads the memo: nothing is traced again
-        monkeypatch.setattr(qrac, "_reduced_matrices", None)
-        assert all(_leaf_output(leaf, 3, c, [0, 1]).tobytes() == outputs[c].tobytes()
-                   for c in CORRECTIONS)
+        assert output.tobytes() == trace.tobytes()
 
     def test_target_must_be_the_last_kept_qubit(self):
         leaf = _leaf(haar_random_state(3, make_rng(73)))
@@ -149,17 +140,18 @@ class TestRelabelledOutputs:
             fresh = _fresh_output(state, target, branch.correction, [0, 1, 2])
             assert np.array_equal(branch.output.matrix, fresh.matrix)
 
-    def test_a_sampled_block_merges_new_outputs_into_the_memo(self):
+    @pytest.mark.parametrize("cuts", [[3], [150], [1, 2, 199], [50, 100, 150]])
+    def test_blocks_split_any_way_give_the_whole_blocks_outputs(self, cuts, clear_box_caches):
         joint = tensor([haar_random_state(1, make_rng(75, q)) for q in range(3)])
         words = stream_words(75, np.arange(200), 4)
-        whole = _channel_block(joint, words, (0, 1, 2))
-        qrac._tree.cache_clear()
-        for block in (words[:3], words[150:], words):  # later blocks add to a filled memo
-            parts = _channel_block(joint, block, (0, 1, 2))
-        keys, stack = parts[4].memos[()]
-        assert np.all(np.diff(keys) > 0) and not stack.flags.writeable
-        assert np.array_equal(parts[1], whole[1])
-        assert parts[2].tobytes() == whole[2].tobytes()
+        (a1, a0), ids, stack, _, _ = _channel_block(joint, words, (0, 1, 2))
+        clear_box_caches()  # the first part plays a fresh table, the later ones gather from it
+        parts = [_channel_block(joint, block, (0, 1, 2)) for block in np.split(words, cuts)]
+        assert np.array_equal(np.concatenate([part[0][0] for part in parts]), a1)
+        assert np.array_equal(np.concatenate([part[0][1] for part in parts]), a0)
+        outputs = np.concatenate([part[2][part[1]] for part in parts])
+        assert outputs.tobytes() == stack[ids].tobytes()
+        assert not stack.flags.writeable
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_relabelled_is_the_pauli_conjugation(self, dim):

@@ -22,7 +22,7 @@ import jsonschema
 import qracbox
 from qracbox import harness, metering
 from qracbox.boxes import verify_rac_privacy
-from qracbox.channel import _omega_from_amplitudes, tomography, verify_nonsignaling
+from qracbox.channel import _omega_from_amplitudes, _sampled_tomography, verify_nonsignaling
 from qracbox.cli import build_parser, main
 from qracbox.harness import (
     ConfigError,
@@ -554,7 +554,7 @@ _FLOORS = {
     "tomography": (
         ["tomography", "--mode", "sampled"],
         1,
-        lambda trials: tomography(mode="sampled", trials=trials, seed=0),
+        lambda trials: _sampled_tomography(trials, 0)[0],
     ),
 }
 

@@ -1,21 +1,25 @@
 """Tests for the branch rows of the sampled executors.
 
-A sampled block wires each branch row it reached, 4*leaf + 2*coin0 +
-coin1, once, and each trial takes its row's results.  So each row a
-block plays must be the enumeration's row at the same (leaf, coins), and
-each trial must be the trial the ``oracles`` sampler plays through
-numpy's ``Generator`` API, alone, in one-row blocks and in blocks that
-cross a boundary.
+Each cached outcome table is played once, every branch row 4*leaf +
+2*coin0 + coin1 of it (``qrac._full_play``), and a sampled block walks
+the table and gathers each trial's row from that play.  So every row of
+a play must be the enumeration's row at the same (leaf, coins), a later
+block must play nothing again, and each trial must be the trial the
+``oracles`` sampler plays through numpy's ``Generator`` API, alone, in
+one-row blocks and in blocks that cross a boundary.
 """
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qracbox import channel, harness, qrac
+from qracbox import channel, harness, qrac, quantum
 from qracbox import rng as rng_module
 from qracbox.boxes import leaf_frequency_check, tv_distance
-from qracbox.channel import _entangled_probe, tomography, verify_nonsignaling
+from qracbox.channel import _entangled_probe, _sampled_tomography, verify_nonsignaling
 from qracbox.harness import ExperimentConfig, run_qrac_protocol
 from qracbox.qrac import _channel_block, channel_branches, sample_alice_output, sample_channel
 from qracbox.quantum import (
@@ -55,7 +59,7 @@ def _rows(ends: np.ndarray, coin_words: np.ndarray) -> np.ndarray:
 
 class TestSampledRowsAreEnumeratedRows:
     @pytest.mark.parametrize("name", sorted(JOINTS))
-    def test_each_played_row_is_the_branch_table_row(self, name, monkeypatch):
+    def test_each_played_row_is_the_branch_table_row(self, name, monkeypatch, clear_box_caches):
         joint, inputs = JOINTS[name]
         played = []
         play = qrac._play
@@ -74,7 +78,7 @@ class TestSampledRowsAreEnumeratedRows:
 
         rows = 4 * leaf + 2 * coins[:, 0] + coins[:, 1]
         trial_rows = _rows(ends, words[:, 3])
-        assert rows.tolist() == sorted(set(trial_rows.tolist()))  # each reached row once
+        assert rows.tolist() == list(range(len(branches)))  # every row once, in row order
         assert len(branches) == 4 * len(table.paths)
         assert np.array_equal(branches.leaf[rows], leaf)
         assert np.array_equal(branches.coins[rows], coins)
@@ -86,10 +90,65 @@ class TestSampledRowsAreEnumeratedRows:
         for row, i in zip(rows.tolist(), row_ids.tolist()):
             assert row_outputs[i].tobytes() == branches._stack[branches.output[row]].tobytes()
 
-        # each trial takes its row's results
+        # each trial gathers its row's results
         assert np.array_equal(2 * a1 + a0, branches.alice[trial_rows])
         for t, row in enumerate(trial_rows.tolist()):
             assert outputs[ids[t]].tobytes() == branches._stack[branches.output[row]].tobytes()
+
+
+class TestOneFullPlayATable:
+    def test_a_second_block_plays_nothing_again(self, monkeypatch, clear_box_caches):
+        joint, inputs = JOINTS["haar-3"]
+        words = stream_words(70, np.arange(300, dtype=np.uint64), 4)
+        calls = []
+
+        def spying(name, function):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return spy
+
+        for module, name in ((qrac, "_play"), (qrac, "_reduced_matrices"),
+                             (quantum, "_reduced_matrices")):
+            monkeypatch.setattr(module, name, spying(name, getattr(module, name)))
+        first = _channel_block(joint, words[:100], inputs)
+        rounds = qrac._sampled_rounds(PSI, PHI, OMEGA, words[:100])
+        assert calls.count("_play") == 2  # the channel table's play and Alice's table's
+        calls.clear()
+        second = _channel_block(joint, words[100:], inputs)
+        more_rounds = qrac._sampled_rounds(PSI, PHI, OMEGA, words[100:])
+        qrac._alice_block(PSI, PHI, words[:, :3])  # Alice's table, played by the rounds
+        assert calls == []
+        assert second[2] is first[2] and more_rounds[3] is rounds[3]  # the same play's stack
+
+    def test_every_row_of_alices_play_is_a_fresh_play_of_it(self, clear_box_caches):
+        table = qrac._alice_root(PSI, PHI)
+        alice, pr_outputs, correction, ids, outputs = qrac._full_play(
+            table, qrac.EPR1_ALICE, [], both_choices=True
+        )
+        leaves = len(table.paths)
+        assert len(ids) == 2 * 4 * leaves  # w = 0 and w = 1, every leaf, every coin pair
+        for row in range(len(ids)):
+            w, leaf = divmod(row >> 2, leaves)
+            coins = np.array([[(row >> 1) & 1, row & 1]])
+            (a1, a0), (b0, b1), (c1, c0), one, stack = qrac._play(
+                table, np.array([leaf]), np.array([w]), table.paths[[leaf]], coins,
+                qrac.EPR1_ALICE, [],
+            )
+            assert (alice[0][row], alice[1][row]) == (a1[0], a0[0])
+            assert (pr_outputs[0][row], pr_outputs[1][row]) == (b0[0], b1[0])
+            assert (correction[0][row], correction[1][row]) == (c1[0], c0[0])
+            assert outputs[ids[row]].tobytes() == stack[one[0]].tobytes()
+
+    def test_play_has_one_caller_the_full_play(self):
+        callers = set()
+        for path in sorted(Path(qrac.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    named = isinstance(node, ast.Name) and node.id == "_play"
+                    if named or isinstance(node, ast.Attribute) and node.attr == "_play":
+                        callers.add((path.name, getattr(top, "name", None)))
+        assert callers == {("qrac.py", "_full_play")}
 
 
 class TestOneRowBlocksAreOracleTrials:
@@ -160,7 +219,7 @@ class TestCrossingBlocksAreOracleTrials:
             return result
 
         monkeypatch.setattr(channel, "_channel_block", spy)
-        tomography(mode="sampled", trials=trials, seed=68)
+        _sampled_tomography(trials, 68)
         probe = _entangled_probe()
         assert len(taken) == trials
         for trial, (a1, a0, rho) in enumerate(taken):
@@ -177,8 +236,8 @@ class TestSampledNonsignalingCountsRows:
 
         def spy(psi, phi, words):
             result = rows_of(psi, phi, words)
-            table, rows, _, _, lookup, alice = result
-            blocks.append((rows, alice[lookup[rows]], table))
+            table, rows, alice = result
+            blocks.append((rows, alice[rows], table))
             return result
 
         monkeypatch.setattr(channel, "_alice_rows", spy)
