@@ -202,7 +202,9 @@ def _privacy_counts(trials: int, seed: int) -> np.ndarray:
     the row of its coin.  The coins are the six a trial draws from three
     PCG64 words, drawn a block at a time; of n trials, a round's coin-0
     row is shown n - k times and its coin-1 row k times, k being how many
-    of its n coins came up 1.
+    of its n coins came up 1.  A block's n x 3 words are transposed once
+    into a contiguous (3, n) array, so each word's two coin bits are
+    counted along a contiguous row.
     """
     keys = np.array([
         2 * message + (message ^ output)
@@ -213,8 +215,9 @@ def _privacy_counts(trials: int, seed: int) -> np.ndarray:
     ones = 0  # round 2j reads the low half of word j, round 2j + 1 its high half
     rng = np.random.default_rng(seed)
     for block in trial_blocks(trials):
-        low, high = word_bits(rng.bit_generator.random_raw(3 * len(block)).reshape(-1, 3))
-        ones = ones + np.column_stack([low.sum(axis=0), high.sum(axis=0)]).ravel()
+        words = np.ascontiguousarray(rng.bit_generator.random_raw(3 * len(block)).reshape(-1, 3).T)
+        low, high = word_bits(words)
+        ones = ones + np.column_stack([low.sum(axis=1), high.sum(axis=1)]).ravel()
     counts = np.zeros((len(_PRIVACY_ROUNDS), 4))
     rows = np.arange(len(_PRIVACY_ROUNDS))[:, None]
     np.add.at(counts, (rows, keys), np.column_stack([trials - ones, ones]))

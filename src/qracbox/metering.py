@@ -108,26 +108,29 @@ class MeteredChannel:
     ``rounds`` numbers the channel's rounds (a block's trials); by default
     it carries one round, numbered 0.  A message goes out in every round,
     or only in the rounds ``rows`` selects; in a block its content holds
-    one entry per round.  ``counts[r]`` is round r's tally, in ``Tally``
-    field order.
+    one entry per round.  ``counts`` is route-major, one row a route in
+    ``Tally`` field order and one column a round: ``counts[:, r]`` is
+    round r's tally.  A message adds to one contiguous row, and the
+    budget check and the totals reduce along whole rows of a block.
     """
 
     def __init__(self, rounds: Sequence[int] = (0,)) -> None:
         self.rounds = rounds
         self._log: list[tuple[Message, Any]] = []
-        self.counts = np.zeros((len(rounds), len(_ROUTES)), dtype=np.int64)
+        self.counts = np.zeros((len(_ROUTES), len(rounds)), dtype=np.int64)
 
     def send(
         self, direction: str, kind: str, payload: str, content: Any = None, rows: Any = slice(None)
     ) -> Message:
         msg = Message(direction, kind, payload, content)
         self._log.append((msg, rows))
-        self.counts[rows, _ROUTES.index((direction, kind))] += 1
+        self.counts[_ROUTES.index((direction, kind)), rows] += 1
         return msg
 
     def over_budget(self, budget: Tally) -> np.ndarray:
         """Indices of the rounds whose tally is not ``budget``."""
-        return np.flatnonzero((self.counts != list(budget.as_dict().values())).any(axis=1))
+        limits = np.array(list(budget.as_dict().values()))[:, None]
+        return np.flatnonzero((self.counts != limits).any(axis=0))
 
     def transcript(self, index: int = 0) -> RoundTranscript:
         """The messages of round ``index``, in the order sent."""
@@ -141,4 +144,4 @@ class MeteredChannel:
 
     def totals(self) -> Tally:
         """The tally of every round together."""
-        return Tally(*self.counts.sum(axis=0).tolist())
+        return Tally(*self.counts.sum(axis=1).tolist())

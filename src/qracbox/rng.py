@@ -58,7 +58,11 @@ read, are the same.
 
 ``stream_words`` folds Philox's first round, the one no stream
 changes but through the key word k1, into one product per counter on
-Python ints; the other nine run on uint64 arrays.
+Python ints; the other nine run on uint64 arrays.  It returns a fresh
+C-contiguous (streams, count) array, the four output words of each
+counter written straight into their columns: the words are one
+contiguous buffer, so ``bit_columns`` and the executors' other
+whole-block passes read them flat.
 """
 from __future__ import annotations
 
@@ -69,7 +73,11 @@ import numpy as np
 from .metering import ConfigError
 
 # trials computed together by the batched executors: it bounds the size
-# of every intermediate array of a report
+# of every intermediate array of a report.  16384 would put a 10^4-trial
+# racbox report in one block, but it made warm passes of the bench
+# "rounds" reports about 5% slower (slower in 5 of 6 alternated process
+# pairs, 2-vCPU x86_64): one uint64 column of its blocks is 128 KiB, of
+# a 4096 block 32 KiB
 TRIAL_BLOCK = 4096
 
 
@@ -168,6 +176,8 @@ def stream_words(seed: int, streams: np.ndarray, count: int) -> np.ndarray:
     XOR k1, lo(M0*c)), the product taken on Python ints once per counter.
     Rounds 1-9 run on arrays, a stream a row and a counter a column;
     round 1's first word is the seed for every stream, so it broadcasts.
+    Output word j of each counter goes straight to columns j, j + 4, ...
+    of one fresh C-contiguous (len(streams), count) array.
     """
     k0 = _word(seed, "seed")
     blocks = -(-count // 4)
@@ -184,4 +194,7 @@ def stream_words(seed: int, streams: np.ndarray, count: int) -> np.ndarray:
         hi1 ^= c1
         hi1 ^= np.uint64(k0)
         c0, c1, c2, c3 = hi1, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(streams), 4 * blocks)[:, :count]
+    words = np.empty((len(streams), count), dtype=np.uint64)
+    for j, c in enumerate((c0, c1, c2, c3)):
+        words[:, j::4] = c[:, : len(range(j, count, 4))]
+    return words

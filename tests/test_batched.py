@@ -27,7 +27,7 @@ from qracbox.harness import (
     parse_state_spec,
     run_rac_protocol,
 )
-from qracbox.metering import MeteredChannel, ProtocolError, Tally
+from qracbox.metering import RACBOX_BUDGET, MeteredChannel, ProtocolError, Tally
 from qracbox.qrac import (
     DenseCodingPair,
     QracResources,
@@ -93,6 +93,22 @@ class TestPhiloxConformance:
 
     def test_no_streams(self):
         assert stream_words(3, np.zeros(0, dtype=np.uint64), 4).shape == (0, 4)
+
+    @pytest.mark.parametrize("streams", [0, 1, 4097])  # 4097: one past a full block
+    def test_words_are_a_fresh_contiguous_array(self, streams):
+        # spread the stream keys over the whole uint64 range (the product wraps)
+        keys = np.arange(streams, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        expected = np.array(
+            [np.random.Philox(key=np.array([11, k], dtype=np.uint64)).random_raw(9) for k in keys],
+            dtype=np.uint64,
+        ).reshape(streams, 9)
+        earlier = stream_words(11, keys, 9)
+        for count in range(1, 10):  # three counter blocks
+            words = stream_words(11, keys, count)
+            assert words.dtype == np.uint64 and words.shape == (streams, count)
+            assert words.flags.c_contiguous and words.flags.owndata
+            assert not np.shares_memory(words, earlier)
+            assert np.array_equal(words, expected[:, :count])
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be an integer"):
@@ -496,6 +512,22 @@ class TestBudgetStillFails:
         assert [m.payload for m in channel.transcript(2).messages] == ["a1"]
         assert channel.over_budget(Tally(bits_a_to_b=1)).tolist() == [1]
         assert channel.totals() == Tally(bits_a_to_b=3, qubits_a_to_b=1)
+
+    def test_route_major_counts_across_a_full_block(self):
+        # 5000 rounds at the real TRIAL_BLOCK; the extra bit's rounds straddle index 4096
+        rounds = np.arange(5000, dtype=np.uint64) + np.uint64(20000)
+        extra = np.zeros(5000, dtype=bool)
+        extra[[4093, 4095, 4096, 4097, 4999]] = True
+        channel = MeteredChannel(rounds)
+        channel.send("A->B", "classical-bit", "m", np.zeros(5000))
+        channel.send("A->B", "classical-bit", "extra", None, extra)
+        assert channel.over_budget(RACBOX_BUDGET).tolist() == np.flatnonzero(extra).tolist()
+        transcripts = Tally()
+        for r in range(len(rounds)):
+            transcripts = transcripts + channel.transcript(r).totals
+        assert channel.totals() == transcripts == Tally(bits_a_to_b=5005)
+        with pytest.raises(ProtocolError, match="in racbox trial 24093: .*extra"):
+            harness._assert_block_budget(channel, RACBOX_BUDGET, "racbox")
 
     def test_wrong_dense_decode_is_a_protocol_error(self, monkeypatch):
         _small_blocks(monkeypatch)
